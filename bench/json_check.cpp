@@ -14,7 +14,7 @@
 //
 // `json_check --equiv A B` compares two BENCH envelopes after stripping
 // host-side fields (wall_ms, run_ms, mips, geo_mean_mips, git_rev,
-// jobs, tier choice + dbt/jit counters, cache stats): the determinism
+// jobs, tier choice + dbt counters, cache stats): the determinism
 // contract of docs/performance.md
 // says host speed may change between runs and revisions, simulated
 // numbers may not — this is the check that enforces it. The strip
@@ -99,26 +99,10 @@ void check_interp_speed(const exec::json::Value& v)
                 throw exec::json::JsonError{
                     std::string{"row.dbt: missing int key: "} + key};
         }
-        // Tier-2 JIT counter block (docs/performance.md "Tier-2 JIT"):
-        // host-side like dbt, but schema-checked so the trajectory can
-        // trust the counters exist for every entry.
-        const auto* jit = row.find("jit");
-        if (!jit || !jit->is_object())
-            throw exec::json::JsonError{"row: missing object key: jit"};
-        for (const char* key : {"translated", "code_bytes", "bailouts",
-                                "chain_patches", "evictions"}) {
-            const auto* n = jit->find(key);
-            if (!n || !n->is_int())
-                throw exec::json::JsonError{
-                    std::string{"row.jit: missing int key: "} + key};
-        }
     }
     const auto* tier = v.find("tier");
     if (!tier || !tier->is_string())
         throw exec::json::JsonError{"missing string key: tier"};
-    const auto* enabled = v.find("dbt_enabled");
-    if (!enabled || enabled->kind() != exec::json::Value::Kind::Bool)
-        throw exec::json::JsonError{"missing bool key: dbt_enabled"};
 }
 
 /// Validate one journal. The header is load-bearing (a journal without

@@ -14,7 +14,7 @@
 //
 // Flags: the shared grid vocabulary (--jobs/--json/--smoke/...) plus
 //   --schemes a,b,c   comma list of schemes (default none,hwst128_tchk)
-//   --tier NAME       pin the execution tier (auto|interp|dbt|jit)
+//   --tier NAME       pin the execution tier (auto|interp|dbt)
 //   --repeat N        time each job N times on a fresh Machine and keep
 //                     the fastest (best-of-N rejects scheduler stalls;
 //                     simulated results are asserted identical across
@@ -52,9 +52,7 @@ namespace {
 struct PerfCell {
     double run_ms = 0.0; ///< wall time inside run_machine only
     sim::DbtStats dbt;   ///< superblock-tier counters (host-side only)
-    sim::JitStats jit;   ///< tier-2 JIT counters (host-side only)
-    /// Tier the Machine actually resolved to (config + HWST_TIER +
-    /// host support) — "jit" degrades to "dbt" off x86-64.
+    /// Tier the Machine actually resolved to (config + HWST_TIER).
     sim::ExecTier tier = sim::ExecTier::Interp;
 };
 
@@ -91,18 +89,15 @@ int main(int argc, char** argv)
         for (int i = 1; i < argc; ++i) {
             if (exec::parse_grid_flag(grid, argc, argv, i)) continue;
             const std::string a = argv[i];
-            if (a == "--no-dbt") {
-                // Back-compat spelling of --tier interp.
-                tier = sim::ExecTier::Interp;
-            } else if (a == "--tier") {
+            if (a == "--tier") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--tier needs a name"};
                 const auto t = common::parse_choice_flag(
-                    argv[++i], {"auto", "interp", "dbt", "jit"});
+                    argv[++i], {"auto", "interp", "dbt"});
                 if (!t)
                     throw common::ToolchainError{
                         std::string{"--tier: unknown tier '"} + argv[i] +
-                        "' (auto|interp|dbt|jit)"};
+                        "' (auto|interp|dbt)"};
                 tier = static_cast<sim::ExecTier>(*t);
             } else if (a == "--gate") {
                 if (i + 1 >= argc)
@@ -157,13 +152,11 @@ int main(int argc, char** argv)
                   << exec::kGridFlagsHelp
                   << "  --schemes a,b,c  scheme list (default "
                      "none,hwst128_tchk)\n"
-                     "  --tier NAME      execution tier: auto|interp|dbt|"
-                     "jit (default auto;\n"
+                     "  --tier NAME      execution tier: auto|interp|dbt "
+                     "(default auto = dbt;\n"
                      "                   simulated results identical; the "
                      "HWST_TIER env var\n"
                      "                   overrides this flag)\n"
-                     "  --no-dbt         back-compat alias for --tier "
-                     "interp\n"
                      "  --repeat N       best-of-N timing per job "
                      "(default 1; rejects host\n"
                      "                   scheduler stalls)\n"
@@ -227,7 +220,6 @@ int main(int argc, char** argv)
                     if (rep == 0 || ms < cells[idx].run_ms) {
                         cells[idx].run_ms = ms;
                         cells[idx].dbt = machine.dbt_stats();
-                        cells[idx].jit = machine.jit_stats();
                         cells[idx].tier = machine.tier();
                     }
                 }
@@ -297,13 +289,6 @@ int main(int argc, char** argv)
             dbt["flushes"] = cells[idx].dbt.flushes;
             dbt["fallback_runs"] = cells[idx].dbt.fallback_runs;
             row["dbt"] = dbt;
-            exec::json::Value jit = exec::json::Value::object();
-            jit["translated"] = cells[idx].jit.translated;
-            jit["code_bytes"] = cells[idx].jit.code_bytes;
-            jit["bailouts"] = cells[idx].jit.bailouts;
-            jit["chain_patches"] = cells[idx].jit.chain_patches;
-            jit["evictions"] = cells[idx].jit.evictions;
-            row["jit"] = jit;
             rows.push_back(row);
         }
     }
@@ -327,10 +312,8 @@ int main(int argc, char** argv)
         for (const Scheme s : schemes)
             snames.push_back(compiler::scheme_name(s));
         payload["schemes"] = snames;
-        // Requested tier (rows record what each Machine resolved to);
-        // dbt_enabled is the legacy boolean the trajectory predates.
+        // Requested tier (rows record what each Machine resolved to).
         payload["tier"] = std::string{sim::tier_name(tier)};
-        payload["dbt_enabled"] = tier != sim::ExecTier::Interp;
         payload["repeat"] = static_cast<common::u64>(repeat);
         payload["rows"] = rows;
         payload["geo_mean_mips"] = geo;

@@ -1,8 +1,8 @@
 // Shared environment-variable parsing for the HWST_* switches
-// (HWST_DBT, HWST_ISOLATE, HWST_SENTINEL, ...). One parser so every
+// (HWST_TIER, HWST_ISOLATE, HWST_SENTINEL, ...). One parser so every
 // switch accepts the same vocabulary and a typo'd value can never
-// silently flip a mode: the old per-site `e[0] != '0'` treated
-// HWST_DBT=off as *on*.
+// silently flip a mode: a per-site `e[0] != '0'` test would treat
+// `=off` as *on*.
 #pragma once
 
 #include <cctype>
@@ -77,7 +77,7 @@ parse_choice_flag(std::string_view s,
 }
 
 /// Read `name` as a choice among `allowed` (e.g. HWST_TIER over
-/// {"interp","dbt","jit"}). Unset -> nullopt; set to an unrecognized
+/// {"auto","interp","dbt"}). Unset -> nullopt; set to an unrecognized
 /// value -> nullopt plus a once-per-variable stderr diagnostic listing
 /// the vocabulary.
 inline std::optional<unsigned>

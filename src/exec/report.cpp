@@ -83,10 +83,12 @@ json::Value outcome_json(const Job& job, const JobOutcome& outcome)
 bool is_host_field(std::string_view key)
 {
     // wall_ms/run_ms/mips/geo_mean_mips: host timing. git_rev/jobs:
-    // provenance. tier/dbt/dbt_enabled/jit: the execution-tier choice
-    // and the tiers' host-side counters — interp/dbt/jit envelopes must
+    // provenance. tier/dbt: the execution-tier choice and the
+    // dispatcher's host-side counters — interp and dbt envelopes must
     // compare equal once stripped (a tier may change host speed, never
-    // simulated numbers). cache/cached: result-cache hit statistics — a
+    // simulated numbers); dbt_enabled/jit are no longer emitted but stay
+    // stripped so envelopes written before the JIT tier was retired
+    // still compare. cache/cached: result-cache hit statistics — a
     // warm campaign must compare equal to a cold one (docs/serving.md).
     // recovered/deduped: serving-layer delivery provenance — a campaign
     // resumed across a server crash (or answered by a deduplicated

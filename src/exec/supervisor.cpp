@@ -10,6 +10,7 @@
 #include "exec/journal.hpp"
 #include "exec/process.hpp"
 #include "exec/report.hpp"
+#include "sim/machine.hpp"
 
 namespace hwst::exec {
 
@@ -149,15 +150,9 @@ bool sentinel_sampled(const Job& job, unsigned sentinel)
 JobOutcome sentinel_check(const Job& job, unsigned attempt,
                           const SuperviseOptions& opts, JobOutcome primary)
 {
-    // With the accelerated tiers forced off globally (HWST_DBT=0 or
-    // HWST_TIER=interp) both runs would use the interpreter: nothing to
-    // cross-check.
-    if (common::env_flag("HWST_DBT") == std::optional<bool>{false})
-        return primary;
-    if (common::env_choice("HWST_TIER",
-                           {"auto", "interp", "dbt", "jit"}) ==
-        std::optional<unsigned>{1})
-        return primary;
+    // With the interpreter pinned globally (HWST_TIER=interp) both runs
+    // would use it: nothing to cross-check.
+    if (sim::env_tier() == sim::ExecTier::Interp) return primary;
 
     // The sibling runs the identical attempt (same attempt-indexed
     // seed) in a fresh worker forced onto the pure interpreter — a
@@ -194,9 +189,8 @@ JobOutcome sentinel_check(const Job& job, unsigned attempt,
         return primary;
     }
 
-    // Divergence: the accelerated tier (superblock dispatcher or the
-    // tier-2 JIT, whichever the primary resolved to) broke the
-    // determinism contract for this job. Degrade gracefully — the
+    // Divergence: the superblock dispatcher broke the determinism
+    // contract for this job. Degrade gracefully — the
     // interpreter result is ground truth — and journal a full
     // divergence report.
     note["verdict"] = "divergence";

@@ -72,10 +72,6 @@ public:
     u64 sm_offset() const { return sm_offset_; }
     bool spatial_enabled() const { return status_ & kStatusSpatialEnable; }
     bool temporal_enabled() const { return status_ & kStatusTemporalEnable; }
-    /// Emitted-code contract (sim/jit): stable address of the status
-    /// CSR, so the checked-op templates can test the spatial/temporal
-    /// enable bits inline (kStatus*Enable live in the low byte).
-    const u64* status_view() const { return &status_; }
 
     /// Current compression configuration, decoded from csr.bitw +
     /// csr.lock.base (what COMP/DECOMP see).

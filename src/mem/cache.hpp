@@ -4,7 +4,6 @@
 // 5-stage pipeline timing: hit = kHitCycles, miss adds a refill penalty.
 #pragma once
 
-#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -100,38 +99,6 @@ public:
     bool last_access_missed() const { return last_miss_; }
 
     void flush();
-
-    /// Hot-field addresses for emitted code (the JIT tier's inline
-    /// recent-line probe; docs/performance.md "Tier-2 JIT"). Emitted
-    /// code may replicate the first recent-line branch of access()
-    /// exactly: compare `*last_line_addr` (while `*last_line` is
-    /// non-null), and on a match bump `*accesses`, store `++*tick` to
-    /// the u64 at `(char*)*last_line + line_lru_offset`, clear
-    /// `*last_miss` and charge `hit_cycles`. Anything else must call
-    /// back into access() — the two-entry swap, way scan, eviction and
-    /// miss accounting stay the library's job. All pointers are stable
-    /// for the Cache's lifetime (lines_ is sized once in the ctor).
-    struct JitView {
-        void** last_line;       ///< &last_line_ (null = no recent line)
-        u64* last_line_addr;    ///< &last_line_addr_ (addr >> line_shift)
-        u64* accesses;          ///< &stats_.accesses
-        u64* tick;              ///< &tick_
-        bool* last_miss;        ///< &last_miss_
-        unsigned line_lru_offset; ///< byte offset of Line::lru
-        unsigned line_shift;    ///< log2(line_bytes)
-        unsigned hit_cycles;
-    };
-    JitView jit_view()
-    {
-        return {reinterpret_cast<void**>(&last_line_),
-                &last_line_addr_,
-                &stats_.accesses,
-                &tick_,
-                &last_miss_,
-                static_cast<unsigned>(offsetof(Line, lru)),
-                line_shift_,
-                cfg_.hit_cycles};
-    }
 
     const CacheConfig& config() const { return cfg_; }
     const CacheStats& stats() const { return stats_; }

@@ -141,51 +141,6 @@ public:
     static constexpr unsigned kTlbEntries = 64;
     static constexpr unsigned kTlbWays = 2;
 
-    /// One translation-cache entry: `page_base` is the page's base
-    /// address (~0 = empty — never a valid page base since it is not
-    /// page-aligned) and `host` its backing store, null while the page
-    /// is unmaterialised. A present entry guarantees the whole page lies
-    /// inside one mapped region. Public (with TlbSet and tlb_slot)
-    /// because the JIT tier emits the probe below directly into its
-    /// load/store templates — the layout is part of the host-pointer
-    /// fill contract (docs/performance.md "Tier-2 JIT").
-    struct TlbEntry {
-        u64 page_base = ~u64{0};
-        u8* host = nullptr;
-    };
-
-    /// One set: kTlbWays entries plus the round-robin victim bit
-    /// (alternates on every fill that did not refresh an existing way).
-    struct TlbSet {
-        TlbEntry way[kTlbWays]{};
-        u8 victim = 0;
-    };
-
-    static constexpr unsigned tlb_slot(u64 addr)
-    {
-        return static_cast<unsigned>((addr / kPageSize) %
-                                     kTlbEntries);
-    }
-
-    /// Host-pointer fill contract for emitted code (the JIT's inline
-    /// TLB probe). The returned pointers are stable for this Memory's
-    /// lifetime: `sets` is the in-object set array and `hits` the
-    /// fast-path hit counter. Emitted code may replicate the load()/
-    /// store() fast path exactly — probe both ways of
-    /// `sets[tlb_slot(addr)]` for a single-page access, bump `*hits`
-    /// on a match, and read/write through `host + offset`. It must
-    /// fall out to the public load()/store() when the access straddles
-    /// a page, misses both ways, or (stores only) hits an entry with a
-    /// null `host`: slow-path fills, page materialisation and miss
-    /// accounting stay the library's job. Backing pages are never
-    /// freed, so a cached `host` can go stale only via
-    /// tlb_invalidate(), which rewrites the entries themselves.
-    struct TlbView {
-        const TlbSet* sets;
-        u64* hits;
-    };
-    TlbView tlb_view() const { return {tlb_.data(), &tlb_stats_.hits}; }
-
     /// Translation-cache hit for addr's page without touching state?
     bool tlb_holds(u64 addr) const
     {
@@ -223,6 +178,29 @@ private:
         u64 base;
         u64 size;
     };
+
+    /// One translation-cache entry: `page_base` is the page's base
+    /// address (~0 = empty — never a valid page base since it is not
+    /// page-aligned) and `host` its backing store, null while the page
+    /// is unmaterialised. A present entry guarantees the whole page lies
+    /// inside one mapped region.
+    struct TlbEntry {
+        u64 page_base = ~u64{0};
+        u8* host = nullptr;
+    };
+
+    /// One set: kTlbWays entries plus the round-robin victim bit
+    /// (alternates on every fill that did not refresh an existing way).
+    struct TlbSet {
+        TlbEntry way[kTlbWays]{};
+        u8 victim = 0;
+    };
+
+    static constexpr unsigned tlb_slot(u64 addr)
+    {
+        return static_cast<unsigned>((addr / kPageSize) %
+                                     kTlbEntries);
+    }
 
     u8* page_for(u64 addr, bool create) const;
     void check_mapped(u64 addr, unsigned width, Access kind) const;

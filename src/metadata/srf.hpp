@@ -78,15 +78,6 @@ public:
         for (auto& e : entries_) e.clear();
     }
 
-    /// Base of the entry array for emitted code (the JIT tier bakes
-    /// per-register entry addresses into ALU templates so clear() and
-    /// propagate() become plain stores). The array is an in-object
-    /// member, so the pointer is stable for the file's lifetime.
-    /// Callers own the discipline the mutators enforce here — never
-    /// write through entry 0 unless replicating an interpreter path
-    /// that does (the dispatcher's Add/Sub corner).
-    Entry* entries_view() { return entries_.data(); }
-
 private:
     Entry& mut(Reg r) { return entries_[riscv::reg_index(r)]; }
 

@@ -766,8 +766,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                     m.srf_.clear(RD_REG);
                 }
                 m.pc_ = target;
-                // 2-way inline cache on the dynamic target (shared
-                // structure with the JIT tier — docs/performance.md).
+                // 2-way inline cache on the dynamic target.
                 int w = op->jalr.lookup(target);
                 if (w >= 0) {
                     ++st.jalr_hits;

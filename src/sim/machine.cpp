@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "riscv/encoding.hpp"
 #include "sim/dispatch.hpp"
-#include "sim/jit/jit.hpp"
 #include "sim/syscalls.hpp"
 
 namespace hwst::sim {
@@ -163,63 +162,19 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
                 hwst::kStatusSpatialEnable | hwst::kStatusTemporalEnable);
 
     // Execution-tier resolution (docs/performance.md): HWST_TIER
-    // (interp/dbt/jit/auto) overrides cfg.tier; the legacy boolean
-    // HWST_DBT overrides cfg.dbt (0/off/false = interpreter). When both
-    // are set and disagree, HWST_TIER wins with a warn-once diagnostic.
-    // Auto resolves to the fastest tier this host/build can execute.
-    {
-        const auto env_dbt = common::env_flag("HWST_DBT");
-        if (env_dbt) cfg_.dbt = *env_dbt;
-        const auto env_tier = common::env_choice(
-            "HWST_TIER", {"auto", "interp", "dbt", "jit"});
-        if (env_tier) cfg_.tier = static_cast<ExecTier>(*env_tier);
-        if (env_tier && env_dbt) {
-            const bool conflict =
-                (!*env_dbt && cfg_.tier != ExecTier::Interp &&
-                 cfg_.tier != ExecTier::Auto) ||
-                (*env_dbt && cfg_.tier == ExecTier::Interp);
-            if (conflict)
-                common::warn_once(
-                    "HWST_TIER/HWST_DBT",
-                    std::string{"[env] HWST_DBT and HWST_TIER disagree "
-                                "(HWST_TIER="} +
-                        std::string{tier_name(cfg_.tier)} +
-                        " wins over HWST_DBT=" +
-                        (*env_dbt ? "1" : "0") + ")\n");
-        }
-        ExecTier t = cfg_.tier;
-        if (t == ExecTier::Auto)
-            t = cfg_.dbt ? (jit::jit_supported() ? ExecTier::Jit
-                                                 : ExecTier::Dbt)
-                         : ExecTier::Interp;
-        // An explicitly requested JIT degrades to the dispatcher when
-        // the build/host cannot execute emitted code (sanitizers,
-        // non-x86-64): same simulated results, still translated.
-        if (t == ExecTier::Jit && !jit::jit_supported()) t = ExecTier::Dbt;
-        tier_ = t;
-    }
+    // overrides cfg.tier, and Auto means the dispatcher.
+    if (const auto t = env_tier()) cfg_.tier = *t;
+    tier_ = cfg_.tier == ExecTier::Interp ? ExecTier::Interp : ExecTier::Dbt;
 
-    // Translated-block invalidation: any remap drops every superblock —
-    // and with them the native code, which bakes SbOp addresses.
+    // Translated-block invalidation: any remap drops every superblock.
     // Registered after the address-space map above (sbcache_ does not
     // exist yet, so those initial map_region calls cost nothing), and
-    // deferred while the dispatcher/JIT driver is on-stack.
+    // deferred while the dispatcher is on-stack.
     mem_.set_invalidation_hook([this] {
         if (!sbcache_) return;
-        if (in_dispatch_) {
-            sbcache_->request_flush();
-        } else {
-            sbcache_->flush(dbt_stats_);
-            jit_drop_code();
-        }
+        if (in_dispatch_) sbcache_->request_flush();
+        else sbcache_->flush(dbt_stats_);
     });
-}
-
-Machine::~Machine() = default;
-
-void Machine::jit_drop_code()
-{
-    if (jit_) jit_->drop_code(jit_stats_);
 }
 
 unsigned Machine::dcache_extra(u64 addr)
@@ -1009,18 +964,14 @@ std::optional<RunResult> Machine::run_cancellable(
     if (stride == 0) stride = 1;
     if (tier_ != ExecTier::Interp && !interpreter_forced() && !trace_ &&
         !probe_hook_) {
-        // Translated tiers (sim/dispatch.cpp, sim/jit/). Cancellation
-        // polls move to block boundaries — every >= stride retired
-        // instructions — which cannot change simulated results (a poll
-        // that does not fire has no architectural effect).
+        // Superblock tier (sim/dispatch.cpp). Cancellation polls move to
+        // block boundaries — every >= stride retired instructions —
+        // which cannot change simulated results (a poll that does not
+        // fire has no architectural effect).
         if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
         in_dispatch_ = true;
-        const bool finished =
-            tier_ == ExecTier::Jit
-                ? jit::run_jit(*this, cancel ? &cancel : nullptr, stride,
-                               result.trap)
-                : run_superblocks(*this, cancel ? &cancel : nullptr,
-                                  stride, result.trap);
+        const bool finished = run_superblocks(
+            *this, cancel ? &cancel : nullptr, stride, result.trap);
         in_dispatch_ = false;
         if (!finished) return std::nullopt;
         // Test-only divergence seed for the DBT sentinel: nudge the
@@ -1030,8 +981,8 @@ std::optional<RunResult> Machine::run_cancellable(
         if (common::env_flag("HWST_DBT_FAULT").value_or(false)) ++cycles_;
     } else {
         // Interpreter tier: per-instruction hooks installed (or the
-        // ladder pinned to interp outright, or a sentinel worker
-        // forcing the reference tier).
+        // tier pinned to interp outright, or a sentinel worker forcing
+        // the reference tier).
         if (tier_ != ExecTier::Interp && running_) {
             ++dbt_stats_.fallback_runs;
             if (interpreter_forced()) ++dbt_stats_.sentinel_degraded;
@@ -1068,6 +1019,14 @@ std::optional<RunResult> Machine::run_cancellable(
     result.smac_translations = smac_.translations();
     result.mix = mix_;
     return result;
+}
+
+std::optional<ExecTier> env_tier()
+{
+    // Vocabulary index == ExecTier value.
+    const auto t = common::env_choice("HWST_TIER", {"auto", "interp", "dbt"});
+    if (!t) return std::nullopt;
+    return static_cast<ExecTier>(*t);
 }
 
 namespace {

@@ -59,13 +59,13 @@ struct RuntimeConfig {
     bool init_sw_trie = false;
 };
 
-/// Execution-tier ladder (docs/performance.md): the step() interpreter,
-/// the superblock computed-goto dispatcher, and the x86-64 template JIT
-/// above it. Every tier is a pure host-side accelerator — simulated
-/// results are bit-identical across all three. `Auto` resolves to the
-/// fastest tier available on this host/build (JIT on plain x86-64
-/// builds, the dispatcher under sanitizers or on foreign hosts).
-enum class ExecTier : common::u8 { Auto, Interp, Dbt, Jit };
+/// Execution tiers (docs/performance.md "Execution tiers"): the step()
+/// interpreter and the superblock computed-goto dispatcher. The
+/// dispatcher is a pure host-side accelerator — simulated results are
+/// bit-identical on both. `Auto`, the config default, always resolves
+/// to `Dbt`; it stays a distinct value because reprobench initialises
+/// its recorded tier with it.
+enum class ExecTier : common::u8 { Auto, Interp, Dbt };
 
 constexpr std::string_view tier_name(ExecTier t)
 {
@@ -73,10 +73,15 @@ constexpr std::string_view tier_name(ExecTier t)
     case ExecTier::Auto: return "auto";
     case ExecTier::Interp: return "interp";
     case ExecTier::Dbt: return "dbt";
-    case ExecTier::Jit: return "jit";
     }
     return "unknown";
 }
+
+/// HWST_TIER (auto/interp/dbt, case-insensitive), or nullopt when unset
+/// or not in that vocabulary (with a warn-once diagnostic). The one
+/// parser of the variable: the Machine constructor and the engine's
+/// divergence sentinel both read the tier through it.
+std::optional<ExecTier> env_tier();
 
 struct MachineConfig {
     mem::CacheConfig dcache{};
@@ -90,32 +95,13 @@ struct MachineConfig {
     /// the key from memory on every check.
     bool keybuffer_enabled = true;
     u64 fuel = 400'000'000; ///< max instructions before FuelExhausted
-    /// Superblock DBT tier (docs/performance.md "Translation tier").
-    /// Host-side acceleration only: simulated results are bit-identical
-    /// with it on or off. Runs automatically fall back to the
-    /// interpreter while a trace or probe hook is installed. The
-    /// HWST_DBT environment variable (a boolean: 0/1/on/off/true/false,
-    /// case-insensitive) overrides this field — it is how the dbt-smoke
-    /// bench preset forces both tiers through identical binaries.
-    /// Legacy knob: `false` pins the interpreter, `true` leaves the
-    /// ladder at `tier` (normally Auto). Prefer `tier` / HWST_TIER.
-    bool dbt = true;
-    /// Execution tier. `Auto` picks the fastest available; an explicit
-    /// tier pins the ladder there. The HWST_TIER environment variable
-    /// (interp/dbt/jit/auto) overrides this field and, when both are
-    /// set, wins over HWST_DBT with a warn-once diagnostic.
+    /// Execution tier. `Auto` and `Dbt` run the superblock dispatcher,
+    /// `Interp` pins the interpreter. Runs automatically fall back to
+    /// the interpreter while a trace or probe hook is installed. The
+    /// HWST_TIER environment variable (see env_tier()) overrides this
+    /// field — it is how the tier-smoke bench target forces both tiers
+    /// through identical binaries.
     ExecTier tier = ExecTier::Auto;
-    /// JIT code-cache budget in bytes. When a compile would overflow it
-    /// the whole cache is dropped and retranslation starts from scratch
-    /// (JitStats::evictions). Tiny budgets are legal (the eviction test
-    /// uses one); a block too large to ever fit stays on the cold path.
-    u64 jit_code_bytes = 4u << 20;
-    /// Superblock execution count at which the JIT tier compiles it to
-    /// native code; colder blocks run through step(). Swept on the full
-    /// perf_mips grid: 4 beats 1 (compiling run-once blocks wastes
-    /// emission time) and 8 (too many warmup instructions at
-    /// interpreter speed).
-    u32 jit_hot_threshold = 4;
     TimingConfig timing{};
     RuntimeConfig runtime{};
 };
@@ -191,17 +177,13 @@ class Machine;
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                      u64 stride, hwst::Trap& out);
 
-namespace jit {
-class JitTier;  // sim/jit/jit.hpp: per-Machine code cache + compiler
-struct JitOps;  // sim/jit/jit.cpp: helper call-outs for emitted code
-/// Tier-2 driver loop (sim/jit/runtime.cpp); same contract as
-/// run_superblocks.
-bool run_jit(Machine& m, const std::function<bool()>* cancel, u64 stride,
-             hwst::Trap& out);
-/// True when this build/host can execute emitted x86-64 code (plain
-/// x86-64 builds; sanitizer builds pin the ladder to the dispatcher).
-bool jit_supported();
-} // namespace jit
+/// Counters of the retired native-code tier. Always zero: reprobench
+/// still reports them as its sim.jit_* per-layer metrics, so the type
+/// and Machine::jit_stats() stay until a benchmark change drops those.
+struct JitStats {
+    u64 translated = 0;
+    u64 code_bytes = 0;
+};
 
 /// One predecoded instruction (docs/performance.md). Built once at
 /// Machine construction from program.code(), indexed by
@@ -240,7 +222,6 @@ public:
     /// address space, loads text+data, points sp at the stack top and
     /// programs the HWST CSRs from the program's MemoryLayout.
     explicit Machine(const riscv::Program& program, MachineConfig cfg = {});
-    ~Machine(); // out of line: jit::JitTier is incomplete here
 
     /// Run to completion (exit, trap, or fuel exhaustion).
     RunResult run();
@@ -304,30 +285,22 @@ public:
     /// simulated envelope).
     const DbtStats& dbt_stats() const { return dbt_stats_; }
 
-    /// Host-side counters of the tier-2 template JIT.
-    const JitStats& jit_stats() const { return jit_stats_; }
+    /// Always zero (see JitStats).
+    JitStats jit_stats() const { return {}; }
 
-    /// The execution tier this Machine resolved to (config + HWST_TIER
-    /// / HWST_DBT env + host capability folded together at
-    /// construction). Trace/probe hooks and force_interpreter() still
-    /// pin individual runs to the interpreter.
+    /// The execution tier this Machine resolved to (config and
+    /// HWST_TIER folded together at construction; never Auto).
+    /// Trace/probe hooks and force_interpreter() still pin individual
+    /// runs to the interpreter.
     ExecTier tier() const { return tier_; }
 
 private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
                                 u64, hwst::Trap&);
-    friend class jit::JitTier;
-    friend struct jit::JitOps;
-    friend bool jit::run_jit(Machine&, const std::function<bool()>*, u64,
-                             hwst::Trap&);
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
     void srf_effects(const riscv::Instruction& in, riscv::Format fmt);
-
-    /// Drop all JIT-compiled code (out of line: JitTier is incomplete
-    /// here). No-op when the JIT tier was never entered.
-    void jit_drop_code();
 
     u64 mem_load(u64 addr, unsigned width, bool sign_extend);
     void mem_store(u64 addr, unsigned width, u64 value);
@@ -358,11 +331,7 @@ private:
     // hook is installed — the hook must see every invocation).
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
-    // Tier-2 JIT state: lazily created on the first jit-tier run.
-    // tier_ is the resolved ladder position (see tier()).
-    std::unique_ptr<jit::JitTier> jit_;
-    JitStats jit_stats_;
-    ExecTier tier_ = ExecTier::Dbt;
+    ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
     bool in_dispatch_ = false;
     u64 comp_version_ = ~u64{0};
     ActiveCompression comp_memo_{};
@@ -409,7 +378,7 @@ private:
 };
 
 /// Process-wide override forcing every run onto the interpreter tier,
-/// regardless of MachineConfig::dbt or HWST_DBT. The DBT divergence
+/// regardless of MachineConfig::tier or HWST_TIER. The DBT divergence
 /// sentinel (docs/execution.md, "Process isolation & failure
 /// taxonomy") sets it inside its re-check workers so the reference run
 /// cannot consult the tier under suspicion; runs forced this way count

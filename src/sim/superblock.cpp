@@ -308,10 +308,8 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
         if (const u64 count = delta.*member)
             blk->mix_delta.emplace_back(member, count);
     }
-    if (env.labels) {
-        for (SbOp& o : blk->ops)
-            o.label = env.labels[static_cast<unsigned>(o.kind)];
-    }
+    for (SbOp& o : blk->ops)
+        o.label = env.labels[static_cast<unsigned>(o.kind)];
 
     Superblock* raw = blk.get();
     at_[idx] = raw;

@@ -84,23 +84,17 @@ inline constexpr u8 kOpSignedLoad = 32; ///< CheckedLoad sign-extends
 
 struct Superblock;
 
-/// 2-way inline cache for indirect-jump (`jalr`) targets, shared by
-/// both translated tiers: the dispatcher embeds one per Jalr op with
-/// `Payload = Superblock*`, the template JIT keeps per-site instances
-/// in its arena with `Payload = const void*` (native entry points) and
-/// bakes the member addresses straight into the emitted probe. `aux`
-/// is tier-private (the JIT stores the chain fuel threshold there).
+/// 2-way inline cache for indirect-jump (`jalr`) targets: the
+/// dispatcher embeds one per Jalr op, keyed on the dynamic target and
+/// holding the chained successor block (null until translated).
 /// Replacement is round-robin: with only two ways, LRU and round-robin
 /// differ only when the same way hits twice in a row, where the victim
 /// choice is irrelevant — and round-robin keeps the probe branch-free
-/// on the hit path. Layout is standard (no virtuals) because emitted
-/// code addresses the fields directly.
-template <typename Payload>
+/// on the hit path.
 struct JalrCache2 {
     static constexpr u64 kEmptyTag = ~u64{0};
     u64 tag[2] = {kEmptyTag, kEmptyTag};
-    Payload way[2] = {Payload{}, Payload{}};
-    u64 aux[2] = {0, 0};
+    Superblock* way[2] = {nullptr, nullptr};
     u8 victim = 0;
 
     /// Way index holding `t`, or -1 on miss.
@@ -108,14 +102,13 @@ struct JalrCache2 {
     {
         return tag[0] == t ? 0 : tag[1] == t ? 1 : -1;
     }
-    /// Claim a way for `t` (round-robin victim), clearing its payload.
+    /// Claim a way for `t` (round-robin victim), clearing its block.
     unsigned insert(u64 t)
     {
         const unsigned v = victim;
         victim ^= 1;
         tag[v] = t;
-        way[v] = Payload{};
-        aux[v] = 0;
+        way[v] = nullptr;
         return v;
     }
 };
@@ -146,7 +139,7 @@ struct SbOp {
     Superblock* edge_taken = nullptr;
     Superblock* edge_fall = nullptr;
     /// Jalr ops: 2-way inline cache keyed on the dynamic target.
-    JalrCache2<Superblock*> jalr{};
+    JalrCache2 jalr{};
 };
 
 struct Superblock {
@@ -176,23 +169,12 @@ struct DbtStats {
     u64 block_execs = 0;   ///< dispatcher block entries
     u64 chained = 0;       ///< block→block transfers that skipped the dispatcher
     u64 flushes = 0;       ///< block-cache invalidations (map_region)
-    u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits (both tiers)
+    u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits
     u64 jalr_misses = 0;   ///< jalr inline-cache misses (way refilled)
     u64 fallback_runs = 0; ///< runs forced onto the interpreter by hooks
     /// Runs forced onto the interpreter by sim::force_interpreter() —
     /// the DBT divergence sentinel's graceful-degradation path.
     u64 sentinel_degraded = 0;
-};
-
-/// Host-side counters of the tier-2 template JIT (perf_mips emits them
-/// per row under "jit"; stripped by json_check --equiv like every other
-/// host field).
-struct JitStats {
-    u64 translated = 0;    ///< superblocks lowered to native code
-    u64 code_bytes = 0;    ///< bytes of native code currently live
-    u64 bailouts = 0;      ///< exits to the driver for traps/interp-one
-    u64 chain_patches = 0; ///< direct jumps patched block-to-block
-    u64 evictions = 0;     ///< whole-cache drops on budget overflow
 };
 
 /// Everything translation needs from the Machine, flattened so the
@@ -208,8 +190,7 @@ struct TranslateEnv {
     unsigned mul_extra = 3;
     unsigned div_extra = 24;
     unsigned branch_taken_penalty = 3;
-    /// Computed-goto label table indexed by SbKind (null = leave labels
-    /// unbound; only the threaded dispatcher needs them).
+    /// Computed-goto label table indexed by SbKind.
     const void* const* labels = nullptr;
 };
 
@@ -232,15 +213,11 @@ public:
         ++st.flushes;
     }
     void request_flush() { flush_pending_ = true; }
-    /// Returns true when a deferred flush was applied — the JIT tier
-    /// uses this to drop its native code (which bakes SbOp addresses)
-    /// in the same breath.
-    bool flush_if_pending(DbtStats& st)
+    void flush_if_pending(DbtStats& st)
     {
-        if (!flush_pending_) return false;
+        if (!flush_pending_) return;
         flush_pending_ = false;
         flush(st);
-        return true;
     }
 
     u64 live_blocks() const { return blocks_.size(); }

@@ -202,7 +202,10 @@ TEST(PointerAnalysis, KindsAndCounters)
     EXPECT_EQ(facts.ptr_load_count, 1u);
     EXPECT_FALSE(facts.needs_frame_lock); // no allocas in main
 
-    const auto callee_facts = compiler::analyze_pointers(callee);
+    // Adding "main" may have reallocated the function list, so the
+    // `callee` reference is stale here: look the function up again.
+    const auto callee_facts =
+        compiler::analyze_pointers(*m.find_function("callee"));
     EXPECT_EQ(callee_facts.kind_of_root(0), compiler::RootKind::Param);
 }
 

@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/env.hpp"
 #include "compiler/driver.hpp"
 #include "exec/engine.hpp"
 #include "exec/journal.hpp"
@@ -739,10 +738,10 @@ TEST(Sentinel, ForcedInterpreterIsCountedInDbtStats)
     const sim::RunResult r = machine.run();
     sim::force_interpreter(false);
     EXPECT_EQ(r.exit_code, crc.expected);
-    // Unless the environment disabled the tier outright, the forced
+    // Unless the environment pinned the interpreter outright, the forced
     // interpreter run counts as a sentinel degradation, and the block
     // cache must never have been consulted.
-    if (common::env_flag("HWST_DBT").value_or(true)) {
+    if (sim::env_tier() != sim::ExecTier::Interp) {
         EXPECT_EQ(machine.dbt_stats().sentinel_degraded, 1u);
         EXPECT_EQ(machine.dbt_stats().blocks, 0u);
     }

@@ -1,19 +1,18 @@
-// Execution-tier ladder (src/sim/dispatch.cpp, src/sim/jit/*): the
-// accelerated tiers are pure host-side accelerators, so every test
-// here is a differential one — the same program runs under the
-// interpreter, the superblock dispatcher and the tier-2 JIT
+// Execution tiers (src/sim/dispatch.cpp): the superblock dispatcher is
+// a pure host-side accelerator, so every test here is a differential
+// one — the same program runs under the interpreter and the dispatcher
 // (MachineConfig::tier) and the full RunResult must be bit-identical:
 // instret, cycles, traps, output, InstrMix and every cache/unit
 // counter. Fuzzed programs cover ALU/memory/branch/loop shapes; the
 // workload tests cover the HWST metadata ISA, checked accesses and
-// ecalls; dedicated tests pin down block invalidation, chaining,
-// hook-forced fallback, cancellation strides, fuel traps, mid-stream
-// CSR reads of the batched counters, and JIT code-cache eviction with
-// re-translation. On hosts/builds without JIT support (non-x86-64,
-// sanitizers) --tier=jit degrades to the dispatcher, so the three-way
-// matrix still passes — it just covers two distinct tiers.
+// ecalls; dedicated tests pin down tier resolution, block invalidation,
+// chaining, hook-forced fallback, cancellation strides, fuel traps and
+// mid-stream CSR reads of the batched counters.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -21,7 +20,6 @@
 #include "hwst/csr.hpp"
 #include "riscv/instr.hpp"
 #include "riscv/program.hpp"
-#include "sim/jit/jit.hpp"
 #include "sim/machine.hpp"
 #include "sim/syscalls.hpp"
 #include "workloads/workload.hpp"
@@ -36,16 +34,32 @@ using hwst::common::Xoshiro256;
 
 sim::MachineConfig with_dbt(sim::MachineConfig cfg, bool on)
 {
-    cfg.dbt = on;
     cfg.tier = on ? sim::ExecTier::Dbt : sim::ExecTier::Interp;
     return cfg;
 }
 
-sim::MachineConfig with_tier(sim::MachineConfig cfg, sim::ExecTier t)
-{
-    cfg.tier = t;
-    return cfg;
-}
+/// Sets (value) or unsets (nullptr) an environment variable for one
+/// scope, restoring whatever the process had before.
+class EnvGuard {
+public:
+    EnvGuard(const char* name, const char* value) : name_{name}
+    {
+        if (const char* old = std::getenv(name)) old_ = old;
+        if (value) ::setenv(name, value, 1);
+        else ::unsetenv(name);
+    }
+    ~EnvGuard()
+    {
+        if (old_) ::setenv(name_.c_str(), old_->c_str(), 1);
+        else ::unsetenv(name_.c_str());
+    }
+    EnvGuard(const EnvGuard&) = delete;
+    EnvGuard& operator=(const EnvGuard&) = delete;
+
+private:
+    std::string name_;
+    std::optional<std::string> old_;
+};
 
 void expect_bit_equal(const sim::RunResult& a, const sim::RunResult& b)
 {
@@ -236,13 +250,50 @@ Program fuzz_program(Xoshiro256& rng)
     return p;
 }
 
+// ---- tier resolution -------------------------------------------------
+
+TEST(TierResolution, AutoIsDbtAndHwstTierOverridesConfig)
+{
+    Program p;
+    p.label("main");
+    p.emit_li(Reg::a0, 7);
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    p.finalize();
+
+    {
+        const EnvGuard unset{"HWST_TIER", nullptr};
+        EXPECT_EQ(sim::env_tier(), std::nullopt);
+        sim::Machine dflt{p};
+        EXPECT_EQ(dflt.tier(), sim::ExecTier::Dbt);
+        sim::Machine interp{p, with_dbt({}, false)};
+        EXPECT_EQ(interp.tier(), sim::ExecTier::Interp);
+    }
+    {
+        const EnvGuard env{"HWST_TIER", "interp"};
+        EXPECT_EQ(sim::env_tier(), sim::ExecTier::Interp);
+        sim::Machine m{p, with_dbt({}, true)};
+        EXPECT_EQ(m.tier(), sim::ExecTier::Interp);
+    }
+    {
+        // A retired tier name is not in the vocabulary: env_choice warns
+        // once and ignores it, so the config's Auto still means dbt.
+        const EnvGuard env{"HWST_TIER", "jit"};
+        EXPECT_EQ(sim::env_tier(), std::nullopt);
+        sim::Machine m{p};
+        EXPECT_EQ(m.tier(), sim::ExecTier::Dbt);
+        const sim::RunResult r = m.run();
+        EXPECT_EQ(r.exit_code, 7);
+        EXPECT_EQ(m.jit_stats().translated, 0u);
+        EXPECT_EQ(m.jit_stats().code_bytes, 0u);
+    }
+}
+
+// ---- fuzzed programs -------------------------------------------------
+
 class SuperblockFuzz : public ::testing::TestWithParam<u64> {};
 
-// Three-way tier matrix: interpreter vs dispatcher vs JIT on the same
-// fuzzed program, all pairwise bit-identical. A low hotness threshold
-// pushes even the forward-branch one-shot blocks through the JIT's
-// compile path, not just the loop.
-TEST_P(SuperblockFuzz, TierLadderMatchesInterpreterBitForBit)
+TEST_P(SuperblockFuzz, DbtMatchesInterpreterBitForBit)
 {
     Xoshiro256 rng{0x5B10C + GetParam() * 6271};
     const Program p = fuzz_program(rng);
@@ -253,30 +304,20 @@ TEST_P(SuperblockFuzz, TierLadderMatchesInterpreterBitForBit)
     sim::Machine interp{p, with_dbt({}, false)};
     const sim::RunResult b = interp.run();
 
-    auto jit_cfg = with_tier({}, sim::ExecTier::Jit);
-    jit_cfg.jit_hot_threshold = 2;
-    sim::Machine jit{p, jit_cfg};
-    const sim::RunResult c = jit.run();
-
     ASSERT_EQ(a.trap.kind, hwst::hwst::TrapKind::None);
     expect_bit_equal(a, b);
-    expect_bit_equal(c, b);
     EXPECT_GT(dbt.dbt_stats().block_execs, 0u);
     EXPECT_EQ(interp.dbt_stats().block_execs, 0u);
     // fallback_runs counts runs where the tier was configured on but a
     // hook blocked it; configuring it off is not a fallback.
     EXPECT_EQ(interp.dbt_stats().fallback_runs, 0u);
-    if (jit.tier() == sim::ExecTier::Jit) {
-        EXPECT_GT(jit.jit_stats().translated, 0u);
-        EXPECT_GT(jit.jit_stats().code_bytes, 0u);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockFuzz, ::testing::Range<u64>(0, 16));
 
 // ---- real workloads, all instrumentation schemes ---------------------
 
-TEST(SuperblockWorkloads, SchemesBitIdenticalAcrossAllTiers)
+TEST(SuperblockWorkloads, SchemesBitIdenticalAcrossTiers)
 {
     const auto& w = hwst::workloads::all_workloads().front();
     for (const auto scheme : {hwst::compiler::Scheme::None,
@@ -291,15 +332,6 @@ TEST(SuperblockWorkloads, SchemesBitIdenticalAcrossAllTiers)
                             with_dbt(cp.machine_config, false)};
         const sim::RunResult b = interp.run();
         expect_bit_equal(a, b);
-
-        // The checked-access and metadata ops take the JIT's inline
-        // no-metadata gates and helper call-outs; both paths must
-        // reproduce the dispatcher numbers exactly.
-        sim::Machine jit{cp.program,
-                         with_tier(cp.machine_config,
-                                   sim::ExecTier::Jit)};
-        const sim::RunResult c = jit.run();
-        expect_bit_equal(c, b);
     }
 }
 
@@ -311,73 +343,29 @@ TEST(SuperblockCacheTest, MapRegionFlushesTranslatedBlocks)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine plain{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine plain{cp.program, with_dbt(cp.machine_config, false)};
     const sim::RunResult full = plain.run();
 
     // Pause mid-run, remap, resume: the remap must drop every block
-    // (dbt_stats.flushes) — and under the JIT tier, the native code
-    // baked on top of them — and the resumed run must still be
-    // bit-equal to the uninterrupted one.
-    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Jit}) {
-        auto cfg = with_tier(cp.machine_config, tier);
-        cfg.jit_hot_threshold = 1; // translate eagerly before the pause
-        sim::Machine m{cp.program, cfg};
-        const auto paused = m.run_cancellable([] { return true; },
-                                              /*stride=*/1000);
-        EXPECT_FALSE(paused.has_value());
-        EXPECT_TRUE(m.running());
-        EXPECT_GT(m.dbt_stats().blocks, 0u);
-        EXPECT_EQ(m.dbt_stats().flushes, 0u);
+    // (dbt_stats.flushes) and the resumed run must still be bit-equal
+    // to the uninterrupted interpreter run.
+    sim::Machine m{cp.program, with_dbt(cp.machine_config, true)};
+    const auto paused = m.run_cancellable([] { return true; },
+                                          /*stride=*/1000);
+    EXPECT_FALSE(paused.has_value());
+    EXPECT_TRUE(m.running());
+    EXPECT_GT(m.dbt_stats().blocks, 0u);
+    EXPECT_EQ(m.dbt_stats().flushes, 0u);
 
-        m.memory().map_region("late", 0x6000'0000, 4096);
-        EXPECT_EQ(m.dbt_stats().flushes, 1u);
+    m.memory().map_region("late", 0x6000'0000, 4096);
+    EXPECT_EQ(m.dbt_stats().flushes, 1u);
 
-        const u64 blocks_before_resume = m.dbt_stats().blocks;
-        const auto resumed = m.run_cancellable([] { return false; });
-        ASSERT_TRUE(resumed.has_value());
-        expect_bit_equal(*resumed, full);
-        // Resuming had to retranslate the dropped blocks.
-        EXPECT_GT(m.dbt_stats().blocks, blocks_before_resume);
-        if (m.tier() == sim::ExecTier::Jit) {
-            EXPECT_GT(m.jit_stats().translated, 0u);
-        }
-    }
-}
-
-// ---- JIT code-cache eviction -----------------------------------------
-
-// A code-cache budget too small for the workload's hot set forces
-// whole-cache drops (append-only region, docs/performance.md "Tier-2
-// JIT") followed by re-translation — and none of that churn may leak
-// into simulated numbers.
-TEST(JitCodeCache, EvictionAndRetranslationBitIdentical)
-{
-    if (!sim::jit::jit_supported())
-        GTEST_SKIP() << "no JIT on this host/build";
-
-    const auto& w = hwst::workloads::all_workloads().front();
-    const auto cp =
-        hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
-
-    sim::Machine interp{cp.program, with_dbt(cp.machine_config, false)};
-    const sim::RunResult ref = interp.run();
-
-    auto cfg = with_tier(cp.machine_config, sim::ExecTier::Jit);
-    // Large enough for the entry thunk + shared runtime plus a block
-    // or two, far too small for the whole program: every few compiles
-    // evict the region and re-translation starts over.
-    cfg.jit_code_bytes = 8192;
-    cfg.jit_hot_threshold = 1;
-    sim::Machine m{cp.program, cfg};
-    ASSERT_EQ(m.tier(), sim::ExecTier::Jit);
-    const sim::RunResult r = m.run();
-
-    expect_bit_equal(r, ref);
-    EXPECT_GT(m.jit_stats().evictions, 0u);
-    // Re-translation after eviction: more compiles than distinct
-    // superblocks ever existed.
-    EXPECT_GT(m.jit_stats().translated, m.dbt_stats().blocks);
-    EXPECT_LE(m.jit_stats().code_bytes, cfg.jit_code_bytes);
+    const u64 blocks_before_resume = m.dbt_stats().blocks;
+    const auto resumed = m.run_cancellable([] { return false; });
+    ASSERT_TRUE(resumed.has_value());
+    expect_bit_equal(*resumed, full);
+    // Resuming had to retranslate the dropped blocks.
+    EXPECT_GT(m.dbt_stats().blocks, blocks_before_resume);
 }
 
 // ---- chaining --------------------------------------------------------
@@ -448,18 +436,14 @@ TEST(SuperblockCancellation, AnyStrideIsBitIdenticalToRun)
     const auto cp =
         hwst::compiler::compile(w.build(), hwst::compiler::Scheme::None);
 
-    sim::Machine plain{cp.program, with_dbt(cp.machine_config, true)};
+    sim::Machine plain{cp.program, with_dbt(cp.machine_config, false)};
     const sim::RunResult r = plain.run();
 
-    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Jit}) {
-        for (const u64 stride : {u64{1}, u64{3}, u64{37}, u64{4096}}) {
-            sim::Machine m{cp.program,
-                           with_tier(cp.machine_config, tier)};
-            const auto maybe =
-                m.run_cancellable([] { return false; }, stride);
-            ASSERT_TRUE(maybe.has_value()) << "stride " << stride;
-            expect_bit_equal(*maybe, r);
-        }
+    for (const u64 stride : {u64{1}, u64{3}, u64{37}, u64{4096}}) {
+        sim::Machine m{cp.program, with_dbt(cp.machine_config, true)};
+        const auto maybe = m.run_cancellable([] { return false; }, stride);
+        ASSERT_TRUE(maybe.has_value()) << "stride " << stride;
+        expect_bit_equal(*maybe, r);
     }
 }
 
@@ -478,16 +462,10 @@ TEST(SuperblockFuel, FuelTrapBitIdentical)
     const sim::RunResult a = dbt.run();
     sim::Machine interp{cp.program, with_dbt(cp.machine_config, false)};
     const sim::RunResult b = interp.run();
-    // The same awkward fuel value under the JIT exercises the
-    // trap-mid-block bailout with per-op prefix accounting.
-    sim::Machine jit{cp.program,
-                     with_tier(cp.machine_config, sim::ExecTier::Jit)};
-    const sim::RunResult c = jit.run();
 
     EXPECT_EQ(a.trap.kind, hwst::hwst::TrapKind::FuelExhausted);
     EXPECT_EQ(a.instret, 10'007u);
     expect_bit_equal(a, b);
-    expect_bit_equal(c, b);
 }
 
 // ---- mid-stream CSR reads of the batched counters --------------------
@@ -522,14 +500,9 @@ TEST(SuperblockCsr, CycleAndInstretReadsSeeBatchedCounters)
     const sim::RunResult a = dbt.run();
     sim::Machine interp{p, with_dbt({}, false)};
     const sim::RunResult b = interp.run();
-    // Under the JIT the csr reads take the interp-one ender bailout;
-    // the batched counters must be folded in first.
-    sim::Machine jit{p, with_tier({}, sim::ExecTier::Jit)};
-    const sim::RunResult c = jit.run();
 
     ASSERT_EQ(a.trap.kind, hwst::hwst::TrapKind::None);
     expect_bit_equal(a, b);
-    expect_bit_equal(c, b);
 }
 
 } // namespace
