@@ -1,5 +1,7 @@
 #include "fault/injector.hpp"
 
+#include <algorithm>
+
 namespace hwst::fault {
 
 Injector::Injector(FaultPlan plan)
@@ -27,9 +29,17 @@ u64 Injector::perturb(Probe point, u64 instret, u64 value)
 
 void Injector::attach(sim::Machine& m)
 {
-    m.set_probe_hook([this](Probe point, u64 instret, u64 value) {
-        return perturb(point, instret, value);
-    });
+    // perturb() is the identity below every armed trigger, so the run
+    // may fast-forward on the dispatcher up to the earliest one.
+    u64 quiet_before = ~u64{0};
+    for (const Armed& a : armed_)
+        if (!a.done)
+            quiet_before = std::min(quiet_before, a.spec.trigger_instret);
+    m.set_probe_hook(
+        [this](Probe point, u64 instret, u64 value) {
+            return perturb(point, instret, value);
+        },
+        quiet_before);
 }
 
 } // namespace hwst::fault

@@ -27,6 +27,8 @@ public:
     u64 perturb(Probe point, u64 instret, u64 value);
 
     /// Install this injector on `m`. The injector must outlive the run.
+    /// The hook is declared quiet below the earliest armed trigger, so
+    /// the run executes on the dispatcher tier up to it.
     void attach(sim::Machine& m);
 
     bool fired() const { return fires_ != 0; }

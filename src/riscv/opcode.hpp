@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 
 namespace hwst::riscv {
@@ -155,15 +156,20 @@ struct OpInfo {
     std::uint8_t funct7;
 };
 
-constexpr OpInfo op_info(Opcode op)
-{
-    constexpr OpInfo table[] = {
+/// Indexed by Opcode. Kept at namespace scope: GCC materialises a
+/// function-local constexpr array on the stack on every call, and the
+/// Machine constructor calls op_info twice per static instruction.
+inline constexpr OpInfo kOpInfoTable[] = {
 #define HWST_INFO(name, fmt, major, f3, f7) \
     OpInfo{#name, Format::fmt, major, f3, f7},
-        HWST_OPCODE_LIST(HWST_INFO)
+    HWST_OPCODE_LIST(HWST_INFO)
 #undef HWST_INFO
-    };
-    return table[static_cast<unsigned>(op)];
+};
+static_assert(std::size(kOpInfoTable) == kNumOpcodes);
+
+constexpr OpInfo op_info(Opcode op)
+{
+    return kOpInfoTable[static_cast<unsigned>(op)];
 }
 
 constexpr std::string_view op_name(Opcode op) { return op_info(op).name; }

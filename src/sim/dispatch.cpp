@@ -47,7 +47,7 @@ u64 sext32(u64 v)
 #if HWST_THREADED_DISPATCH
 
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, Trap& out)
+                     u64 stride, u64 stop, Trap& out)
 {
     // Label table, in SbKind order (the X-macro guarantees the match;
     // a missing body is a compile error).
@@ -73,7 +73,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     };
     const u64 text_base = m.text_base_;
     const u64 code_bytes = m.code_bytes_;
-    const u64 fuel = m.cfg_.fuel;
     const unsigned icache_hit = m.cfg_.icache.hit_cycles;
     const unsigned dcache_hit = m.cfg_.dcache.hit_cycles;
     const unsigned lu_stall = m.cfg_.timing.load_use_stall;
@@ -83,6 +82,17 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     const u64 lock_bytes = lay.lock_entries * 8;
 
     u64 countdown = stride;
+
+    // The stop point: the fuel limit ends the run, an earlier stop
+    // (set_probe_hook's fast-forward) hands it back still running.
+    const auto reached_stop = [&] {
+        if (m.instret_ < stop) return false;
+        if (stop >= m.cfg_.fuel) {
+            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
+            m.running_ = false;
+        }
+        return true;
+    };
 
     Superblock* sb = nullptr;
     SbOp* op = nullptr;
@@ -152,7 +162,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 // Transfer to the block at m.pc_ through a cached edge, staying inside
 // the dispatch soup. Bails to the outer loop for polls, untranslatable
 // targets (out of text / misaligned -> the outer loop raises the same
-// AccessFault step() would) and blocks that could cross the fuel limit.
+// AccessFault step() would) and blocks that could cross the stop point.
 #define CHAIN(edge)                                                       \
     do {                                                                  \
         if (cancel && countdown == 0) goto leave_soup;                    \
@@ -163,7 +173,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             nx_ = sc.get_or_translate(env, m.pc_, st);                    \
             (edge) = nx_;                                                 \
         }                                                                 \
-        if (m.instret_ + nx_->len > fuel) goto leave_soup;                \
+        if (m.instret_ + nx_->len > stop) goto leave_soup;                \
         ++st.chained;                                                     \
         sb = nx_;                                                         \
         goto enter_block;                                                 \
@@ -198,7 +208,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 // Inline mirror of Machine::spatial_check (machine.cpp): same gate
 // order, same violation bookkeeping, same trap values. The
 // active_compression memo is read directly — the probe-hook bypass
-// cannot apply because a probe hook forces the interpreter tier.
+// cannot apply because the dispatcher only runs while no probe hook is
+// attached (a fast-forwarded run detaches it).
 #define SPATIAL_CHECK(addr)                                               \
     do {                                                                  \
         if (!m.csrs_.spatial_enabled()) break;                            \
@@ -252,11 +263,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             if ((*cancel)()) return false;
             countdown = stride;
         }
-        if (m.instret_ >= fuel) {
-            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-            m.running_ = false;
-            return true;
-        }
+        if (reached_stop()) return true;
         {
             const u64 off = m.pc_ - text_base;
             if (off >= code_bytes || (m.pc_ & 3) != 0) {
@@ -266,17 +273,13 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             }
         }
         sb = sc.get_or_translate(env, m.pc_, st);
-        if (m.instret_ + sb->len > fuel) {
-            // Fuel can run out inside this block: retire the tail one
-            // instruction at a time, with the interpreter's own
-            // check-then-step ordering. Bounded by fuel - instret_ <
+        if (m.instret_ + sb->len > stop) {
+            // The stop point falls inside this block: retire the tail
+            // one instruction at a time, with the interpreter's own
+            // check-then-step ordering. Bounded by stop - instret_ <
             // block length.
             while (m.running_) {
-                if (m.instret_ >= fuel) {
-                    out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-                    m.running_ = false;
-                    return true;
-                }
+                if (reached_stop()) return true;
                 const Trap t = m.step();
                 if (t.kind != TrapKind::None) {
                     out = t;
@@ -656,10 +659,10 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             {
                 // tchk inlined from exec_hwst, including the
                 // active_compression memo check (the probe-hook bypass
-                // cannot apply: a probe hook forces the interpreter
-                // tier). The keybuffer-miss D-cache access is a full
-                // access — a second memory operation — not an extra,
-                // exactly as exec_hwst charges it.
+                // cannot apply: the hook is detached while the
+                // dispatcher runs). The keybuffer-miss D-cache access is
+                // a full access — a second memory operation — not an
+                // extra, exactly as exec_hwst charges it.
                 m.pc_ = op->pc;
                 if (!m.csrs_.temporal_enabled()) NEXT();
                 const auto& e = m.srf_.entry(static_cast<Reg>(op->rs1));
@@ -845,7 +848,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 // semantics. Simulated results are the same by construction; only the
 // host speedup is lost.
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, Trap& out)
+                     u64 stride, u64 stop, Trap& out)
 {
     u64 countdown = stride;
     while (m.running_) {
@@ -853,9 +856,11 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             if ((*cancel)()) return false;
             countdown = stride;
         }
-        if (m.instret_ >= m.cfg_.fuel) {
-            out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
-            m.running_ = false;
+        if (m.instret_ >= stop) {
+            if (stop >= m.cfg_.fuel) {
+                out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
+                m.running_ = false;
+            }
             return true;
         }
         const Trap t = m.step();

@@ -14,13 +14,16 @@ namespace hwst::sim {
 
 class Machine;
 
-/// Run the machine to completion through the superblock tier. Returns
-/// false when `cancel` fired (machine state stays inspectable, like the
-/// interpreter's cancellation); true otherwise, with `out` holding the
-/// final trap (kind None on clean exit). Must only be called when no
-/// trace or probe hook is installed — the tier batches per-instruction
-/// bookkeeping those hooks would observe.
+/// Run the machine through the superblock tier until it stops or
+/// retires `stop` instructions in total (`stop` <= the configured fuel).
+/// Returns false when `cancel` fired (machine state stays inspectable,
+/// like the interpreter's cancellation); true otherwise, with `out`
+/// holding the final trap (kind None on clean exit). Reaching the fuel
+/// limit raises FuelExhausted; reaching an earlier stop point leaves
+/// the machine running with `out` untouched. Must only be called when
+/// no trace or probe hook is installed — the tier batches
+/// per-instruction bookkeeping those hooks would observe.
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     common::u64 stride, hwst::Trap& out);
+                     common::u64 stride, common::u64 stop, hwst::Trap& out);
 
 } // namespace hwst::sim

@@ -1,8 +1,10 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -953,6 +955,27 @@ RunResult Machine::run()
     return *run_cancellable({});
 }
 
+bool Machine::dispatch(const std::function<bool()>& cancel, u64 stride,
+                       u64 stop, Trap& out)
+{
+    // Superblock tier (sim/dispatch.cpp). Cancellation polls move to
+    // block boundaries — every >= stride retired instructions — which
+    // cannot change simulated results (a poll that does not fire has no
+    // architectural effect).
+    if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
+    in_dispatch_ = true;
+    const bool finished =
+        run_superblocks(*this, cancel ? &cancel : nullptr, stride, stop, out);
+    in_dispatch_ = false;
+    // Test-only divergence seed for the DBT sentinel: nudge the
+    // translated-tier cycle count so a cross-check against the
+    // interpreter has something to catch. Never set outside the
+    // sentinel tests.
+    if (finished && common::env_flag("HWST_DBT_FAULT").value_or(false))
+        ++cycles_;
+    return finished;
+}
+
 std::optional<RunResult> Machine::run_cancellable(
     const std::function<bool()>& cancel, u64 stride)
 {
@@ -962,24 +985,33 @@ std::optional<RunResult> Machine::run_cancellable(
     // (every `stride` loop iterations), and an uncancelled run is
     // bit-identical either way.
     if (stride == 0) stride = 1;
-    if (tier_ != ExecTier::Interp && !interpreter_forced() && !trace_ &&
-        !probe_hook_) {
-        // Superblock tier (sim/dispatch.cpp). Cancellation polls move to
-        // block boundaries — every >= stride retired instructions —
-        // which cannot change simulated results (a poll that does not
-        // fire has no architectural effect).
-        if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
-        in_dispatch_ = true;
-        const bool finished = run_superblocks(
-            *this, cancel ? &cancel : nullptr, stride, result.trap);
-        in_dispatch_ = false;
-        if (!finished) return std::nullopt;
-        // Test-only divergence seed for the DBT sentinel: nudge the
-        // translated-tier cycle count so a cross-check against the
-        // interpreter has something to catch. Never set outside the
-        // sentinel tests.
-        if (common::env_flag("HWST_DBT_FAULT").value_or(false)) ++cycles_;
+    const bool dbt =
+        tier_ != ExecTier::Interp && !interpreter_forced() && !trace_;
+    if (dbt && !probe_hook_) {
+        if (!dispatch(cancel, stride, cfg_.fuel, result.trap))
+            return std::nullopt;
     } else {
+        if (dbt && instret_ + 1 < probe_quiet_before_) {
+            // Fast-forward: the hook promised to be the identity for
+            // every instruction retiring below probe_quiet_before_, so
+            // run that prefix on the dispatcher with the hook detached
+            // (the guard reinstalls it on every exit, cancellation and
+            // exceptions included) and stop one instruction short of
+            // the first one the hook can perturb.
+            struct Detach {
+                ProbeHook& slot;
+                ProbeHook saved;
+                explicit Detach(ProbeHook& s)
+                    : slot{s}, saved{std::exchange(s, nullptr)}
+                {
+                }
+                ~Detach() { slot = std::move(saved); }
+            } detach{probe_hook_};
+            if (!dispatch(cancel, stride,
+                          std::min(cfg_.fuel, probe_quiet_before_ - 1),
+                          result.trap))
+                return std::nullopt;
+        }
         // Interpreter tier: per-instruction hooks installed (or the
         // tier pinned to interp outright, or a sentinel worker forcing
         // the reference tier).

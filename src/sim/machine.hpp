@@ -97,7 +97,8 @@ struct MachineConfig {
     u64 fuel = 400'000'000; ///< max instructions before FuelExhausted
     /// Execution tier. `Auto` and `Dbt` run the superblock dispatcher,
     /// `Interp` pins the interpreter. Runs automatically fall back to
-    /// the interpreter while a trace or probe hook is installed. The
+    /// the interpreter while a trace hook is installed, and from the
+    /// probe hook's quiet point on (see Machine::set_probe_hook). The
     /// HWST_TIER environment variable (see env_tier()) overrides this
     /// field — it is how the tier-smoke bench target forces both tiers
     /// through identical binaries.
@@ -175,7 +176,7 @@ class Machine;
 /// Superblock-tier dispatcher (sim/dispatch.cpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
-                     u64 stride, hwst::Trap& out);
+                     u64 stride, u64 stop, hwst::Trap& out);
 
 /// Counters of the retired native-code tier. Always zero: reprobench
 /// still reports them as its sim.jit_* per-layer metrics, so the type
@@ -246,8 +247,19 @@ public:
     /// in-flight value; whatever it returns is used instead (return
     /// `value` unchanged for a transparent observer). Pass nullptr to
     /// disable. The fault engine (src/fault/) is the main client.
+    ///
+    /// `quiet_before` is the caller's promise that every call with
+    /// `instret < quiet_before` returns `value` unchanged and has no
+    /// side effect. The dispatcher tier then runs with the hook detached
+    /// until the next instruction would retire with `instret ==
+    /// quiet_before`, and the run finishes on the interpreter with the
+    /// hook live. 0 (no promise) keeps the whole run on the interpreter.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
-    void set_probe_hook(ProbeHook hook) { probe_hook_ = std::move(hook); }
+    void set_probe_hook(ProbeHook hook, u64 quiet_before = 0)
+    {
+        probe_hook_ = std::move(hook);
+        probe_quiet_before_ = quiet_before;
+    }
 
     // ---- introspection (tests, examples) -----------------------------
     u64 reg(Reg r) const { return regs_[riscv::reg_index(r)]; }
@@ -290,13 +302,16 @@ public:
 
     /// The execution tier this Machine resolved to (config and
     /// HWST_TIER folded together at construction; never Auto).
-    /// Trace/probe hooks and force_interpreter() still pin individual
-    /// runs to the interpreter.
+    /// Trace hooks and force_interpreter() still pin individual runs to
+    /// the interpreter; a probe hook pins the part of a run from its
+    /// quiet point on.
     ExecTier tier() const { return tier_; }
 
 private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
-                                u64, hwst::Trap&);
+                                u64, u64, hwst::Trap&);
+    bool dispatch(const std::function<bool()>& cancel, u64 stride,
+                  u64 stop, hwst::Trap& out);
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
@@ -328,7 +343,8 @@ private:
     // Superblock DBT tier state. The block cache is created lazily on
     // the first translated run; comp_memo_ caches active_compression()
     // against the CSR file's version counter (bypassed whenever a probe
-    // hook is installed — the hook must see every invocation).
+    // hook is installed — the hook must see every invocation; the
+    // dispatcher runs only while no hook is attached).
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
     ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
@@ -375,6 +391,7 @@ private:
     InstrMix mix_;
     TraceHook trace_;
     ProbeHook probe_hook_;
+    u64 probe_quiet_before_ = 0; ///< see set_probe_hook
 };
 
 /// Process-wide override forcing every run onto the interpreter tier,

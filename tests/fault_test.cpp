@@ -1,17 +1,26 @@
 // Tests of the metadata fault-injection engine (src/fault/) and the
 // graceful-degradation paths it exercises: the injector's trigger
 // semantics, the trap-or-survive oracle, saturating metadata
-// compression at machine level, and a small deterministic campaign.
+// compression at machine level, a small deterministic campaign, and
+// the dispatcher fast-forward of faulted runs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <functional>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "compiler/driver.hpp"
 #include "fault/campaign.hpp"
+#include "mir/builder.hpp"
 #include "riscv/program.hpp"
 #include "sim/machine.hpp"
 #include "sim/syscalls.hpp"
+#include "workloads/dsl.hpp"
 
 namespace {
 
@@ -312,6 +321,362 @@ TEST(FaultCampaign, SmokeNoSilentCorruptionAtProtectedPoints)
     fault::run_campaign(cfg).print(second);
     EXPECT_EQ(first.str(), second.str());
     EXPECT_NE(first.str().find("srf-spatial-write"), std::string::npos);
+}
+
+// ------------------------------------------- dispatcher fast-forward
+//
+// Injector::attach declares its hook quiet below the earliest armed
+// trigger, so the run executes that prefix on the dispatcher and
+// finishes on the interpreter. The reference installs the same
+// perturb() without the promise, which keeps the whole run on the
+// interpreter; both must agree on every observable.
+
+/// A miniature treeadd (src/workloads/olden.cpp) that also frees its
+/// tree: heap pointers stored to and reloaded from memory, a tchk on
+/// every dereference and a lock erasure per free, so every Probe
+/// datapath is exercised within a few thousand instructions.
+hwst::mir::Module mini_treeadd()
+{
+    namespace mir = hwst::mir;
+    using hwst::workloads::if_else;
+    using hwst::workloads::if_then;
+    using mir::Ty;
+    mir::Module m;
+    const auto not_null = [](mir::FunctionBuilder& b, mir::Value p) {
+        return b.eq(b.eq(b.ptr_to_int(p), b.const_i64(0)), b.const_i64(0));
+    };
+    {
+        auto& fn = m.add_function("build", {Ty::I64}, Ty::Ptr);
+        mir::FunctionBuilder b{m, fn};
+        b.set_insert(b.block("entry"));
+        const auto d = b.local("d");
+        const auto n = b.local("n", Ty::Ptr);
+        b.store_local(d, b.param(0));
+        b.store_local(n, b.malloc_(b.const_i64(24)));
+        b.store(b.load_local(d), b.load_local(n));
+        if_else(
+            b, b.lt(b.const_i64(1), b.load_local(d)),
+            [&] {
+                for (const i64 off : {8, 16}) {
+                    const auto child = b.call(
+                        "build", {b.sub(b.load_local(d), b.const_i64(1))},
+                        Ty::Ptr);
+                    b.store(child, b.gep_const(b.load_local(n), off));
+                }
+            },
+            [&] {
+                b.store(b.null_ptr(), b.gep_const(b.load_local(n), 8));
+                b.store(b.null_ptr(), b.gep_const(b.load_local(n), 16));
+            });
+        b.ret(b.load_local(n));
+    }
+    // sum(n) adds the subtree's values; release(n) frees it bottom-up.
+    for (const bool release : {false, true}) {
+        const std::string name = release ? "release" : "sum";
+        auto& fn = m.add_function(name, {Ty::Ptr}, Ty::I64);
+        mir::FunctionBuilder b{m, fn};
+        b.set_insert(b.block("entry"));
+        const auto n = b.local("n", Ty::Ptr);
+        const auto s = b.local("s");
+        const auto c = b.local("c", Ty::Ptr);
+        b.store_local(n, b.param(0));
+        b.store_local(s, b.load(b.load_local(n)));
+        for (const i64 off : {8, 16}) {
+            b.store_local(c, b.load_ptr(b.gep_const(b.load_local(n), off)));
+            if_then(b, not_null(b, b.load_local(c)), [&] {
+                const auto sub = b.call(name, {b.load_local(c)}, Ty::I64);
+                b.store_local(s, b.add(b.load_local(s), sub));
+            });
+        }
+        if (release) b.free_(b.load_local(n));
+        b.ret(b.load_local(s));
+    }
+    {
+        auto& fn = m.add_function("main", {}, Ty::I64);
+        mir::FunctionBuilder b{m, fn};
+        b.set_insert(b.block("entry"));
+        const auto root = b.local("root", Ty::Ptr);
+        b.store_local(root, b.call("build", {b.const_i64(5)}, Ty::Ptr));
+        const auto total = b.local("total");
+        b.store_local(total, b.call("sum", {b.load_local(root)}, Ty::I64));
+        b.store_local(total,
+                      b.add(b.load_local(total),
+                            b.call("release", {b.load_local(root)},
+                                   Ty::I64)));
+        b.ret(b.load_local(total));
+    }
+    return m;
+}
+
+/// The mini workload compiled under full HWST128, its golden run, and
+/// the retire index (1-based instret) of one block boundary and one
+/// mid-block point in the middle of that run.
+struct FastForwardFixture {
+    hwst::compiler::CompiledProgram cp;
+    sim::RunResult golden;
+    u64 boundary = 0; ///< instruction `boundary` ends a superblock
+    u64 mid = 0;      ///< `mid` and `mid + 1` are straight-line body ops
+
+    FastForwardFixture()
+        : cp{hwst::compiler::compile(mini_treeadd(),
+                                     hwst::compiler::Scheme::Hwst128Tchk)}
+    {
+        // A trace hook pins the golden run to the interpreter and sees
+        // every instruction in retire order.
+        Machine m{cp.program, cp.machine_config};
+        std::vector<Opcode> ops;
+        m.set_trace([&](u64, const Instruction& in) { ops.push_back(in.op); });
+        golden = m.run();
+        const auto body = [&](u64 instret) {
+            const Opcode op = ops[instret - 1];
+            const Format f = op_format(op);
+            return !is_branch(op) && op != Opcode::JAL &&
+                   op != Opcode::JALR && f != Format::Sys &&
+                   f != Format::Csr && f != Format::CsrI && !is_hwst(op);
+        };
+        for (u64 k = ops.size() / 2; k + 2 < ops.size(); ++k) {
+            if (!boundary && is_branch(ops[k - 1])) boundary = k;
+            if (!mid && body(k) && body(k + 1)) mid = k;
+        }
+    }
+};
+
+const FastForwardFixture& ff_fixture()
+{
+    static const FastForwardFixture f;
+    return f;
+}
+
+struct FaultedRun {
+    std::optional<sim::RunResult> result;
+    u64 fires = 0;
+    u64 first_fire = 0;
+    std::vector<fault::FireRecord> log;
+    sim::DbtStats dbt;
+};
+
+/// One faulted run of the fixture: through attach() (fast-forward) or
+/// with the same hook and no quiet promise (all-interpreter reference).
+FaultedRun run_faulted(const fault::FaultPlan& plan, bool fast_forward,
+                       sim::MachineConfig cfg = ff_fixture().cp.machine_config)
+{
+    fault::Injector inj{plan};
+    Machine m{ff_fixture().cp.program, cfg};
+    if (fast_forward) {
+        inj.attach(m);
+    } else {
+        m.set_probe_hook([&inj](Probe p, u64 instret, u64 value) {
+            return inj.perturb(p, instret, value);
+        });
+    }
+    FaultedRun r;
+    r.result = m.run();
+    r.fires = inj.fires();
+    r.first_fire = inj.first_fire_instret();
+    r.log = inj.log();
+    r.dbt = m.dbt_stats();
+    return r;
+}
+
+void expect_same_run(const sim::RunResult& a, const sim::RunResult& b)
+{
+    EXPECT_EQ(a.trap.kind, b.trap.kind);
+    EXPECT_EQ(a.trap.addr, b.trap.addr);
+    EXPECT_EQ(a.trap.pc, b.trap.pc);
+    EXPECT_EQ(a.exit_code, b.exit_code);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instret, b.instret);
+    EXPECT_EQ(a.output, b.output);
+    EXPECT_EQ(a.dcache.accesses, b.dcache.accesses);
+    EXPECT_EQ(a.dcache.misses, b.dcache.misses);
+    EXPECT_EQ(a.icache.accesses, b.icache.accesses);
+    EXPECT_EQ(a.icache.misses, b.icache.misses);
+    EXPECT_EQ(a.keybuffer.lookups, b.keybuffer.lookups);
+    EXPECT_EQ(a.keybuffer.hits, b.keybuffer.hits);
+    EXPECT_EQ(a.keybuffer.flushes, b.keybuffer.flushes);
+    EXPECT_EQ(a.scu_checks, b.scu_checks);
+    EXPECT_EQ(a.tcu_checks, b.tcu_checks);
+    EXPECT_EQ(a.scu_saturated, b.scu_saturated);
+    EXPECT_EQ(a.tcu_saturated, b.tcu_saturated);
+    EXPECT_EQ(a.smac_translations, b.smac_translations);
+    const auto& x = a.mix;
+    const auto& y = b.mix;
+    EXPECT_EQ(std::tie(x.alu, x.loads, x.stores, x.checked_loads,
+                       x.checked_stores, x.meta_moves, x.binds, x.tchk,
+                       x.branches, x.jumps, x.ecalls, x.other),
+              std::tie(y.alu, y.loads, y.stores, y.checked_loads,
+                       y.checked_stores, y.meta_moves, y.binds, y.tchk,
+                       y.branches, y.jumps, y.ecalls, y.other));
+}
+
+void expect_same_faulted(const FaultedRun& a, const FaultedRun& b)
+{
+    ASSERT_TRUE(a.result && b.result);
+    expect_same_run(*a.result, *b.result);
+    EXPECT_EQ(a.fires, b.fires);
+    EXPECT_EQ(a.first_fire, b.first_fire);
+    ASSERT_EQ(a.log.size(), b.log.size());
+    for (std::size_t i = 0; i < a.log.size(); ++i) {
+        EXPECT_EQ(a.log[i].point, b.log[i].point);
+        EXPECT_EQ(a.log[i].instret, b.log[i].instret);
+        EXPECT_EQ(a.log[i].before, b.log[i].before);
+        EXPECT_EQ(a.log[i].after, b.log[i].after);
+    }
+}
+
+/// True unless HWST_TIER pins the interpreter for the whole process.
+bool dispatcher_available()
+{
+    return sim::env_tier() != sim::ExecTier::Interp;
+}
+
+TEST(FastForward, FixtureFindsItsTriggerPoints)
+{
+    const auto& f = ff_fixture();
+    ASSERT_TRUE(f.golden.ok()) << trap_name(f.golden.trap.kind);
+    EXPECT_EQ(f.golden.exit_code, 114); // 2 x sum of depths of a depth-5 tree
+    EXPECT_GT(f.golden.tcu_checks, 0u);
+    EXPECT_GT(f.golden.keybuffer.flushes, 0u);
+    EXPECT_GT(f.boundary, 2u);
+    EXPECT_GT(f.mid, 2u);
+}
+
+TEST(FastForward, MatchesAllInterpreterRunAtEveryProbeModeAndTrigger)
+{
+    const auto& f = ff_fixture();
+    const u64 g = f.golden.instret;
+    // Probes see instret after the increment: trigger T first fires on
+    // the instruction that makes instret == T, so the dispatcher stops
+    // after T - 1. `boundary + 1` stops exactly at a block end,
+    // `mid + 1` inside a block, `g + 1` never fires.
+    std::array<bool, sim::kNumProbes> fired{};
+    for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
+        const auto point = static_cast<Probe>(pi);
+        // `exact` is an instruction that itself exercises the datapath,
+        // so a fast-forward that overshoots by one would miss the fire.
+        const u64 exact =
+            run_faulted(fault::FaultPlan::single(
+                            point, fault::FaultMode::StuckAt, f.mid + 1, 0),
+                        false)
+                .first_fire;
+        EXPECT_GT(exact, f.mid) << sim::probe_name(point);
+        const u64 triggers[] = {1,     2, f.mid + 1, f.boundary + 1,
+                                exact, g, g + 1};
+        for (const auto mode :
+             {fault::FaultMode::OneShot, fault::FaultMode::StuckAt}) {
+            for (const u64 trigger : triggers) {
+                SCOPED_TRACE(std::string{sim::probe_name(point)} + " " +
+                             std::string{fault::fault_mode_name(mode)} + " @" +
+                             std::to_string(trigger));
+                const auto plan =
+                    fault::FaultPlan::single(point, mode, trigger, 0x11);
+                const FaultedRun ff = run_faulted(plan, true);
+                const FaultedRun ref = run_faulted(plan, false);
+                expect_same_faulted(ff, ref);
+                if (trigger == g + 1) EXPECT_EQ(ff.fires, 0u);
+                fired[pi] = fired[pi] || ff.fires != 0;
+            }
+        }
+        // Every datapath fires somewhere in its rows.
+        EXPECT_TRUE(fired[pi]) << sim::probe_name(point);
+    }
+}
+
+TEST(FastForward, TwoFaultPlanStopsAtTheEarlierTrigger)
+{
+    const auto& f = ff_fixture();
+    const u64 early = f.mid + 1;
+    const u64 late = f.golden.instret - 10;
+    const fault::FaultPlan plan{{
+        {Probe::LmsmLoad, fault::FaultMode::StuckAt, late, 0x3},
+        {Probe::CompCsrWidths, fault::FaultMode::OneShot, early, 0x40},
+    }};
+    const FaultedRun ff = run_faulted(plan, true);
+    const FaultedRun ref = run_faulted(plan, false);
+    expect_same_faulted(ff, ref);
+    EXPECT_GE(ff.first_fire, early);
+    EXPECT_LT(ff.first_fire, late);
+    if (dispatcher_available()) {
+        EXPECT_GT(ff.dbt.block_execs, 0u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+    }
+}
+
+TEST(FastForward, FuelBelowTriggerExhaustsAtTheSameInstruction)
+{
+    const auto& f = ff_fixture();
+    sim::MachineConfig cfg = f.cp.machine_config;
+    cfg.fuel = f.golden.instret / 3;
+    const auto plan = fault::FaultPlan::single(
+        Probe::SrfTemporalWrite, fault::FaultMode::StuckAt,
+        f.golden.instret / 2, 0x1);
+    const FaultedRun ff = run_faulted(plan, true, cfg);
+    const FaultedRun ref = run_faulted(plan, false, cfg);
+    expect_same_faulted(ff, ref);
+    EXPECT_EQ(ff.result->trap.kind, TrapKind::FuelExhausted);
+    EXPECT_EQ(ff.result->instret, cfg.fuel);
+    EXPECT_EQ(ff.fires, 0u);
+}
+
+TEST(FastForward, CancelInsidePrefixKeepsTheHookInstalled)
+{
+    const auto& f = ff_fixture();
+    const u64 trigger = f.mid + 1;
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::StuckAt, trigger, 0x40);
+    const FaultedRun ref = run_faulted(plan, false);
+
+    fault::Injector inj{plan};
+    Machine m{f.cp.program, f.cp.machine_config};
+    inj.attach(m);
+    EXPECT_FALSE(m.run_cancellable([] { return true; }, 64).has_value());
+    EXPECT_GT(m.instret(), 0u);
+    EXPECT_LT(m.instret(), trigger);
+    EXPECT_EQ(inj.fires(), 0u);
+    // Resuming finishes the run with the hook live: the fault fires
+    // exactly as it does on the all-interpreter reference.
+    FaultedRun resumed;
+    resumed.result = m.run();
+    resumed.fires = inj.fires();
+    resumed.first_fire = inj.first_fire_instret();
+    resumed.log = inj.log();
+    expect_same_faulted(resumed, ref);
+    EXPECT_GT(resumed.fires, 0u);
+}
+
+TEST(FastForward, ForcedInterpreterDisablesFastForward)
+{
+    const auto& f = ff_fixture();
+    const auto plan = fault::FaultPlan::single(
+        Probe::KeybufferLookup, fault::FaultMode::OneShot,
+        f.golden.instret - 10, 0x1);
+    struct Forced {
+        Forced() { sim::force_interpreter(true); }
+        ~Forced() { sim::force_interpreter(false); }
+    };
+    FaultedRun ff;
+    {
+        const Forced forced;
+        ff = run_faulted(plan, true);
+    }
+    expect_same_faulted(ff, run_faulted(plan, false));
+    EXPECT_EQ(ff.dbt.block_execs, 0u);
+}
+
+TEST(FastForward, LateTriggerRunsThePrefixOnTheDispatcher)
+{
+    const auto& f = ff_fixture();
+    const auto plan = fault::FaultPlan::single(
+        Probe::DcacheFillData, fault::FaultMode::StuckAt,
+        f.golden.instret - 10, 0x1);
+    const FaultedRun ff = run_faulted(plan, true);
+    const FaultedRun ref = run_faulted(plan, false);
+    expect_same_faulted(ff, ref);
+    EXPECT_EQ(ref.dbt.block_execs, 0u);
+    if (dispatcher_available()) {
+        EXPECT_GT(ff.dbt.block_execs, 0u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+    }
 }
 
 } // namespace

@@ -419,7 +419,8 @@ TEST(SuperblockFallback, TraceAndProbeHooksFallBackBitIdentical)
     EXPECT_EQ(traced.dbt_stats().fallback_runs, 1u);
     EXPECT_EQ(traced.dbt_stats().block_execs, 0u);
 
-    // Same for a probe hook, even a transparent one.
+    // Same for a probe hook, even a transparent one, unless it declares
+    // a quiet prefix (set_probe_hook's quiet_before; see fault_test).
     sim::Machine probed{cp.program, with_dbt(cp.machine_config, true)};
     probed.set_probe_hook(
         [](sim::Probe, u64, u64 value) { return value; });
