@@ -4,76 +4,50 @@ namespace hwst::mem {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_{cfg}
 {
-    if (!common::is_pow2(cfg_.line_bytes) || !common::is_pow2(cfg_.sets) ||
-        cfg_.ways == 0) {
-        throw common::ConfigError{"Cache: line/sets must be powers of two, "
-                                  "ways nonzero"};
+    if (!common::is_pow2(cfg_.line_bytes) || cfg_.line_bytes < 2 ||
+        !common::is_pow2(cfg_.sets) || cfg_.ways == 0) {
+        throw common::ConfigError{"Cache: line/sets must be powers of two "
+                                  "(line >= 2 bytes), ways nonzero"};
     }
     line_shift_ = common::clog2(cfg_.line_bytes);
-    set_shift_ = common::clog2(cfg_.sets);
     set_mask_ = cfg_.sets - 1;
-    lines_.resize(static_cast<std::size_t>(cfg_.sets) * cfg_.ways);
+    const std::size_t n = static_cast<std::size_t>(cfg_.sets) * cfg_.ways;
+    line_addrs_.assign(n, kInvalid);
+    lru_.assign(n, 0);
 }
 
-unsigned Cache::access_slow(u64 addr)
+unsigned Cache::miss(u64 line, std::size_t base)
 {
-    ++stats_.accesses;
-    ++tick_;
-    const u64 set = set_of(addr);
-    const u64 tag = tag_of(addr);
-    Line* base = &lines_[set * cfg_.ways];
-
-    Line* victim = base;
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = tick_;
-            last_miss_ = false;
-            last2_line_ = last_line_;
-            last2_line_addr_ = last_line_addr_;
-            last_line_ = &line;
-            last_line_addr_ = addr >> line_shift_;
-            return cfg_.hit_cycles;
-        }
-        if (!line.valid) {
-            victim = &line; // prefer an invalid way
-        } else if (victim->valid && line.lru < victim->lru) {
-            victim = &line;
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + cfg_.ways; ++i) {
+        if (line_addrs_[i] == kInvalid) {
+            victim = i; // prefer an invalid way
+        } else if (line_addrs_[victim] != kInvalid && lru_[i] < lru_[victim]) {
+            victim = i;
         }
     }
-
     ++stats_.misses;
     last_miss_ = true;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = tick_;
-    last2_line_ = last_line_;
-    last2_line_addr_ = last_line_addr_;
-    last_line_ = victim;
-    last_line_addr_ = addr >> line_shift_;
-    // The evicted line may be the one the second fast-path entry points
-    // at (with 1 way it can even be the previous MRU just shifted in);
-    // its tag changed, so the cached mapping would be a false hit.
-    if (last2_line_ == victim) last2_line_ = nullptr;
+    line_addrs_[victim] = line;
+    lru_[victim] = tick_;
     return cfg_.hit_cycles + cfg_.miss_penalty;
 }
 
 bool Cache::would_hit(u64 addr) const
 {
-    const u64 set = set_of(addr);
-    const u64 tag = tag_of(addr);
-    const Line* base = &lines_[set * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) return true;
+    const u64 line = addr >> line_shift_;
+    const std::size_t base = set_base(line);
+    for (std::size_t i = base; i < base + cfg_.ways; ++i) {
+        if (line_addrs_[i] == line) return true;
     }
     return false;
 }
 
 void Cache::flush()
 {
-    for (Line& line : lines_) line = Line{};
-    last_line_ = nullptr;
-    last2_line_ = nullptr;
+    // Ticks of empty ways are never compared, so lru_ needs no reset.
+    line_addrs_.assign(line_addrs_.size(), kInvalid);
+    mru_line_ = kInvalid;
 }
 
 } // namespace hwst::mem

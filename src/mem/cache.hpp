@@ -4,7 +4,6 @@
 // 5-stage pipeline timing: hit = kHitCycles, miss adds a refill penalty.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -41,53 +40,44 @@ public:
     /// LRU/stats. Accesses never straddle lines in our ISA (max width 8,
     /// line 64, all accesses naturally aligned by codegen).
     ///
-    /// Fast path: accesses to either of the two most recently touched
-    /// lines (sequential fetch, ping-ponging load/store streams) skip
-    /// the way scan. `last_line_` always points at the line touched by
-    /// the most recent access, so a match on `last_line_addr_` cannot
-    /// be stale — any eviction of that line would itself have gone
-    /// through access_slow and repointed it. The second entry CAN be
-    /// chosen as an eviction victim, so access_slow nulls it whenever
-    /// its line is replaced. Stats/LRU updates are identical to the
-    /// slow-path hit.
+    /// Each way holds its full line address (`addr >> line_shift`), so
+    /// a hit is one compare per way with no valid bit or tag split, and
+    /// the scan is inline; only a miss goes out of line. In front of the
+    /// scan, a repeat of the most recent access's line (sequential fetch,
+    /// a load then its store) counts a hit without touching the set: that
+    /// line is already the most recent in its set, so skipping its LRU
+    /// bump keeps the set's recency order, and with it every eviction.
     unsigned access(u64 addr)
     {
-        const u64 line_addr = addr >> line_shift_;
-        if (last_line_ && last_line_addr_ == line_addr) {
-            ++stats_.accesses;
-            last_line_->lru = ++tick_;
-            last_miss_ = false;
-            return cfg_.hit_cycles;
-        }
-        if (last2_line_ && last2_line_addr_ == line_addr) {
-            ++stats_.accesses;
-            last2_line_->lru = ++tick_;
-            last_miss_ = false;
-            std::swap(last_line_, last2_line_);
-            std::swap(last_line_addr_, last2_line_addr_);
-            return cfg_.hit_cycles;
-        }
-        return access_slow(addr);
-    }
-
-    /// Record a hit on the line of the most recent access() without
-    /// re-touching it. Only valid when the caller has proved the access
-    /// lands on that same line (e.g. sequential instruction fetch inside
-    /// one superblock): the line is present — access() would hit — and
-    /// it is already the most recent line in its set, so skipping the
-    /// LRU bump preserves the set's recency *order* and therefore every
-    /// future eviction decision. Stats match a real hit.
-    void count_repeat_hit()
-    {
+        const u64 line = addr >> line_shift_;
         ++stats_.accesses;
-        last_miss_ = false;
+        if (line == mru_line_) {
+            last_miss_ = false;
+            return cfg_.hit_cycles;
+        }
+        mru_line_ = line;
+        ++tick_;
+        const std::size_t base = set_base(line);
+        const u64* ways = &line_addrs_[base];
+        for (unsigned w = 0; w < cfg_.ways; ++w) {
+            if (ways[w] == line) {
+                lru_[base + w] = tick_;
+                last_miss_ = false;
+                return cfg_.hit_cycles;
+            }
+        }
+        return miss(line, base);
     }
 
-    /// Batched count_repeat_hit: `n` proven repeat hits at once (one
-    /// superblock's worth of sequential fetches). Deliberately leaves
-    /// last_miss_ alone — the only consumer of last_access_missed() is
-    /// the d-cache's DcacheFillData probe, and this entry point is used
-    /// by the i-cache only.
+    /// `n` proven repeat hits on the line of the most recent access()
+    /// (one superblock's worth of sequential fetches), counted without
+    /// re-touching the line. Only valid when the caller has proved the
+    /// accesses land on that same line: the line is present and already
+    /// the most recent in its set, so skipping the LRU bump preserves
+    /// the set's recency *order* and therefore every future eviction.
+    /// Deliberately leaves last_miss_ alone — the only consumer of
+    /// last_access_missed() is the d-cache's DcacheFillData probe, and
+    /// this entry point is used by the i-cache only.
     void count_repeat_hits(u64 n) { stats_.accesses += n; }
 
     /// Probe without updating state (diagnostics).
@@ -105,35 +95,34 @@ public:
     void reset_stats() { stats_ = {}; }
 
 private:
-    struct Line {
-        u64 tag = 0;
-        bool valid = false;
-        u64 lru = 0; // larger = more recent
-    };
+    /// Line address of an empty way. Never a real line address:
+    /// line_bytes >= 2 (enforced), so addr >> line_shift_ < 2^63.
+    static constexpr u64 kInvalid = ~u64{0};
 
+    /// Index of the first way of `line`'s set.
+    std::size_t set_base(u64 line) const
+    {
+        return static_cast<std::size_t>(line & set_mask_) * cfg_.ways;
+    }
+
+    /// Miss in the set starting at `base`: fill the victim way (the last
+    /// invalid way, else the strictly least recent) with `line`.
+    unsigned miss(u64 line, std::size_t base);
+
+    CacheConfig cfg_;
     // line_bytes and sets are enforced powers of two, so the index
     // arithmetic is shifts and masks (these run on every access; a
     // 64-bit divide per lookup is measurable across a campaign).
-    u64 set_of(u64 addr) const { return (addr >> line_shift_) & set_mask_; }
-    u64 tag_of(u64 addr) const { return addr >> line_shift_ >> set_shift_; }
-
-    unsigned access_slow(u64 addr);
-
-    CacheConfig cfg_;
     unsigned line_shift_ = 6; ///< log2(line_bytes), set in the ctor
-    unsigned set_shift_ = 6;  ///< log2(sets)
     u64 set_mask_ = 63;       ///< sets - 1
-    std::vector<Line> lines_; // sets * ways
+    std::vector<u64> line_addrs_; ///< sets * ways; kInvalid = empty way
+    std::vector<u64> lru_;        ///< parallel ticks; larger = more recent
     CacheStats stats_;
     u64 tick_ = 0;
     bool last_miss_ = false;
-    // Two most recently touched lines (fast path). Never dangle: lines_
-    // is sized once in the constructor, flush() resets both pointers
-    // and access_slow nulls last2_line_ when it evicts that line.
-    Line* last_line_ = nullptr;
-    u64 last_line_addr_ = 0; ///< addr / line_bytes of last_line_
-    Line* last2_line_ = nullptr;
-    u64 last2_line_addr_ = 0;
+    /// Line of the most recent access() (kInvalid after flush): always
+    /// present, since nothing has been filled since it was touched.
+    u64 mru_line_ = kInvalid;
 };
 
 } // namespace hwst::mem

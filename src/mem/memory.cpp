@@ -52,12 +52,11 @@ bool Memory::page_fully_mapped(u64 page_base) const
     return false;
 }
 
-void Memory::tlb_fill(u64 addr) const
+void Memory::tlb_fill(u64 addr, u8* host) const
 {
     const u64 page_base = addr & ~(kPageSize - 1);
     if (!page_fully_mapped(page_base)) return;
     TlbSet& s = tlb_[tlb_slot(addr)];
-    u8* host = page_for(page_base, false);
     // Refresh an existing way in place (a straddling access may have
     // taken the slow path for a page that is already cached; minting a
     // duplicate entry would let the two copies disagree about `host`).
@@ -93,18 +92,24 @@ u8* Memory::page_for(u64 addr, bool create) const
 
 u64 Memory::load_slow(u64 addr, unsigned width, bool do_sign_extend) const
 {
-    // A single-page access reaching the slow path is a translation-cache
-    // miss (straddles are never cacheable and count as neither).
-    if ((addr & (kPageSize - 1)) + width <= kPageSize) ++tlb_stats_.misses;
     check_mapped(addr, width, Access::Read);
+    const u64 off = addr & (kPageSize - 1);
     u64 value = 0;
-    for (unsigned i = 0; i < width; ++i) {
-        const u64 a = addr + i;
-        const u8* page = page_for(a, false);
-        const u64 byte = page ? page[a % kPageSize] : 0;
-        value |= byte << (8 * i);
+    if (off + width <= kPageSize) {
+        // Translation-cache miss on a single-page access: one page
+        // lookup serves both the copy and the refill.
+        u8* page = page_for(addr, false);
+        if (page) std::memcpy(&value, page + off, width);
+        tlb_fill(addr, page);
+    } else {
+        // Page straddle: never cacheable, assembled byte by byte.
+        for (unsigned i = 0; i < width; ++i) {
+            const u64 a = addr + i;
+            const u8* page = page_for(a, false);
+            const u64 byte = page ? page[a % kPageSize] : 0;
+            value |= byte << (8 * i);
+        }
     }
-    if ((addr & (kPageSize - 1)) + width <= kPageSize) tlb_fill(addr);
     return do_sign_extend
                ? static_cast<u64>(common::sign_extend(value, 8 * width))
                : value;
@@ -112,14 +117,19 @@ u64 Memory::load_slow(u64 addr, unsigned width, bool do_sign_extend) const
 
 void Memory::store_slow(u64 addr, unsigned width, u64 value)
 {
-    if ((addr & (kPageSize - 1)) + width <= kPageSize) ++tlb_stats_.misses;
     check_mapped(addr, width, Access::Write);
+    const u64 off = addr & (kPageSize - 1);
+    if (off + width <= kPageSize) {
+        u8* page = page_for(addr, true);
+        std::memcpy(page + off, &value, width);
+        tlb_fill(addr, page);
+        return;
+    }
     for (unsigned i = 0; i < width; ++i) {
         const u64 a = addr + i;
         u8* page = page_for(a, true);
         page[a % kPageSize] = static_cast<u8>(value >> (8 * i));
     }
-    if ((addr & (kPageSize - 1)) + width <= kPageSize) tlb_fill(addr);
 }
 
 void Memory::write_bytes(u64 addr, std::span<const u8> bytes)

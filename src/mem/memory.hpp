@@ -78,7 +78,6 @@ public:
                                           ? &s.way[1]
                                           : nullptr;
             if (e) {
-                ++tlb_stats_.hits;
                 u64 value = 0;
                 if (e->host) std::memcpy(&value, e->host + off, width);
                 return sign_extend
@@ -102,7 +101,6 @@ public:
                                           ? &s.way[1]
                                           : nullptr;
             if (e && e->host) {
-                ++tlb_stats_.hits;
                 std::memcpy(e->host + off, &value, width);
                 return;
             }
@@ -153,16 +151,6 @@ public:
     /// Victim bits reset too: invalidation restarts the round-robin.
     void tlb_invalidate() const { tlb_.fill(TlbSet{}); }
 
-    /// Fast-path hits vs. slow-path fills for single-page accesses
-    /// (multi-page straddles always bypass the cache and count as
-    /// neither). Host-side observability only — never fed back into
-    /// simulated state.
-    struct TlbStats {
-        u64 hits = 0;
-        u64 misses = 0;
-    };
-    const TlbStats& tlb_stats() const { return tlb_stats_; }
-
     /// Invoked after every map_region (the region set changed, so any
     /// derived structure — e.g. the Machine's superblock cache — must
     /// revalidate). The translation cache itself is already dropped
@@ -208,10 +196,11 @@ private:
     /// Whole page inside one mapped region (and not the null guard)?
     bool page_fully_mapped(u64 page_base) const;
 
-    /// Install a translation-cache entry for addr's page if the page is
-    /// fully mapped; called from the slow paths after they validated
-    /// the access the old way.
-    void tlb_fill(u64 addr) const;
+    /// Install a translation-cache entry for addr's page, backed by
+    /// `host` (the page's store, or null while unmaterialised), if the
+    /// page is fully mapped; called from the slow paths after they
+    /// validated the access the old way.
+    void tlb_fill(u64 addr, u8* host) const;
 
     u64 load_slow(u64 addr, unsigned width, bool sign_extend) const;
     void store_slow(u64 addr, unsigned width, u64 value);
@@ -223,7 +212,6 @@ private:
     mutable std::size_t last_region_ = 0;
     // mutable: loads warm the translation cache too.
     mutable std::array<TlbSet, kTlbEntries> tlb_{};
-    mutable TlbStats tlb_stats_{};
     std::function<void()> invalidation_hook_;
 };
 

@@ -120,6 +120,9 @@ TEST(Cache, ConfigValidation)
     bad = CacheConfig{};
     bad.ways = 0;
     EXPECT_THROW(Cache{bad}, common::ConfigError);
+    bad = CacheConfig{};
+    bad.line_bytes = 1; // a line address must never equal the empty-way mark
+    EXPECT_THROW(Cache{bad}, common::ConfigError);
 }
 
 TEST(HeapAllocator, AllocFreeReuse)

@@ -1,10 +1,11 @@
 // Hot-path acceleration structures (docs/performance.md) must be pure
-// accelerators: the Memory translation cache, the Cache last-line fast
-// path and the Machine's predecoded uop table may change host speed but
-// never a simulated observable. These tests pit each fast path against
-// an independent reference model.
+// accelerators: the Memory translation cache and its miss path, the
+// Cache hit path and the Machine's predecoded uop table may change host
+// speed but never a simulated observable. These tests pit each fast
+// path against an independent reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -174,7 +175,159 @@ TEST(MemoryTlb, SignExtensionOnFastPath)
     EXPECT_EQ(m.load(0x40002, 1, true), ~u64{0x7f});
 }
 
-// ---- Cache last-line fast path ---------------------------------------
+// ---- Memory translation-cache miss path ------------------------------
+//
+// A single-page access that misses the translation cache takes one page
+// lookup and one copy; only a page straddle assembles byte by byte. Each
+// case forces the miss path (tlb_holds is false right before the access)
+// and checks against the byte-granular reference model.
+
+constexpr u64 kSlowBase = 0x40000;
+
+/// Store `value` at `addr` through the miss path, mirror it into `ref`.
+void slow_store(mem::Memory& m, RefMem& ref, u64 addr, unsigned width,
+                u64 value)
+{
+    m.tlb_invalidate();
+    ASSERT_FALSE(m.tlb_holds(addr));
+    m.store(addr, width, value);
+    ref.store(addr, width, value);
+}
+
+/// Load through the miss path and compare with `ref` (zero-extended).
+void expect_slow_load(const mem::Memory& m, const RefMem& ref, u64 addr,
+                      unsigned width)
+{
+    m.tlb_invalidate();
+    ASSERT_FALSE(m.tlb_holds(addr));
+    EXPECT_EQ(m.load(addr, width, false), ref.load(addr, width))
+        << "addr=" << addr << " width=" << width;
+}
+
+TEST(MemorySlowPath, RightAfterMapRegionInvalidation)
+{
+    mem::Memory m;
+    RefMem ref;
+    m.map_region("r", kSlowBase, 4 * kPage);
+    Xoshiro256 rng{0x51a9};
+    for (int i = 0; i < 64; ++i) {
+        const unsigned width = 1u << rng.below(4);
+        const u64 addr = kSlowBase + rng.below(4 * kPage / width) * width;
+        const u64 value = rng.next();
+        m.store(addr, width, value); // warms the entry
+        ref.store(addr, width, value);
+        ASSERT_TRUE(m.tlb_holds(addr));
+        // A later region (one page each, far away) drops every entry.
+        m.map_region("late", 0x10000000 + u64(i) * 2 * kPage, kPage);
+        ASSERT_FALSE(m.tlb_holds(addr));
+        EXPECT_EQ(m.load(addr, width, false), ref.load(addr, width));
+        EXPECT_TRUE(m.tlb_holds(addr)) << "miss path must refill";
+        // A store right after invalidation takes the miss path too.
+        m.map_region("later", 0x20000000 + u64(i) * 2 * kPage, kPage);
+        const u64 again = rng.next();
+        m.store(addr, width, again);
+        ref.store(addr, width, again);
+        EXPECT_EQ(m.load(addr, width, false), ref.load(addr, width));
+    }
+}
+
+TEST(MemorySlowPath, UnmaterialisedPagesReadZero)
+{
+    mem::Memory m;
+    m.map_region("r", kSlowBase, 4 * kPage);
+    for (const unsigned width : {1u, 2u, 4u, 8u}) {
+        for (const u64 off : {u64{0}, u64{8}, kPage / 2, kPage - width}) {
+            const u64 addr = kSlowBase + kPage + off;
+            m.tlb_invalidate();
+            EXPECT_EQ(m.load(addr, width, false), 0u);
+            EXPECT_EQ(m.load(addr, width, true), 0u);
+        }
+    }
+    EXPECT_EQ(m.resident_bytes(), 0u) << "loads must not materialise pages";
+    EXPECT_TRUE(m.tlb_holds(kSlowBase + kPage)) << "null-host entry cached";
+}
+
+TEST(MemorySlowPath, SignExtensionAtEveryNarrowWidth)
+{
+    mem::Memory m;
+    RefMem ref;
+    m.map_region("r", kSlowBase, kPage);
+    for (const unsigned width : {1u, 2u, 4u}) {
+        const unsigned bits = 8 * width;
+        const u64 addr = kSlowBase + 64 * width;
+        for (const u64 value : {u64{1} << (bits - 1), (u64{1} << bits) - 1,
+                                (u64{1} << (bits - 1)) - 1, u64{0x5a}}) {
+            slow_store(m, ref, addr, width, value);
+            m.tlb_invalidate();
+            const bool neg = (value >> (bits - 1)) & 1;
+            const u64 expect = neg ? value | (~u64{0} << bits) : value;
+            EXPECT_EQ(m.load(addr, width, true), expect)
+                << "width=" << width << " value=" << value;
+            expect_slow_load(m, ref, addr, width);
+        }
+    }
+}
+
+TEST(MemorySlowPath, StoreIntoNullHostEntryMaterialisesPage)
+{
+    for (const unsigned width : {1u, 2u, 4u, 8u}) {
+        for (const u64 off : {u64{0}, u64{13} & ~u64(width - 1),
+                              kPage - width}) {
+            mem::Memory m;
+            RefMem ref;
+            m.map_region("r", kSlowBase, 2 * kPage);
+            const u64 addr = kSlowBase + off;
+            // Warm the entry with host == nullptr (page not materialised).
+            EXPECT_EQ(m.load(kSlowBase, 8, false), 0u);
+            ASSERT_TRUE(m.tlb_holds(addr));
+            ASSERT_EQ(m.resident_bytes(), 0u);
+            const u64 value = 0x8877665544332211ULL;
+            m.store(addr, width, value); // entry hit, null host: miss path
+            ref.store(addr, width, value);
+            EXPECT_EQ(m.resident_bytes(), kPage);
+            EXPECT_TRUE(m.tlb_holds(addr));
+            for (u64 a = kSlowBase; a < kSlowBase + kPage; a += 8)
+                ASSERT_EQ(m.load(a, 8, false), ref.load(a, 8))
+                    << "width=" << width << " off=" << off << " a=" << a;
+            // The neighbour page is still unmaterialised and reads zero.
+            EXPECT_EQ(m.load(kSlowBase + kPage, 8, false), 0u);
+        }
+    }
+}
+
+TEST(MemorySlowPath, PageStraddlesAtEveryTailOffset)
+{
+    // Straddles from page 1 into page 2, with page 2 unmaterialised or
+    // already backed before the first access.
+    for (const bool next_resident : {false, true}) {
+        mem::Memory m;
+        RefMem ref;
+        m.map_region("r", kSlowBase, 3 * kPage);
+        if (next_resident)
+            slow_store(m, ref, kSlowBase + 2 * kPage + 8, 8,
+                       0x0102030405060708ULL);
+        Xoshiro256 rng{0x5742 + u64{next_resident}};
+        for (const unsigned width : {1u, 2u, 4u, 8u}) {
+            for (u64 off = kPage - 7; off < kPage; ++off) {
+                const u64 addr = kSlowBase + kPage + off;
+                expect_slow_load(m, ref, addr, width);
+                const u64 value = rng.next();
+                m.store(addr, width, value); // fast or slow: both valid
+                ref.store(addr, width, value);
+                expect_slow_load(m, ref, addr, width);
+                // Neighbouring bytes on both pages still match the model.
+                expect_slow_load(m, ref, addr - 8, 8);
+                expect_slow_load(m, ref, kSlowBase + 2 * kPage, 8);
+                m.tlb_invalidate();
+                EXPECT_EQ(m.load(addr, width, true),
+                          static_cast<u64>(hwst::common::sign_extend(
+                              ref.load(addr, width), 8 * width)));
+            }
+        }
+    }
+}
+
+// ---- Cache hit path ----------------------------------------------------
 
 TEST(CacheFastPath, AgreesWithStatelessProbe)
 {
@@ -182,7 +335,7 @@ TEST(CacheFastPath, AgreesWithStatelessProbe)
     Xoshiro256 rng{0xcac4e};
     u64 expect_accesses = 0, expect_misses = 0;
     for (int i = 0; i < 20000; ++i) {
-        // Small range, repeated lines: exercises the last-line hit, way
+        // Small range, repeated lines: exercises the repeat-line hit, way
         // hits, conflict evictions and the interleavings between them.
         const u64 addr = rng.below(4 * 2 * 64 * 3);
         const bool hit = c.would_hit(addr); // stateless reference probe
@@ -199,6 +352,100 @@ TEST(CacheFastPath, AgreesWithStatelessProbe)
     }
     EXPECT_EQ(c.stats().accesses, expect_accesses);
     EXPECT_EQ(c.stats().misses, expect_misses);
+}
+
+/// Independent true-LRU reference: per set, a recency list of resident
+/// line addresses, most recent first. No ticks, no ways, no filter.
+class RefLru {
+public:
+    explicit RefLru(const mem::CacheConfig& cfg)
+        : cfg_{cfg}, sets_(cfg.sets)
+    {
+    }
+
+    /// Latency of touching `addr`; moves its line to the front.
+    unsigned access(u64 addr)
+    {
+        const u64 line = addr / cfg_.line_bytes;
+        std::vector<u64>& set = sets_[line % cfg_.sets];
+        ++accesses;
+        const auto it = std::find(set.begin(), set.end(), line);
+        last_missed = it == set.end();
+        if (last_missed) {
+            ++misses;
+            if (set.size() == cfg_.ways) set.pop_back(); // least recent
+        } else {
+            set.erase(it);
+        }
+        set.insert(set.begin(), line);
+        return cfg_.hit_cycles + (last_missed ? cfg_.miss_penalty : 0);
+    }
+
+    void flush()
+    {
+        for (auto& set : sets_) set.clear();
+    }
+
+    u64 accesses = 0;
+    u64 misses = 0;
+    bool last_missed = false;
+
+private:
+    mem::CacheConfig cfg_;
+    std::vector<std::vector<u64>> sets_;
+};
+
+TEST(CacheFastPath, MatchesTrueLruReferenceModel)
+{
+    u64 seed = 0x1e5a;
+    for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+        for (const unsigned sets : {1u, 4u, 64u}) {
+            for (const unsigned line_bytes : {16u, 64u}) {
+                const mem::CacheConfig cfg{.line_bytes = line_bytes,
+                                           .ways = ways,
+                                           .sets = sets,
+                                           .hit_cycles = 1,
+                                           .miss_penalty = 30};
+                mem::Cache c{cfg};
+                RefLru ref{cfg};
+                Xoshiro256 rng{++seed};
+                // Twice the capacity: hits, capacity and conflict misses
+                // all stay common.
+                const u64 span = 2ull * ways * sets * line_bytes;
+                u64 addr = 0;
+                for (int i = 0; i < 12000; ++i) {
+                    switch (rng.below(8)) {
+                    case 0: break;                          // same address
+                    case 1: addr += rng.below(8); break;    // same/next line
+                    case 2: addr += u64{sets} * line_bytes; break; // same set
+                    default: addr = rng.below(span); break;
+                    }
+                    const unsigned want = ref.access(addr);
+                    ASSERT_EQ(c.access(addr), want)
+                        << "ways=" << ways << " sets=" << sets
+                        << " line=" << line_bytes << " i=" << i;
+                    ASSERT_EQ(c.last_access_missed(), ref.last_missed);
+                    if (rng.chance(1, 16)) {
+                        // Repeat hits on the line just touched, as the
+                        // i-cache batches them.
+                        const u64 n = rng.below(5);
+                        c.count_repeat_hits(n);
+                        ref.accesses += n;
+                    }
+                    if (rng.chance(1, 2000)) {
+                        c.flush();
+                        ref.flush();
+                    }
+                    if (rng.chance(1, 3000)) {
+                        c.reset_stats();
+                        ref.accesses = ref.misses = 0;
+                    }
+                }
+                EXPECT_EQ(c.stats().accesses, ref.accesses);
+                EXPECT_EQ(c.stats().misses, ref.misses);
+            }
+        }
+    }
 }
 
 // ---- Predecoded uop table --------------------------------------------
