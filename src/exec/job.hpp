@@ -122,10 +122,10 @@ struct JobContext {
 /// fault injectors supply their own.
 struct Job {
     std::string name;     ///< unique display name, e.g. "bzip2/hwst128"
-    std::string workload;
-    std::string scheme;
+    std::string workload{};
+    std::string scheme{};
     u64 seed = 0;
-    std::string key;      ///< journal key; empty opts out of the journal
+    std::string key{};    ///< journal key; empty opts out of the journal
     std::function<sim::RunResult(const JobContext&)> body;
     /// Force this job onto the caller's process even under --isolate:
     /// its body hands results back through captured references (golden

@@ -12,11 +12,12 @@ Injector::Injector(FaultPlan plan)
 
 u64 Injector::perturb(Probe point, u64 instret, u64 value)
 {
+    bool disarmed = false;
     for (Armed& a : armed_) {
         if (a.spec.point != point || a.done) continue;
         if (instret < a.spec.trigger_instret) continue;
         value ^= a.spec.xor_mask;
-        if (a.spec.mode == FaultMode::OneShot) a.done = true;
+        if (a.spec.mode == FaultMode::OneShot) a.done = disarmed = true;
         if (fires_ == 0) first_fire_ = instret;
         ++fires_;
         if (log_.size() < kMaxLog) {
@@ -24,22 +25,29 @@ u64 Injector::perturb(Probe point, u64 instret, u64 value)
                                       value ^ a.spec.xor_mask, value});
         }
     }
+    // A fault that has fired for good no longer holds the run on the
+    // interpreter: only the faults still armed do.
+    if (disarmed && machine_) machine_->set_probe_quiet_before(quiet_before());
     return value;
+}
+
+u64 Injector::quiet_before() const
+{
+    // perturb() is the identity below every armed trigger.
+    u64 quiet = ~u64{0};
+    for (const Armed& a : armed_)
+        if (!a.done) quiet = std::min(quiet, a.spec.trigger_instret);
+    return quiet;
 }
 
 void Injector::attach(sim::Machine& m)
 {
-    // perturb() is the identity below every armed trigger, so the run
-    // may fast-forward on the dispatcher up to the earliest one.
-    u64 quiet_before = ~u64{0};
-    for (const Armed& a : armed_)
-        if (!a.done)
-            quiet_before = std::min(quiet_before, a.spec.trigger_instret);
+    machine_ = &m;
     m.set_probe_hook(
         [this](Probe point, u64 instret, u64 value) {
             return perturb(point, instret, value);
         },
-        quiet_before);
+        quiet_before());
 }
 
 } // namespace hwst::fault

@@ -28,7 +28,10 @@ public:
 
     /// Install this injector on `m`. The injector must outlive the run.
     /// The hook is declared quiet below the earliest armed trigger, so
-    /// the run executes on the dispatcher tier up to it.
+    /// the run executes on the dispatcher tier up to it. Each time a
+    /// one-shot fault fires, perturb() re-declares the quiet point on
+    /// `m` from the faults still armed, so the run goes back to the
+    /// dispatcher once its last one-shot fault has fired.
     void attach(sim::Machine& m);
 
     bool fired() const { return fires_ != 0; }
@@ -46,7 +49,11 @@ private:
         bool done = false; ///< one-shot faults disarm after firing
     };
 
+    /// Earliest trigger among the faults still armed (~0 if none).
+    u64 quiet_before() const;
+
     std::vector<Armed> armed_;
+    sim::Machine* machine_ = nullptr; ///< set by attach()
     std::vector<FireRecord> log_;
     u64 fires_ = 0;
     u64 first_fire_ = 0;

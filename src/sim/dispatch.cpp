@@ -84,7 +84,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     u64 countdown = stride;
 
     // The stop point: the fuel limit ends the run, an earlier stop
-    // (set_probe_hook's fast-forward) hands it back still running.
+    // (a probe hook's quiet point) hands it back still running.
     const auto reached_stop = [&] {
         if (m.instret_ < stop) return false;
         if (stop >= m.cfg_.fuel) {

@@ -955,27 +955,6 @@ RunResult Machine::run()
     return *run_cancellable({});
 }
 
-bool Machine::dispatch(const std::function<bool()>& cancel, u64 stride,
-                       u64 stop, Trap& out)
-{
-    // Superblock tier (sim/dispatch.cpp). Cancellation polls move to
-    // block boundaries — every >= stride retired instructions — which
-    // cannot change simulated results (a poll that does not fire has no
-    // architectural effect).
-    if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
-    in_dispatch_ = true;
-    const bool finished =
-        run_superblocks(*this, cancel ? &cancel : nullptr, stride, stop, out);
-    in_dispatch_ = false;
-    // Test-only divergence seed for the DBT sentinel: nudge the
-    // translated-tier cycle count so a cross-check against the
-    // interpreter has something to catch. Never set outside the
-    // sentinel tests.
-    if (finished && common::env_flag("HWST_DBT_FAULT").value_or(false))
-        ++cycles_;
-    return finished;
-}
-
 std::optional<RunResult> Machine::run_cancellable(
     const std::function<bool()>& cancel, u64 stride)
 {
@@ -987,17 +966,30 @@ std::optional<RunResult> Machine::run_cancellable(
     if (stride == 0) stride = 1;
     const bool dbt =
         tier_ != ExecTier::Interp && !interpreter_forced() && !trace_;
-    if (dbt && !probe_hook_) {
-        if (!dispatch(cancel, stride, cfg_.fuel, result.trap))
-            return std::nullopt;
-    } else {
-        if (dbt && instret_ + 1 < probe_quiet_before_) {
-            // Fast-forward: the hook promised to be the identity for
-            // every instruction retiring below probe_quiet_before_, so
-            // run that prefix on the dispatcher with the hook detached
+    // True while the next instruction may run on the dispatcher: no
+    // probe hook, or one that promised to be the identity for it.
+    const auto quiet = [&] {
+        return dbt && (!probe_hook_ || instret_ + 1 < probe_quiet_before_);
+    };
+    bool dispatched = false;
+    bool fell_back = false;
+    u64 countdown = stride;
+    // One loop, two segment kinds: the dispatcher while the hook is
+    // quiet, the interpreter while it is not. A probe-hooked run may
+    // alternate several times (a one-shot fault re-quiets its hook once
+    // it has fired).
+    while (running_) {
+        if (quiet()) {
+            // Superblock tier (sim/dispatch.cpp) with the hook detached
             // (the guard reinstalls it on every exit, cancellation and
-            // exceptions included) and stop one instruction short of
-            // the first one the hook can perturb.
+            // exceptions included), stopping one instruction short of
+            // the first one the hook may perturb. Cancellation polls
+            // move to block boundaries — every >= stride retired
+            // instructions — which cannot change simulated results (a
+            // poll that does not fire has no architectural effect).
+            const u64 stop =
+                probe_hook_ ? std::min(cfg_.fuel, probe_quiet_before_ - 1)
+                            : cfg_.fuel;
             struct Detach {
                 ProbeHook& slot;
                 ProbeHook saved;
@@ -1007,20 +999,27 @@ std::optional<RunResult> Machine::run_cancellable(
                 }
                 ~Detach() { slot = std::move(saved); }
             } detach{probe_hook_};
-            if (!dispatch(cancel, stride,
-                          std::min(cfg_.fuel, probe_quiet_before_ - 1),
-                          result.trap))
-                return std::nullopt;
+            if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
+            in_dispatch_ = true;
+            const bool finished = run_superblocks(
+                *this, cancel ? &cancel : nullptr, stride, stop, result.trap);
+            in_dispatch_ = false;
+            if (!finished) return std::nullopt;
+            dispatched = true;
+            continue;
         }
         // Interpreter tier: per-instruction hooks installed (or the
         // tier pinned to interp outright, or a sentinel worker forcing
-        // the reference tier).
-        if (tier_ != ExecTier::Interp && running_) {
+        // the reference tier). Counted once per run, however many
+        // interpreter segments it has.
+        if (!fell_back && tier_ != ExecTier::Interp) {
+            fell_back = true;
             ++dbt_stats_.fallback_runs;
             if (interpreter_forced()) ++dbt_stats_.sentinel_degraded;
         }
-        u64 countdown = stride;
-        while (running_) {
+        // The quiet point is re-read after every retired instruction:
+        // the hook may re-declare it from inside a probe call.
+        do {
             if (cancel && --countdown == 0) {
                 if (cancel()) return std::nullopt;
                 countdown = stride;
@@ -1035,8 +1034,14 @@ std::optional<RunResult> Machine::run_cancellable(
                 result.trap = trap;
                 break;
             }
-        }
+        } while (running_ && !quiet());
     }
+    // Test-only divergence seed for the DBT sentinel: nudge the
+    // translated-tier cycle count once per finished run that used the
+    // dispatcher, so a cross-check against the interpreter has
+    // something to catch. Never set outside the sentinel tests.
+    if (dispatched && common::env_flag("HWST_DBT_FAULT").value_or(false))
+        ++cycles_;
     result.exit_code = exit_code_;
     result.cycles = cycles_;
     result.instret = instret_;

@@ -97,8 +97,8 @@ struct MachineConfig {
     u64 fuel = 400'000'000; ///< max instructions before FuelExhausted
     /// Execution tier. `Auto` and `Dbt` run the superblock dispatcher,
     /// `Interp` pins the interpreter. Runs automatically fall back to
-    /// the interpreter while a trace hook is installed, and from the
-    /// probe hook's quiet point on (see Machine::set_probe_hook). The
+    /// the interpreter while a trace hook is installed, and while the
+    /// probe hook is not quiet (see Machine::set_probe_hook). The
     /// HWST_TIER environment variable (see env_tier()) overrides this
     /// field — it is how the tier-smoke bench target forces both tiers
     /// through identical binaries.
@@ -252,12 +252,22 @@ public:
     /// `instret < quiet_before` returns `value` unchanged and has no
     /// side effect. The dispatcher tier then runs with the hook detached
     /// until the next instruction would retire with `instret ==
-    /// quiet_before`, and the run finishes on the interpreter with the
-    /// hook live. 0 (no promise) keeps the whole run on the interpreter.
+    /// quiet_before`, and the interpreter takes over with the hook
+    /// live. 0 (no promise) keeps the whole run on the interpreter.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, u64 quiet_before = 0)
     {
         probe_hook_ = std::move(hook);
+        probe_quiet_before_ = quiet_before;
+    }
+
+    /// Re-declare the hook's quiet point (same promise as
+    /// set_probe_hook's `quiet_before`). The hook may call this from
+    /// inside a probe call: the interpreter re-reads the quiet point
+    /// after every retired instruction and hands the run back to the
+    /// dispatcher as soon as the next instruction is quiet again.
+    void set_probe_quiet_before(u64 quiet_before)
+    {
         probe_quiet_before_ = quiet_before;
     }
 
@@ -303,15 +313,13 @@ public:
     /// The execution tier this Machine resolved to (config and
     /// HWST_TIER folded together at construction; never Auto).
     /// Trace hooks and force_interpreter() still pin individual runs to
-    /// the interpreter; a probe hook pins the part of a run from its
-    /// quiet point on.
+    /// the interpreter; a probe hook pins the parts of a run it has not
+    /// declared quiet (see set_probe_quiet_before).
     ExecTier tier() const { return tier_; }
 
 private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
                                 u64, u64, hwst::Trap&);
-    bool dispatch(const std::function<bool()>& cancel, u64 stride,
-                  u64 stop, hwst::Trap& out);
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();

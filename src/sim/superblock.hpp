@@ -171,9 +171,9 @@ struct DbtStats {
     u64 flushes = 0;       ///< block-cache invalidations (map_region)
     u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits
     u64 jalr_misses = 0;   ///< jalr inline-cache misses (way refilled)
-    /// Runs that finished on the interpreter because of a hook (or
-    /// force_interpreter()); a fast-forwarded probe-hooked run counts
-    /// once, after its dispatcher prefix.
+    /// Runs that used the interpreter because of a hook (or
+    /// force_interpreter()); a probe-hooked run counts once, however
+    /// many interpreter segments it alternates with the dispatcher.
     u64 fallback_runs = 0;
     /// Runs forced onto the interpreter by sim::force_interpreter() —
     /// the DBT divergence sentinel's graceful-degradation path.

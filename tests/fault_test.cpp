@@ -327,7 +327,7 @@ TEST(FaultCampaign, SmokeNoSilentCorruptionAtProtectedPoints)
 //
 // Injector::attach declares its hook quiet below the earliest armed
 // trigger, so the run executes that prefix on the dispatcher and
-// finishes on the interpreter. The reference installs the same
+// continues on the interpreter. The reference installs the same
 // perturb() without the promise, which keeps the whole run on the
 // interpreter; both must agree on every observable.
 
@@ -455,6 +455,18 @@ struct FaultedRun {
     sim::DbtStats dbt;
 };
 
+FaultedRun finish_faulted(std::optional<sim::RunResult> result,
+                          const fault::Injector& inj, const Machine& m)
+{
+    FaultedRun r;
+    r.result = std::move(result);
+    r.fires = inj.fires();
+    r.first_fire = inj.first_fire_instret();
+    r.log = inj.log();
+    r.dbt = m.dbt_stats();
+    return r;
+}
+
 /// One faulted run of the fixture: through attach() (fast-forward) or
 /// with the same hook and no quiet promise (all-interpreter reference).
 FaultedRun run_faulted(const fault::FaultPlan& plan, bool fast_forward,
@@ -469,13 +481,7 @@ FaultedRun run_faulted(const fault::FaultPlan& plan, bool fast_forward,
             return inj.perturb(p, instret, value);
         });
     }
-    FaultedRun r;
-    r.result = m.run();
-    r.fires = inj.fires();
-    r.first_fire = inj.first_fire_instret();
-    r.log = inj.log();
-    r.dbt = m.dbt_stats();
-    return r;
+    return finish_faulted(m.run(), inj, m);
 }
 
 void expect_same_run(const sim::RunResult& a, const sim::RunResult& b)
@@ -573,7 +579,9 @@ TEST(FastForward, MatchesAllInterpreterRunAtEveryProbeModeAndTrigger)
                 const FaultedRun ff = run_faulted(plan, true);
                 const FaultedRun ref = run_faulted(plan, false);
                 expect_same_faulted(ff, ref);
-                if (trigger == g + 1) EXPECT_EQ(ff.fires, 0u);
+                if (trigger == g + 1) {
+                    EXPECT_EQ(ff.fires, 0u);
+                }
                 fired[pi] = fired[pi] || ff.fires != 0;
             }
         }
@@ -635,11 +643,7 @@ TEST(FastForward, CancelInsidePrefixKeepsTheHookInstalled)
     EXPECT_EQ(inj.fires(), 0u);
     // Resuming finishes the run with the hook live: the fault fires
     // exactly as it does on the all-interpreter reference.
-    FaultedRun resumed;
-    resumed.result = m.run();
-    resumed.fires = inj.fires();
-    resumed.first_fire = inj.first_fire_instret();
-    resumed.log = inj.log();
+    const FaultedRun resumed = finish_faulted(m.run(), inj, m);
     expect_same_faulted(resumed, ref);
     EXPECT_GT(resumed.fires, 0u);
 }
@@ -677,6 +681,201 @@ TEST(FastForward, LateTriggerRunsThePrefixOnTheDispatcher)
         EXPECT_GT(ff.dbt.block_execs, 0u);
         EXPECT_EQ(ff.dbt.fallback_runs, 1u);
     }
+}
+
+// ------------------------------------------- dispatcher resume
+//
+// Once a one-shot fault has fired, Injector::perturb re-declares the
+// quiet point from the faults still armed, and the run goes back to the
+// dispatcher. Stuck-at faults never disarm, so their runs stay on the
+// interpreter from the trigger on.
+
+/// A fast-forwarded run of the fixture, polled after every block (on
+/// the dispatcher) and every instruction (on the interpreter). Each
+/// poll is labelled 'D' if a dispatcher block ran since the previous
+/// one, else 'I'; `segments` keeps one letter per run of equal labels,
+/// so "DID" is dispatcher, interpreter, dispatcher again.
+struct ObservedRun {
+    FaultedRun run;
+    std::string segments;
+};
+
+ObservedRun run_observed(const fault::FaultPlan& plan)
+{
+    const auto& f = ff_fixture();
+    fault::Injector inj{plan};
+    Machine m{f.cp.program, f.cp.machine_config};
+    inj.attach(m);
+    ObservedRun r;
+    u64 seen = 0;
+    const auto poll = [&] {
+        const u64 execs = m.dbt_stats().block_execs;
+        const char kind = execs != seen ? 'D' : 'I';
+        seen = execs;
+        if (r.segments.empty() || r.segments.back() != kind)
+            r.segments.push_back(kind);
+        return false;
+    };
+    r.run = finish_faulted(m.run_cancellable(poll, 1), inj, m);
+    return r;
+}
+
+/// Instret of the last call at `point` on the golden run.
+u64 last_probe_call(Probe point)
+{
+    const auto& f = ff_fixture();
+    Machine m{f.cp.program, f.cp.machine_config};
+    u64 last = 0;
+    m.set_probe_hook([&](Probe p, u64 instret, u64 value) {
+        if (p == point) last = instret;
+        return value;
+    });
+    m.run();
+    return last;
+}
+
+TEST(FastForward, EarlyOneShotTriggerResumesTheDispatcher)
+{
+    const auto& f = ff_fixture();
+    // Trigger 1 leaves no quiet prefix: every dispatcher block runs
+    // after the fault has fired. The zero mask fires without changing
+    // the run, so it lasts as long as the golden one; 0x40 corrupts the
+    // field widths.
+    for (const u64 mask : {u64{0}, u64{0x40}}) {
+        SCOPED_TRACE(mask);
+        const auto plan = fault::FaultPlan::single(
+            Probe::CompCsrWidths, fault::FaultMode::OneShot, 1, mask);
+        const FaultedRun ff = run_faulted(plan, true);
+        const FaultedRun ref = run_faulted(plan, false);
+        expect_same_faulted(ff, ref);
+        EXPECT_EQ(ff.fires, 1u);
+        EXPECT_EQ(ref.dbt.block_execs, 0u);
+        if (mask != 0) continue;
+        EXPECT_EQ(ff.result->instret, f.golden.instret);
+        EXPECT_LT(ff.first_fire, f.golden.instret / 4);
+        if (dispatcher_available()) {
+            EXPECT_GT(ff.dbt.block_execs, 0u);
+            EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+        }
+    }
+}
+
+TEST(FastForward, StuckAtAtTheSameTriggerStaysOnTheInterpreter)
+{
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::StuckAt, 1, 0);
+    const FaultedRun ff = run_faulted(plan, true);
+    expect_same_faulted(ff, run_faulted(plan, false));
+    EXPECT_GT(ff.fires, 1u);
+    EXPECT_EQ(ff.dbt.block_execs, 0u);
+    if (dispatcher_available()) {
+        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+    }
+}
+
+TEST(FastForward, TwoOneShotFaultsResumeAfterEachFire)
+{
+    const auto& f = ff_fixture();
+    const u64 g = f.golden.instret;
+    const u64 early = g / 4;
+    const u64 late = 3 * g / 4;
+    // Listed late-first, so the early fire must still find the late
+    // fault armed when it recomputes the quiet point.
+    const fault::FaultPlan plan{{
+        {Probe::KeybufferLookup, fault::FaultMode::OneShot, late, 0},
+        {Probe::KeybufferLookup, fault::FaultMode::OneShot, early, 0},
+    }};
+    const ObservedRun ff = run_observed(plan);
+    const FaultedRun ref = run_faulted(plan, false);
+    expect_same_faulted(ff.run, ref);
+    ASSERT_EQ(ref.fires, 2u);
+    // Neither trigger lands on a tchk, so each interpreter segment
+    // retires more than one instruction.
+    EXPECT_GT(ref.log[0].instret, early);
+    EXPECT_LT(ref.log[0].instret, late - 64);
+    EXPECT_GT(ref.log[1].instret, late);
+    EXPECT_LT(ref.log[1].instret, g - 64);
+    if (dispatcher_available()) {
+        EXPECT_EQ(ff.segments, "DIDID");
+        EXPECT_EQ(ff.run.dbt.fallback_runs, 1u);
+    } else {
+        EXPECT_EQ(ff.segments, "I");
+    }
+}
+
+TEST(FastForward, ResumedDispatcherStopsShortOfTheNextTrigger)
+{
+    const auto& f = ff_fixture();
+    const u64 early = f.golden.instret / 4;
+    // `exact` is a tchk, so a resumed segment that overshoots its stop
+    // by one instruction would retire it without the hook.
+    const u64 exact =
+        run_faulted(fault::FaultPlan::single(Probe::KeybufferLookup,
+                                             fault::FaultMode::OneShot,
+                                             3 * f.golden.instret / 4, 0),
+                    false)
+            .first_fire;
+    const fault::FaultPlan plan{{
+        {Probe::KeybufferLookup, fault::FaultMode::OneShot, early, 0},
+        {Probe::KeybufferLookup, fault::FaultMode::OneShot, exact, 0x1},
+    }};
+    const FaultedRun ff = run_faulted(plan, true);
+    const FaultedRun ref = run_faulted(plan, false);
+    expect_same_faulted(ff, ref);
+    ASSERT_EQ(ref.fires, 2u);
+    EXPECT_EQ(ref.log[1].instret, exact);
+    if (dispatcher_available()) {
+        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+    }
+}
+
+TEST(FastForward, ArmedOneShotThatNeverFiresStaysInterpreted)
+{
+    const auto& f = ff_fixture();
+    // Armed past the last D-cache miss refill, a few thousand
+    // instructions before the end: the fault holds the run on the
+    // interpreter to the end without ever firing.
+    const u64 trigger = last_probe_call(Probe::DcacheFillData) + 1;
+    ASSERT_GT(trigger, 1u);
+    ASSERT_LT(trigger, f.golden.instret - 64);
+    const auto plan = fault::FaultPlan::single(
+        Probe::DcacheFillData, fault::FaultMode::OneShot, trigger, 0x1);
+    const ObservedRun ff = run_observed(plan);
+    expect_same_faulted(ff.run, run_faulted(plan, false));
+    EXPECT_EQ(ff.run.fires, 0u);
+    EXPECT_EQ(ff.segments, dispatcher_available() ? "DI" : "I");
+}
+
+TEST(FastForward, CancelInsideEitherSegmentResumesToTheSameRun)
+{
+    const auto& f = ff_fixture();
+    const u64 trigger = f.golden.instret / 4;
+    const auto plan = fault::FaultPlan::single(
+        Probe::KeybufferLookup, fault::FaultMode::OneShot, trigger, 0);
+    const FaultedRun ref = run_faulted(plan, false);
+    ASSERT_EQ(ref.fires, 1u);
+    const u64 fire = ref.first_fire;
+    ASSERT_GT(fire, trigger);
+
+    fault::Injector inj{plan};
+    Machine m{f.cp.program, f.cp.machine_config};
+    inj.attach(m);
+    // Inside the interpreter segment: past the trigger, before the fire.
+    const auto in_interp = [&] { return m.instret() >= trigger; };
+    EXPECT_FALSE(m.run_cancellable(in_interp, 1).has_value());
+    EXPECT_GE(m.instret(), trigger);
+    EXPECT_LT(m.instret(), fire);
+    EXPECT_EQ(inj.fires(), 0u);
+    // Inside the resumed dispatcher segment: well past the fire.
+    const u64 execs = m.dbt_stats().block_execs;
+    const auto in_dispatch = [&] { return m.instret() > fire + 64; };
+    EXPECT_FALSE(m.run_cancellable(in_dispatch, 16).has_value());
+    EXPECT_EQ(inj.fires(), 1u);
+    if (dispatcher_available()) {
+        EXPECT_GT(m.dbt_stats().block_execs, execs);
+    }
+    const FaultedRun resumed = finish_faulted(m.run(), inj, m);
+    expect_same_faulted(resumed, ref);
 }
 
 } // namespace
