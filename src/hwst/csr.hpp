@@ -4,6 +4,7 @@
 // control status register").
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "common/bitops.hpp"
@@ -68,6 +69,14 @@ public:
     /// from CSR state (the decoded compression config) and recompute
     /// only when the file may have changed.
     u64 version() const { return version_; }
+
+    /// Every register value, version_ excluded (it is host-side memo
+    /// bookkeeping, not architectural state).
+    std::array<u64, 7> registers() const
+    {
+        return {sm_offset_, bitw_,      lock_base_, lock_size_,
+                status_,    violation_, vaddr_};
+    }
 
     u64 sm_offset() const { return sm_offset_; }
     bool spatial_enabled() const { return status_ & kStatusSpatialEnable; }

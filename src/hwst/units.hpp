@@ -11,6 +11,13 @@ namespace hwst::hwst {
 
 using common::u64;
 
+/// Counters of a check unit (SCU or TCU).
+struct CheckStats {
+    u64 checks = 0;
+    u64 violations = 0;
+    u64 saturated = 0; ///< checks rejected on the saturating encoding
+};
+
 /// SMAC — Eq. 1: Addr_LMSM = (Addr_ptr_container << 2) + CSR_offset.
 /// The shift is kept verbatim from the paper: each 8-byte pointer
 /// container strides 32 shadow bytes; the lower metadata half lives at
@@ -26,6 +33,7 @@ public:
     static constexpr u64 upper_slot_offset() { return 8; }
 
     u64 translations() const { return translations_; }
+    void set_translations(u64 n) { translations_ = n; }
 
 private:
     u64 translations_ = 0;
@@ -43,10 +51,10 @@ public:
 
     Result check(u64 addr, unsigned width, u64 base, u64 bound)
     {
-        ++checks_;
+        ++stats_.checks;
         const bool pass = addr >= base && addr + width <= bound &&
                           addr + width >= addr;
-        if (!pass) ++violations_;
+        if (!pass) ++stats_.violations;
         return Result{pass};
     }
 
@@ -54,19 +62,19 @@ public:
     /// (compression-width overflow): counts as a failed check.
     void note_saturated()
     {
-        ++checks_;
-        ++violations_;
-        ++saturated_;
+        ++stats_.checks;
+        ++stats_.violations;
+        ++stats_.saturated;
     }
 
-    u64 checks() const { return checks_; }
-    u64 violations() const { return violations_; }
-    u64 saturated() const { return saturated_; }
+    u64 checks() const { return stats_.checks; }
+    u64 violations() const { return stats_.violations; }
+    u64 saturated() const { return stats_.saturated; }
+    const CheckStats& stats() const { return stats_; }
+    void set_stats(const CheckStats& s) { stats_ = s; }
 
 private:
-    u64 checks_ = 0;
-    u64 violations_ = 0;
-    u64 saturated_ = 0;
+    CheckStats stats_;
 };
 
 /// TCU — temporal check: key held by the pointer vs key stored at the
@@ -79,9 +87,9 @@ public:
 
     Result check(u64 pointer_key, u64 lock_key)
     {
-        ++checks_;
+        ++stats_.checks;
         const bool pass = pointer_key == lock_key && pointer_key != 0;
-        if (!pass) ++violations_;
+        if (!pass) ++stats_.violations;
         return Result{pass};
     }
 
@@ -89,19 +97,19 @@ public:
     /// (compression-width overflow): counts as a failed check.
     void note_saturated()
     {
-        ++checks_;
-        ++violations_;
-        ++saturated_;
+        ++stats_.checks;
+        ++stats_.violations;
+        ++stats_.saturated;
     }
 
-    u64 checks() const { return checks_; }
-    u64 violations() const { return violations_; }
-    u64 saturated() const { return saturated_; }
+    u64 checks() const { return stats_.checks; }
+    u64 violations() const { return stats_.violations; }
+    u64 saturated() const { return stats_.saturated; }
+    const CheckStats& stats() const { return stats_; }
+    void set_stats(const CheckStats& s) { stats_ = s; }
 
 private:
-    u64 checks_ = 0;
-    u64 violations_ = 0;
-    u64 saturated_ = 0;
+    CheckStats stats_;
 };
 
 } // namespace hwst::hwst

@@ -48,6 +48,9 @@ public:
     u64 base() const { return base_; }
     u64 size() const { return size_; }
 
+    /// Same free list and live blocks: every later call behaves alike.
+    bool operator==(const HeapAllocator&) const = default;
+
 private:
     struct FreeBlock {
         u64 size;
@@ -97,6 +100,11 @@ public:
     /// means "no metadata" (see metadata/compress.hpp).
     u64 global_lock_addr() const { return base_ + 8; }
     static constexpr u64 kGlobalKey = 1;
+
+    /// Same slots, recycle order and next key: every later call behaves
+    /// alike. Allocation mints a new key each time, so two states an
+    /// allocation apart never compare equal.
+    bool operator==(const LockAllocator&) const = default;
 
 private:
     u64 base_;

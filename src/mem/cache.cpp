@@ -1,5 +1,8 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace hwst::mem {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_{cfg}
@@ -41,6 +44,25 @@ bool Cache::would_hit(u64 addr) const
         if (line_addrs_[i] == line) return true;
     }
     return false;
+}
+
+Cache::Snapshot Cache::snapshot() const
+{
+    Snapshot s{{}, mru_line_, last_miss_};
+    s.lines.reserve(line_addrs_.size());
+    std::vector<std::pair<u64, u64>> set; // (tick, line) of valid ways
+    for (std::size_t base = 0; base < line_addrs_.size();
+         base += cfg_.ways) {
+        set.clear();
+        for (std::size_t i = base; i < base + cfg_.ways; ++i) {
+            if (line_addrs_[i] != kInvalid)
+                set.emplace_back(lru_[i], line_addrs_[i]);
+        }
+        std::sort(set.begin(), set.end());
+        for (const auto& [tick, line] : set) s.lines.push_back(line);
+        s.lines.resize(base + cfg_.ways, kInvalid);
+    }
+    return s;
 }
 
 void Cache::flush()

@@ -92,7 +92,22 @@ public:
 
     const CacheConfig& config() const { return cfg_; }
     const CacheStats& stats() const { return stats_; }
+    void set_stats(const CacheStats& s) { stats_ = s; }
     void reset_stats() { stats_ = {}; }
+
+    /// The tag state every future access depends on: each set's lines
+    /// in LRU rank order, least recent first, then one ~0 per empty way.
+    /// Raw ticks only grow, and way positions are never observable (a
+    /// hit matches by address; a miss fills an empty way or the least
+    /// recent one), so caches with equal snapshots behave alike from
+    /// then on.
+    struct Snapshot {
+        std::vector<u64> lines;
+        u64 mru_line = 0;
+        bool last_miss = false;
+        bool operator==(const Snapshot&) const = default;
+    };
+    Snapshot snapshot() const;
 
 private:
     /// Line address of an empty way. Never a real line address:

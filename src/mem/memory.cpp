@@ -147,6 +147,20 @@ void Memory::write_bytes(u64 addr, std::span<const u8> bytes)
     }
 }
 
+Memory::PageImage Memory::page_image() const
+{
+    PageImage img;
+    img.keys.reserve(pages_.size());
+    for (const auto& kv : pages_) img.keys.push_back(kv.first);
+    std::sort(img.keys.begin(), img.keys.end());
+    img.bytes.resize(img.keys.size() * kPageSize);
+    for (std::size_t i = 0; i < img.keys.size(); ++i) {
+        std::memcpy(img.bytes.data() + i * kPageSize,
+                    pages_.find(img.keys[i])->second.get(), kPageSize);
+    }
+    return img;
+}
+
 std::vector<u8> Memory::read_bytes(u64 addr, u64 len) const
 {
     std::vector<u8> out(len, 0);

@@ -56,6 +56,20 @@ class Memory {
 public:
     static constexpr u64 kPageSize = 4096;
 
+    struct Region {
+        std::string name;
+        u64 base;
+        u64 size;
+        bool operator==(const Region&) const = default;
+    };
+
+    /// Contents of every materialised page, ordered by page number.
+    struct PageImage {
+        std::vector<u64> keys;  ///< page numbers (addr / kPageSize)
+        std::vector<u8> bytes;  ///< kPageSize bytes per key, same order
+        bool operator==(const PageImage&) const = default;
+    };
+
     /// Map [base, base+size) as accessible. Overlaps are allowed (the
     /// region list is a pure validity check, not an ownership model).
     /// Invalidates the translation cache.
@@ -121,6 +135,9 @@ public:
 
     /// Total bytes of backing store actually allocated (diagnostics).
     u64 resident_bytes() const { return pages_.size() * kPageSize; }
+    std::size_t resident_pages() const { return pages_.size(); }
+    PageImage page_image() const;
+    const std::vector<Region>& regions() const { return regions_; }
 
     /// Base addresses of materialised pages inside [base, base+size)
     /// (used by the BOGO bound-table scan model).
@@ -161,12 +178,6 @@ public:
     }
 
 private:
-    struct Region {
-        std::string name;
-        u64 base;
-        u64 size;
-    };
-
     /// One translation-cache entry: `page_base` is the page's base
     /// address (~0 = empty — never a valid page base since it is not
     /// page-aligned) and `host` its backing store, null while the page

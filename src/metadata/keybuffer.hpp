@@ -97,7 +97,31 @@ public:
     unsigned capacity() const { return capacity_; }
     std::size_t size() const { return slots_.size(); }
     const KeybufferStats& stats() const { return stats_; }
+    void set_stats(const KeybufferStats& s) { stats_ = s; }
     void reset_stats() { stats_ = {}; }
+
+    /// One occupied slot with its LRU tick replaced by its rank among
+    /// the occupied slots (0 = least recent): ticks only grow, while
+    /// the victim choice depends only on their order.
+    struct RankedSlot {
+        u64 lock;
+        u64 key;
+        unsigned rank;
+        bool operator==(const RankedSlot&) const = default;
+    };
+    /// The occupied slots in slot order: all state a later lookup,
+    /// insert or flush depends on.
+    std::vector<RankedSlot> ranked_slots() const
+    {
+        std::vector<RankedSlot> out;
+        out.reserve(slots_.size());
+        for (const Slot& s : slots_) {
+            unsigned rank = 0;
+            for (const Slot& o : slots_) rank += o.lru < s.lru;
+            out.push_back(RankedSlot{s.lock, s.key, rank});
+        }
+        return out;
+    }
 
 private:
     struct Slot {

@@ -24,7 +24,11 @@ public:
 
         bool valid() const { return valid_lo && valid_hi; }
         void clear() { *this = Entry{}; }
+        bool operator==(const Entry&) const = default;
     };
+
+    using Entries = std::array<Entry, riscv::kNumRegs>;
+    const Entries& entries() const { return entries_; }
 
     const Entry& entry(Reg r) const { return entries_[riscv::reg_index(r)]; }
 
@@ -81,7 +85,7 @@ public:
 private:
     Entry& mut(Reg r) { return entries_[riscv::reg_index(r)]; }
 
-    std::array<Entry, riscv::kNumRegs> entries_{};
+    Entries entries_{};
 };
 
 } // namespace hwst::metadata

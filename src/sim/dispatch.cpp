@@ -21,6 +21,7 @@
 #include "sim/dispatch.hpp"
 
 #include "sim/machine.hpp"
+#include "sim/period.hpp"
 #include "sim/superblock.hpp"
 
 namespace hwst::sim {
@@ -83,10 +84,17 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 
     u64 countdown = stride;
 
+    // An earlier stop of a run with a periodic fast-forward detector
+    // (sim/period.hpp) is the detector's next checkpoint: such a run has
+    // no probe hook. Chaining stops before the block that would cross
+    // it, and the outer loop hands that block to the detector instead of
+    // retiring it.
+    const bool checkpoint_stop = m.period_ && stop < m.cfg_.fuel;
+
     // The stop point: the fuel limit ends the run, an earlier stop
     // (a probe hook's quiet point) hands it back still running.
     const auto reached_stop = [&] {
-        if (m.instret_ < stop) return false;
+        if (m.instret_ < stop || checkpoint_stop) return false;
         if (stop >= m.cfg_.fuel) {
             out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
             m.running_ = false;
@@ -162,7 +170,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 // Transfer to the block at m.pc_ through a cached edge, staying inside
 // the dispatch soup. Bails to the outer loop for polls, untranslatable
 // targets (out of text / misaligned -> the outer loop raises the same
-// AccessFault step() would) and blocks that could cross the stop point.
+// AccessFault step() would), blocks that could cross the stop point and
+// the block the periodic fast-forward watches (its chain_len is ~0).
 #define CHAIN(edge)                                                       \
     do {                                                                  \
         if (cancel && countdown == 0) goto leave_soup;                    \
@@ -173,7 +182,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             nx_ = sc.get_or_translate(env, m.pc_, st);                    \
             (edge) = nx_;                                                 \
         }                                                                 \
-        if (m.instret_ + nx_->len > stop) goto leave_soup;                \
+        if (m.instret_ + nx_->chain_len > stop) goto leave_soup;          \
         ++st.chained;                                                     \
         sb = nx_;                                                         \
         goto enter_block;                                                 \
@@ -258,7 +267,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     } while (0)
 
     while (m.running_) {
-        sc.flush_if_pending(st);
+        if (sc.flush_if_pending(st) && m.period_)
+            m.period_->forget_blocks();
         if (cancel && countdown == 0) {
             if ((*cancel)()) return false;
             countdown = stride;
@@ -273,6 +283,14 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             }
         }
         sb = sc.get_or_translate(env, m.pc_, st);
+        if (m.instret_ + sb->len > stop && checkpoint_stop) {
+            // At a block boundary (chaining left the soup before
+            // entering sb), so the watched block is one the run keeps
+            // entering, not the tail of a split block. The caller
+            // resumes with the next checkpoint as its stop.
+            m.period_->checkpoint(sb);
+            return true;
+        }
         if (m.instret_ + sb->len > stop) {
             // The stop point falls inside this block: retire the tail
             // one instruction at a time, with the interpreter's own
@@ -288,6 +306,11 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             }
             return true;
         }
+
+        // Entry of the watched block (its chain_len made chaining bail):
+        // the periodic fast-forward inspects it before it executes.
+        if (m.period_ && sb == m.period_->watched() && m.period_->may_match())
+            m.period_->on_entry(*sb);
 
         try {
         enter_block:

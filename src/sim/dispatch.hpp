@@ -20,9 +20,11 @@ class Machine;
 /// like the interpreter's cancellation); true otherwise, with `out`
 /// holding the final trap (kind None on clean exit). Reaching the fuel
 /// limit raises FuelExhausted; reaching an earlier stop point leaves
-/// the machine running with `out` untouched. Must only be called when
-/// no trace or probe hook is installed — the tier batches
-/// per-instruction bookkeeping those hooks would observe.
+/// the machine running with `out` untouched. For a run with a periodic
+/// fast-forward detector (sim/period.hpp) an earlier stop is the
+/// detector's next checkpoint, taken at the block boundary before it.
+/// Must only be called when no trace or probe hook is installed — the
+/// tier batches per-instruction bookkeeping those hooks would observe.
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                      common::u64 stride, common::u64 stop, hwst::Trap& out);
 

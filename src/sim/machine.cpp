@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "riscv/encoding.hpp"
 #include "sim/dispatch.hpp"
+#include "sim/period.hpp"
 #include "sim/syscalls.hpp"
 
 namespace hwst::sim {
@@ -513,9 +514,10 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
     case Opcode::CSRRWI: case Opcode::CSRRSI: case Opcode::CSRRCI: {
         cycles_ += t.csr_extra;
         u64 old = 0;
-        if (in.csr == hwst::kCsrCycle) old = cycles_;
-        else if (in.csr == hwst::kCsrInstret) old = instret_;
-        else if (const auto v = csrs_.read(in.csr)) old = *v;
+        if (in.csr == hwst::kCsrCycle || in.csr == hwst::kCsrInstret) {
+            old = in.csr == hwst::kCsrCycle ? cycles_ : instret_;
+            counters_read_ = true;
+        } else if (const auto v = csrs_.read(in.csr)) old = *v;
         else return Trap{TrapKind::IllegalInstruction, in.csr, pc_};
 
         const bool is_imm = riscv::op_format(in.op) == Format::CsrI;
@@ -892,6 +894,7 @@ Trap Machine::exec_ecall()
 
     case Sys::ReadCycle:
         set_reg(Reg::a0, cycles_);
+        counters_read_ = true;
         break;
 
     case Sys::SoftViolation:
@@ -966,6 +969,10 @@ std::optional<RunResult> Machine::run_cancellable(
     if (stride == 0) stride = 1;
     const bool dbt =
         tier_ != ExecTier::Interp && !interpreter_forced() && !trace_;
+    // Periodic fast-forward (sim/period.hpp) only for runs that start
+    // with no hook: a probe hook may perturb any later instruction.
+    std::optional<PeriodDetector> period;
+    if (!probe_hook_) period.emplace(*this);
     // True while the next instruction may run on the dispatcher: no
     // probe hook, or one that promised to be the identity for it.
     const auto quiet = [&] {
@@ -987,8 +994,13 @@ std::optional<RunResult> Machine::run_cancellable(
             // move to block boundaries — every >= stride retired
             // instructions — which cannot change simulated results (a
             // poll that does not fire has no architectural effect).
+            // A hook attached since the run started ends detection: the
+            // detector's skips stop only at the fuel limit. Otherwise the
+            // detector's next checkpoint is the stop.
+            if (probe_hook_) period.reset();
             const u64 stop =
                 probe_hook_ ? std::min(cfg_.fuel, probe_quiet_before_ - 1)
+                : period    ? std::min(cfg_.fuel, period->next_checkpoint())
                             : cfg_.fuel;
             struct Detach {
                 ProbeHook& slot;
@@ -1056,6 +1068,104 @@ std::optional<RunResult> Machine::run_cancellable(
     result.smac_translations = smac_.translations();
     result.mix = mix_;
     return result;
+}
+
+namespace {
+
+/// Applies `f` to each pair of matching fields of `a` and `b`: the one
+/// list of Counters' fields.
+template <class F>
+void zip_counters(Counters& a, const Counters& b, F f)
+{
+    f(a.cycles, b.cycles);
+    f(a.instret, b.instret);
+    f(a.mix.alu, b.mix.alu);
+    f(a.mix.loads, b.mix.loads);
+    f(a.mix.stores, b.mix.stores);
+    f(a.mix.checked_loads, b.mix.checked_loads);
+    f(a.mix.checked_stores, b.mix.checked_stores);
+    f(a.mix.meta_moves, b.mix.meta_moves);
+    f(a.mix.binds, b.mix.binds);
+    f(a.mix.tchk, b.mix.tchk);
+    f(a.mix.branches, b.mix.branches);
+    f(a.mix.jumps, b.mix.jumps);
+    f(a.mix.ecalls, b.mix.ecalls);
+    f(a.mix.other, b.mix.other);
+    f(a.dcache.accesses, b.dcache.accesses);
+    f(a.dcache.misses, b.dcache.misses);
+    f(a.icache.accesses, b.icache.accesses);
+    f(a.icache.misses, b.icache.misses);
+    f(a.keybuffer.lookups, b.keybuffer.lookups);
+    f(a.keybuffer.hits, b.keybuffer.hits);
+    f(a.keybuffer.flushes, b.keybuffer.flushes);
+    f(a.scu.checks, b.scu.checks);
+    f(a.scu.violations, b.scu.violations);
+    f(a.scu.saturated, b.scu.saturated);
+    f(a.tcu.checks, b.tcu.checks);
+    f(a.tcu.violations, b.tcu.violations);
+    f(a.tcu.saturated, b.tcu.saturated);
+    f(a.smac_translations, b.smac_translations);
+}
+
+} // namespace
+
+Counters Counters::operator-(const Counters& o) const
+{
+    Counters d = *this;
+    zip_counters(d, o, [](u64& x, u64 y) { x -= y; });
+    return d;
+}
+
+void Counters::add_scaled(const Counters& delta, u64 k)
+{
+    zip_counters(*this, delta, [k](u64& x, u64 y) { x += k * y; });
+}
+
+Counters Machine::counters() const
+{
+    return Counters{cycles_,
+                    instret_,
+                    mix_,
+                    dcache_.stats(),
+                    icache_.stats(),
+                    keybuffer_.stats(),
+                    scu_.stats(),
+                    tcu_.stats(),
+                    smac_.translations()};
+}
+
+void Machine::set_counters(const Counters& c)
+{
+    cycles_ = c.cycles;
+    instret_ = c.instret;
+    mix_ = c.mix;
+    dcache_.set_stats(c.dcache);
+    icache_.set_stats(c.icache);
+    keybuffer_.set_stats(c.keybuffer);
+    scu_.set_stats(c.scu);
+    tcu_.set_stats(c.tcu);
+    smac_.set_translations(c.smac_translations);
+}
+
+State Machine::state() const
+{
+    return State{pc_,
+                 regs_,
+                 srf_.entries(),
+                 csrs_.registers(),
+                 running_,
+                 exit_code_,
+                 last_load_rd_,
+                 keybuffer_.ranked_slots(),
+                 dcache_.snapshot(),
+                 icache_.snapshot(),
+                 *heap_,
+                 *locks_,
+                 quarantine_,
+                 quarantine_used_,
+                 mem_.regions(),
+                 mem_.page_image(),
+                 output_.size()};
 }
 
 std::optional<ExecTier> env_tier()

@@ -132,6 +132,8 @@ struct InstrMix {
     }
     /// Memory-traffic instructions added by metadata handling.
     u64 metadata_traffic() const { return meta_moves; }
+
+    bool operator==(const InstrMix&) const = default;
 };
 
 /// Outcome of a complete run.
@@ -154,6 +156,57 @@ struct RunResult {
     bool ok() const { return trap.kind == hwst::TrapKind::None; }
 };
 
+/// Every simulated counter of a Machine: the RunResult counters plus
+/// the SCU/TCU violation counts. Counters only ever grow, and the
+/// program can observe only cycle and instret (csr reads, ReadCycle),
+/// so a run whose State repeats adds the same delta every period
+/// (docs/performance.md "Periodic fast-forward").
+struct Counters {
+    u64 cycles = 0;
+    u64 instret = 0;
+    InstrMix mix;
+    mem::CacheStats dcache;
+    mem::CacheStats icache;
+    metadata::KeybufferStats keybuffer;
+    hwst::CheckStats scu;
+    hwst::CheckStats tcu;
+    u64 smac_translations = 0;
+
+    /// Field-wise difference (`*this` must not be below `o`).
+    Counters operator-(const Counters& o) const;
+    /// `*this += k * delta`, field-wise.
+    void add_scaled(const Counters& delta, u64 k);
+};
+
+/// All simulated state of a Machine except its Counters, as one value
+/// with exact `==`: two Machines with equal States (and the same
+/// Program and MachineConfig) retire the same instructions with the
+/// same counter deltas from then on. Host-side accelerators (predecode,
+/// superblocks, the memory translation cache, the CSR memo version)
+/// are not part of it, and LRU ticks appear only as their order.
+struct State {
+    u64 pc = 0;
+    std::array<u64, riscv::kNumRegs> regs{};
+    metadata::ShadowRegFile::Entries srf{};
+    std::array<u64, 7> csrs{};
+    bool running = false;
+    i64 exit_code = 0;
+    Reg last_load_rd = Reg::zero; ///< load-use hazard across blocks
+    std::vector<metadata::Keybuffer::RankedSlot> keybuffer;
+    mem::Cache::Snapshot dcache;
+    mem::Cache::Snapshot icache;
+    mem::HeapAllocator heap;
+    mem::LockAllocator locks;
+    std::vector<std::pair<u64, u64>> quarantine;
+    u64 quarantine_used = 0;
+    std::vector<mem::Memory::Region> regions;
+    mem::Memory::PageImage pages;
+    /// Output only ever grows, so equal lengths mean equal output.
+    std::size_t output_len = 0;
+
+    bool operator==(const State&) const = default;
+};
+
 /// Architecturally meaningful points where a value can be observed or
 /// perturbed in flight (fault injection, instrumentation tooling). Each
 /// names a 64-bit datapath of Fig. 3; the fault engine in src/fault/
@@ -172,6 +225,8 @@ enum class Probe : common::u8 {
 inline constexpr unsigned kNumProbes = 8;
 
 class Machine;
+
+class PeriodDetector; // sim/period.hpp
 
 /// Superblock-tier dispatcher (sim/dispatch.cpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
@@ -283,6 +338,10 @@ public:
     u64 instret() const { return instret_; }
     bool running() const { return running_; }
 
+    /// The simulated state and counters as values (see State).
+    State state() const;
+    Counters counters() const;
+
     mem::Memory& memory() { return mem_; }
     const mem::Memory& memory() const { return mem_; }
     metadata::ShadowRegFile& srf() { return srf_; }
@@ -320,6 +379,8 @@ public:
 private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
                                 u64, u64, hwst::Trap&);
+    friend class PeriodDetector;
+    void set_counters(const Counters& c);
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
@@ -395,6 +456,14 @@ private:
     // Load-use hazard bookkeeping: destination of the previous
     // instruction if it was a load, else Reg::zero.
     Reg last_load_rd_ = Reg::zero;
+
+    // Set whenever the program reads cycle or instret (csr read or
+    // Sys::ReadCycle): the periodic fast-forward never skips a window
+    // in which the counters were observable.
+    bool counters_read_ = false;
+    // The running run's periodic fast-forward detector, if it has one
+    // (it attaches itself; see sim/period.hpp).
+    PeriodDetector* period_ = nullptr;
 
     InstrMix mix_;
     TraceHook trace_;

@@ -303,6 +303,7 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
     }
     blk->static_cycles = cum;
     blk->repeat_fetches = repeats;
+    blk->chain_len = blk->len;
 
     for (u64 InstrMix::* member : kMixMembers) {
         if (const u64 count = delta.*member)

@@ -146,6 +146,11 @@ struct Superblock {
     u64 pc0 = 0;
     u32 first_uop = 0;
     u32 len = 0;          ///< real instructions (EndFall excluded)
+    /// What chaining into this block adds to instret before comparing
+    /// with the stop point: len, or ~0 while the periodic fast-forward
+    /// watches the block (sim/period.hpp), so that every entry of it
+    /// goes through the dispatcher's outer loop.
+    u32 chain_len = 0;
     u32 static_cycles = 0; ///< sum of per-op static cycles, whole block
     /// Guaranteed same-line fetch hits in the whole block, batched into
     /// the icache stats once per block execution (trap prefixes use the
@@ -178,6 +183,10 @@ struct DbtStats {
     /// Runs forced onto the interpreter by sim::force_interpreter() —
     /// the DBT divergence sentinel's graceful-degradation path.
     u64 sentinel_degraded = 0;
+    /// Exact periodic fast-forwards (sim/period.hpp) and the
+    /// instructions they skipped.
+    u64 period_skips = 0;
+    u64 skipped_instret = 0;
 };
 
 /// Everything translation needs from the Machine, flattened so the
@@ -216,11 +225,13 @@ public:
         ++st.flushes;
     }
     void request_flush() { flush_pending_ = true; }
-    void flush_if_pending(DbtStats& st)
+    /// Returns whether it flushed.
+    bool flush_if_pending(DbtStats& st)
     {
-        if (!flush_pending_) return;
+        if (!flush_pending_) return false;
         flush_pending_ = false;
         flush(st);
+        return true;
     }
 
     u64 live_blocks() const { return blocks_.size(); }

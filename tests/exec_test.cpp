@@ -25,16 +25,22 @@ using exec::JobStatus;
 
 namespace {
 
-/// main() { loop: goto loop; } — runs until fuel or cancellation.
+/// main() { i = 0; loop: i = i + 1; goto loop; } — runs until fuel or
+/// cancellation. The counter keeps the state from ever repeating, so
+/// the dispatcher's periodic fast-forward cannot reach the fuel limit
+/// early: the run really burns host time.
 mir::Module infinite_module()
 {
     mir::Module m;
     auto& fn = m.add_function("main", {}, mir::Ty::I64);
     mir::FunctionBuilder b{m, fn};
     b.set_insert(b.block("entry"));
+    const auto i = b.local("i");
+    b.store_local(i, b.const_i64(0));
     const auto loop = b.block("loop");
     b.jmp(loop);
     b.set_insert(loop);
+    b.store_local(i, b.add(b.load_local(i), b.const_i64(1)));
     b.jmp(loop);
     return m;
 }
