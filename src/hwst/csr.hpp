@@ -77,6 +77,19 @@ public:
         return {sm_offset_, bitw_,      lock_base_, lock_size_,
                 status_,    violation_, vaddr_};
     }
+    /// Take every register value from registers() of another file;
+    /// counts as a write (bumps version()).
+    void restore(const std::array<u64, 7>& r)
+    {
+        ++version_;
+        sm_offset_ = r[0];
+        bitw_ = static_cast<u32>(r[1]);
+        lock_base_ = r[2];
+        lock_size_ = r[3];
+        status_ = r[4];
+        violation_ = r[5];
+        vaddr_ = r[6];
+    }
 
     u64 sm_offset() const { return sm_offset_; }
     bool spatial_enabled() const { return status_ & kStatusSpatialEnable; }

@@ -65,6 +65,17 @@ Cache::Snapshot Cache::snapshot() const
     return s;
 }
 
+void Cache::restore(const Snapshot& s)
+{
+    // Valid lines lead each set, least recent first, so a line's tick is
+    // its position in the set (plus one: a fresh tick must exceed all).
+    line_addrs_ = s.lines;
+    for (std::size_t i = 0; i < lru_.size(); ++i) lru_[i] = i % cfg_.ways + 1;
+    tick_ = cfg_.ways;
+    mru_line_ = s.mru_line;
+    last_miss_ = s.last_miss;
+}
+
 void Cache::flush()
 {
     // Ticks of empty ways are never compared, so lru_ needs no reset.

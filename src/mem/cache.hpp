@@ -19,6 +19,8 @@ struct CacheConfig {
     unsigned sets = 64; // 16 KiB total with the defaults
     unsigned hit_cycles = 1;
     unsigned miss_penalty = 30; // refill from the simulated DRAM
+
+    bool operator==(const CacheConfig&) const = default;
 };
 
 struct CacheStats {
@@ -108,6 +110,10 @@ public:
         bool operator==(const Snapshot&) const = default;
     };
     Snapshot snapshot() const;
+    /// Take the tag state of `s` (a snapshot of a cache with this
+    /// config): each set's lines get ticks in their rank order, so the
+    /// cache behaves from here on exactly like the one snapshotted.
+    void restore(const Snapshot& s);
 
 private:
     /// Line address of an empty way. Never a real line address:

@@ -1,6 +1,7 @@
 #include "mem/memory.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 
@@ -147,6 +148,41 @@ void Memory::write_bytes(u64 addr, std::span<const u8> bytes)
     }
 }
 
+namespace {
+
+constexpr unsigned kPageWordCount = Memory::kPageSize / 8;
+
+Memory::PageWords encode_page(const u8* page)
+{
+    // One branch-free pass: every word goes to buf, and only a nonzero
+    // one advances n.
+    std::array<u64, kPageWordCount> buf;
+    Memory::PageWords p;
+    std::size_t n = 0;
+    for (unsigned w = 0; w < kPageWordCount; ++w) {
+        u64 v = 0;
+        std::memcpy(&v, page + 8 * w, 8);
+        buf[n] = v;
+        const u64 nonzero = v != 0;
+        p.mask[w / 64] |= nonzero << (w % 64);
+        n += nonzero;
+    }
+    p.words.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+    return p;
+}
+
+void decode_page(const Memory::PageWords& p, u8* page)
+{
+    std::memset(page, 0, Memory::kPageSize);
+    std::size_t k = 0;
+    for (unsigned w = 0; w < kPageWordCount; ++w) {
+        if (p.mask[w / 64] >> (w % 64) & 1)
+            std::memcpy(page + 8 * w, &p.words[k++], 8);
+    }
+}
+
+} // namespace
+
 Memory::PageImage Memory::page_image() const
 {
     PageImage img;
@@ -159,6 +195,43 @@ Memory::PageImage Memory::page_image() const
                     pages_.find(img.keys[i])->second.get(), kPageSize);
     }
     return img;
+}
+
+Memory::SharedPages Memory::shared_pages(const SharedPages* share) const
+{
+    SharedPages out;
+    out.keys.reserve(pages_.size());
+    for (const auto& kv : pages_) out.keys.push_back(kv.first);
+    std::sort(out.keys.begin(), out.keys.end());
+    out.pages.reserve(out.keys.size());
+    std::size_t j = 0; // both key lists ascend
+    for (const u64 key : out.keys) {
+        PageWords page = encode_page(pages_.find(key)->second.get());
+        if (share) {
+            while (j < share->keys.size() && share->keys[j] < key) ++j;
+            if (j < share->keys.size() && share->keys[j] == key &&
+                *share->pages[j] == page) {
+                out.pages.push_back(share->pages[j]);
+                continue;
+            }
+        }
+        out.pages.emplace_back(std::move(page));
+    }
+    return out;
+}
+
+void Memory::restore(const std::vector<Region>& regions,
+                     const SharedPages& pages)
+{
+    regions_ = regions;
+    last_region_ = 0;
+    pages_.clear();
+    for (std::size_t i = 0; i < pages.keys.size(); ++i) {
+        auto page = std::make_unique<u8[]>(kPageSize);
+        decode_page(*pages.pages[i], page.get());
+        pages_.emplace(pages.keys[i], std::move(page));
+    }
+    tlb_invalidate();
 }
 
 std::vector<u8> Memory::read_bytes(u64 addr, u64 len) const

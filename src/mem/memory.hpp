@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/shared.hpp"
 
 namespace hwst::mem {
 
@@ -63,11 +64,26 @@ public:
         bool operator==(const Region&) const = default;
     };
 
+    /// One page's contents as its nonzero 8-byte words (simulated pages
+    /// are mostly zero: shadow slots, stack, tables).
+    struct PageWords {
+        std::array<u64, kPageSize / 8 / 64> mask{}; ///< bit w: word w != 0
+        std::vector<u64> words; ///< the nonzero words, in address order
+        bool operator==(const PageWords&) const = default;
+    };
+
     /// Contents of every materialised page, ordered by page number.
     struct PageImage {
         std::vector<u64> keys;  ///< page numbers (addr / kPageSize)
         std::vector<u8> bytes;  ///< kPageSize bytes per key, same order
         bool operator==(const PageImage&) const = default;
+    };
+
+    /// The same as immutable values that snapshots can share
+    /// (golden-prefix checkpoints).
+    struct SharedPages {
+        std::vector<u64> keys; ///< page numbers, ascending
+        std::vector<common::Shared<PageWords>> pages; ///< same order
     };
 
     /// Map [base, base+size) as accessible. Overlaps are allowed (the
@@ -137,7 +153,17 @@ public:
     u64 resident_bytes() const { return pages_.size() * kPageSize; }
     std::size_t resident_pages() const { return pages_.size(); }
     PageImage page_image() const;
+    /// Every materialised page. A page equal to the one `share` holds
+    /// for the same page number reuses that one.
+    SharedPages shared_pages(const SharedPages* share) const;
     const std::vector<Region>& regions() const { return regions_; }
+
+    /// Replace the region map and every page with the given ones
+    /// (checkpoint restore). Drops the translation cache. The
+    /// invalidation hook does not run: a checkpoint of the same program
+    /// maps the same regions.
+    void restore(const std::vector<Region>& regions,
+                 const SharedPages& pages);
 
     /// Base addresses of materialised pages inside [base, base+size)
     /// (used by the BOGO bound-table scan model).

@@ -122,6 +122,15 @@ public:
         }
         return out;
     }
+    /// Take the occupied slots of `slots` (ranked_slots() of a buffer
+    /// with this capacity), ticks replaced by ranks.
+    void restore(const std::vector<RankedSlot>& slots)
+    {
+        slots_.clear();
+        for (const RankedSlot& s : slots)
+            slots_.push_back(Slot{s.lock, s.key, u64{s.rank} + 1});
+        tick_ = slots_.size();
+    }
 
 private:
     struct Slot {

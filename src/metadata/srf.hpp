@@ -29,6 +29,7 @@ public:
 
     using Entries = std::array<Entry, riscv::kNumRegs>;
     const Entries& entries() const { return entries_; }
+    void restore(const Entries& e) { entries_ = e; }
 
     const Entry& entry(Reg r) const { return entries_[riscv::reg_index(r)]; }
 

@@ -72,6 +72,7 @@ void Program::emit_li(Reg rd, i64 value)
 
 u64 Program::add_data(std::span<const u8> bytes, unsigned align)
 {
+    if (finalized_) throw ToolchainError{"Program: add_data after finalize"};
     const u64 off = align_up(data_.size(), align);
     data_.resize(off, 0);
     data_.insert(data_.end(), bytes.begin(), bytes.end());
@@ -80,6 +81,7 @@ u64 Program::add_data(std::span<const u8> bytes, unsigned align)
 
 u64 Program::add_bss(u64 size, unsigned align)
 {
+    if (finalized_) throw ToolchainError{"Program: add_bss after finalize"};
     const u64 off = align_up(data_.size(), align);
     data_.resize(off + size, 0);
     return layout_.data_base + off;

@@ -5,12 +5,18 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "riscv/instr.hpp"
+
+namespace hwst::sim {
+class CheckpointStore; // sim/checkpoint.hpp
+} // namespace hwst::sim
 
 namespace hwst::riscv {
 
@@ -49,6 +55,8 @@ struct MemoryLayout {
     u64 sw_l2_bytes_per_entry() const { return u64{1} << 24; }
     /// ASAN-model shadow bytes (1 byte per 8 user bytes).
     u64 asan_shadow_offset = 0x0000'0100'0000'0000;
+
+    bool operator==(const MemoryLayout&) const = default;
 };
 
 class Program {
@@ -80,12 +88,15 @@ public:
 
     // ---- data segment ------------------------------------------------
     /// Append `bytes` (aligned) to the data segment; returns its address.
+    /// Throws after finalize(), like emit() and label().
     u64 add_data(std::span<const u8> bytes, unsigned align = 8);
 
-    /// Reserve `size` zeroed bytes; returns the address.
+    /// Reserve `size` zeroed bytes; returns the address. Throws after
+    /// finalize().
     u64 add_bss(u64 size, unsigned align = 8);
 
-    /// Resolve all fixups. Throws on undefined labels. Idempotent.
+    /// Resolve all fixups. Throws on undefined labels. Idempotent. A
+    /// finalized Program's code and data never change again.
     void finalize();
 
     // ---- accessors ----------------------------------------------------
@@ -111,6 +122,18 @@ public:
     /// Full listing with labels, for debugging and the examples.
     std::string listing() const;
 
+    /// The golden-prefix checkpoint store (sim/checkpoint.hpp) that every
+    /// Machine built from this object shares: host-side only, created
+    /// by `make` on first use, thread-safe. A copy or assignment of a
+    /// Program starts with an empty slot.
+    template <class Make>
+    sim::CheckpointStore& checkpoint_store(Make make) const
+    {
+        const std::lock_guard lock{store_.mu};
+        if (!store_.store) store_.store = make();
+        return *store_.store;
+    }
+
 private:
     enum class FixupKind { Branch, Jal, LaText };
 
@@ -126,6 +149,19 @@ private:
     std::vector<Fixup> fixups_;
     MemoryLayout layout_{};
     bool finalized_ = false;
+
+    struct StoreSlot {
+        StoreSlot() = default;
+        StoreSlot(const StoreSlot&) noexcept {}
+        StoreSlot& operator=(const StoreSlot&) noexcept
+        {
+            store.reset();
+            return *this;
+        }
+        std::mutex mu;
+        std::shared_ptr<sim::CheckpointStore> store;
+    };
+    mutable StoreSlot store_;
 };
 
 } // namespace hwst::riscv

@@ -298,7 +298,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             // block length.
             while (m.running_) {
                 if (reached_stop()) return true;
-                const Trap t = m.step();
+                const Trap t = m.retire_one();
                 if (t.kind != TrapKind::None) {
                     out = t;
                     return true;
@@ -886,7 +886,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             }
             return true;
         }
-        const Trap t = m.step();
+        const Trap t = m.retire_one();
         if (t.kind != TrapKind::None) {
             out = t;
             return true;

@@ -9,6 +9,7 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "riscv/encoding.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/period.hpp"
 #include "sim/syscalls.hpp"
@@ -262,7 +263,7 @@ std::optional<Trap> Machine::spatial_check(Reg ptr_reg, u64 addr,
     return Trap{TrapKind::SpatialViolation, addr, pc_};
 }
 
-Trap Machine::step()
+Trap Machine::retire_one()
 {
     if (!running_)
         throw SimError{"Machine::step called after the program stopped"};
@@ -979,6 +980,24 @@ std::optional<RunResult> Machine::run_cancellable(
         return dbt && (!probe_hook_ || instret_ + 1 < probe_quiet_before_);
     };
     bool dispatched = false;
+    // Golden-prefix checkpoints (sim/checkpoint.hpp), only for probe-
+    // hooked runs so that hook-free ones never pay for them. A fresh run
+    // starts from the latest checkpoint before its quiet point and its
+    // fuel limit; while still golden, it records every kSpacing.
+    CheckpointStore* store = nullptr;
+    CheckpointKey key;
+    if (dbt && probe_hook_ && prefix_golden_) {
+        store = &CheckpointStore::of(program_);
+        key = CheckpointKey{cfg_, program_.layout()};
+        key.config.fuel = 0;
+        if (instret_ == 0) {
+            if (const auto c = store->latest_below(
+                    key, std::min(probe_quiet_before_, cfg_.fuel))) {
+                restore(*c);
+                dispatched = true; // its prefix ran on the dispatcher
+            }
+        }
+    }
     bool fell_back = false;
     u64 countdown = stride;
     // One loop, two segment kinds: the dispatcher while the hook is
@@ -998,10 +1017,18 @@ std::optional<RunResult> Machine::run_cancellable(
             // detector's skips stop only at the fuel limit. Otherwise the
             // detector's next checkpoint is the stop.
             if (probe_hook_) period.reset();
-            const u64 stop =
+            u64 stop =
                 probe_hook_ ? std::min(cfg_.fuel, probe_quiet_before_ - 1)
                 : period    ? std::min(cfg_.fuel, period->next_checkpoint())
                             : cfg_.fuel;
+            // A recording run also stops at the next checkpoint instret
+            // if that lies within the quiet prefix and below the fuel.
+            const u64 checkpoint =
+                (instret_ / CheckpointStore::kSpacing + 1) *
+                CheckpointStore::kSpacing;
+            const bool record = store && prefix_golden_ &&
+                                checkpoint <= stop && checkpoint < cfg_.fuel;
+            if (record) stop = checkpoint;
             struct Detach {
                 ProbeHook& slot;
                 ProbeHook saved;
@@ -1018,12 +1045,16 @@ std::optional<RunResult> Machine::run_cancellable(
             in_dispatch_ = false;
             if (!finished) return std::nullopt;
             dispatched = true;
+            if (record && running_ && instret_ == checkpoint)
+                store->record(*this, key);
             continue;
         }
         // Interpreter tier: per-instruction hooks installed (or the
         // tier pinned to interp outright, or a sentinel worker forcing
         // the reference tier). Counted once per run, however many
-        // interpreter segments it has.
+        // interpreter segments it has. A live hook may perturb what
+        // follows, so the state stops being the golden run's.
+        prefix_golden_ = false;
         if (!fell_back && tier_ != ExecTier::Interp) {
             fell_back = true;
             ++dbt_stats_.fallback_runs;
@@ -1041,7 +1072,7 @@ std::optional<RunResult> Machine::run_cancellable(
                 running_ = false;
                 break;
             }
-            const Trap trap = step();
+            const Trap trap = retire_one();
             if (trap.kind != TrapKind::None) {
                 result.trap = trap;
                 break;
@@ -1149,6 +1180,13 @@ void Machine::set_counters(const Counters& c)
 
 State Machine::state() const
 {
+    State s = state_except_pages(nullptr);
+    s.pages = mem_.page_image();
+    return s;
+}
+
+State Machine::state_except_pages(const State* share) const
+{
     return State{pc_,
                  regs_,
                  srf_.entries(),
@@ -1159,13 +1197,46 @@ State Machine::state() const
                  keybuffer_.ranked_slots(),
                  dcache_.snapshot(),
                  icache_.snapshot(),
-                 *heap_,
-                 *locks_,
+                 common::Shared<mem::HeapAllocator>::reuse(
+                     share ? &share->heap : nullptr, *heap_),
+                 common::Shared<mem::LockAllocator>::reuse(
+                     share ? &share->locks : nullptr, *locks_),
                  quarantine_,
                  quarantine_used_,
                  mem_.regions(),
-                 mem_.page_image(),
+                 {},
                  output_.size()};
+}
+
+void Machine::restore(const Checkpoint& c)
+{
+    const State& s = c.state;
+    pc_ = s.pc;
+    regs_ = s.regs;
+    srf_.restore(s.srf);
+    csrs_.restore(s.csrs);
+    running_ = s.running;
+    exit_code_ = s.exit_code;
+    last_load_rd_ = s.last_load_rd;
+    keybuffer_.restore(s.keybuffer);
+    dcache_.restore(s.dcache);
+    icache_.restore(s.icache);
+    *heap_ = *s.heap;
+    *locks_ = *s.locks;
+    quarantine_ = s.quarantine;
+    quarantine_used_ = s.quarantine_used;
+    mem_.restore(s.regions, c.pages); // drops the translation cache
+    output_ = c.output;
+    set_counters(c.counters);
+    // Host caches derived from simulated state: the compression memo
+    // (and the translation cache, dropped above). Superblocks depend
+    // only on the text.
+    comp_version_ = ~u64{0};
+    // Unknown whether the prefix read the counters: assume it did (a
+    // later periodic fast-forward then restarts its proof).
+    counters_read_ = true;
+    ++dbt_stats_.prefix_restores;
+    dbt_stats_.restored_instret += c.counters.instret;
 }
 
 std::optional<ExecTier> env_tier()

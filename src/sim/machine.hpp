@@ -41,6 +41,8 @@ struct TimingConfig {
     unsigned div_extra = 24;
     unsigned csr_extra = 1;
     unsigned ecall_cost = 140; ///< proxy-kernel round trip
+
+    bool operator==(const TimingConfig&) const = default;
 };
 
 /// Runtime (proxy-kernel) behaviour knobs, set per protection scheme by
@@ -57,6 +59,8 @@ struct RuntimeConfig {
     /// SBCETS: pre-populate the software metadata trie's L1 table (the
     /// role of the runtime's mmap-on-demand in real SoftBound).
     bool init_sw_trie = false;
+
+    bool operator==(const RuntimeConfig&) const = default;
 };
 
 /// Execution tiers (docs/performance.md "Execution tiers"): the step()
@@ -105,6 +109,8 @@ struct MachineConfig {
     ExecTier tier = ExecTier::Auto;
     TimingConfig timing{};
     RuntimeConfig runtime{};
+
+    bool operator==(const MachineConfig&) const = default;
 };
 
 /// Retired-instruction mix, grouped by pipeline role. The benches use
@@ -195,8 +201,8 @@ struct State {
     std::vector<metadata::Keybuffer::RankedSlot> keybuffer;
     mem::Cache::Snapshot dcache;
     mem::Cache::Snapshot icache;
-    mem::HeapAllocator heap;
-    mem::LockAllocator locks;
+    common::Shared<mem::HeapAllocator> heap;
+    common::Shared<mem::LockAllocator> locks;
     std::vector<std::pair<u64, u64>> quarantine;
     u64 quarantine_used = 0;
     std::vector<mem::Memory::Region> regions;
@@ -226,7 +232,9 @@ inline constexpr unsigned kNumProbes = 8;
 
 class Machine;
 
-class PeriodDetector; // sim/period.hpp
+class PeriodDetector;  // sim/period.hpp
+class CheckpointStore; // sim/checkpoint.hpp
+struct Checkpoint;     // sim/checkpoint.hpp
 
 /// Superblock-tier dispatcher (sim/dispatch.cpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
@@ -290,7 +298,11 @@ public:
         const std::function<bool()>& cancel, u64 stride = 4096);
 
     /// Execute one instruction. Returns a trap (kind None = keep going).
-    hwst::Trap step();
+    hwst::Trap step()
+    {
+        prefix_golden_ = false;
+        return retire_one();
+    }
 
     /// Per-instruction trace hook, invoked before each instruction
     /// executes (debugger/tooling support). Pass nullptr to disable.
@@ -309,6 +321,9 @@ public:
     /// until the next instruction would retire with `instret ==
     /// quiet_before`, and the interpreter takes over with the hook
     /// live. 0 (no promise) keeps the whole run on the interpreter.
+    /// Such a run also shares golden-prefix checkpoints with the other
+    /// Machines of its Program (sim/checkpoint.hpp): it may start from
+    /// one below `quiet_before` and records new ones on the way.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, u64 quiet_before = 0)
     {
@@ -327,13 +342,15 @@ public:
     }
 
     // ---- introspection (tests, examples) -----------------------------
+    // The mutable accessors and step() end golden-prefix checkpointing
+    // for this Machine (see prefix_golden_).
     u64 reg(Reg r) const { return regs_[riscv::reg_index(r)]; }
-    void set_reg(Reg r, u64 v)
-    {
-        if (r != Reg::zero) regs_[riscv::reg_index(r)] = v;
-    }
     u64 pc() const { return pc_; }
-    void set_pc(u64 pc) { pc_ = pc; }
+    void set_pc(u64 pc)
+    {
+        prefix_golden_ = false;
+        pc_ = pc;
+    }
     u64 cycles() const { return cycles_; }
     u64 instret() const { return instret_; }
     bool running() const { return running_; }
@@ -342,14 +359,34 @@ public:
     State state() const;
     Counters counters() const;
 
-    mem::Memory& memory() { return mem_; }
+    mem::Memory& memory()
+    {
+        prefix_golden_ = false;
+        return mem_;
+    }
     const mem::Memory& memory() const { return mem_; }
-    metadata::ShadowRegFile& srf() { return srf_; }
+    metadata::ShadowRegFile& srf()
+    {
+        prefix_golden_ = false;
+        return srf_;
+    }
     const metadata::Keybuffer& keybuffer() const { return keybuffer_; }
-    hwst::HwstCsrFile& csrs() { return csrs_; }
+    hwst::HwstCsrFile& csrs()
+    {
+        prefix_golden_ = false;
+        return csrs_;
+    }
     const mem::Cache& dcache() const { return dcache_; }
-    mem::HeapAllocator& heap() { return *heap_; }
-    mem::LockAllocator& locks() { return *locks_; }
+    mem::HeapAllocator& heap()
+    {
+        prefix_golden_ = false;
+        return *heap_;
+    }
+    mem::LockAllocator& locks()
+    {
+        prefix_golden_ = false;
+        return *locks_;
+    }
     const std::vector<i64>& output() const { return output_; }
 
     /// Decompression config currently programmed in the CSRs.
@@ -380,7 +417,21 @@ private:
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
                                 u64, u64, hwst::Trap&);
     friend class PeriodDetector;
+    friend class CheckpointStore;
     void set_counters(const Counters& c);
+    /// state() without its pages; allocators equal to those of `share`
+    /// (an earlier State) reuse its copies.
+    State state_except_pages(const State* share) const;
+    /// Take the state of a golden-prefix checkpoint (sim/checkpoint.hpp)
+    /// and drop every host cache derived from simulated state.
+    void restore(const Checkpoint& c);
+    void set_reg(Reg r, u64 v)
+    {
+        if (r != Reg::zero) regs_[riscv::reg_index(r)] = v;
+    }
+    /// step() without ending golden-prefix checkpointing: the
+    /// interpreter loop and the dispatcher's block tails.
+    hwst::Trap retire_one();
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
@@ -469,6 +520,14 @@ private:
     TraceHook trace_;
     ProbeHook probe_hook_;
     u64 probe_quiet_before_ = 0; ///< see set_probe_hook
+
+    // True while this Machine's state is the hook-free run's: every
+    // instruction so far retired on the dispatcher (with any probe hook
+    // quiet and detached) and no accessor has handed out mutable state.
+    // Only such a Machine records or restores golden-prefix checkpoints
+    // (sim/checkpoint.hpp). Cleared for good by the first interpreted
+    // instruction.
+    bool prefix_golden_ = true;
 };
 
 /// Process-wide override forcing every run onto the interpreter tier,

@@ -187,6 +187,10 @@ struct DbtStats {
     /// instructions they skipped.
     u64 period_skips = 0;
     u64 skipped_instret = 0;
+    /// Runs started from a golden-prefix checkpoint (sim/checkpoint.hpp)
+    /// and the instructions those checkpoints stood in for.
+    u64 prefix_restores = 0;
+    u64 restored_instret = 0;
 };
 
 /// Everything translation needs from the Machine, flattened so the

@@ -2,15 +2,18 @@
 // graceful-degradation paths it exercises: the injector's trigger
 // semantics, the trap-or-survive oracle, saturating metadata
 // compression at machine level, a small deterministic campaign, and
-// the dispatcher fast-forward of faulted runs.
+// the dispatcher fast-forward of faulted runs and their golden-prefix
+// checkpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -18,9 +21,11 @@
 #include "fault/campaign.hpp"
 #include "mir/builder.hpp"
 #include "riscv/program.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/machine.hpp"
 #include "sim/syscalls.hpp"
 #include "workloads/dsl.hpp"
+#include "workloads/workload.hpp"
 
 namespace {
 
@@ -876,6 +881,329 @@ TEST(FastForward, CancelInsideEitherSegmentResumesToTheSameRun)
     }
     const FaultedRun resumed = finish_faulted(m.run(), inj, m);
     expect_same_faulted(resumed, ref);
+}
+
+// ------------------------------------------- golden-prefix checkpoints
+//
+// A dispatcher run whose probe hook has stayed quiet records its state
+// every CheckpointStore::kSpacing instructions in its Program's store;
+// a later fresh run of the same Program and config (fuel aside) starts
+// from the latest checkpoint before its trigger. Every run below is
+// checked against the same plan on the interpreter, which never records
+// or restores.
+
+constexpr u64 kSpacing = sim::CheckpointStore::kSpacing;
+
+/// A registry workload compiled afresh (so with an empty store) under
+/// full HWST128, its golden run, and fault_campaign's faulted-run config.
+struct PrefixWorkload {
+    hwst::compiler::CompiledProgram cp;
+    sim::RunResult golden;
+    sim::MachineConfig cfg;
+
+    explicit PrefixWorkload(const std::string& name)
+        : cp{hwst::compiler::compile(hwst::workloads::workload(name).build(),
+                                     hwst::compiler::Scheme::Hwst128Tchk)}
+    {
+        golden = Machine{cp.program, cp.machine_config}.run();
+        cfg = cp.machine_config;
+        cfg.fuel = golden.instret * 4 + 100'000;
+    }
+
+    sim::CheckpointStore& store() const
+    {
+        return sim::CheckpointStore::of(cp.program);
+    }
+};
+
+/// `plan` on `w` through Injector::attach: the dispatcher up to the
+/// trigger, and the checkpoint store.
+FaultedRun run_prefix(const Program& program, const fault::FaultPlan& plan,
+                      const sim::MachineConfig& cfg)
+{
+    fault::Injector inj{plan};
+    Machine m{program, cfg};
+    inj.attach(m);
+    return finish_faulted(m.run(), inj, m);
+}
+
+/// The reference: the same hook with no quiet promise on the
+/// interpreter tier.
+FaultedRun run_interp(const Program& program, const fault::FaultPlan& plan,
+                      sim::MachineConfig cfg)
+{
+    cfg.tier = sim::ExecTier::Interp;
+    fault::Injector inj{plan};
+    Machine m{program, cfg};
+    m.set_probe_hook([&inj](Probe p, u64 instret, u64 value) {
+        return inj.perturb(p, instret, value);
+    });
+    return finish_faulted(m.run(), inj, m);
+}
+
+/// The checkpoint a fresh run of `plan` restores, given the instrets
+/// recorded so far (0: none); then adds those the run records.
+u64 expect_restore(std::vector<u64>& recorded, const fault::FaultPlan& plan,
+                   u64 golden_instret)
+{
+    u64 quiet = ~u64{0};
+    for (const auto& f : plan.faults)
+        quiet = std::min(quiet, f.trigger_instret);
+    u64 restore = 0;
+    for (const u64 c : recorded)
+        if (c < quiet) restore = std::max(restore, c);
+    for (u64 c = kSpacing; c < std::min(quiet, golden_instret); c += kSpacing)
+        if (std::find(recorded.begin(), recorded.end(), c) == recorded.end())
+            recorded.push_back(c);
+    return restore;
+}
+
+void expect_restored(const FaultedRun& run, u64 checkpoint)
+{
+    if (!dispatcher_available()) {
+        EXPECT_EQ(run.dbt.prefix_restores, 0u);
+        return;
+    }
+    EXPECT_EQ(run.dbt.prefix_restores, checkpoint ? 1u : 0u);
+    EXPECT_EQ(run.dbt.restored_instret, checkpoint);
+}
+
+TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
+{
+    for (const char* name : {"crc32", "treeadd"}) {
+        const PrefixWorkload w{name};
+        ASSERT_GT(w.golden.instret, 2 * kSpacing) << name;
+        std::vector<u64> recorded;
+        u64 restores = 0;
+        for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
+            const auto point = static_cast<Probe>(pi);
+            for (const auto mode :
+                 {fault::FaultMode::OneShot, fault::FaultMode::StuckAt}) {
+                for (u64 draw = 0; draw < 2; ++draw) {
+                    hwst::common::Xoshiro256 rng{pi * 16 + draw};
+                    const fault::FaultPlan plan{{fault::FaultPlan::random_spec(
+                        point, w.golden.instret, rng, mode)}};
+                    SCOPED_TRACE(std::string{name} + " " +
+                                 plan.faults[0].describe());
+                    const u64 c =
+                        expect_restore(recorded, plan, w.golden.instret);
+                    const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+                    expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
+                    expect_restored(ff, c);
+                    restores += c != 0;
+                }
+            }
+        }
+        EXPECT_GT(restores, 8u) << name;
+        if (dispatcher_available()) {
+            EXPECT_EQ(w.store().size(), recorded.size()) << name;
+        }
+    }
+}
+
+TEST(PrefixCheckpoint, TriggerBelowTheFirstCheckpointDoesNotRestore)
+{
+    const PrefixWorkload w{"crc32"};
+    const auto late = fault::FaultPlan::single(
+        Probe::LmsmLoad, fault::FaultMode::OneShot, 3 * kSpacing, 0x4);
+    expect_restored(run_prefix(w.cp.program, late, w.cfg), 0);
+    for (const u64 trigger : {u64{1}, kSpacing - 1, kSpacing}) {
+        SCOPED_TRACE(trigger);
+        const auto plan = fault::FaultPlan::single(
+            Probe::LmsmLoad, fault::FaultMode::StuckAt, trigger, 0x4);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+        expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
+        expect_restored(ff, 0);
+    }
+    // One past the checkpoint: it may stand in for instructions 1..kSpacing.
+    const auto plan = fault::FaultPlan::single(
+        Probe::LmsmLoad, fault::FaultMode::StuckAt, kSpacing + 1, 0x4);
+    const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+    expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
+    expect_restored(ff, kSpacing);
+}
+
+TEST(PrefixCheckpoint, ConfigThatDiffersOutsideFuelDoesNotRestore)
+{
+    const PrefixWorkload w{"treeadd"};
+    const auto plan = fault::FaultPlan::single(
+        Probe::KeybufferLookup, fault::FaultMode::OneShot,
+        w.golden.instret - 1000, 0x10);
+    expect_restored(run_prefix(w.cp.program, plan, w.cfg), 0);
+
+    sim::MachineConfig fewer_keys = w.cfg;
+    fewer_keys.keybuffer_entries = 4;
+    sim::MachineConfig bigger_dcache = w.cfg;
+    bigger_dcache.dcache.sets *= 2;
+    for (const auto& cfg : {fewer_keys, bigger_dcache}) {
+        const FaultedRun ff = run_prefix(w.cp.program, plan, cfg);
+        expect_same_faulted(ff, run_interp(w.cp.program, plan, cfg));
+        expect_restored(ff, 0);
+    }
+    // Fuel alone does not split the key.
+    sim::MachineConfig more_fuel = w.cfg;
+    more_fuel.fuel += 12345;
+    const FaultedRun ff = run_prefix(w.cp.program, plan, more_fuel);
+    expect_same_faulted(ff, run_interp(w.cp.program, plan, more_fuel));
+    expect_restored(ff, (plan.faults[0].trigger_instret - 1) / kSpacing *
+                            kSpacing);
+}
+
+TEST(PrefixCheckpoint, TraceHookNeitherRecordsNorRestores)
+{
+    const PrefixWorkload w{"crc32"};
+    const auto plan = fault::FaultPlan::single(
+        Probe::SrfSpatialWrite, fault::FaultMode::OneShot,
+        w.golden.instret - 1000, 0x100);
+    const auto traced = [&] {
+        fault::Injector inj{plan};
+        Machine m{w.cp.program, w.cfg};
+        inj.attach(m);
+        u64 traced_instrs = 0;
+        m.set_trace([&](u64, const Instruction&) { ++traced_instrs; });
+        FaultedRun r = finish_faulted(m.run(), inj, m);
+        EXPECT_EQ(traced_instrs, r.result->instret);
+        return r;
+    };
+    const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+    FaultedRun r = traced();
+    expect_same_faulted(r, ref);
+    expect_restored(r, 0);
+    EXPECT_EQ(w.store().size(), 0u);
+    // With checkpoints in the store, a traced run still starts at 0.
+    expect_restored(run_prefix(w.cp.program, plan, w.cfg), 0);
+    r = traced();
+    expect_same_faulted(r, ref);
+    expect_restored(r, 0);
+}
+
+TEST(PrefixCheckpoint, FuelBelowTheCheckpointIsNotRestored)
+{
+    const PrefixWorkload w{"crc32"};
+    const auto plan = fault::FaultPlan::single(
+        Probe::LmsmStore, fault::FaultMode::StuckAt, w.golden.instret - 10,
+        0x1);
+    expect_restored(run_prefix(w.cp.program, plan, w.cfg), 0);
+    // Fuel at a checkpoint: the run must exhaust there without it.
+    for (const u64 fuel : {2 * kSpacing, 2 * kSpacing + 1}) {
+        SCOPED_TRACE(fuel);
+        sim::MachineConfig cfg = w.cfg;
+        cfg.fuel = fuel;
+        const FaultedRun ff = run_prefix(w.cp.program, plan, cfg);
+        expect_same_faulted(ff, run_interp(w.cp.program, plan, cfg));
+        EXPECT_EQ(ff.result->trap.kind, TrapKind::FuelExhausted);
+        EXPECT_EQ(ff.result->instret, fuel);
+        expect_restored(ff, fuel - 1 - (fuel - 1) % kSpacing);
+    }
+}
+
+TEST(PrefixCheckpoint, CancelAndResumeInsideTheRestoredSegment)
+{
+    const PrefixWorkload w{"crc32"};
+    const u64 trigger = 3 * kSpacing + 5000;
+    const auto plan = fault::FaultPlan::single(
+        Probe::KeybufferLookup, fault::FaultMode::OneShot, trigger, 0x2);
+    const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+    expect_restored(run_prefix(w.cp.program, plan, w.cfg), 0);
+
+    fault::Injector inj{plan};
+    Machine m{w.cp.program, w.cfg};
+    inj.attach(m);
+    // After the restored checkpoint, before the trigger.
+    const auto inside = [&] { return m.instret() > 3 * kSpacing + 1000; };
+    EXPECT_FALSE(m.run_cancellable(inside, 16).has_value());
+    EXPECT_LT(m.instret(), trigger);
+    EXPECT_EQ(inj.fires(), 0u);
+    const FaultedRun resumed = finish_faulted(m.run(), inj, m);
+    expect_same_faulted(resumed, ref);
+    expect_restored(resumed, 3 * kSpacing);
+}
+
+TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
+{
+    const PrefixWorkload w{"treeadd"};
+    const u64 early = kSpacing + 777;
+    const u64 late = 2 * kSpacing + 4321;
+    const fault::FaultPlan plan{{
+        {Probe::LmsmLoad, fault::FaultMode::StuckAt, late, 0x3},
+        {Probe::CompCsrWidths, fault::FaultMode::OneShot, early, 0x40},
+    }};
+    std::vector<u64> recorded;
+    for (int i = 0; i < 2; ++i) {
+        const u64 c = expect_restore(recorded, plan, w.golden.instret);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+        expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
+        expect_restored(ff, c);
+    }
+    EXPECT_EQ(recorded, std::vector<u64>{kSpacing});
+}
+
+TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
+{
+    // Prints every 64th count: about 1,500 values, two thirds of them
+    // before the restored checkpoint.
+    const Built b = build([](Program& p) {
+        p.emit_li(Reg::s0, 0);
+        p.emit_li(Reg::s1, 100'000);
+        p.label("loop");
+        p.emit(itype(Opcode::ADDI, Reg::s0, Reg::s0, 1));
+        p.emit(itype(Opcode::ANDI, Reg::t0, Reg::s0, 63));
+        p.emit_branch(Opcode::BNE, Reg::t0, Reg::zero, "skip");
+        p.emit(itype(Opcode::ADDI, Reg::a0, Reg::s0, 0));
+        p.emit_li(Reg::a7, static_cast<i64>(Sys::PrintI64));
+        p.emit(Instruction{Opcode::ECALL});
+        p.label("skip");
+        p.emit_branch(Opcode::BLT, Reg::s0, Reg::s1, "loop");
+        p.emit_li(Reg::a0, 0);
+    });
+    const sim::MachineConfig cfg{};
+    // LmsmLoad never fires here: the run stays interpreted from the
+    // trigger to the end.
+    const auto plan = fault::FaultPlan::single(
+        Probe::LmsmLoad, fault::FaultMode::OneShot, 2 * kSpacing + 99, 0x1);
+    const FaultedRun ref = run_interp(b.program, plan, cfg);
+    ASSERT_GT(ref.result->instret, 2 * kSpacing);
+    ASSERT_GT(ref.result->output.size(), 1500u);
+    expect_restored(run_prefix(b.program, plan, cfg), 0);
+    const FaultedRun ff = run_prefix(b.program, plan, cfg);
+    expect_same_faulted(ff, ref);
+    expect_restored(ff, 2 * kSpacing);
+}
+
+TEST(PrefixCheckpoint, FourThreadsShareOneProgram)
+{
+    const PrefixWorkload w{"crc32"};
+    // Every trigger lies past the third checkpoint, so each thread's
+    // later runs find the checkpoints its first run recorded.
+    std::vector<fault::FaultPlan> plans;
+    for (unsigned i = 0; i < 12; ++i) {
+        const auto point = static_cast<Probe>(i % sim::kNumProbes);
+        const auto mode = i % 3 == 0 ? fault::FaultMode::StuckAt
+                                     : fault::FaultMode::OneShot;
+        plans.push_back(fault::FaultPlan::single(
+            point, mode, 3 * kSpacing + 1 + 9973 * i, u64{1} << i));
+    }
+    std::vector<FaultedRun> refs;
+    for (const auto& plan : plans) refs.push_back(run_interp(w.cp.program, plan, w.cfg));
+    std::vector<FaultedRun> runs(plans.size());
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < plans.size(); i += 4)
+                runs[i] = run_prefix(w.cp.program, plans[i], w.cfg);
+        });
+    }
+    for (auto& t : threads) t.join();
+    u64 restores = 0;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same_faulted(runs[i], refs[i]);
+        restores += runs[i].dbt.prefix_restores;
+    }
+    if (dispatcher_available()) {
+        EXPECT_GE(restores, 8u); // every thread's second and third runs
+        EXPECT_EQ(w.store().size(), 3u);
+    }
 }
 
 } // namespace

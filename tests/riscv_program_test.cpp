@@ -88,6 +88,24 @@ TEST(Program, EmitAfterFinalizeRejected)
     EXPECT_NO_THROW(p.finalize()); // idempotent
 }
 
+TEST(Program, DataAfterFinalizeRejected)
+{
+    // A finalized Program is what Machines load (and what their shared
+    // golden-prefix checkpoints describe): its data never changes again.
+    Program p;
+    const std::vector<u8> blob{1, 2, 3};
+    p.add_data(blob);
+    p.label("main");
+    p.emit(nop());
+    p.finalize();
+    const std::vector<u8> before(p.data().begin(), p.data().end());
+    EXPECT_THROW(p.add_data(blob), hwst::common::ToolchainError);
+    EXPECT_THROW(p.add_data(blob, 64), hwst::common::ToolchainError);
+    EXPECT_THROW(p.add_bss(64), hwst::common::ToolchainError);
+    EXPECT_THROW(p.add_bss(0, 4096), hwst::common::ToolchainError);
+    EXPECT_EQ(std::vector<u8>(p.data().begin(), p.data().end()), before);
+}
+
 TEST(Program, DataSegmentAlignmentAndContent)
 {
     Program p;
