@@ -284,6 +284,7 @@ int main(int argc, char** argv)
             row["tier"] = std::string{sim::tier_name(cells[idx].tier)};
             exec::json::Value dbt = exec::json::Value::object();
             dbt["blocks"] = cells[idx].dbt.blocks;
+            dbt["translated_ops"] = cells[idx].dbt.translated_ops;
             dbt["block_execs"] = cells[idx].dbt.block_execs;
             dbt["chained"] = cells[idx].dbt.chained;
             dbt["flushes"] = cells[idx].dbt.flushes;

@@ -103,7 +103,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     };
 
     Superblock* sb = nullptr;
-    SbOp* op = nullptr;
+    const SbOp* op = nullptr;
     bool batch_applied = false;
     Trap tr{};
 
@@ -160,8 +160,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         m.instret_ += sb->len;                                            \
         m.cycles_ += sb->static_cycles;                                   \
         m.icache_.count_repeat_hits(sb->repeat_fetches);                  \
-        for (const auto& d_ : sb->mix_delta)                              \
-            m.mix_.*d_.first += d_.second;                                \
+        for (unsigned k_ = 0; k_ < sb->n_mix; ++k_)                       \
+            m.mix_.*sb->mix_delta[k_].first += sb->mix_delta[k_].second;  \
         m.last_load_rd_ = sb->exit_load_rd;                               \
         countdown = countdown > sb->len ? countdown - sb->len : 0;        \
         batch_applied = true;                                             \
@@ -259,10 +259,10 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         if (cond) {                                                       \
             m.cycles_ += taken_pen;                                       \
             m.pc_ = IMM;                                                  \
-            CHAIN(op->edge_taken);                                        \
+            CHAIN(sb->edge_taken);                                        \
         } else {                                                          \
             m.pc_ = op->pc + 4;                                           \
-            CHAIN(op->edge_fall);                                         \
+            CHAIN(sb->edge_fall);                                         \
         }                                                                 \
     } while (0)
 
@@ -316,7 +316,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         enter_block:
             ++st.block_execs;
             batch_applied = false;
-            op = sb->ops.data();
+            op = sb->ops;
             goto*(op->label);
 
         L_Nop:
@@ -780,7 +780,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                 m.srf_.clear(RD_REG);
             }
             m.pc_ = IMM;
-            CHAIN(op->edge_taken);
+            CHAIN(sb->edge_taken);
         L_Jalr:
             PRO();
             APPLY_BATCH();
@@ -793,14 +793,14 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                 }
                 m.pc_ = target;
                 // 2-way inline cache on the dynamic target.
-                int w = op->jalr.lookup(target);
+                int w = sb->jalr.lookup(target);
                 if (w >= 0) {
                     ++st.jalr_hits;
                 } else {
                     ++st.jalr_misses;
-                    w = static_cast<int>(op->jalr.insert(target));
+                    w = static_cast<int>(sb->jalr.insert(target));
                 }
-                CHAIN(op->jalr.way[w]);
+                CHAIN(sb->jalr.way[w]);
             }
         L_InterpOne:
             PRO();
@@ -829,7 +829,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             // retirement of its own — just the batched exit.
             APPLY_BATCH();
             m.pc_ = op->pc;
-            CHAIN(op->edge_fall);
+            CHAIN(sb->edge_fall);
 
         trap_at_op:
             if (!batch_applied) apply_prefix();

@@ -6,6 +6,10 @@
 // timing, SRF state, traps) stays with the dispatcher.
 #include "sim/superblock.hpp"
 
+#include <iterator>
+#include <memory>
+#include <new>
+
 #include "sim/machine.hpp"
 
 namespace hwst::sim {
@@ -183,6 +187,8 @@ constexpr u64 InstrMix::* kMixMembers[] = {
 
 } // namespace
 
+static_assert(std::size(kMixMembers) == kMixBuckets);
+
 Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
                                               u64 pc, DbtStats& st)
 {
@@ -190,9 +196,9 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
     const u32 idx = static_cast<u32>((pc - env.text_base) >> 2);
     if (Superblock* hit = at_[idx]) return hit;
 
-    auto blk = std::make_unique<Superblock>();
-    blk->pc0 = pc;
-    blk->first_uop = idx;
+    Superblock& blk = *new (blocks_.take(1)) Superblock{};
+    blk.first_uop = idx;
+    scratch_.clear();
 
     InstrMix delta{};
     u32 cum = 0;
@@ -203,11 +209,11 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
         const Uop& u = env.uops[i];
         const Instruction& in = u.in;
 
-        SbOp op{};
+        SbOp& op = scratch_.emplace_back();
         op.kind = kind_for(in.op);
         op.pc = env.text_base + u64{i} * 4;
         op.uop_idx = i;
-        op.block_pos = static_cast<u16>(i - idx);
+        op.block_pos = static_cast<u8>(i - idx);
         op.rd = static_cast<u8>(in.rd);
         op.rs1 = static_cast<u8>(in.rs1);
         op.rs2 = static_cast<u8>(in.rs2);
@@ -221,7 +227,7 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
                 ++repeats;
             }
         }
-        op.cum_repeat = static_cast<u16>(repeats);
+        op.cum_repeat = static_cast<u8>(repeats);
         // Load-use hazard: only op 0's producer is outside the block
         // and needs a dynamic check; every later pair is static.
         if (i == idx) {
@@ -283,40 +289,41 @@ Superblock* SuperblockCache::get_or_translate(const TranslateEnv& env,
         if (in.rd == Reg::zero && foldable_when_rd_zero(op.kind))
             op.kind = SbKind::Nop;
 
-        blk->ops.push_back(op);
+        op.label = env.labels[static_cast<unsigned>(op.kind)];
 
         if (is_ender_kind(op.kind)) {
-            blk->len = i - idx + 1;
-            blk->exit_load_rd = Reg::zero; // enders are never loads
+            blk.len = i - idx + 1;
+            blk.exit_load_rd = Reg::zero; // enders are never loads
             break;
         }
         ++i;
         if (i - idx >= kMaxSuperblockLen || i >= env.n_uops) {
-            blk->len = i - idx;
-            blk->exit_load_rd = prev_load_rd;
-            SbOp end{};
+            blk.len = i - idx;
+            blk.exit_load_rd = prev_load_rd;
+            SbOp& end = scratch_.emplace_back();
             end.kind = SbKind::EndFall;
             end.pc = env.text_base + u64{i} * 4;
-            blk->ops.push_back(end);
+            end.label = env.labels[static_cast<unsigned>(SbKind::EndFall)];
             break;
         }
     }
-    blk->static_cycles = cum;
-    blk->repeat_fetches = repeats;
-    blk->chain_len = blk->len;
+    blk.static_cycles = cum;
+    blk.repeat_fetches = repeats;
+    blk.chain_len = blk.len;
 
     for (u64 InstrMix::* member : kMixMembers) {
         if (const u64 count = delta.*member)
-            blk->mix_delta.emplace_back(member, count);
+            blk.mix_delta[blk.n_mix++] = {member, count};
     }
-    for (SbOp& o : blk->ops)
-        o.label = env.labels[static_cast<unsigned>(o.kind)];
+    const u32 n_ops = static_cast<u32>(scratch_.size());
+    SbOp* ops = ops_.take(n_ops);
+    std::uninitialized_copy_n(scratch_.data(), n_ops, ops);
+    blk.ops = ops;
 
-    Superblock* raw = blk.get();
-    at_[idx] = raw;
-    blocks_.push_back(std::move(blk));
+    at_[idx] = &blk;
     ++st.blocks;
-    return raw;
+    st.translated_ops += n_ops;
+    return &blk;
 }
 
 } // namespace hwst::sim

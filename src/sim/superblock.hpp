@@ -17,7 +17,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -84,9 +86,10 @@ inline constexpr u8 kOpSignedLoad = 32; ///< CheckedLoad sign-extends
 
 struct Superblock;
 
-/// 2-way inline cache for indirect-jump (`jalr`) targets: the
-/// dispatcher embeds one per Jalr op, keyed on the dynamic target and
-/// holding the chained successor block (null until translated).
+/// 2-way inline cache for indirect-jump (`jalr`) targets: every
+/// Superblock embeds one, used when its ender is a Jalr, keyed on the
+/// dynamic target and holding the chained successor block (null until
+/// translated).
 /// Replacement is round-robin: with only two ways, LRU and round-robin
 /// differ only when the same way hits twice in a row, where the victim
 /// choice is irrelevant — and round-robin keeps the probe branch-free
@@ -118,32 +121,39 @@ struct JalrCache2 {
 /// label pre-bound so the dispatcher never touches the Instruction
 /// again on the hot path; `uop_idx` keeps the link back for the cold
 /// paths (trap prefix accounting, interp-one, generic HWST ops).
+/// Per-block state (chain edges, the jalr inline cache) lives on the
+/// Superblock: only a block's last op ever uses it.
 struct SbOp {
+    const void* label = nullptr; ///< computed-goto target, pre-bound
+    i64 imm = 0;        ///< immediate / absolute control-transfer target
+    u64 aux = 0;        ///< Const value / link address (pc + 4)
+    u64 pc = 0;
+    u32 uop_idx = 0;    ///< absolute index into Machine::uops_
+    u32 cum_static = 0; ///< static cycles of ops[0..this], inclusive
     SbKind kind{};
     u8 flags = 0;
     u8 rd = 0;
     u8 rs1 = 0;
     u8 rs2 = 0;
-    u8 width = 0;       ///< memory access width (checked ops)
-    u16 block_pos = 0;  ///< index of this op inside its block
-    u16 cum_repeat = 0; ///< repeat-hit fetches in ops[0..this], inclusive
-    u32 uop_idx = 0;    ///< absolute index into Machine::uops_
-    u32 cum_static = 0; ///< static cycles of ops[0..this], inclusive
-    i64 imm = 0;        ///< immediate / absolute control-transfer target
-    u64 aux = 0;        ///< Const value / link address (pc + 4)
-    u64 pc = 0;
-    const void* label = nullptr; ///< computed-goto target, pre-bound
-    // Chain edges, resolved lazily by the dispatcher (null until the
-    // successor is translated; dropped wholesale on flush, so they can
-    // never dangle).
-    Superblock* edge_taken = nullptr;
-    Superblock* edge_fall = nullptr;
-    /// Jalr ops: 2-way inline cache keyed on the dynamic target.
-    JalrCache2 jalr{};
+    u8 width = 0;      ///< memory access width (checked ops)
+    u8 block_pos = 0;  ///< index of this op inside its block
+    u8 cum_repeat = 0; ///< repeat-hit fetches in ops[0..this], inclusive
 };
+// Translation copies every op once and the dispatcher streams them:
+// more than 48 bytes would cost both, so new per-block state belongs
+// on Superblock.
+static_assert(sizeof(SbOp) <= 48, "SbOp grew: move the field to Superblock");
+static_assert(kMaxSuperblockLen < 256, "block_pos/cum_repeat are u8");
 
+/// InstrMix buckets (one per InstrMix counter): the most a block's
+/// batched mix update can touch.
+inline constexpr unsigned kMixBuckets = 12;
+
+/// A translated block. Lives in the SuperblockCache's chunked storage,
+/// so its address is stable until the next flush; `ops` points into the
+/// cache's op arena.
 struct Superblock {
-    u64 pc0 = 0;
+    const SbOp* ops = nullptr; ///< len ops, + EndFall terminator if uncapped
     u32 first_uop = 0;
     u32 len = 0;          ///< real instructions (EndFall excluded)
     /// What chaining into this block adds to instret before comparing
@@ -161,16 +171,26 @@ struct Superblock {
     /// zero (control enders always leave it zero, like step() does for
     /// non-load instructions).
     riscv::Reg exit_load_rd = riscv::Reg::zero;
-    std::vector<SbOp> ops; ///< len ops, + EndFall terminator if uncapped
+    u8 n_mix = 0; ///< used entries of mix_delta
+    // Chain edges of the ender, resolved lazily by the dispatcher (null
+    // until the successor is translated; dropped wholesale on flush, so
+    // they can never dangle).
+    Superblock* edge_taken = nullptr;
+    Superblock* edge_fall = nullptr;
+    /// Jalr ender: 2-way inline cache keyed on the dynamic target.
+    JalrCache2 jalr{};
     /// Batched InstrMix update: (bucket, count) for every bucket this
     /// block touches, applied once per block execution.
-    std::vector<std::pair<u64 InstrMix::*, u64>> mix_delta;
+    std::pair<u64 InstrMix::*, u64> mix_delta[kMixBuckets];
 };
 
 /// Host-side tier counters (perf_mips emits them per row; they are
 /// never part of the simulated envelope).
 struct DbtStats {
     u64 blocks = 0;        ///< superblocks translated (cumulative)
+    /// SbOps those blocks hold, EndFall terminators included
+    /// (cumulative): translation work is blocks x ops per block.
+    u64 translated_ops = 0;
     u64 block_execs = 0;   ///< dispatcher block entries
     u64 chained = 0;       ///< block→block transfers that skipped the dispatcher
     u64 flushes = 0;       ///< block-cache invalidations (map_region)
@@ -210,13 +230,58 @@ struct TranslateEnv {
     const void* const* labels = nullptr;
 };
 
+/// Append-only storage in fixed-size chunks of uninitialized slots, so
+/// a fresh chunk costs one allocation and no writes. Handed-out slots
+/// never move (the dispatcher writes chain edges into a block after it
+/// was handed out); clear() frees every chunk.
+template <class T, u32 kChunk>
+class ChunkArena {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "clear() runs no destructors");
+
+public:
+    /// `n` <= kChunk contiguous uninitialized slots; the caller
+    /// constructs into them. A chunk without room for `n` is left with
+    /// its tail unused.
+    T* take(u32 n)
+    {
+        if (chunks_.empty() || used_ + n > kChunk) {
+            chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunk));
+            used_ = 0;
+        }
+        T* p = reinterpret_cast<T*>(&chunks_.back()[used_]);
+        used_ += n;
+        return p;
+    }
+    void clear()
+    {
+        chunks_.clear();
+        used_ = 0;
+    }
+
+private:
+    struct alignas(T) Slot {
+        std::byte bytes[sizeof(T)];
+    };
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    u32 used_ = 0;
+};
+
 /// Translated-block store: a flat pc-indexed table over the uop range
 /// (lookup is one load, like the uop table itself) plus ownership of
-/// the blocks. Flushes are deferred while the dispatcher is on-stack
-/// (map_region cannot happen mid-dispatch today, but the hook must be
-/// safe whenever it fires).
+/// the blocks and their ops, both in chunked arenas: translating a
+/// block makes no heap allocation of its own. Flushes are deferred
+/// while the dispatcher is on-stack (map_region cannot happen
+/// mid-dispatch today, but the hook must be safe whenever it fires).
 class SuperblockCache {
 public:
+    /// Arena chunk sizes, 48 KiB of ops and about 18 KiB of blocks:
+    /// most short runs fit in one chunk of each.
+    static constexpr u32 kOpsPerChunk = 1024;
+    static constexpr u32 kBlocksPerChunk = 64;
+
+    SuperblockCache() { scratch_.reserve(kMaxSuperblockLen + 1); }
+
     /// Translated block starting at `pc`, translating on first use.
     /// `pc` must already be validated (in text range, 4-aligned).
     Superblock* get_or_translate(const TranslateEnv& env, u64 pc,
@@ -225,6 +290,7 @@ public:
     void flush(DbtStats& st)
     {
         blocks_.clear();
+        ops_.clear();
         std::fill(at_.begin(), at_.end(), nullptr);
         ++st.flushes;
     }
@@ -238,10 +304,10 @@ public:
         return true;
     }
 
-    u64 live_blocks() const { return blocks_.size(); }
-
 private:
-    std::vector<std::unique_ptr<Superblock>> blocks_;
+    ChunkArena<Superblock, kBlocksPerChunk> blocks_;
+    ChunkArena<SbOp, kOpsPerChunk> ops_;
+    std::vector<SbOp> scratch_; ///< the block being translated
     std::vector<Superblock*> at_; ///< indexed by (pc - text_base) >> 2
     bool flush_pending_ = false;
 };

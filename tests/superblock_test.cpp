@@ -5,8 +5,9 @@
 // instret, cycles, traps, output, InstrMix and every cache/unit
 // counter. Fuzzed programs cover ALU/memory/branch/loop shapes; the
 // workload tests cover the HWST metadata ISA, checked accesses and
-// ecalls; dedicated tests pin down tier resolution, block invalidation,
-// chaining, hook-forced fallback, cancellation strides, fuel traps and
+// ecalls; dedicated tests pin down tier resolution, block invalidation
+// and arena overflow, chaining (jalr inline-cache evictions included),
+// hook-forced fallback, cancellation strides, fuel traps and
 // mid-stream CSR reads of the batched counters.
 #include <gtest/gtest.h>
 
@@ -184,6 +185,21 @@ void emit_random_op(Program& p, Xoshiro256& rng)
     p.emit(in);
 }
 
+/// Fold every work register into a0 and exit with the checksum.
+void emit_checksum_exit(Program& p)
+{
+    p.emit_li(Reg::a0, 0);
+    for (const Reg r : {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4,
+                        Reg::t5, Reg::t6, Reg::s2, Reg::s3, Reg::s4,
+                        Reg::a2, Reg::a3, Reg::a4, Reg::a5}) {
+        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, r));
+        p.emit(itype(Opcode::SLLI, Reg::a1, Reg::a0, 1));
+        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, Reg::a1));
+    }
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+}
+
 /// Random program with straight-line stretches, forward branches and
 /// jumps (both edges reachable), a counted loop (hot block chaining)
 /// and memory traffic into the data region. Terminates by construction:
@@ -235,17 +251,7 @@ Program fuzz_program(Xoshiro256& rng)
     p.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
     p.emit_branch(Opcode::BLT, Reg::s6, Reg::s7, "loop");
 
-    // Fold every work register into a0 and exit with the checksum.
-    p.emit_li(Reg::a0, 0);
-    for (const Reg r : {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4,
-                        Reg::t5, Reg::t6, Reg::s2, Reg::s3, Reg::s4,
-                        Reg::a2, Reg::a3, Reg::a4, Reg::a5}) {
-        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, r));
-        p.emit(itype(Opcode::SLLI, Reg::a1, Reg::a0, 1));
-        p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, Reg::a1));
-    }
-    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
-    p.emit(Instruction{Opcode::ECALL});
+    emit_checksum_exit(p);
     p.finalize();
     return p;
 }
@@ -368,6 +374,50 @@ TEST(SuperblockCacheTest, MapRegionFlushesTranslatedBlocks)
     EXPECT_GT(m.dbt_stats().blocks, blocks_before_resume);
 }
 
+TEST(SuperblockCacheTest, ArenaOverflowAndFlushesStayBitIdentical)
+{
+    // A loop whose body alone is more ops than one arena chunk, paused
+    // twice with a map_region (a flush of every block) each time: the
+    // blocks spill into further chunks, are dropped, re-translate, and
+    // the run still matches the interpreter bit for bit.
+    Xoshiro256 rng{0xA4E7A};
+    Program p;
+    p.label("main");
+    p.emit_li(Reg::s5, static_cast<i64>(p.layout().data_base));
+    p.emit_li(Reg::s6, 0);
+    p.emit_li(Reg::s7, 6);
+    p.label("loop");
+    const u64 body = sim::SuperblockCache::kOpsPerChunk * 3 / 2;
+    for (u64 k = 0; k < body; ++k) emit_random_op(p, rng);
+    p.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
+    // The body is beyond a branch's reach: jal closes the loop.
+    p.emit_branch(Opcode::BGE, Reg::s6, Reg::s7, "done");
+    p.emit_jal(Reg::zero, "loop");
+    p.label("done");
+    emit_checksum_exit(p);
+    p.finalize();
+
+    sim::Machine interp{p, with_dbt({}, false)};
+    const sim::RunResult full = interp.run();
+    ASSERT_EQ(full.trap.kind, hwst::hwst::TrapKind::None);
+
+    sim::Machine m{p, with_dbt({}, true)};
+    const u64 stride = body + body / 2;
+    for (const u64 region : {u64{0x6000'0000}, u64{0x6100'0000}}) {
+        const u64 ops_before = m.dbt_stats().translated_ops;
+        EXPECT_FALSE(m.run_cancellable([] { return true; }, stride).has_value());
+        EXPECT_TRUE(m.running());
+        // The paused segment ran the whole body at least once.
+        EXPECT_GT(m.dbt_stats().translated_ops - ops_before,
+                  sim::SuperblockCache::kOpsPerChunk);
+        m.memory().map_region("late", region, 4096);
+    }
+    EXPECT_EQ(m.dbt_stats().flushes, 2u);
+    const auto resumed = m.run_cancellable([] { return false; });
+    ASSERT_TRUE(resumed.has_value());
+    expect_bit_equal(*resumed, full);
+}
+
 // ---- chaining --------------------------------------------------------
 
 TEST(SuperblockChaining, HotLoopEdgesChain)
@@ -393,6 +443,57 @@ TEST(SuperblockChaining, HotLoopEdgesChain)
     // Every loop iteration after the first transfers through a cached
     // chain edge, not the dispatcher's outer loop.
     EXPECT_GT(st.chained, 9000u);
+}
+
+TEST(SuperblockChaining, JalrSiteCyclingTargetsEvictsInlineCache)
+{
+    // One jalr site calls four targets in turn: a 2-way inline cache
+    // misses on every call (under any replacement policy), so its ways
+    // are refilled and re-chained all the time.
+    constexpr i64 kIters = 400;
+    Program p;
+    p.label("main");
+    p.emit_li(Reg::a0, 1);
+    p.emit_li(Reg::s2, 0); // target index, 0..3
+    p.emit_li(Reg::s6, 0);
+    p.emit_li(Reg::s7, kIters);
+    p.label("loop");
+    p.emit_la_text(Reg::t0, "targets");
+    p.emit(itype(Opcode::SLLI, Reg::t1, Reg::s2, 4));
+    p.emit(rtype(Opcode::ADD, Reg::t0, Reg::t0, Reg::t1));
+    p.emit(itype(Opcode::JALR, Reg::ra, Reg::t0, 0));
+    p.emit(itype(Opcode::ADDI, Reg::s2, Reg::s2, 1));
+    p.emit(itype(Opcode::ANDI, Reg::s2, Reg::s2, 3));
+    p.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
+    p.emit_branch(Opcode::BLT, Reg::s6, Reg::s7, "loop");
+    p.emit(itype(Opcode::ANDI, Reg::a0, Reg::a0, 0xFF));
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    // Four targets, 16 bytes apart; each changes a0 its own way.
+    p.label("targets");
+    for (const Instruction& in :
+         {itype(Opcode::ADDI, Reg::a0, Reg::a0, 3),
+          itype(Opcode::XORI, Reg::a0, Reg::a0, 0x5A),
+          itype(Opcode::SLLI, Reg::a0, Reg::a0, 1),
+          rtype(Opcode::MUL, Reg::a0, Reg::a0, Reg::s6)}) {
+        p.emit(in);
+        p.emit_ret();
+        p.emit(Instruction{Opcode::FENCE}); // padding, never runs
+        p.emit(Instruction{Opcode::FENCE});
+    }
+    p.finalize();
+
+    sim::Machine dbt{p, with_dbt({}, true)};
+    const sim::RunResult a = dbt.run();
+    sim::Machine interp{p, with_dbt({}, false)};
+    const sim::RunResult b = interp.run();
+
+    ASSERT_EQ(a.trap.kind, hwst::hwst::TrapKind::None);
+    expect_bit_equal(a, b);
+    const auto& st = dbt.dbt_stats();
+    EXPECT_GE(st.jalr_misses, static_cast<u64>(kIters));
+    // The four returns each go back to one site and hit after warm-up.
+    EXPECT_GT(st.jalr_hits, 0u);
 }
 
 // ---- hook-forced interpreter fallback --------------------------------
