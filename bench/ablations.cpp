@@ -17,11 +17,11 @@
 #include "compiler/codegen.hpp"
 #include "compiler/driver.hpp"
 #include "compiler/emitters.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/shutdown.hpp"
 #include "exec/simrun.hpp"
-#include "serve/cache.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hwst;
@@ -372,7 +372,7 @@ int main(int argc, char** argv)
             "ablations", grid,
             exec::grid_fingerprint(std::string{"ablations smoke="} +
                                    (grid.smoke ? "1" : "0")));
-        serve::attach_cache(*campaign, grid);
+        exec::attach_cache(*campaign, grid);
     } catch (const std::exception& e) {
         std::cerr << "ablations: " << e.what() << '\n';
         return 2;

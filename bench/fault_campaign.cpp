@@ -17,11 +17,11 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/report.hpp"
 #include "exec/shutdown.hpp"
 #include "fault/campaign.hpp"
-#include "serve/cache.hpp"
 
 using namespace hwst;
 using fault::CampaignConfig;
@@ -123,7 +123,7 @@ int main(int argc, char** argv)
         // Cache binding for the classified faulted runs (--cache /
         // HWST_CACHE); cells are keyed by the campaign fingerprint, so
         // a config change can never serve a stale record.
-        const std::unique_ptr<exec::CellStore> cache = serve::open_cache(
+        const std::unique_ptr<exec::CampaignCache> cache = exec::open_cache(
             grid, "fault_campaign", fault::campaign_fingerprint(cfg));
         cfg.cache = cache.get();
         const exec::Stopwatch stopwatch;

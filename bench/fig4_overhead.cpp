@@ -11,10 +11,10 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/simrun.hpp"
-#include "serve/cache.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hwst;
@@ -58,7 +58,7 @@ int main(int argc, char** argv)
     std::optional<exec::Campaign> campaign;
     try {
         campaign.emplace("fig4", grid, exec::grid_fingerprint(jobs));
-        serve::attach_cache(*campaign, grid);
+        exec::attach_cache(*campaign, grid);
     } catch (const std::exception& e) {
         std::cerr << "fig4_overhead: " << e.what() << '\n';
         return 2;

@@ -16,10 +16,10 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/simrun.hpp"
-#include "serve/cache.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hwst;
@@ -62,7 +62,7 @@ int main(int argc, char** argv)
     std::optional<exec::Campaign> campaign;
     try {
         campaign.emplace("fig5", grid, exec::grid_fingerprint(jobs));
-        serve::attach_cache(*campaign, grid);
+        exec::attach_cache(*campaign, grid);
     } catch (const std::exception& e) {
         std::cerr << "fig5_speedup: " << e.what() << '\n';
         return 2;

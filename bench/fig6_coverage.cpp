@@ -14,10 +14,10 @@
 #include <optional>
 
 #include "common/table.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "juliet/runner.hpp"
-#include "serve/cache.hpp"
 
 using namespace hwst;
 using compiler::Scheme;
@@ -131,7 +131,7 @@ int main(int argc, char** argv)
     std::optional<exec::Campaign> campaign;
     try {
         campaign.emplace("fig6", grid, exec::grid_fingerprint(grid_desc));
-        serve::attach_cache(*campaign, grid);
+        exec::attach_cache(*campaign, grid);
     } catch (const std::exception& e) {
         std::cerr << "fig6_coverage: " << e.what() << '\n';
         return 2;

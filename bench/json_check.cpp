@@ -22,7 +22,7 @@
 // divergence sentinel so the two comparators cannot drift apart.
 //
 // `json_check --cache DIR [GIT_REV]` audits a content-addressed result
-// cache (docs/serving.md): counts cells/bytes/dangling temps, validates
+// cache (docs/cache.md): counts cells/bytes/dangling temps, validates
 // every cell (parse, version, address re-hash, record round trip), and
 // with GIT_REV flags cells another build published. Invalid or stale
 // cells exit 1.
@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "exec/cache.hpp"
 #include "exec/journal.hpp"
 #include "exec/report.hpp"
-#include "serve/cache.hpp"
 
 using namespace hwst;
 
@@ -204,8 +204,8 @@ int main(int argc, char** argv)
             return 2;
         }
         try {
-            const serve::CacheAudit audit =
-                serve::audit_cache(argv[2], argc == 4 ? argv[3] : "");
+            const exec::CacheAudit audit =
+                exec::audit_cache(argv[2], argc == 4 ? argv[3] : "");
             for (const auto& p : audit.problems)
                 std::cerr << "  " << p << '\n';
             std::cout << argv[2] << ": " << audit.cells << " cells, "

@@ -13,21 +13,9 @@
 //   hwst_run --juliet CWE122:40 --scheme hwst128_tchk
 //   hwst_run --workload crc32 --scheme hwst128_tchk --emit-hex out.hex
 //   hwst_run --workload crc32 --listing
-//
-// Client modes (docs/serving.md) run the same grid on a campaign server
-// instead of in-process; the envelope stays bit-identical modulo
-// host-side fields:
-//   hwst_run --submit --workload crc32,treeadd --scheme none,hwst128_tchk
-//            --socket /tmp/hwst.sock --json run.json
-//   hwst_run --submit ... --detach        (print the id, don't wait)
-//   hwst_run --poll c1 --socket /tmp/hwst.sock
-//   hwst_run --wait c1 --socket /tmp/hwst.sock --json run.json
-//   hwst_run --submit ... --expect-cached 90   (exit 3 under 90% hits)
-//   hwst_run --fuzz-wire 64 --socket ...  (protocol fuzz; exit 0 when
-//                                          the server survives it)
-// Client modes ride serve::ResilientClient: connect/IO deadlines,
-// reconnect with backoff + jitter, `overloaded` backpressure honored,
-// and idempotent resubmission after a lost submit reply.
+//   hwst_run --workload milc,lbm --scheme sbcets,hwst128_tchk
+//            --cache DIR --expect-cached 100  (exit 3 when fewer cells
+//                                              were cache-served)
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -38,13 +26,12 @@
 
 #include "common/table.hpp"
 #include "compiler/driver.hpp"
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
+#include "exec/simrun.hpp"
 #include "juliet/cases.hpp"
 #include "riscv/image.hpp"
-#include "serve/cache.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hwst;
@@ -63,15 +50,7 @@ struct Options {
     std::string emit_image;
     bool listing = false;
     bool list = false;
-    // Client modes (docs/serving.md).
-    std::string socket;        ///< --socket (or HWST_SERVE_SOCKET)
-    bool submit = false;       ///< run the grid on a campaign server
-    bool detach = false;       ///< --submit only: print the id, exit
-    std::string poll_id;       ///< --poll ID: one progress snapshot
-    std::string wait_id;       ///< --wait ID: stream until finished
     double expect_cached = -1; ///< --expect-cached PCT (exit 3 below it)
-    unsigned attempts = 8;     ///< --attempts: reconnect budget
-    unsigned fuzz_wire = 0;    ///< --fuzz-wire N: protocol fuzz frames
     exec::GridOptions grid;
 };
 
@@ -145,19 +124,8 @@ Options parse(int argc, char** argv)
         else if (a == "--emit-image") o.emit_image = need("--emit-image");
         else if (a == "--listing") o.listing = true;
         else if (a == "--list") o.list = true;
-        else if (a == "--socket") o.socket = need("--socket");
-        else if (a == "--submit") o.submit = true;
-        else if (a == "--detach") o.detach = true;
-        else if (a == "--poll") o.poll_id = need("--poll");
-        else if (a == "--wait") o.wait_id = need("--wait");
         else if (a == "--expect-cached")
             o.expect_cached = std::stod(need("--expect-cached"));
-        else if (a == "--attempts")
-            o.attempts =
-                static_cast<unsigned>(std::stoul(need("--attempts")));
-        else if (a == "--fuzz-wire")
-            o.fuzz_wire =
-                static_cast<unsigned>(std::stoul(need("--fuzz-wire")));
         else
             throw common::ToolchainError{"unknown flag: " + a +
                                          "\nshared grid flags:\n" +
@@ -229,28 +197,27 @@ int run_single(const Options& o, const mir::Module& module, Scheme scheme)
     return r.ok() ? 0 : 2;
 }
 
-/// The serve::GridSpec this command line names. One vocabulary builds
-/// the jobs, keys and fingerprint for both the in-process grid and a
-/// --submit'ted one, so the two can never drift (docs/serving.md).
-serve::GridSpec grid_spec(const Options& o)
+/// The exec::GridSpec this command line names.
+exec::GridSpec grid_spec(const Options& o)
 {
-    serve::GridSpec spec;
-    spec.workloads = o.workloads;
-    for (const Scheme s : o.schemes)
-        spec.schemes.emplace_back(compiler::scheme_name(s));
-    spec.keybuffer = o.keybuffer_set ? o.keybuffer : 0;
-    spec.dcache_kib = o.dcache_kib;
-    return spec;
+    return exec::GridSpec{
+        .workloads = o.workloads,
+        .schemes = o.schemes,
+        .keybuffer = o.keybuffer_set ? o.keybuffer : 0,
+        .dcache_kib = o.dcache_kib,
+    };
 }
 
-/// The shared grid epilogue: print the summary table, write the
-/// envelope via the campaign, fold the exit-code policy. `payload` may
-/// arrive pre-seeded with client-mode extras (host-side fields only).
-int finish_grid(const Options& o, const exec::Campaign& campaign,
-                const std::vector<exec::Job>& jobs,
-                const std::vector<exec::JobOutcome>& outcomes,
-                exec::json::Value payload = exec::json::Value::object())
+/// The workload × scheme grid: one summary row per cell, fanned out over
+/// the engine. Used whenever a comma list (or --json) asks for it.
+int run_grid(const Options& o)
 {
+    const exec::GridSpec spec = grid_spec(o);
+    const std::vector<exec::Job> jobs = spec.jobs();
+    exec::Campaign campaign{"hwst_run", o.grid, spec.fingerprint()};
+    exec::attach_cache(campaign, o.grid);
+    const auto outcomes = campaign.run(jobs);
+
     common::TextTable table{{"workload", "scheme", "status", "result",
                              "exit", "instret", "cycles", "CPI"}};
     exec::json::Value rows = exec::json::Value::array();
@@ -288,293 +255,32 @@ int finish_grid(const Options& o, const exec::Campaign& campaign,
     }
     table.print(std::cout);
 
+    exec::json::Value payload = exec::json::Value::object();
     payload["rows"] = rows;
     // Failed/skipped jobs drive the shared exit-code policy; a cell
     // that ran but trapped keeps the classic exit 2 (gated by
     // --keep-going like every other failure).
     const int rc = campaign.finish(std::move(payload), jobs, outcomes);
     if (rc != 0) return rc;
-    return all_ok || o.grid.keep_going ? 0 : 2;
-}
-
-/// The workload × scheme grid: one summary row per cell, fanned out over
-/// the engine. Used whenever a comma list (or --json) asks for it.
-int run_grid(const Options& o)
-{
-    const serve::GridSpec spec = grid_spec(o);
-    const std::vector<exec::Job> jobs = spec.jobs();
-    exec::Campaign campaign{"hwst_run", o.grid, spec.fingerprint()};
-    serve::attach_cache(campaign, o.grid);
-    const auto outcomes = campaign.run(jobs);
-    return finish_grid(o, campaign, jobs, outcomes);
-}
-
-// ---- client modes (docs/serving.md) ----------------------------------
-
-std::string socket_or_throw(const std::string& flag)
-{
-    const std::string s = serve::resolve_socket(flag);
-    if (s.empty())
-        throw common::ToolchainError{
-            "client mode needs --socket PATH (or HWST_SERVE_SOCKET)"};
-    return s;
-}
-
-serve::ClientOptions client_options(const Options& o)
-{
-    serve::ClientOptions copts;
-    copts.socket_path = socket_or_throw(o.socket);
-    copts.max_attempts = std::max(1u, o.attempts);
-    return copts;
-}
-
-/// The stderr progress echo every streaming client mode shares.
-void echo_progress(const std::string& id, const exec::json::Value& ev)
-{
-    std::cerr << '[' << id << "] " << ev.at("finished").as_int() << '/'
-              << ev.at("submitted").as_int() << " finished ("
-              << ev.at("running").as_int() << " running, "
-              << ev.at("cached").as_int() << " cached, "
-              << ev.at("quarantined").as_int() << " quarantined)\n";
-}
-
-/// Rebuild the outcome vector from a finished event's grid-ordered
-/// journal-format records — index-aligned and key-checked against our
-/// own jobs, so the resulting report is the one an in-process run
-/// would print.
-std::vector<exec::JobOutcome> outcomes_from_finished(
-    const exec::json::Value& finished, const std::vector<exec::Job>& jobs)
-{
-    const auto& records = finished.at("records").items();
-    if (records.size() != jobs.size())
-        throw common::ToolchainError{
-            "server returned " + std::to_string(records.size()) +
-            " records for " + std::to_string(jobs.size()) + " cells"};
-    std::vector<exec::JobOutcome> outcomes;
-    outcomes.reserve(jobs.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        auto [key, outcome] = exec::outcome_from_record(records[i]);
-        if (key != jobs[i].key)
-            throw common::ToolchainError{"record " + std::to_string(i) +
-                                         " names key '" + key +
-                                         "', expected '" + jobs[i].key +
-                                         "'"};
-        outcomes.push_back(std::move(outcome));
-    }
-    return outcomes;
-}
-
-/// The shared tail of --submit and --wait: rebuild outcomes, report,
-/// write the envelope, fold exit policies.
-int finish_from_event(const Options& o, const exec::Campaign& campaign,
-                      const std::vector<exec::Job>& jobs,
-                      const exec::json::Value& finished)
-{
-    const auto outcomes = outcomes_from_finished(finished, jobs);
-    const auto cached = finished.at("cached").as_int();
-    const double pct =
-        jobs.empty() ? 100.0
-                     : 100.0 * static_cast<double>(cached) /
+    if (!all_ok && !o.grid.keep_going) return 2;
+    if (o.expect_cached >= 0) {
+        // Counts the cells the engine actually served from the cache,
+        // so a warm run that silently recomputes fails instead of
+        // passing an envelope comparison vacuously.
+        const auto cached = std::count_if(
+            outcomes.begin(), outcomes.end(),
+            [](const exec::JobOutcome& out) { return out.from_cache; });
+        const double pct = 100.0 * static_cast<double>(cached) /
                            static_cast<double>(jobs.size());
-    std::cerr << finished.at("id").as_string() << ": " << cached << '/'
-              << jobs.size() << " cells cache-served ("
-              << common::fmt(pct, 1) << "%)\n";
-
-    exec::json::Value payload = exec::json::Value::object();
-    // Host-side delivery provenance, stripped by --equiv: cache hits,
-    // and whether the campaign crossed a server restart.
-    payload["cached"] = cached;
-    if (const auto* rec = finished.find("recovered");
-        rec && rec->as_bool())
-        payload["recovered"] = true;
-    const int rc =
-        finish_grid(o, campaign, jobs, outcomes, std::move(payload));
-    if (rc != 0) return rc;
-    if (o.expect_cached >= 0 && pct + 1e-9 < o.expect_cached) {
-        std::cerr << "hwst_run: expected >= " << o.expect_cached
-                  << "% cache-served cells, got " << common::fmt(pct, 1)
-                  << "%\n";
-        return 3;
-    }
-    return 0;
-}
-
-/// --submit: run the grid on a campaign server and rebuild the exact
-/// in-process report from the grid-ordered records it returns. The
-/// resilient client reconnects across server restarts; if the server
-/// lost its state entirely (restart without --recover), the campaign
-/// is resubmitted once.
-int client_submit(const Options& o)
-{
-    const serve::GridSpec spec = grid_spec(o);
-    const std::vector<exec::Job> jobs = spec.jobs();
-
-    // The client-side campaign opens no journal and runs no engine —
-    // durability lives on the server (its state directory and cache).
-    // It provides the wall clock, the envelope writer and the exit
-    // policy, so a submitted grid writes the same BENCH_hwst_run.json
-    // a local run would.
-    exec::GridOptions copts = o.grid;
-    copts.journal = false;
-    copts.resume = false;
-    const exec::Campaign campaign{"hwst_run", copts, spec.fingerprint()};
-
-    serve::ResilientClient client{client_options(o)};
-    const auto submit_once = [&] {
-        const exec::json::Value reply = client.submit(spec.to_json());
-        if (reply.at("grid_hash").as_string() !=
-            exec::hash_hex(campaign.fingerprint()))
-            throw common::ToolchainError{
-                "server computed a different grid_hash (version skew?)"};
-        const std::string id = reply.at("id").as_string();
-        if (const auto* d = reply.find("deduped"); d && d->as_bool())
-            std::cerr << "submit deduplicated onto live campaign " << id
-                      << '\n';
-        else
-            std::cerr << "submitted " << id << ": " << jobs.size()
-                      << " cells\n";
-        return id;
-    };
-
-    std::string id = submit_once();
-    if (o.detach) {
-        // Scripted mode: the caller re-attaches later with --wait ID —
-        // across a server crash and --recover if need be.
-        std::cout << id << '\n';
-        return 0;
-    }
-
-    exec::json::Value finished;
-    try {
-        finished = client.wait(
-            id, [&](const exec::json::Value& ev) { echo_progress(id, ev); });
-    } catch (const serve::UnknownCampaign&) {
-        // The server restarted without its state. The submit is
-        // idempotent: run it again and wait out the fresh campaign.
-        std::cerr << "server lost campaign " << id << "; resubmitting\n";
-        id = submit_once();
-        finished = client.wait(
-            id, [&](const exec::json::Value& ev) { echo_progress(id, ev); });
-    }
-    return finish_from_event(o, campaign, jobs, finished);
-}
-
-/// --poll ID: one progress snapshot. Exit 0 when done, 10 while the
-/// campaign is still running (pollable from shell loops).
-int client_poll(const Options& o)
-{
-    serve::ResilientClient client{client_options(o)};
-    exec::json::Value req = exec::json::Value::object();
-    req["op"] = "poll";
-    req["id"] = o.poll_id;
-    const exec::json::Value r = client.rpc(req);
-    std::cout << r.at("id").as_string() << ": "
-              << r.at("state").as_string() << ", "
-              << r.at("finished").as_int() << '/'
-              << r.at("submitted").as_int() << " finished, "
-              << r.at("cached").as_int() << " cached, "
-              << r.at("failed").as_int() << " failed, "
-              << r.at("quarantined").as_int() << " quarantined"
-              << (r.at("drained").as_bool() ? " (drained)" : "") << '\n';
-    return r.at("state").as_string() == "done" ? 0 : 10;
-}
-
-/// --wait ID: stream progress until the campaign finishes, then print
-/// the full report. The finished event carries the grid spec, so a
-/// bare --wait (e.g. re-attaching after a server restart, or after
-/// --submit --detach) rebuilds jobs, verifies the grid_hash, and
-/// writes the same envelope a local run would — the seam chaos-smoke's
-/// kill/recover/equiv check closes.
-int client_wait(const Options& o)
-{
-    serve::ResilientClient client{client_options(o)};
-    const exec::json::Value finished = client.wait(
-        o.wait_id,
-        [&](const exec::json::Value& ev) { echo_progress(o.wait_id, ev); });
-
-    const auto* grid = finished.find("grid");
-    if (!grid) {
-        // A server that doesn't echo the spec: report what we can.
-        std::cout << finished.at("summary").dump(2) << '\n';
-        std::vector<exec::JobOutcome> outcomes;
-        for (const auto& rec : finished.at("records").items())
-            outcomes.push_back(exec::outcome_from_record(rec).second);
-        return exec::grid_exit_code(outcomes, o.grid.keep_going);
-    }
-
-    const serve::GridSpec spec = serve::GridSpec::from_json(*grid);
-    const std::vector<exec::Job> jobs = spec.jobs();
-    exec::GridOptions copts = o.grid;
-    copts.journal = false;
-    copts.resume = false;
-    const exec::Campaign campaign{"hwst_run", copts, spec.fingerprint()};
-    if (finished.at("grid_hash").as_string() !=
-        exec::hash_hex(campaign.fingerprint()))
-        throw common::ToolchainError{
-            "server's grid_hash does not match its grid spec (version "
-            "skew?)"};
-    return finish_from_event(o, campaign, jobs, finished);
-}
-
-/// --fuzz-wire N: throw N deterministic malformed frames at the server
-/// — binary garbage, torn JSON, an over-long line, wrong-typed ops —
-/// then prove it still answers a clean ping. Exit 0 when it survives.
-int client_fuzz(const Options& o)
-{
-    const std::string socket = socket_or_throw(o.socket);
-    common::u64 state = 0x243f6a8885a308d3ull; // deterministic stream
-    const auto next = [&state] {
-        common::u64 z = (state += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    };
-    for (unsigned i = 0; i < o.fuzz_wire; ++i) {
-        const int fd = serve::connect_unix(socket, 2000);
-        if (fd < 0)
-            throw common::ToolchainError{"fuzz: cannot connect to " +
-                                         socket};
-        std::string frame;
-        switch (i % 5) {
-        case 0: { // binary garbage, newline-terminated
-            const std::size_t len = 1 + next() % 512;
-            for (std::size_t b = 0; b < len; ++b) {
-                char c = static_cast<char>(next() & 0xff);
-                if (c == '\n') c = ' ';
-                frame.push_back(c);
-            }
-            frame.push_back('\n');
-            break;
+        std::cerr << cached << '/' << jobs.size()
+                  << " cells cache-served (" << common::fmt(pct, 1)
+                  << "%)\n";
+        if (pct + 1e-9 < o.expect_cached) {
+            std::cerr << "hwst_run: expected >= " << o.expect_cached
+                      << "% cache-served cells\n";
+            return 3;
         }
-        case 1: // torn frame: a JSON prefix, connection dropped mid-line
-            frame = R"({"op":"submit","grid":{"bench":"hw)";
-            break;
-        case 2: // over-long line: must trip the frame cap, not the heap
-            frame.assign(4096 + next() % 4096, 'x');
-            frame.push_back('\n');
-            break;
-        case 3: // structurally valid, semantically wrong
-            frame = R"({"op":12345})"
-                    "\n"
-                    R"({"op":"submit"})"
-                    "\n"
-                    R"([1,2,3])"
-                    "\n";
-            break;
-        default: // unknown op + trailing garbage on one connection
-            frame = R"({"op":"self-destruct"})"
-                    "\n\x00\x01\x02\xff\n";
-            break;
-        }
-        serve::send_raw(fd, frame);
-        serve::close_fd(fd);
     }
-    // The proof: a fresh, well-formed session still gets served.
-    serve::Client client{socket, 2000, 5000};
-    exec::json::Value ping = exec::json::Value::object();
-    ping["op"] = "ping";
-    client.rpc(ping);
-    std::cout << "fuzz: server survived " << o.fuzz_wire << " frames\n";
     return 0;
 }
 
@@ -584,19 +290,6 @@ int main(int argc, char** argv)
 {
     try {
         const Options o = parse(argc, argv);
-
-        if (o.fuzz_wire) return client_fuzz(o);
-        if (!o.poll_id.empty()) return client_poll(o);
-        if (!o.wait_id.empty()) return client_wait(o);
-        if (o.submit) {
-            if (!o.juliet.empty())
-                throw common::ToolchainError{
-                    "--submit grids are workload × scheme; --juliet runs "
-                    "locally"};
-            if (o.workloads.empty())
-                throw common::ToolchainError{"--submit needs --workload"};
-            return client_submit(o);
-        }
 
         if (o.list || (o.workloads.empty() && o.juliet.empty())) {
             std::cout << "workloads:\n";
@@ -619,9 +312,10 @@ int main(int argc, char** argv)
             return run_single(o, module, o.schemes.front());
         }
         // A single cell without --json keeps the classic detailed
-        // report; a comma list or --json switches to the engine grid.
+        // report; a comma list, --json or --expect-cached switches to
+        // the engine grid.
         if (o.workloads.size() == 1 && o.schemes.size() == 1 &&
-            !o.grid.json) {
+            !o.grid.json && o.expect_cached < 0) {
             const mir::Module module =
                 workloads::workload(o.workloads.front()).build();
             return run_single(o, module, o.schemes.front());

@@ -1,12 +1,15 @@
-#include "serve/cache.hpp"
+#include "exec/cache.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "exec/envelope.hpp"
 #include "exec/journal.hpp"
@@ -17,39 +20,37 @@
 #define HWST_CACHE_POSIX 1
 #endif
 
-namespace hwst::serve {
+namespace hwst::exec {
 
 namespace fs = std::filesystem;
 
 u64 CellKey::address() const
 {
-    return exec::derive_seed(exec::fnv1a(bench), exec::fnv1a(grid_hash),
-                             exec::fnv1a(key), seed,
-                             exec::fnv1a(git_rev));
+    return derive_seed(fnv1a(bench), fnv1a(grid_hash), fnv1a(key), seed,
+                       fnv1a(git_rev));
 }
 
 namespace {
 
 /// The cell document published for one outcome.
-exec::json::Value cell_to_json(const CellKey& key,
-                               const exec::JobOutcome& outcome)
+json::Value cell_to_json(const CellKey& key, const JobOutcome& outcome)
 {
-    exec::json::Value v = exec::json::Value::object();
+    json::Value v = json::Value::object();
     v["cache_version"] = kCacheVersion;
     v["bench"] = key.bench;
     v["grid_hash"] = key.grid_hash;
     v["key"] = key.key;
     v["seed"] = key.seed;
     v["git_rev"] = key.git_rev;
-    v["record"] = exec::outcome_to_record(key.key, outcome);
+    v["record"] = outcome_to_record(key.key, outcome);
     return v;
 }
 
 /// Validate a parsed cell against the key that addressed it and decode
 /// the record. Returns nullopt (a miss) on any mismatch — an address
 /// collision, another build's cell, a future format.
-std::optional<exec::JobOutcome> cell_from_json(const exec::json::Value& v,
-                                               const CellKey& key)
+std::optional<JobOutcome> cell_from_json(const json::Value& v,
+                                         const CellKey& key)
 {
     if (v.at("cache_version").as_int() != kCacheVersion)
         return std::nullopt;
@@ -59,8 +60,8 @@ std::optional<exec::JobOutcome> cell_from_json(const exec::json::Value& v,
         static_cast<u64>(v.at("seed").as_int()) != key.seed ||
         v.at("git_rev").as_string() != key.git_rev)
         return std::nullopt;
-    auto [rec_key, outcome] = exec::outcome_from_record(v.at("record"));
-    if (rec_key != key.key || outcome.status != exec::JobStatus::Ok)
+    auto [rec_key, outcome] = outcome_from_record(v.at("record"));
+    if (rec_key != key.key || outcome.status != JobStatus::Ok)
         return std::nullopt;
     return outcome;
 }
@@ -71,8 +72,6 @@ u64 file_size_or_zero(const fs::path& p)
     const auto n = fs::file_size(p, ec);
     return ec ? 0 : static_cast<u64>(n);
 }
-
-} // namespace
 
 // Write `text` to `path` and flush it to disk before returning, so the
 // rename that follows publishes a complete file even across a crash.
@@ -101,6 +100,8 @@ bool write_file_synced(const std::string& path, const std::string& text)
 #endif
 }
 
+} // namespace
+
 ResultCache::ResultCache(CacheOptions opts) : opts_{std::move(opts)}
 {
     std::error_code ec;
@@ -118,11 +119,11 @@ std::string ResultCache::cell_path(u64 address) const
 {
     // hash_hex gives "0x%016x"; the file name drops the prefix.
     return (fs::path{opts_.root} / "cells" /
-            (exec::hash_hex(address).substr(2) + ".json"))
+            (hash_hex(address).substr(2) + ".json"))
         .string();
 }
 
-std::optional<exec::JobOutcome> ResultCache::load(const CellKey& key)
+std::optional<JobOutcome> ResultCache::load(const CellKey& key)
 {
     const fs::path path = cell_path(key.address());
     std::ifstream in{path, std::ios::binary};
@@ -132,9 +133,9 @@ std::optional<exec::JobOutcome> ResultCache::load(const CellKey& key)
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::optional<exec::JobOutcome> outcome;
+    std::optional<JobOutcome> outcome;
     try {
-        outcome = cell_from_json(exec::json::Value::parse(buf.str()), key);
+        outcome = cell_from_json(json::Value::parse(buf.str()), key);
     } catch (const std::exception&) {
         outcome = std::nullopt; // torn or foreign cell: a miss
     }
@@ -149,16 +150,16 @@ std::optional<exec::JobOutcome> ResultCache::load(const CellKey& key)
     return outcome;
 }
 
-void ResultCache::store(const CellKey& key, const exec::JobOutcome& outcome)
+void ResultCache::store(const CellKey& key, const JobOutcome& outcome)
 {
-    if (outcome.status != exec::JobStatus::Ok) return;
+    if (outcome.status != JobStatus::Ok) return;
     const std::string text = cell_to_json(key, outcome).dump(2) + "\n";
     const u64 address = key.address();
     fs::path temp;
     {
         const std::lock_guard lock{mutex_};
         temp = fs::path{opts_.root} / "tmp" /
-               (exec::hash_hex(address).substr(2) + "." +
+               (hash_hex(address).substr(2) + "." +
                 std::to_string(
 #ifdef HWST_CACHE_POSIX
                     static_cast<long>(::getpid())
@@ -229,22 +230,9 @@ void ResultCache::evict_over_budget()
     approx_bytes_ = total;
 }
 
-std::size_t ResultCache::sweep_dangling_temps()
+json::Value ResultCache::stats_json() const
 {
-    const std::lock_guard lock{mutex_};
-    std::size_t swept = 0;
-    std::error_code ec;
-    for (const auto& e :
-         fs::directory_iterator{fs::path{opts_.root} / "tmp", ec}) {
-        std::error_code rec;
-        if (fs::remove(e.path(), rec)) ++swept;
-    }
-    return swept;
-}
-
-exec::json::Value ResultCache::stats_json() const
-{
-    exec::json::Value v = exec::json::Value::object();
+    json::Value v = json::Value::object();
     v["root"] = opts_.root;
     v["hits"] = hits();
     v["misses"] = misses();
@@ -257,11 +245,11 @@ CampaignCache::CampaignCache(std::shared_ptr<ResultCache> cache,
                              std::string bench, u64 fingerprint)
     : cache_{std::move(cache)},
       bench_{std::move(bench)},
-      grid_hash_{exec::hash_hex(fingerprint)}
+      grid_hash_{hash_hex(fingerprint)}
 {
 }
 
-CellKey CampaignCache::key_for(const exec::Job& job) const
+CellKey CampaignCache::key_for(const Job& job) const
 {
     return CellKey{
         .bench = bench_,
@@ -272,25 +260,24 @@ CellKey CampaignCache::key_for(const exec::Job& job) const
     };
 }
 
-std::optional<exec::JobOutcome> CampaignCache::load(const exec::Job& job)
+std::optional<JobOutcome> CampaignCache::load(const Job& job)
 {
     return cache_->load(key_for(job));
 }
 
-void CampaignCache::store(const exec::Job& job,
-                          const exec::JobOutcome& outcome)
+void CampaignCache::store(const Job& job, const JobOutcome& outcome)
 {
     cache_->store(key_for(job), outcome);
 }
 
-exec::json::Value CampaignCache::stats_json() const
+json::Value CampaignCache::stats_json() const
 {
     return cache_->stats_json();
 }
 
-std::unique_ptr<exec::CellStore> open_cache(const exec::GridOptions& grid,
-                                            const std::string& bench,
-                                            u64 fingerprint)
+std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
+                                          const std::string& bench,
+                                          u64 fingerprint)
 {
     std::string root = grid.cache_dir;
     if (root.empty()) {
@@ -299,19 +286,27 @@ std::unique_ptr<exec::CellStore> open_cache(const exec::GridOptions& grid,
     if (root.empty()) return nullptr;
     u64 max_bytes = grid.cache_mb << 20;
     if (max_bytes == 0) {
-        if (const char* env = std::getenv("HWST_CACHE_MB"))
-            max_bytes = std::strtoull(env, nullptr, 10) << 20;
+        if (const char* env = std::getenv("HWST_CACHE_MB")) {
+            if (const auto mb = parse_cache_mb(env))
+                max_bytes = *mb << 20;
+            else
+                common::warn_once(
+                    "HWST_CACHE_MB",
+                    std::string{"[env] HWST_CACHE_MB='"} + env +
+                        "' is not a whole number of MiB below 2^44; "
+                        "ignoring\n");
+        }
     }
     auto cache = std::make_shared<ResultCache>(CacheOptions{
         .root = std::move(root),
         .max_bytes = max_bytes,
-        .git_rev = exec::build_git_rev(),
+        .git_rev = build_git_rev(),
     });
     return std::make_unique<CampaignCache>(std::move(cache), bench,
                                            fingerprint);
 }
 
-void attach_cache(exec::Campaign& campaign, const exec::GridOptions& grid)
+void attach_cache(Campaign& campaign, const GridOptions& grid)
 {
     campaign.attach_cache(
         open_cache(grid, campaign.bench(), campaign.fingerprint()));
@@ -336,7 +331,7 @@ CacheAudit audit_cache(const std::string& root,
             std::ifstream in{e.path(), std::ios::binary};
             std::ostringstream buf;
             buf << in.rdbuf();
-            const auto v = exec::json::Value::parse(buf.str());
+            const auto v = json::Value::parse(buf.str());
             if (v.at("cache_version").as_int() != kCacheVersion)
                 throw common::ToolchainError{
                     "cache_version " +
@@ -350,13 +345,12 @@ CacheAudit audit_cache(const std::string& root,
             };
             // The address fields must re-hash to the file's own name:
             // a renamed or hand-edited cell is invalid, not just stale.
-            if (exec::hash_hex(key.address()).substr(2) + ".json" != name)
+            if (hash_hex(key.address()).substr(2) + ".json" != name)
                 throw common::ToolchainError{"address mismatch"};
-            auto [rec_key, outcome] =
-                exec::outcome_from_record(v.at("record"));
+            auto [rec_key, outcome] = outcome_from_record(v.at("record"));
             if (rec_key != key.key)
                 throw common::ToolchainError{"record key mismatch"};
-            if (outcome.status != exec::JobStatus::Ok)
+            if (outcome.status != JobStatus::Ok)
                 throw common::ToolchainError{"non-ok cached outcome"};
             if (!expect_rev.empty() && key.git_rev != expect_rev) {
                 ++audit.stale;
@@ -373,4 +367,4 @@ CacheAudit audit_cache(const std::string& root,
     return audit;
 }
 
-} // namespace hwst::serve
+} // namespace hwst::exec

@@ -1,4 +1,4 @@
-// Content-addressed result cache (docs/serving.md): finished Ok cells
+// Content-addressed result cache (docs/cache.md): finished Ok cells
 // from any campaign, keyed by everything that determines the simulated
 // numbers — (bench, grid_hash, job key, seed, git_rev) — and stored as
 // journal-format records, one JSON file per cell. A warm cache serves a
@@ -13,11 +13,12 @@
 //
 // Publishing is atomic: a cell is written to tmp/ and rename(2)d into
 // cells/, so concurrent publishers — worker threads, several campaign
-// processes, the server — can never tear a record; the last writer of
+// processes on one root — can never tear a record; the last writer of
 // one address wins with a bit-identical cell. Eviction is LRU by mtime
 // under a byte budget; a hit refreshes its cell's mtime.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -28,14 +29,10 @@
 #include "exec/engine.hpp"
 
 namespace hwst::exec {
+
 class Campaign;
-}
 
-namespace hwst::serve {
-
-using common::u64;
-
-/// Cell record format revision (bumped with exec::kJournalVersion
+/// Cell record format revision (bumped with kJournalVersion
 /// semantics: readers reject other versions as a miss).
 inline constexpr int kCacheVersion = 1;
 
@@ -61,8 +58,7 @@ struct CellKey {
 };
 
 /// The shared on-disk store. Thread-safe; one instance may be shared by
-/// many campaigns at once (the server binds every submitted campaign to
-/// one root via CampaignCache).
+/// many campaigns at once, each bound to it through a CampaignCache.
 class ResultCache {
 public:
     /// Creates root/cells and root/tmp; throws common::ToolchainError
@@ -74,21 +70,15 @@ public:
     /// The published outcome for `key`, or nullopt. A hit refreshes the
     /// cell's mtime (LRU) and revalidates the stored key fields — an
     /// address collision or git_rev mismatch reads as a miss.
-    std::optional<exec::JobOutcome> load(const CellKey& key);
+    std::optional<JobOutcome> load(const CellKey& key);
 
     /// Publish one finished Ok outcome (write-temp + rename). Failures
     /// degrade to a warning on stderr — the campaign keeps running.
-    void store(const CellKey& key, const exec::JobOutcome& outcome);
+    void store(const CellKey& key, const JobOutcome& outcome);
 
     /// Evict least-recently-used cells until the store fits max_bytes.
     /// Called by store(); exposed for tests.
     void evict_over_budget();
-
-    /// Remove leftover tmp/ files (the artifact of a publisher SIGKILLed
-    /// between write and rename). Safe against live publishers only when
-    /// no store() is concurrently in flight — the server calls it once
-    /// during --recover, before any worker starts. Returns the count.
-    std::size_t sweep_dangling_temps();
 
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -100,7 +90,7 @@ public:
 
     /// {"root","hits","misses","stores","evictions"} — the host-side
     /// payload behind every envelope's stripped "cache" field.
-    exec::json::Value stats_json() const;
+    json::Value stats_json() const;
 
 private:
     std::string cell_path(u64 address) const;
@@ -116,23 +106,28 @@ private:
 };
 
 /// One campaign's binding onto a shared ResultCache: fixes the
-/// (bench, grid_hash, git_rev) half of every CellKey so the exec engine
-/// — which knows only Jobs — can hit the store through the CellStore
-/// interface.
-class CampaignCache final : public exec::CellStore {
+/// (bench, grid_hash, git_rev) half of every CellKey so the engine —
+/// which knows only Jobs — can hit the store. The engine treats it like
+/// a cross-campaign journal (EngineOptions::cache). Thread-safe: workers
+/// call load/store concurrently.
+class CampaignCache {
 public:
     CampaignCache(std::shared_ptr<ResultCache> cache, std::string bench,
                   u64 fingerprint);
 
-    std::optional<exec::JobOutcome> load(const exec::Job& job) override;
-    void store(const exec::Job& job,
-               const exec::JobOutcome& outcome) override;
-    exec::json::Value stats_json() const override;
-
-    ResultCache& cache() { return *cache_; }
+    /// A finished outcome for this job, or nullopt on a miss. The
+    /// returned outcome is always JobStatus::Ok (failures are verdicts
+    /// of a particular host run and are never cached).
+    std::optional<JobOutcome> load(const Job& job);
+    /// Publish a completed Ok outcome (atomic: concurrent publishers
+    /// of the same cell never tear a record).
+    void store(const Job& job, const JobOutcome& outcome);
+    /// Hit/miss/eviction counters for the envelope's host-side `cache`
+    /// payload (stripped by json_check --equiv).
+    json::Value stats_json() const;
 
 private:
-    CellKey key_for(const exec::Job& job) const;
+    CellKey key_for(const Job& job) const;
 
     std::shared_ptr<ResultCache> cache_;
     std::string bench_;
@@ -142,19 +137,15 @@ private:
 /// The one-liner harnesses use: build the campaign's cache binding from
 /// --cache/--cache-mb (or the HWST_CACHE / HWST_CACHE_MB environment,
 /// so presets can opt whole runs in), or nullptr when no cache was
-/// requested. The binding stamps exec::build_git_rev() into every cell.
-std::unique_ptr<exec::CellStore> open_cache(const exec::GridOptions& grid,
-                                            const std::string& bench,
-                                            u64 fingerprint);
+/// requested. An HWST_CACHE_MB that parse_cache_mb rejects is ignored
+/// with a one-time warning. The binding stamps build_git_rev() into
+/// every cell.
+std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
+                                          const std::string& bench,
+                                          u64 fingerprint);
 
 /// attach_cache(open_cache(...)) for the Campaign scaffold.
-void attach_cache(exec::Campaign& campaign, const exec::GridOptions& grid);
-
-/// Write `text` to `path` and fsync before returning — the building
-/// block of every atomic publish in the serving tier (cache cells, the
-/// server's campaign state files): write a temp sibling with this, then
-/// rename(2) over the final name.
-bool write_file_synced(const std::string& path, const std::string& text);
+void attach_cache(Campaign& campaign, const GridOptions& grid);
 
 // ---- auditing (json_check --cache) -----------------------------------
 
@@ -176,4 +167,4 @@ struct CacheAudit {
 CacheAudit audit_cache(const std::string& root,
                        const std::string& expect_rev = {});
 
-} // namespace hwst::serve
+} // namespace hwst::exec

@@ -6,7 +6,9 @@
 // drift apart.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "exec/engine.hpp"
@@ -48,6 +50,23 @@ struct GridOptions {
         };
     }
 };
+
+/// Parse a --cache-mb / HWST_CACHE_MB value: decimal digits only, small
+/// enough that the MiB -> byte shift (<< 20) cannot overflow. Returns
+/// nullopt for anything else — "", "abc", "12abc", "-1", 2^44.
+inline std::optional<u64> parse_cache_mb(std::string_view s)
+{
+    constexpr u64 kMaxMb = ~u64{0} >> 20;
+    if (s.empty()) return std::nullopt;
+    u64 mb = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9') return std::nullopt;
+        const auto digit = static_cast<u64>(c - '0');
+        if (mb > (kMaxMb - digit) / 10) return std::nullopt;
+        mb = mb * 10 + digit;
+    }
+    return mb;
+}
 
 /// Try to consume argv[i] (and possibly argv[i+1]) as one of the shared
 /// grid flags. Returns true and advances `i` past the flag when it
@@ -136,7 +155,13 @@ inline bool parse_grid_flag(GridOptions& o, int argc, char** argv, int& i)
         return true;
     }
     if (a == "--cache-mb") {
-        o.cache_mb = std::stoull(need("--cache-mb"));
+        const std::string v = need("--cache-mb");
+        const auto mb = parse_cache_mb(v);
+        if (!mb)
+            throw common::ToolchainError{
+                "--cache-mb needs a whole number of MiB below 2^44, got '" +
+                v + "'"};
+        o.cache_mb = *mb;
         return true;
     }
     if (a == "--sentinel") {

@@ -7,6 +7,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "exec/cache.hpp"
 #include "exec/journal.hpp"
 #include "exec/process.hpp"
 #include "exec/supervisor.hpp"
@@ -24,6 +25,10 @@ unsigned resolve_jobs(unsigned requested)
     return hw ? hw : 1;
 }
 
+namespace {
+
+/// EngineOptions with the environment folded in (HWST_ISOLATE /
+/// HWST_SENTINEL) and isolation support validated.
 EngineOptions resolve_engine_options(const EngineOptions& requested)
 {
     // HWST_ISOLATE / HWST_SENTINEL opt whole presets into isolation
@@ -40,8 +45,6 @@ EngineOptions resolve_engine_options(const EngineOptions& requested)
             "host"};
     return opts;
 }
-
-namespace {
 
 bool stop_requested(const EngineOptions& opts)
 {
@@ -91,8 +94,10 @@ void backoff_wait(unsigned attempt, const EngineOptions& opts)
     }
 }
 
-} // namespace
-
+/// The per-job pipeline Engine::run schedules on its pool: the attempt
+/// loop with retries/backoff, process isolation, the DBT sentinel, the
+/// shutdown-skip rule, then the journal append and cache publish.
+/// Replay from the journal/cache is the caller's prepass.
 JobOutcome run_one_job(const Job& job, const EngineOptions& opts)
 {
     JobOutcome out;
@@ -126,6 +131,8 @@ JobOutcome run_one_job(const Job& job, const EngineOptions& opts)
         opts.cache->store(job, out);
     return out;
 }
+
+} // namespace
 
 std::vector<JobOutcome> Engine::run(std::span<const Job> jobs) const
 {

@@ -24,31 +24,8 @@
 
 namespace hwst::exec {
 
+class CampaignCache;
 class Journal;
-
-/// Interface of the content-addressed result cache (implemented by
-/// serve::ResultCache, docs/serving.md). The engine treats it like a
-/// cross-campaign journal: `load` may serve a finished Ok outcome for a
-/// job before it ever reaches the pool, `store` publishes a freshly run
-/// Ok outcome so later campaigns (or a warm campaign server) are served
-/// instead of recomputed. Implementations must be thread-safe — workers
-/// call both concurrently. Keeping the interface in exec and the
-/// implementation in serve keeps the layering acyclic: exec knows only
-/// the shape of a cell store, never its on-disk format.
-class CellStore {
-public:
-    virtual ~CellStore() = default;
-    /// A finished outcome for this job, or nullopt on a miss. The
-    /// returned outcome is always JobStatus::Ok (failures are verdicts
-    /// of a particular host run and are never cached).
-    virtual std::optional<JobOutcome> load(const Job& job) = 0;
-    /// Publish a completed Ok outcome (atomic: concurrent publishers
-    /// of the same cell must never tear a record).
-    virtual void store(const Job& job, const JobOutcome& outcome) = 0;
-    /// Hit/miss/eviction counters for the envelope's host-side
-    /// `cache` payload (stripped by json_check --equiv).
-    virtual json::Value stats_json() const = 0;
-};
 
 struct EngineOptions {
     /// Worker threads. 0 = HWST_JOBS env var if set, else
@@ -71,13 +48,13 @@ struct EngineOptions {
     /// in it are replayed instead of run, and every finished job is
     /// appended + fsync'd. Not owned.
     Journal* journal = nullptr;
-    /// Optional content-addressed result cache (--cache / HWST_CACHE):
-    /// jobs with a non-empty `key` are looked up before running —
-    /// journal replay wins over a cache hit, a cache hit wins over a
-    /// recompute — and freshly run Ok outcomes are published back.
-    /// Cached and recomputed envelopes are bit-identical modulo
-    /// host-side fields (docs/serving.md). Not owned.
-    CellStore* cache = nullptr;
+    /// Optional content-addressed result cache (--cache / HWST_CACHE,
+    /// exec/cache.hpp): jobs with a non-empty `key` are looked up
+    /// before running — journal replay wins over a cache hit, a cache
+    /// hit wins over a recompute — and freshly run Ok outcomes are
+    /// published back. Cached and recomputed envelopes are
+    /// bit-identical modulo host-side fields (docs/cache.md). Not owned.
+    CampaignCache* cache = nullptr;
     /// Optional extra stop flag merged with the process-wide shutdown
     /// flag (tests cancel mid-grid in-process through this).
     const std::atomic<bool>* stop = nullptr;
@@ -111,22 +88,6 @@ inline constexpr unsigned kDefaultSentinelRate = 4;
 /// Resolve an EngineOptions::jobs request against HWST_JOBS and
 /// hardware_concurrency (never returns 0).
 unsigned resolve_jobs(unsigned requested);
-
-/// EngineOptions with the environment folded in (HWST_ISOLATE /
-/// HWST_SENTINEL) and isolation support validated. Engine::run applies
-/// this itself; the campaign server resolves once at startup and hands
-/// the result to run_one_job per cell.
-EngineOptions resolve_engine_options(const EngineOptions& requested);
-
-/// The per-job pipeline Engine::run schedules on its pool: the attempt
-/// loop with retries/backoff, process isolation, the DBT sentinel, the
-/// shutdown-skip rule, then the journal append and cache publish.
-/// `opts` must already be resolved (resolve_engine_options). Does NOT
-/// consult the journal/cache for replay — callers prepass those (the
-/// engine's replay loop, the server's submission-time cache sweep).
-/// The campaign server schedules exactly this pipeline from its own
-/// queue, so server-side and engine-side cells can never drift apart.
-JobOutcome run_one_job(const Job& job, const EngineOptions& opts);
 
 /// JSON round trip for Engine::map's typed per-job payloads, so
 /// map-based harnesses (fig6 coverage chunks, fault records) can use

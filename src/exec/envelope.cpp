@@ -23,7 +23,7 @@ Campaign::Campaign(std::string bench, const GridOptions& grid,
     journal_ = open_journal(grid_, bench_, fingerprint_);
 }
 
-void Campaign::attach_cache(std::unique_ptr<CellStore> cache)
+void Campaign::attach_cache(std::unique_ptr<CampaignCache> cache)
 {
     cache_ = std::move(cache);
 }
@@ -41,7 +41,7 @@ std::string Campaign::write(const json::Value& payload) const
     json::Value body = payload;
     // Cache hit/miss counters are a fact about this host run, so they
     // ride in a host-side field json_check --equiv strips: warm and
-    // cold envelopes stay bit-identical (docs/serving.md).
+    // cold envelopes stay bit-identical (docs/cache.md).
     if (cache_) body["cache"] = cache_->stats_json();
     const std::string path = write_bench_json(
         bench_, resolve_jobs(grid_.jobs), wall_ms(), body, grid_.json_path);

@@ -1,16 +1,15 @@
 // Campaign: the shared harness scaffold every BENCH envelope writer
-// (fig4/fig5/fig6/ablations/fault_campaign, hwst_run's grid mode, the
-// campaign server) used to open-code — signal handlers, the checkpoint
-// journal, the optional content-addressed result cache, the wall clock,
-// the engine, and the envelope write + exit-code policy. Factoring it
-// here means a new harness cannot forget a durability feature and the
-// five existing ones cannot drift apart (docs/execution.md,
-// docs/serving.md).
+// (fig4/fig5/fig6/ablations/fault_campaign, hwst_run's grid mode) used
+// to open-code — signal handlers, the checkpoint journal, the optional
+// content-addressed result cache, the wall clock, the engine, and the
+// envelope write + exit-code policy. Factoring it here means a new
+// harness cannot forget a durability feature and the existing ones
+// cannot drift apart (docs/execution.md, docs/cache.md).
 //
 // Canonical shape:
 //
 //   exec::Campaign campaign{"fig5", grid, exec::grid_fingerprint(jobs)};
-//   serve::attach_cache(campaign, grid);
+//   exec::attach_cache(campaign, grid);
 //   const auto outcomes = campaign.run(jobs);
 //   ... fold outcomes into payload ...
 //   return campaign.finish(payload, jobs, outcomes, bad_result);
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/engine.hpp"
 #include "exec/journal.hpp"
@@ -46,12 +46,11 @@ public:
     const GridOptions& grid() const { return grid_; }
     u64 fingerprint() const { return fingerprint_; }
     Journal* journal() const { return journal_.get(); }
-    CellStore* cache() const { return cache_.get(); }
 
-    /// Attach the owned content-addressed cell store (normally
-    /// serve::open_cache's return value; nullptr — no --cache — is a
-    /// no-op). Call before run()/map().
-    void attach_cache(std::unique_ptr<CellStore> cache);
+    /// Attach the owned result-cache binding (normally open_cache's
+    /// return value; nullptr — no --cache — is a no-op). Call before
+    /// run()/map().
+    void attach_cache(std::unique_ptr<CampaignCache> cache);
 
     /// grid.engine() with the journal and cache wired in.
     EngineOptions engine_options() const;
@@ -95,7 +94,7 @@ private:
     GridOptions grid_;
     u64 fingerprint_ = 0;
     std::unique_ptr<Journal> journal_;
-    std::unique_ptr<CellStore> cache_;
+    std::unique_ptr<CampaignCache> cache_;
     Stopwatch stopwatch_;
 };
 

@@ -88,11 +88,11 @@ bool is_host_field(std::string_view key)
     // compare equal once stripped (a tier may change host speed, never
     // simulated numbers); dbt_enabled/jit are no longer emitted but stay
     // stripped so envelopes written before the JIT tier was retired
-    // still compare. cache/cached: result-cache hit statistics — a
-    // warm campaign must compare equal to a cold one (docs/serving.md).
-    // recovered/deduped: serving-layer delivery provenance — a campaign
-    // resumed across a server crash (or answered by a deduplicated
-    // submit) must compare equal to an uninterrupted one.
+    // still compare. cache: result-cache hit statistics — a warm
+    // campaign must compare equal to a cold one (docs/cache.md).
+    // cached/recovered/deduped were the retired campaign server's
+    // delivery provenance; like dbt_enabled/jit they stay stripped so
+    // envelopes written before its removal still compare.
     return key == "wall_ms" || key == "run_ms" || key == "mips" ||
            key == "geo_mean_mips" || key == "git_rev" || key == "jobs" ||
            key == "tier" || key == "dbt" || key == "dbt_enabled" ||

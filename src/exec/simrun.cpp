@@ -1,5 +1,9 @@
 #include "exec/simrun.hpp"
 
+#include "common/error.hpp"
+#include "exec/journal.hpp"
+#include "workloads/workload.hpp"
+
 namespace hwst::exec {
 
 sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token)
@@ -43,6 +47,44 @@ Job make_sim_job(std::string name, std::string workload,
         return run_program(cp.program, cp.machine_config, ctx.token);
     };
     return job;
+}
+
+std::string GridSpec::config_desc() const
+{
+    // Empty when no tweak is set, so an untweaked grid keeps the same
+    // fingerprint as the plain grid_fingerprint(jobs) call sites.
+    std::string d;
+    if (keybuffer) d += " keybuffer=" + std::to_string(keybuffer);
+    if (dcache_kib) d += " dcache_kib=" + std::to_string(dcache_kib);
+    return d.empty() ? std::string{} : "tweaks:" + d;
+}
+
+std::vector<Job> GridSpec::jobs() const
+{
+    if (workloads.empty() || schemes.empty())
+        throw common::ToolchainError{
+            "grid needs at least one workload and one scheme"};
+    const unsigned kb = keybuffer;
+    const unsigned dk = dcache_kib;
+    const auto tweak = [kb, dk](sim::MachineConfig& cfg) {
+        if (kb) cfg.keybuffer_entries = kb;
+        if (dk) cfg.dcache.sets = dk * 1024 / 64 / 4;
+    };
+    std::vector<Job> out;
+    out.reserve(workloads.size() * schemes.size());
+    for (const auto& name : workloads) {
+        const auto& w = workloads::workload(name); // validates the name
+        for (const compiler::Scheme scheme : schemes)
+            out.push_back(make_sim_job(
+                name + "/" + std::string{compiler::scheme_name(scheme)},
+                name, scheme, w.build, tweak));
+    }
+    return out;
+}
+
+u64 GridSpec::fingerprint() const
+{
+    return grid_fingerprint(jobs(), 0, config_desc());
 }
 
 } // namespace hwst::exec

@@ -8,6 +8,9 @@
 // an uncancelled run.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "compiler/driver.hpp"
 #include "exec/job.hpp"
 
@@ -36,5 +39,28 @@ Job make_sim_job(std::string name, std::string workload,
                  std::function<mir::Module()> build,
                  std::function<void(sim::MachineConfig&)> tweak = {},
                  u64 seed = 0);
+
+/// The workload x scheme grid hwst_run runs: one sim job per (workload,
+/// scheme) plus two machine-config tweaks. One definition builds the
+/// jobs, their journal keys ("workload/scheme") and the grid
+/// fingerprint, so journals and cache cells written by earlier runs of
+/// the same grid keep replaying and hitting.
+struct GridSpec {
+    std::vector<std::string> workloads;
+    std::vector<compiler::Scheme> schemes;
+    unsigned keybuffer = 0;  ///< keybuffer_entries tweak (0 = default)
+    unsigned dcache_kib = 0; ///< d-cache capacity tweak (0 = default)
+
+    /// The grid-level knobs the job coordinates don't name, folded into
+    /// grid_fingerprint's config_desc ("" when no tweak is set).
+    std::string config_desc() const;
+
+    /// One sim job per (workload, scheme), in enumeration order.
+    /// Throws common::ToolchainError on an unknown workload or an empty
+    /// grid.
+    std::vector<Job> jobs() const;
+
+    u64 fingerprint() const;
+};
 
 } // namespace hwst::exec

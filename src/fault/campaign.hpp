@@ -64,9 +64,9 @@ struct CampaignConfig {
     /// implies isolate).
     unsigned sentinel = 0;
     /// Optional content-addressed result cache binding (--cache,
-    /// docs/serving.md): classified faulted runs are served from and
+    /// docs/cache.md): classified faulted runs are served from and
     /// published to it like any other campaign cell. Not owned.
-    exec::CellStore* cache = nullptr;
+    exec::CampaignCache* cache = nullptr;
 };
 
 /// The campaign's grid fingerprint: everything that shapes the run grid
