@@ -11,6 +11,7 @@
 #include "riscv/encoding.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/dispatch.hpp"
+#include "sim/ops.hpp"
 #include "sim/period.hpp"
 #include "sim/syscalls.hpp"
 
@@ -28,10 +29,6 @@ using riscv::Opcode;
 
 namespace {
 
-using common::i32;
-
-u64 sext32(u64 v) { return static_cast<u64>(static_cast<i64>(static_cast<i32>(v))); }
-
 constexpr bool reads_rs1(Format f)
 {
     switch (f) {
@@ -46,43 +43,6 @@ constexpr bool reads_rs1(Format f)
 constexpr bool reads_rs2(Format f)
 {
     return f == Format::R || f == Format::S || f == Format::B;
-}
-
-/// InstrMix counter for `op` — the predecoded form of the old
-/// per-step classify() switch (same mapping, applied once per static
-/// instruction at construction instead of once per retired one).
-u64 sim::InstrMix::* mix_bucket(Opcode op)
-{
-    using Mix = sim::InstrMix;
-    switch (op) {
-    case Opcode::CLB: case Opcode::CLH: case Opcode::CLW: case Opcode::CLD:
-    case Opcode::CLBU: case Opcode::CLHU: case Opcode::CLWU:
-        return &Mix::checked_loads;
-    case Opcode::CSB: case Opcode::CSH: case Opcode::CSW: case Opcode::CSD:
-        return &Mix::checked_stores;
-    case Opcode::SBDL: case Opcode::SBDU: case Opcode::LBDLS:
-    case Opcode::LBDUS: case Opcode::LBAS: case Opcode::LBND:
-    case Opcode::LKEY: case Opcode::LLOC:
-        return &Mix::meta_moves;
-    case Opcode::BNDRS: case Opcode::BNDRT:
-        return &Mix::binds;
-    case Opcode::TCHK:
-        return &Mix::tchk;
-    case Opcode::JAL: case Opcode::JALR:
-        return &Mix::jumps;
-    case Opcode::ECALL:
-        return &Mix::ecalls;
-    default:
-        break;
-    }
-    if (riscv::is_load(op)) return &Mix::loads;
-    if (riscv::is_store(op)) return &Mix::stores;
-    if (riscv::is_branch(op)) return &Mix::branches;
-    if (op == Opcode::KBFLUSH || op == Opcode::SRFMV ||
-        op == Opcode::SRFCLR || op == Opcode::FENCE ||
-        op == Opcode::EBREAK)
-        return &Mix::other;
-    return &Mix::alu;
 }
 
 } // namespace
@@ -101,11 +61,15 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
     // loop (docs/performance.md).
     text_base_ = lay.text_base;
     code_bytes_ = program.code().size() * 4;
+    lock_base_ = lay.lock_base;
+    lock_bytes_ = lay.lock_entries * 8;
     uops_.reserve(program.code().size());
     for (const riscv::Instruction& in : program.code()) {
         const Format fmt = riscv::op_format(in.op);
+        const OpTraits& t = op_traits(in.op);
         uops_.push_back(Uop{in, fmt, reads_rs1(fmt), reads_rs2(fmt),
-                            riscv::is_load(in.op), mix_bucket(in.op)});
+                            riscv::is_load(in.op),
+                            fu_cycles(t.fu, cfg_.timing), t.bucket});
     }
 
     // Process address-space map.
@@ -181,42 +145,12 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
     });
 }
 
-unsigned Machine::dcache_extra(u64 addr)
-{
-    return dcache_.access(addr) - cfg_.dcache.hit_cycles;
-}
-
-u64 Machine::mem_load(u64 addr, unsigned width, bool sign_extend)
-{
-    cycles_ += dcache_extra(addr);
-    u64 value = mem_.load(addr, width, sign_extend);
-    // Fill data is the one datapath HWST metadata does not cover (the
-    // paper leaves data integrity to ECC); expose it as its own probe.
-    if (probe_hook_ && dcache_.last_access_missed())
-        value = probe_hook_(Probe::DcacheFillData, instret_, value);
-    return value;
-}
-
-void Machine::mem_store(u64 addr, unsigned width, u64 value)
-{
-    cycles_ += dcache_extra(addr);
-    // Keybuffer coherence: a key *erasure* (store of 0 into the lock
-    // region — what frees do) clears the keybuffer (paper §3.5).
-    // Non-zero writes mint fresh keys, which cannot be cached yet.
-    const auto& lay = program_.layout();
-    if (value == 0 && addr >= lay.lock_base &&
-        addr < lay.lock_base + lay.lock_entries * 8) {
-        keybuffer_.flush();
-    }
-    mem_.store(addr, width, value);
-}
-
-Machine::ActiveCompression Machine::active_compression()
+const Machine::ActiveCompression& Machine::active_compression()
 {
     // Memoized against the CSR file's version counter: the decode +
     // validate work only reruns after a CSR write. A probe hook
     // bypasses the memo entirely — it must observe (and may perturb)
-    // every single invocation.
+    // every single invocation, so its result is never reused.
     if (!probe_hook_ && comp_version_ == csrs_.version()) return comp_memo_;
     const u64 bitw = probe(Probe::CompCsrWidths,
                            csrs_.read(hwst::kCsrBitw).value_or(0));
@@ -229,38 +163,9 @@ Machine::ActiveCompression Machine::active_compression()
     } catch (const common::ConfigError&) {
         valid = false;
     }
-    if (!probe_hook_) {
-        comp_memo_ = ActiveCompression{cfg, valid};
-        comp_version_ = csrs_.version();
-    }
-    return ActiveCompression{cfg, valid};
-}
-
-std::optional<Trap> Machine::spatial_check(Reg ptr_reg, u64 addr,
-                                           unsigned width)
-{
-    if (!csrs_.spatial_enabled()) return std::nullopt;
-    const auto& entry = srf_.entry(ptr_reg);
-    // No (or cleared) spatial metadata: the access is unchecked, exactly
-    // like SoftBound pointers whose provenance the analysis lost.
-    if (!entry.valid_lo || entry.value.lo == 0) return std::nullopt;
-    const ActiveCompression ac = active_compression();
-    if (!ac.valid) {
-        csrs_.record_violation(static_cast<u64>(TrapKind::IllegalInstruction),
-                               hwst::kCsrBitw);
-        return Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw, pc_};
-    }
-    if (metadata::is_saturated_spatial(entry.value.lo, ac.cfg)) {
-        scu_.note_saturated();
-        csrs_.record_violation(static_cast<u64>(TrapKind::SpatialViolation),
-                               addr);
-        return Trap{TrapKind::SpatialViolation, addr, pc_};
-    }
-    u64 base = 0, bound = 0;
-    metadata::decompress_spatial(entry.value.lo, ac.cfg, base, bound);
-    if (scu_.check(addr, width, base, bound).pass) return std::nullopt;
-    csrs_.record_violation(static_cast<u64>(TrapKind::SpatialViolation), addr);
-    return Trap{TrapKind::SpatialViolation, addr, pc_};
+    comp_memo_ = ActiveCompression{cfg, valid};
+    comp_version_ = probe_hook_ ? ~u64{0} : csrs_.version();
+    return comp_memo_;
 }
 
 Trap Machine::retire_one()
@@ -281,7 +186,7 @@ Trap Machine::retire_one()
 
     if (trace_) trace_(pc_, in);
     ++instret_;
-    ++cycles_;
+    cycles_ += 1 + uop.fu_cycles; // issue + the op's functional unit
     if (cfg_.icache_enabled)
         cycles_ += icache_.access(pc_) - cfg_.icache.hit_cycles;
     ++(mix_.*uop.bucket);
@@ -309,7 +214,6 @@ Trap Machine::retire_one()
         return trap;
     }
     if (uop.is_load) last_load_rd_ = in.rd;
-    srf_effects(in, uop.fmt);
     pc_ = next_pc;
     return Trap{};
 }
@@ -319,192 +223,48 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
     const u64 rs1 = reg(in.rs1);
     const u64 rs2 = reg(in.rs2);
     const u64 imm = static_cast<u64>(in.imm);
-    const auto& t = cfg_.timing;
 
     switch (in.op) {
-    // ---- RV64I arithmetic ------------------------------------------
-    case Opcode::LUI: set_reg(in.rd, imm); break;
-    case Opcode::AUIPC: set_reg(in.rd, pc_ + imm); break;
-    case Opcode::ADDI: set_reg(in.rd, rs1 + imm); break;
-    case Opcode::SLTI:
-        set_reg(in.rd, static_cast<i64>(rs1) < in.imm ? 1 : 0);
+#define HWST_EXEC_ALU(name, kind, fu, srf, expr)                          \
+    case Opcode::name:                                                    \
+        write_rd<SrfRule::srf, false>(in.rd, in.rs1, in.rs2,              \
+                                      ops::name(rs1, rs2, imm));          \
         break;
-    case Opcode::SLTIU: set_reg(in.rd, rs1 < imm ? 1 : 0); break;
-    case Opcode::XORI: set_reg(in.rd, rs1 ^ imm); break;
-    case Opcode::ORI: set_reg(in.rd, rs1 | imm); break;
-    case Opcode::ANDI: set_reg(in.rd, rs1 & imm); break;
-    case Opcode::SLLI: set_reg(in.rd, rs1 << (imm & 63)); break;
-    case Opcode::SRLI: set_reg(in.rd, rs1 >> (imm & 63)); break;
-    case Opcode::SRAI:
-        set_reg(in.rd, static_cast<u64>(static_cast<i64>(rs1) >> (imm & 63)));
+        HWST_ALU_OPS(HWST_EXEC_ALU)
+#undef HWST_EXEC_ALU
+#define HWST_EXEC_CONST(name, expr)                                       \
+    case Opcode::name:                                                    \
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2,            \
+                                        ops::name(imm, pc_));             \
         break;
-    case Opcode::ADD: set_reg(in.rd, rs1 + rs2); break;
-    case Opcode::SUB: set_reg(in.rd, rs1 - rs2); break;
-    case Opcode::SLL: set_reg(in.rd, rs1 << (rs2 & 63)); break;
-    case Opcode::SLT:
-        set_reg(in.rd,
-                static_cast<i64>(rs1) < static_cast<i64>(rs2) ? 1 : 0);
+        HWST_CONST_OPS(HWST_EXEC_CONST)
+#undef HWST_EXEC_CONST
+#define HWST_EXEC_LOAD(name, kind, width, sign)                           \
+    case Opcode::name: load<true>(in.rd, rs1 + imm, width, sign); break;
+        HWST_LOAD_OPS(HWST_EXEC_LOAD)
+#undef HWST_EXEC_LOAD
+#define HWST_EXEC_STORE(name, kind, width)                                \
+    case Opcode::name: mem_store(rs1 + imm, width, rs2); break;
+        HWST_STORE_OPS(HWST_EXEC_STORE)
+#undef HWST_EXEC_STORE
+#define HWST_EXEC_BRANCH(name, kind, cond)                                \
+    case Opcode::name:                                                    \
+        if (ops::name(rs1, rs2)) {                                        \
+            next_pc = pc_ + imm;                                          \
+            cycles_ += cfg_.timing.branch_taken_penalty;                  \
+        }                                                                 \
         break;
-    case Opcode::SLTU: set_reg(in.rd, rs1 < rs2 ? 1 : 0); break;
-    case Opcode::XOR: set_reg(in.rd, rs1 ^ rs2); break;
-    case Opcode::SRL: set_reg(in.rd, rs1 >> (rs2 & 63)); break;
-    case Opcode::SRA:
-        set_reg(in.rd,
-                static_cast<u64>(static_cast<i64>(rs1) >> (rs2 & 63)));
-        break;
-    case Opcode::OR: set_reg(in.rd, rs1 | rs2); break;
-    case Opcode::AND: set_reg(in.rd, rs1 & rs2); break;
-    case Opcode::ADDIW: set_reg(in.rd, sext32(rs1 + imm)); break;
-    case Opcode::SLLIW: set_reg(in.rd, sext32(rs1 << (imm & 31))); break;
-    case Opcode::SRLIW:
-        set_reg(in.rd, sext32(static_cast<u32>(rs1) >> (imm & 31)));
-        break;
-    case Opcode::SRAIW:
-        set_reg(in.rd,
-                sext32(static_cast<u64>(static_cast<i32>(rs1) >>
-                                        (imm & 31))));
-        break;
-    case Opcode::ADDW: set_reg(in.rd, sext32(rs1 + rs2)); break;
-    case Opcode::SUBW: set_reg(in.rd, sext32(rs1 - rs2)); break;
-    case Opcode::SLLW: set_reg(in.rd, sext32(rs1 << (rs2 & 31))); break;
-    case Opcode::SRLW:
-        set_reg(in.rd, sext32(static_cast<u32>(rs1) >> (rs2 & 31)));
-        break;
-    case Opcode::SRAW:
-        set_reg(in.rd,
-                sext32(static_cast<u64>(static_cast<i32>(rs1) >>
-                                        (rs2 & 31))));
-        break;
-
-    // ---- RV64M --------------------------------------------------------
-    case Opcode::MUL:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd, rs1 * rs2);
-        break;
-    case Opcode::MULH:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<__int128>(static_cast<i64>(rs1)) *
-                                  static_cast<i64>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::MULHSU:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<__int128>(static_cast<i64>(rs1)) *
-                                  static_cast<unsigned __int128>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::MULHU:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd,
-                static_cast<u64>((static_cast<unsigned __int128>(rs1) *
-                                  static_cast<unsigned __int128>(rs2)) >>
-                                 64));
-        break;
-    case Opcode::DIV: {
-        cycles_ += t.div_extra;
-        const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
-        if (b == 0) set_reg(in.rd, ~u64{0});
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            set_reg(in.rd, rs1);
-        else set_reg(in.rd, static_cast<u64>(a / b));
-        break;
-    }
-    case Opcode::DIVU:
-        cycles_ += t.div_extra;
-        set_reg(in.rd, rs2 == 0 ? ~u64{0} : rs1 / rs2);
-        break;
-    case Opcode::REM: {
-        cycles_ += t.div_extra;
-        const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
-        if (b == 0) set_reg(in.rd, rs1);
-        else if (a == std::numeric_limits<i64>::min() && b == -1)
-            set_reg(in.rd, 0);
-        else set_reg(in.rd, static_cast<u64>(a % b));
-        break;
-    }
-    case Opcode::REMU:
-        cycles_ += t.div_extra;
-        set_reg(in.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-        break;
-    case Opcode::MULW:
-        cycles_ += t.mul_extra;
-        set_reg(in.rd, sext32(rs1 * rs2));
-        break;
-    case Opcode::DIVW: {
-        cycles_ += t.div_extra;
-        const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-        if (b == 0) set_reg(in.rd, ~u64{0});
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a / b))));
-        break;
-    }
-    case Opcode::DIVUW: {
-        cycles_ += t.div_extra;
-        const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-        set_reg(in.rd, b == 0 ? ~u64{0} : sext32(a / b));
-        break;
-    }
-    case Opcode::REMW: {
-        cycles_ += t.div_extra;
-        const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-        if (b == 0) set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a))));
-        else if (a == std::numeric_limits<i32>::min() && b == -1)
-            set_reg(in.rd, 0);
-        else set_reg(in.rd, sext32(static_cast<u64>(static_cast<u32>(a % b))));
-        break;
-    }
-    case Opcode::REMUW: {
-        cycles_ += t.div_extra;
-        const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-        set_reg(in.rd, b == 0 ? sext32(a) : sext32(a % b));
-        break;
-    }
+        HWST_BRANCH_OPS(HWST_EXEC_BRANCH)
+#undef HWST_EXEC_BRANCH
 
     // ---- control transfer ------------------------------------------
     case Opcode::JAL:
-        set_reg(in.rd, pc_ + 4);
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2, pc_ + 4);
         next_pc = pc_ + imm;
-        cycles_ += t.branch_taken_penalty;
         break;
     case Opcode::JALR:
-        set_reg(in.rd, pc_ + 4);
-        next_pc = (rs1 + imm) & ~u64{1};
-        cycles_ += t.branch_taken_penalty;
-        break;
-    case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT: case Opcode::BGE:
-    case Opcode::BLTU: case Opcode::BGEU: {
-        bool taken = false;
-        switch (in.op) {
-        case Opcode::BEQ: taken = rs1 == rs2; break;
-        case Opcode::BNE: taken = rs1 != rs2; break;
-        case Opcode::BLT:
-            taken = static_cast<i64>(rs1) < static_cast<i64>(rs2);
-            break;
-        case Opcode::BGE:
-            taken = static_cast<i64>(rs1) >= static_cast<i64>(rs2);
-            break;
-        case Opcode::BLTU: taken = rs1 < rs2; break;
-        default: taken = rs1 >= rs2; break;
-        }
-        if (taken) {
-            next_pc = pc_ + imm;
-            cycles_ += t.branch_taken_penalty;
-        }
-        break;
-    }
-
-    // ---- memory --------------------------------------------------------
-    case Opcode::LB: case Opcode::LH: case Opcode::LW: case Opcode::LD:
-        set_reg(in.rd, mem_load(rs1 + imm, riscv::mem_width(in.op), true));
-        break;
-    case Opcode::LBU: case Opcode::LHU: case Opcode::LWU:
-        set_reg(in.rd, mem_load(rs1 + imm, riscv::mem_width(in.op), false));
-        break;
-    case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-        mem_store(rs1 + imm, riscv::mem_width(in.op), rs2);
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2, pc_ + 4);
+        next_pc = ops::jalr_target(rs1, imm);
         break;
 
     // ---- system ---------------------------------------------------------
@@ -513,7 +273,7 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
     case Opcode::EBREAK: return Trap{TrapKind::Breakpoint, 0, pc_};
     case Opcode::CSRRW: case Opcode::CSRRS: case Opcode::CSRRC:
     case Opcode::CSRRWI: case Opcode::CSRRSI: case Opcode::CSRRCI: {
-        cycles_ += t.csr_extra;
+        cycles_ += cfg_.timing.csr_extra;
         u64 old = 0;
         if (in.csr == hwst::kCsrCycle || in.csr == hwst::kCsrInstret) {
             old = in.csr == hwst::kCsrCycle ? cycles_ : instret_;
@@ -557,143 +317,66 @@ Trap Machine::exec(const Instruction& in, u64& next_pc)
             }
             csrs_.write(in.csr, next);
         }
-        set_reg(in.rd, old);
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2, old);
         break;
     }
 
     default:
-        return exec_hwst(in);
+        return exec_hwst<true>(in);
     }
     return Trap{};
 }
 
+template <bool Hooked>
 Trap Machine::exec_hwst(const Instruction& in)
 {
     const u64 rs1 = reg(in.rs1);
+    const u64 imm = static_cast<u64>(in.imm);
     const u64 sm_off = csrs_.sm_offset();
 
-    // COMP/DECOMP cannot operate under perturbed-or-invalid field
-    // widths; the op that needed them traps instead of computing
-    // garbage.
-    const auto bad_widths = [this] {
-        csrs_.record_violation(static_cast<u64>(TrapKind::IllegalInstruction),
-                               hwst::kCsrBitw);
-        return Trap{TrapKind::IllegalInstruction, hwst::kCsrBitw, pc_};
-    };
-
     switch (in.op) {
-    case Opcode::BNDRS: {
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        srf_.bind_spatial(
-            in.rd, probe(Probe::SrfSpatialWrite,
-                         metadata::compress_spatial(rs1, reg(in.rs2),
-                                                    ac.cfg)));
+    case Opcode::BNDRS: case Opcode::BNDRT:
+        return bndr<Hooked>(in.op == Opcode::BNDRT, in.rd, rs1, reg(in.rs2));
+    case Opcode::SBDL: case Opcode::SBDU:
+        sbd<Hooked>(ops::shadow_slot(in.op), rs1 + imm, in.rs2);
         break;
-    }
-    case Opcode::BNDRT: {
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        srf_.bind_temporal(
-            in.rd, probe(Probe::SrfTemporalWrite,
-                         metadata::compress_temporal(rs1, reg(in.rs2),
-                                                     ac.cfg)));
+    case Opcode::LBDLS: case Opcode::LBDUS:
+        lbd<Hooked>(ops::shadow_slot(in.op), in.rd, rs1 + imm);
         break;
-    }
-
-    case Opcode::SBDL: case Opcode::SBDU: {
-        const auto& e = srf_.entry(in.rs2);
-        const bool upper = in.op == Opcode::SBDU;
-        const u64 addr = smac_.map(rs1 + static_cast<u64>(in.imm), sm_off) +
-                         (upper ? hwst::Smac::upper_slot_offset() : 0);
-        const u64 value =
-            probe(Probe::LmsmStore, upper ? (e.valid_hi ? e.value.hi : 0)
-                                          : (e.valid_lo ? e.value.lo : 0));
-        cycles_ += dcache_extra(addr);
-        mem_.store(addr, 8, value);
-        break;
-    }
-
-    case Opcode::LBDLS: case Opcode::LBDUS: {
-        const bool upper = in.op == Opcode::LBDUS;
-        const u64 addr = smac_.map(rs1 + static_cast<u64>(in.imm), sm_off) +
-                         (upper ? hwst::Smac::upper_slot_offset() : 0);
-        const u64 value = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
-        if (upper) srf_.set_hi(in.rd, value, value != 0);
-        else srf_.set_lo(in.rd, value, value != 0);
-        break;
-    }
+    case Opcode::TCHK:
+        return tchk<Hooked>(in.rs1);
 
     case Opcode::LBAS: case Opcode::LBND: {
-        const ActiveCompression ac = active_compression();
+        const ActiveCompression& ac = compression<Hooked>();
         if (!ac.valid) return bad_widths();
         const u64 addr = smac_.map(rs1, sm_off);
-        const u64 lo = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
+        const u64 lo = probe<Hooked>(Probe::LmsmLoad,
+                                     mem_load<Hooked>(addr, 8, false));
         if (metadata::is_saturated_spatial(lo, ac.cfg)) {
             scu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::SpatialViolation), rs1);
-            return Trap{TrapKind::SpatialViolation, rs1, pc_};
+            return violation(TrapKind::SpatialViolation, rs1);
         }
         u64 base = 0, bound = 0;
         metadata::decompress_spatial(lo, ac.cfg, base, bound);
-        set_reg(in.rd, in.op == Opcode::LBAS ? base : bound);
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2,
+                                        in.op == Opcode::LBAS ? base : bound);
         break;
     }
     case Opcode::LKEY: case Opcode::LLOC: {
-        const ActiveCompression ac = active_compression();
+        const ActiveCompression& ac = compression<Hooked>();
         if (!ac.valid) return bad_widths();
-        const u64 addr = smac_.map(rs1, sm_off) +
-                         hwst::Smac::upper_slot_offset();
-        const u64 hi = probe(Probe::LmsmLoad, mem_load(addr, 8, false));
+        const u64 addr =
+            smac_.map(rs1, sm_off) + hwst::Smac::upper_slot_offset();
+        const u64 hi = probe<Hooked>(Probe::LmsmLoad,
+                                     mem_load<Hooked>(addr, 8, false));
         if (metadata::is_saturated_temporal(hi, ac.cfg)) {
             tcu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), rs1);
-            return Trap{TrapKind::TemporalViolation, rs1, pc_};
+            return violation(TrapKind::TemporalViolation, rs1);
         }
         u64 key = 0, lock = 0;
         metadata::decompress_temporal(hi, ac.cfg, key, lock);
-        set_reg(in.rd, in.op == Opcode::LKEY ? key : lock);
-        break;
-    }
-
-    case Opcode::TCHK: {
-        if (!csrs_.temporal_enabled()) break;
-        const auto& e = srf_.entry(in.rs1);
-        if (!e.valid_hi || e.value.hi == 0) break; // no temporal metadata
-        const ActiveCompression ac = active_compression();
-        if (!ac.valid) return bad_widths();
-        if (metadata::is_saturated_temporal(e.value.hi, ac.cfg)) {
-            tcu_.note_saturated();
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), rs1);
-            return Trap{TrapKind::TemporalViolation, rs1, pc_};
-        }
-        u64 key = 0, lock = 0;
-        metadata::decompress_temporal(e.value.hi, ac.cfg, key, lock);
-        // The temporal check needs a second memory access (load the key
-        // from the lock_location). A keybuffer hit elides it entirely;
-        // a miss pays the full D-cache access (paper §3.5).
-        u64 mem_key = 0;
-        if (!cfg_.keybuffer_enabled) {
-            cycles_ += dcache_.access(lock);
-            mem_key = mem_.load(lock, 8, false);
-        } else if (const auto hit = keybuffer_.lookup(lock)) {
-            mem_key = probe(Probe::KeybufferLookup, *hit);
-        } else {
-            cycles_ += dcache_.access(lock);
-            mem_key = mem_.load(lock, 8, false);
-            // A fill fault corrupts what the buffer caches; the check in
-            // flight still compares the freshly loaded key, so the fault
-            // surfaces on a later hit (nonzero detection latency).
-            keybuffer_.insert(lock, probe(Probe::KeybufferFill, mem_key));
-        }
-        if (!tcu_.check(key, mem_key).pass) {
-            csrs_.record_violation(
-                static_cast<u64>(TrapKind::TemporalViolation), lock);
-            return Trap{TrapKind::TemporalViolation, lock, pc_};
-        }
+        write_rd<SrfRule::Clear, false>(in.rd, in.rs1, in.rs2,
+                                        in.op == Opcode::LKEY ? key : lock);
         break;
     }
 
@@ -707,24 +390,16 @@ Trap Machine::exec_hwst(const Instruction& in)
         srf_.clear(in.rd);
         break;
 
-    // ---- checked memory (SCU fused, paper Fig. 3) --------------------
-    case Opcode::CLB: case Opcode::CLH: case Opcode::CLW: case Opcode::CLD:
-    case Opcode::CLBU: case Opcode::CLHU: case Opcode::CLWU: {
-        const u64 addr = rs1 + static_cast<u64>(in.imm);
-        const unsigned width = riscv::mem_width(in.op);
-        if (auto trap = spatial_check(in.rs1, addr, width)) return *trap;
-        const bool sign = in.op == Opcode::CLB || in.op == Opcode::CLH ||
-                          in.op == Opcode::CLW || in.op == Opcode::CLD;
-        set_reg(in.rd, mem_load(addr, width, sign));
-        break;
-    }
-    case Opcode::CSB: case Opcode::CSH: case Opcode::CSW: case Opcode::CSD: {
-        const u64 addr = rs1 + static_cast<u64>(in.imm);
-        const unsigned width = riscv::mem_width(in.op);
-        if (auto trap = spatial_check(in.rs1, addr, width)) return *trap;
-        mem_store(addr, width, reg(in.rs2));
-        break;
-    }
+#define HWST_EXEC_CHECKED_LOAD(name, width, sign)                         \
+    case Opcode::name:                                                    \
+        return checked_load<Hooked>(in.rd, in.rs1, rs1 + imm, width, sign);
+        HWST_CHECKED_LOAD_OPS(HWST_EXEC_CHECKED_LOAD)
+#undef HWST_EXEC_CHECKED_LOAD
+#define HWST_EXEC_CHECKED_STORE(name, width)                              \
+    case Opcode::name:                                                    \
+        return checked_store<Hooked>(in.rs1, rs1 + imm, width, in.rs2);
+        HWST_CHECKED_STORE_OPS(HWST_EXEC_CHECKED_STORE)
+#undef HWST_EXEC_CHECKED_STORE
 
     default:
         return Trap{TrapKind::IllegalInstruction, 0, pc_};
@@ -732,51 +407,10 @@ Trap Machine::exec_hwst(const Instruction& in)
     return Trap{};
 }
 
-void Machine::srf_effects(const Instruction& in, Format fmt)
-{
-    // In-pipeline metadata propagation (paper Fig. 1-b): Hardbound-style
-    // rules — a register move or pointer arithmetic carries the source's
-    // shadow register to the destination with no instruction overhead.
-    const auto any = [this](Reg r) {
-        const auto& e = srf_.entry(r);
-        return e.valid_lo || e.valid_hi;
-    };
-
-    switch (in.op) {
-    case Opcode::ADDI:
-        srf_.propagate(in.rd, in.rs1);
-        break;
-    case Opcode::ADD: {
-        const bool a = any(in.rs1), b = any(in.rs2);
-        if (a && !b) srf_.propagate(in.rd, in.rs1);
-        else if (b && !a) srf_.propagate(in.rd, in.rs2);
-        else srf_.clear(in.rd);
-        break;
-    }
-    case Opcode::SUB:
-        if (any(in.rs1) && !any(in.rs2)) srf_.propagate(in.rd, in.rs1);
-        else srf_.clear(in.rd);
-        break;
-
-    // HWST metadata ops manage the SRF themselves.
-    case Opcode::BNDRS: case Opcode::BNDRT: case Opcode::LBDLS:
-    case Opcode::LBDUS: case Opcode::SRFMV: case Opcode::SRFCLR:
-    case Opcode::SBDL: case Opcode::SBDU: case Opcode::TCHK:
-    case Opcode::KBFLUSH:
-        break;
-
-    default:
-        // Any other writer invalidates the destination's metadata.
-        if (in.rd != Reg::zero) {
-            if (fmt != Format::S && fmt != Format::B &&
-                in.op != Opcode::ECALL && in.op != Opcode::EBREAK &&
-                in.op != Opcode::FENCE) {
-                srf_.clear(in.rd);
-            }
-        }
-        break;
-    }
-}
+// The interpreter runs the hooked form, the dispatcher's generic HWST
+// executor (SbKind::Hwst) the hook-free one.
+template Trap Machine::exec_hwst<true>(const Instruction&);
+template Trap Machine::exec_hwst<false>(const Instruction&);
 
 Trap Machine::exec_ecall()
 {

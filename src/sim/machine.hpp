@@ -232,6 +232,7 @@ inline constexpr unsigned kNumProbes = 8;
 
 class Machine;
 
+enum class SrfRule : common::u8; // sim/ops.hpp
 class PeriodDetector;  // sim/period.hpp
 class CheckpointStore; // sim/checkpoint.hpp
 struct Checkpoint;     // sim/checkpoint.hpp
@@ -252,17 +253,19 @@ struct JitStats {
 /// One predecoded instruction (docs/performance.md). Built once at
 /// Machine construction from program.code(), indexed by
 /// (pc - text_base) >> 2: everything step() used to re-derive per
-/// retired instruction — format, operand-read flags, load-ness and the
-/// InstrMix bucket — is looked up instead. Pure acceleration: the facts
-/// are exactly what the riscv:: helpers and the old classify() switch
-/// would compute, which tests/perf_paths_test.cpp asserts.
+/// retired instruction — format, operand-read flags, load-ness, the
+/// InstrMix bucket and the functional-unit cycles — is looked up
+/// instead. Pure acceleration: the facts are exactly what the riscv::
+/// helpers and the op tables (sim/ops.hpp) give, which
+/// tests/perf_paths_test.cpp asserts.
 struct Uop {
     riscv::Instruction in;   ///< copy, for locality
     riscv::Format fmt;       ///< riscv::op_format(in.op)
     bool reads_rs1;          ///< format reads rs1 (load-use hazard)
     bool reads_rs2;          ///< format reads rs2 (load-use hazard)
     bool is_load;            ///< riscv::is_load(in.op)
-    u64 InstrMix::* bucket;  ///< the classify() counter for in.op
+    u32 fu_cycles;           ///< functional-unit cycles on top of issue
+    u64 InstrMix::* bucket;  ///< the InstrMix counter for in.op
 };
 
 constexpr std::string_view probe_name(Probe p)
@@ -432,23 +435,15 @@ private:
     /// step() without ending golden-prefix checkpointing: the
     /// interpreter loop and the dispatcher's block tails.
     hwst::Trap retire_one();
+    /// One instruction's effect, its SRF rule and dynamic cycles
+    /// included; instret, the issue and functional-unit cycles and the
+    /// InstrMix count are the caller's. The dispatcher runs its
+    /// interp-one ops through exec() and its generic HWST ops through
+    /// exec_hwst<false>.
     hwst::Trap exec(const riscv::Instruction& in, u64& next_pc);
+    template <bool Hooked>
     hwst::Trap exec_hwst(const riscv::Instruction& in);
     hwst::Trap exec_ecall();
-    void srf_effects(const riscv::Instruction& in, riscv::Format fmt);
-
-    u64 mem_load(u64 addr, unsigned width, bool sign_extend);
-    void mem_store(u64 addr, unsigned width, u64 value);
-    unsigned dcache_extra(u64 addr);
-
-    std::optional<hwst::Trap> spatial_check(Reg ptr_reg, u64 addr,
-                                            unsigned width);
-
-    /// Run `value` through the probe hook (identity when no hook set).
-    u64 probe(Probe p, u64 value)
-    {
-        return probe_hook_ ? probe_hook_(p, instret_, value) : value;
-    }
 
     /// Compression config as COMP/DECOMP see it: the CSR widths routed
     /// through the CompCsrWidths probe, then validated. `valid == false`
@@ -458,13 +453,53 @@ private:
         metadata::CompressionConfig cfg;
         bool valid;
     };
-    ActiveCompression active_compression();
+    const ActiveCompression& active_compression();
+
+    // ---- op semantics, defined once in sim/ops.hpp ---------------------
+    // `Hooked`: probe points live and the csr.bitw decode through
+    // active_compression() (the interpreter), or no probes and the
+    // decode memo read directly (the dispatcher, which never runs with a
+    // hook attached).
+
+    /// Run `value` through the probe hook (identity when no hook set).
+    template <bool Hooked = true>
+    u64 probe(Probe p, u64 value);
+    template <bool Hooked>
+    const ActiveCompression& compression();
+    hwst::Trap violation(hwst::TrapKind kind, u64 tval);
+    hwst::Trap bad_widths();
+    /// Write a result to rd and apply `R` to its shadow register.
+    /// `RdNonZero`: translation folded rd == x0 away.
+    template <SrfRule R, bool RdNonZero>
+    void write_rd(Reg rd, Reg rs1, Reg rs2, u64 v);
+    unsigned dcache_extra(u64 addr);
+    template <bool Hooked>
+    u64 mem_load(u64 addr, unsigned width, bool sign_extend);
+    void mem_store(u64 addr, unsigned width, u64 value);
+    template <bool Hooked>
+    void load(Reg rd, u64 addr, unsigned width, bool sign);
+    template <bool Hooked>
+    hwst::Trap spatial_check(Reg ptr, u64 addr, unsigned width);
+    template <bool Hooked>
+    hwst::Trap checked_load(Reg rd, Reg ptr, u64 addr, unsigned width,
+                            bool sign);
+    template <bool Hooked>
+    hwst::Trap checked_store(Reg ptr, u64 addr, unsigned width, Reg src);
+    template <bool Hooked>
+    hwst::Trap bndr(bool temporal, Reg rd, u64 a, u64 b);
+    template <bool Hooked>
+    void sbd(u64 slot, u64 container, Reg src);
+    template <bool Hooked>
+    void lbd(u64 slot, Reg rd, u64 container);
+    template <bool Hooked>
+    hwst::Trap tchk(Reg ptr);
 
     // Superblock DBT tier state. The block cache is created lazily on
     // the first translated run; comp_memo_ caches active_compression()
     // against the CSR file's version counter (bypassed whenever a probe
-    // hook is installed — the hook must see every invocation; the
-    // dispatcher runs only while no hook is attached).
+    // hook is installed — the hook must see every invocation, so a
+    // hooked result is stored with an invalid version; the dispatcher
+    // runs only while no hook is attached).
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
     ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
@@ -475,10 +510,13 @@ private:
     const riscv::Program& program_;
     MachineConfig cfg_;
 
-    // Predecoded instruction stream + hoisted bounds (see Uop).
+    // Predecoded instruction stream + hoisted bounds (see Uop), and the
+    // lock region stores are snooped on (keybuffer coherence).
     std::vector<Uop> uops_;
     u64 text_base_ = 0;
     u64 code_bytes_ = 0;
+    u64 lock_base_ = 0;
+    u64 lock_bytes_ = 0;
 
     std::array<u64, riscv::kNumRegs> regs_{};
     u64 pc_ = 0;

@@ -7,7 +7,9 @@
 // SbOp: a pre-bound executor selector (computed-goto label), flattened
 // operands and cumulative static timing, so the dispatcher retires the
 // whole block with batched instret/cycles/mix updates and no per-
-// instruction switch re-entry.
+// instruction switch re-entry. An op's executor kind, rd == x0 fold and
+// static cycles come from its row in the op tables (sim/ops.hpp), the
+// same rows the interpreter executes from.
 //
 // Everything here is host-side acceleration only. The contract is the
 // same as for every other hot-path structure: host speed may change,
@@ -37,39 +39,9 @@ using common::u8;
 struct Uop;      // sim/machine.hpp
 struct InstrMix; // sim/machine.hpp
 
-/// Executor kinds. One label per entry in the dispatcher's computed-
-/// goto table; the X-macro keeps the enum and the label array in sync.
-/// Body kinds first, block enders last (Beq..EndFall).
-#define HWST_SB_KIND_LIST(X)                                              \
-    X(Nop)                                                                \
-    X(Const)                                                              \
-    X(Addi) X(Slti) X(Sltiu) X(Xori) X(Ori) X(Andi)                       \
-    X(Slli) X(Srli) X(Srai)                                               \
-    X(Addiw) X(Slliw) X(Srliw) X(Sraiw)                                   \
-    X(Add) X(Sub)                                                         \
-    X(Sll) X(Slt) X(Sltu) X(Xor) X(Srl) X(Sra) X(Or) X(And)               \
-    X(Addw) X(Subw) X(Sllw) X(Srlw) X(Sraw)                               \
-    X(Mul) X(Mulh) X(Mulhsu) X(Mulhu) X(Div) X(Divu) X(Rem) X(Remu)       \
-    X(Mulw) X(Divw) X(Divuw) X(Remw) X(Remuw)                             \
-    X(Lb) X(Lh) X(Lw) X(Ld) X(Lbu) X(Lhu) X(Lwu)                          \
-    X(Sb) X(Sh) X(Sw) X(Sd)                                               \
-    X(CheckedLoad) X(CheckedStore)                                        \
-    X(SbdStore) X(LbdLoad) X(Tchk) X(Bndr)                                \
-    X(Hwst)                                                               \
-    X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                           \
-    X(Jal) X(Jalr) X(InterpOne) X(EndFall)
-
-enum class SbKind : u8 {
-#define HWST_SB_ENUM(name) name,
-    HWST_SB_KIND_LIST(HWST_SB_ENUM)
-#undef HWST_SB_ENUM
-};
-
-inline constexpr unsigned kNumSbKinds = 0
-#define HWST_SB_COUNT(name) +1
-    HWST_SB_KIND_LIST(HWST_SB_COUNT)
-#undef HWST_SB_COUNT
-    ;
+/// Executor kind: one computed-goto label in the dispatcher each.
+/// Defined in sim/ops.hpp, from the op tables.
+enum class SbKind : u8;
 
 /// Block length cap. Bounds both the translation unit and the overshoot
 /// of block-boundary cancellation polls / fuel checks (run_cancellable
@@ -223,9 +195,6 @@ struct TranslateEnv {
     unsigned icache_line = 64;
     bool icache_on = true;
     unsigned load_use_stall = 1;
-    unsigned mul_extra = 3;
-    unsigned div_extra = 24;
-    unsigned branch_taken_penalty = 3;
     /// Computed-goto label table indexed by SbKind.
     const void* const* labels = nullptr;
 };

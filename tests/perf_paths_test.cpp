@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -491,6 +492,17 @@ sim::InstrMix ref_classify(Opcode op)
     return mix;
 }
 
+/// Reference functional-unit cycles: mul/div extras by mnemonic, the
+/// always-paid taken penalty of jal/jalr.
+unsigned ref_fu_cycles(Opcode op, const sim::TimingConfig& t)
+{
+    const std::string_view name = op_name(op);
+    if (op == Opcode::JAL || op == Opcode::JALR) return t.branch_taken_penalty;
+    if (name.starts_with("MUL")) return t.mul_extra;
+    if (name.starts_with("DIV") || name.starts_with("REM")) return t.div_extra;
+    return 0;
+}
+
 bool mix_equal(const sim::InstrMix& a, const sim::InstrMix& b)
 {
     return a.alu == b.alu && a.loads == b.loads && a.stores == b.stores &&
@@ -522,6 +534,8 @@ TEST(Predecode, FactsMatchPerOpcodeRederivation)
         EXPECT_EQ(uop.reads_rs1, ref_reads_rs1(op_format(op))) << op_name(op);
         EXPECT_EQ(uop.reads_rs2, ref_reads_rs2(op_format(op))) << op_name(op);
         EXPECT_EQ(uop.is_load, is_load(op)) << op_name(op);
+        EXPECT_EQ(uop.fu_cycles, ref_fu_cycles(op, sim::TimingConfig{}))
+            << op_name(op);
         // Identify the bucket member pointer by applying it.
         sim::InstrMix got{};
         ++(got.*uop.bucket);

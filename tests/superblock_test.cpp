@@ -3,15 +3,22 @@
 // one — the same program runs under the interpreter and the dispatcher
 // (MachineConfig::tier) and the full RunResult must be bit-identical:
 // instret, cycles, traps, output, InstrMix and every cache/unit
-// counter. Fuzzed programs cover ALU/memory/branch/loop shapes; the
-// workload tests cover the HWST metadata ISA, checked accesses and
-// ecalls; dedicated tests pin down tier resolution, block invalidation
-// and arena overflow, chaining (jalr inline-cache evictions included),
-// hook-forced fallback, cancellation strides, fuel traps and
+// counter. Fuzzed programs cover ALU/memory/branch/loop shapes and the
+// HWST metadata ISA (checked accesses, shadow moves, tchk with the
+// keybuffer on and off, csr writes, traps planted mid-block); since both
+// tiers run one definition of each op (src/sim/ops.hpp), the fuzzed runs
+// are also pinned to golden digests. The workload tests cover compiled
+// schemes and ecalls; dedicated tests pin down tier resolution, block
+// invalidation and arena overflow, chaining (jalr inline-cache evictions
+// included), hook-forced fallback, cancellation strides, fuel traps and
 // mid-stream CSR reads of the batched counters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <initializer_list>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -112,20 +119,32 @@ const std::vector<Opcode>& alu_ops()
         Opcode::ADDW,  Opcode::SUBW,  Opcode::SLLW,  Opcode::SRLW,
         Opcode::SRAW,  Opcode::MULW,  Opcode::DIVW,  Opcode::DIVUW,
         Opcode::REMW,  Opcode::REMUW, Opcode::SLLIW, Opcode::SRLIW,
-        Opcode::SRAIW, Opcode::LUI,
+        Opcode::SRAIW, Opcode::LUI,   Opcode::AUIPC,
     };
     return ops;
 }
 
-// Work registers only. s5/s6/s7 are reserved for the generator (memory
-// base, loop induction, loop limit), sp/gp/tp/ra belong to the runtime.
+// Work registers only. s5/s6/s7 are reserved for the generators (memory
+// base, loop induction, loop limit), tp for the value accumulator
+// (kAcc), and s0, s1, s8-s11, gp, a6 and a7 for the HWST one (pointers,
+// spill-slot base, temporaries).
+const Reg kWorkRegs[] = {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4,
+                         Reg::t5, Reg::t6, Reg::s2, Reg::s3, Reg::s4,
+                         Reg::a2, Reg::a3, Reg::a4, Reg::a5};
+
 Reg work_reg(Xoshiro256& rng)
 {
-    static const Reg pool[] = {Reg::t0, Reg::t1, Reg::t2, Reg::t3,
-                               Reg::t4, Reg::t5, Reg::t6, Reg::s2,
-                               Reg::s3, Reg::s4, Reg::a2, Reg::a3,
-                               Reg::a4, Reg::a5, Reg::zero};
-    return pool[rng.below(std::size(pool))];
+    const u64 i = rng.below(std::size(kWorkRegs) + 1);
+    return i < std::size(kWorkRegs) ? kWorkRegs[i] : Reg::zero;
+}
+
+/// Sums every loaded or computed value, so that one wrong result shows
+/// in the exit checksum even when its register is overwritten later.
+constexpr Reg kAcc = Reg::tp;
+
+void emit_fold(Program& p, Reg r)
+{
+    p.emit(rtype(Opcode::ADD, kAcc, kAcc, r));
 }
 
 /// One random instruction: ALU op, load/store through s5 (the mapped
@@ -140,7 +159,9 @@ void emit_random_op(Program& p, Xoshiro256& rng)
         const Opcode op = ops[rng.below(std::size(ops))];
         const i64 off =
             static_cast<i64>(rng.below(256)) * mem_width(op);
-        p.emit(itype(op, work_reg(rng), Reg::s5, off));
+        const Reg rd = work_reg(rng);
+        p.emit(itype(op, rd, Reg::s5, off));
+        emit_fold(p, rd);
         return;
     }
     if (pick < 24) { // store
@@ -183,15 +204,18 @@ void emit_random_op(Program& p, Xoshiro256& rng)
         break;
     }
     p.emit(in);
+    emit_fold(p, in.rd);
 }
 
-/// Fold every work register into a0 and exit with the checksum.
-void emit_checksum_exit(Program& p)
+/// Fold every work register (and `extra`) into a0 and exit with the
+/// checksum.
+void emit_checksum_exit(Program& p, std::initializer_list<Reg> extra = {})
 {
     p.emit_li(Reg::a0, 0);
-    for (const Reg r : {Reg::t0, Reg::t1, Reg::t2, Reg::t3, Reg::t4,
-                        Reg::t5, Reg::t6, Reg::s2, Reg::s3, Reg::s4,
-                        Reg::a2, Reg::a3, Reg::a4, Reg::a5}) {
+    std::vector<Reg> regs(std::begin(kWorkRegs), std::end(kWorkRegs));
+    regs.push_back(kAcc);
+    regs.insert(regs.end(), extra.begin(), extra.end());
+    for (const Reg r : regs) {
         p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, r));
         p.emit(itype(Opcode::SLLI, Reg::a1, Reg::a0, 1));
         p.emit(rtype(Opcode::XOR, Reg::a0, Reg::a0, Reg::a1));
@@ -200,15 +224,18 @@ void emit_checksum_exit(Program& p)
     p.emit(Instruction{Opcode::ECALL});
 }
 
-/// Random program with straight-line stretches, forward branches and
-/// jumps (both edges reachable), a counted loop (hot block chaining)
-/// and memory traffic into the data region. Terminates by construction:
-/// branches only go forward, the loop trips a fixed induction count.
-Program fuzz_program(Xoshiro256& rng)
+/// `n` random bytes at the start of the data region, so that loads see
+/// every bit pattern.
+void add_random_data(Program& p, Xoshiro256& rng, std::size_t n)
 {
-    Program p;
-    p.label("main");
+    std::vector<hwst::common::u8> bytes(n);
+    for (auto& b : bytes) b = static_cast<hwst::common::u8>(rng.next());
+    p.add_data(bytes);
+}
 
+/// Seed the first eight work registers with edge-case values.
+void emit_seed_regs(Program& p, Xoshiro256& rng)
+{
     const i64 seeds[] = {0,
                          1,
                          -1,
@@ -222,16 +249,28 @@ Program fuzz_program(Xoshiro256& rng)
                         Reg::t5, Reg::t6, Reg::s2}) {
         p.emit_li(r, seeds[si++]);
     }
+}
+
+const Opcode kBranches[] = {Opcode::BEQ, Opcode::BNE,  Opcode::BLT,
+                            Opcode::BGE, Opcode::BLTU, Opcode::BGEU};
+
+/// Random program with straight-line stretches, forward branches and
+/// jumps (both edges reachable), a counted loop (hot block chaining)
+/// and memory traffic into the data region. Terminates by construction:
+/// branches only go forward, the loop trips a fixed induction count.
+Program fuzz_program(Xoshiro256& rng)
+{
+    Program p;
+    p.label("main");
+    add_random_data(p, rng, 2048);
+    emit_seed_regs(p, rng);
     p.emit_li(Reg::s5, static_cast<i64>(p.layout().data_base));
 
-    static const Opcode branches[] = {Opcode::BEQ,  Opcode::BNE,
-                                      Opcode::BLT,  Opcode::BGE,
-                                      Opcode::BLTU, Opcode::BGEU};
     for (int seg = 0; seg < 10; ++seg) {
         const std::string next = "seg" + std::to_string(seg);
         const u64 kind = rng.below(3);
         if (kind == 0) {
-            p.emit_branch(branches[rng.below(std::size(branches))],
+            p.emit_branch(kBranches[rng.below(std::size(kBranches))],
                           work_reg(rng), work_reg(rng), next);
         } else if (kind == 1) {
             p.emit_jal(Reg::zero, next);
@@ -254,6 +293,439 @@ Program fuzz_program(Xoshiro256& rng)
     emit_checksum_exit(p);
     p.finalize();
     return p;
+}
+
+// ---- HWST metadata program generator ---------------------------------
+
+/// The violation fuzz_hwst_program plants mid-block (None: the program
+/// exits cleanly).
+enum class Plant { None, OutOfBounds, ErasedKey, SaturatedBounds, SaturatedLock };
+
+/// A generated HWST program and the trap its plant must raise.
+struct HwstCase {
+    Program program;
+    hwst::hwst::TrapKind kind = hwst::hwst::TrapKind::None;
+    u64 tval = 0;
+    u64 pc = 0;
+};
+
+/// Emits programs over the HWST metadata ISA: bndrs/bndrt, sbdl/sbdu,
+/// lbdls/lbdus, lbas/lbnd/lkey/lloc, srfmv/srfclr, tchk, kbflush,
+/// checked loads/stores, csr.bitw/lock.base/status writes, key erasure
+/// and ADD/SUB (rd = x0 included) over pointer operands. A model of what
+/// each pointer register points into, which lock its key lives at and
+/// what each spill slot holds keeps every check passing, so the only
+/// trap is the planted one.
+class HwstGen {
+public:
+    HwstGen(Xoshiro256& rng, Plant plant) : rng_{rng}, plant_{plant} {}
+
+    HwstCase generate()
+    {
+        const auto& lay = p_.layout();
+        p_.label("main");
+        add_random_data(p_, rng_, 3072); // up to the spill slots
+        emit_seed_regs(p_, rng_);
+        p_.emit_li(Reg::s5, static_cast<i64>(lay.data_base));
+        p_.emit_li(kSlotBase, static_cast<i64>(slot_base()));
+
+        // csr.bitw from widths every object and lock fits, csr.lock.base
+        // at or below the lock region.
+        static const hwst::metadata::CompressionConfig kWidths[] = {
+            {35, 29, 20, 0}, {30, 12, 16, 0}, {28, 20, 24, 0}, {40, 24, 12, 0}};
+        widths_ = kWidths[rng_.below(std::size(kWidths))];
+        bitw_ = static_cast<i64>(widths_.to_csr());
+        p_.emit_li(Reg::a6, bitw_);
+        p_.emit(csr_op(Opcode::CSRRW, Reg::zero, Reg::a6,
+                       hwst::hwst::kCsrBitw));
+        p_.emit_li(Reg::a6, static_cast<i64>(lay.lock_base - 8 * rng_.below(16)));
+        p_.emit(csr_op(Opcode::CSRRW, Reg::zero, Reg::a6,
+                       hwst::hwst::kCsrLockBase));
+
+        for (u64 j = 0; j < kLocks; ++j) {
+            p_.emit_li(Reg::a6, static_cast<i64>(lock_addr(j)));
+            p_.emit_li(Reg::a7, static_cast<i64>(key(j)));
+            p_.emit(stype(Opcode::SD, Reg::a6, Reg::a7, 0));
+        }
+        // Five objects in the data region, one in the lock region (its
+        // checked stores of zero erase keys).
+        for (u64 k = 0; k < kPtrs.size(); ++k) {
+            const bool in_locks = k + 1 == kPtrs.size();
+            objs_.push_back({in_locks ? lay.lock_base + 8 * 64
+                                      : lay.data_base + 2048 + 192 * k,
+                             in_locks ? 64 : 8 * (1 + rng_.below(24))});
+            ptrs_.push_back({static_cast<int>(k), 0, -1});
+            p_.emit_li(kPtrs[k], static_cast<i64>(objs_[k].base));
+            p_.emit_li(Reg::a6, static_cast<i64>(objs_[k].base + objs_[k].len));
+            p_.emit(rtype(Opcode::BNDRS, kPtrs[k], kPtrs[k], Reg::a6));
+            bind_lock(k, rng_.below(kLocks));
+        }
+
+        // A segment that a forward branch or jump may skip emits only
+        // ops that leave the model as it is; the plant's always runs.
+        const int plant_seg = static_cast<int>(rng_.below(8));
+        for (int seg = 0; seg < 8; ++seg) {
+            const std::string next = "hseg" + std::to_string(seg);
+            const u64 kind = seg == plant_seg ? 2 : rng_.below(3);
+            if (kind == 0) {
+                p_.emit_branch(kBranches[rng_.below(std::size(kBranches))],
+                               work_reg(rng_), work_reg(rng_), next);
+            } else if (kind == 1) {
+                p_.emit_jal(Reg::zero, next);
+            }
+            const int n = 4 + static_cast<int>(rng_.below(40));
+            for (int k = 0; k < n; ++k) emit_op(kind != 2);
+            if (plant_ != Plant::None && seg == plant_seg) emit_plant();
+            p_.label(next);
+        }
+
+        // Counted loop (keybuffer hits, chained blocks): its body leaves
+        // the model as it is, so every iteration stays legal.
+        p_.emit_li(Reg::s6, 0);
+        p_.emit_li(Reg::s7, 20 + static_cast<i64>(rng_.below(30)));
+        p_.label("hloop");
+        const int body = 3 + static_cast<int>(rng_.below(12));
+        for (int k = 0; k < body; ++k) emit_op(true);
+        p_.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
+        p_.emit_branch(Opcode::BLT, Reg::s6, Reg::s7, "hloop");
+
+        // At least one check of each kind, whatever csr.status was left.
+        p_.emit(csri_op(Opcode::CSRRWI, Reg::zero, 3, hwst::hwst::kCsrStatus));
+        emit_checked(0, false);
+        p_.emit(rtype(Opcode::TCHK, Reg::zero, kPtrs[0], Reg::zero));
+
+        // Fold into a5 the shadow words of every spill slot and every
+        // register's shadow register: its raw halves, and whether it has
+        // any valid half (ADD s0 with it propagates s0's metadata only if
+        // it has none).
+        std::vector<Reg> dumped = {Reg::zero};
+        dumped.insert(dumped.end(), kPtrs.begin(), kPtrs.end());
+        dumped.insert(dumped.end(), std::begin(kWorkRegs), std::end(kWorkRegs));
+        std::vector<u64> words;
+        const auto container = [&](u64 slot) {
+            return static_cast<i64>(8 * slot);
+        };
+        const auto shadow = [&](u64 slot) {
+            return ((slot_base() + 8 * slot) << 2) + lay.shadow_offset;
+        };
+        for (u64 slot = 0; slot < kSlots; ++slot) {
+            words.push_back(shadow(slot));
+            words.push_back(shadow(slot) + 8);
+        }
+        for (u64 i = 0; i < dumped.size(); ++i) {
+            p_.emit(stype(Opcode::SBDL, kSlotBase, dumped[i],
+                          container(kSlots + i)));
+            p_.emit(stype(Opcode::SBDU, kSlotBase, dumped[i],
+                          container(kSlots + i)));
+            words.push_back(shadow(kSlots + i));
+            words.push_back(shadow(kSlots + i) + 8);
+        }
+        for (u64 i = 0; i < dumped.size(); ++i) {
+            const u64 slot = kSlots + dumped.size() + i;
+            p_.emit(rtype(Opcode::ADD, Reg::t1, Reg::s0, dumped[i]));
+            p_.emit(stype(Opcode::SBDL, kSlotBase, Reg::t1, container(slot)));
+            words.push_back(shadow(slot));
+        }
+        for (const u64 word : words) {
+            p_.emit_li(Reg::t1, static_cast<i64>(word));
+            p_.emit(itype(Opcode::LD, Reg::t1, Reg::t1, 0));
+            p_.emit(rtype(Opcode::XOR, Reg::a5, Reg::a5, Reg::t1));
+            p_.emit(itype(Opcode::SLLI, Reg::t1, Reg::a5, 1));
+            p_.emit(rtype(Opcode::XOR, Reg::a5, Reg::a5, Reg::t1));
+        }
+        emit_checksum_exit(p_, {Reg::s0, Reg::s1, Reg::s8, Reg::s9,
+                                Reg::s10, Reg::s11});
+        p_.finalize();
+        out_.program = std::move(p_);
+        return std::move(out_);
+    }
+
+private:
+    struct Obj {
+        u64 base;
+        u64 len;
+    };
+    /// What a pointer register (or a spill slot) holds: object, offset
+    /// into it, and the lock its temporal half names (-1: none).
+    struct Ptr {
+        int obj;
+        u64 cur;
+        int lock;
+    };
+
+    static constexpr std::array<Reg, 6> kPtrs = {Reg::s0, Reg::s1, Reg::s8,
+                                                 Reg::s9, Reg::s10, Reg::s11};
+    static constexpr Reg kSlotBase = Reg::gp;
+    static constexpr u64 kSlots = 80; ///< the exit dump uses the 48 above
+    static constexpr u64 kLocks = 12;  ///< more than the keybuffer holds
+
+    u64 slot_base() const { return p_.layout().data_base + 3072; }
+    u64 lock_addr(u64 j) const { return p_.layout().lock_base + 8 * (32 + j); }
+    static u64 key(u64 j) { return 0x5000 + 17 * j; }
+    u64 addr(const Ptr& ptr) const { return objs_[ptr.obj].base + ptr.cur; }
+    /// The next emitted instruction must raise `kind` with `tval`.
+    void expect(hwst::hwst::TrapKind kind, u64 tval)
+    {
+        out_.kind = kind;
+        out_.tval = tval;
+        out_.pc = p_.text_addr(p_.code().size());
+    }
+    std::size_t pick_ptr() { return rng_.below(kPtrs.size()); }
+
+    void bind_lock(std::size_t k, u64 j)
+    {
+        p_.emit_li(Reg::a6, static_cast<i64>(lock_addr(j)));
+        p_.emit_li(Reg::a7, static_cast<i64>(key(j)));
+        p_.emit(rtype(Opcode::BNDRT, kPtrs[k], Reg::a7, Reg::a6));
+        ptrs_[k].lock = static_cast<int>(j);
+    }
+
+    /// A checked access through pointer k, `target` bytes from its
+    /// object's base (default: a random aligned in-bounds offset).
+    void emit_checked(std::size_t k, bool store,
+                      std::optional<i64> target = {})
+    {
+        static const Opcode kLoads[] = {Opcode::CLB, Opcode::CLH, Opcode::CLW,
+                                        Opcode::CLD, Opcode::CLBU,
+                                        Opcode::CLHU, Opcode::CLWU};
+        static const Opcode kStores[] = {Opcode::CSB, Opcode::CSH,
+                                         Opcode::CSW, Opcode::CSD};
+        const Opcode op = store ? kStores[rng_.below(std::size(kStores))]
+                                : kLoads[rng_.below(std::size(kLoads))];
+        const u64 w = mem_width(op);
+        const i64 t = target ? *target
+                             : static_cast<i64>(w * rng_.below(
+                                                        objs_[ptrs_[k].obj].len / w));
+        const i64 imm = t - static_cast<i64>(ptrs_[k].cur);
+        if (store) {
+            p_.emit(stype(op, kPtrs[k], work_reg(rng_), imm));
+        } else {
+            const Reg rd = work_reg(rng_);
+            p_.emit(itype(op, rd, kPtrs[k], imm));
+            emit_fold(p_, rd);
+        }
+    }
+
+    /// One op; `neutral` ops leave the pointer registers as they are
+    /// and only ever forget spill slots.
+    void emit_op(bool neutral)
+    {
+        if (rng_.chance(2, 5)) {
+            emit_random_op(p_, rng_);
+            return;
+        }
+        const u64 pick = rng_.below(100);
+        const std::size_t k = pick_ptr();
+        Ptr& ptr = ptrs_[k];
+        const Reg w = work_reg(rng_);
+        const u64 slot = rng_.below(kSlots);
+        const i64 slot_off = static_cast<i64>(8 * slot);
+        if (pick < 20) {
+            emit_checked(k, false);
+        } else if (pick < 35) {
+            emit_checked(k, true);
+        } else if (pick < 47) { // tchk: pointer, work register or x0
+            const u64 r = rng_.below(10);
+            p_.emit(rtype(Opcode::TCHK, Reg::zero,
+                          r < 7 ? kPtrs[k] : r < 9 ? w : Reg::zero,
+                          Reg::zero));
+        } else if (pick < 57) { // ADD/SUB over pointer operands
+            const Reg other = rng_.chance(1, 2) ? kPtrs[pick_ptr()] : w;
+            const Reg rd = rng_.chance(1, 2) ? Reg::zero : work_reg(rng_);
+            if (rd == Reg::zero && !slots_.empty() && rng_.chance(1, 2)) {
+                // Metadata in SRF entry 0 for the rule to clear.
+                p_.emit(itype(Opcode::LBDLS, Reg::zero, kSlotBase,
+                              static_cast<i64>(8 * slots_.begin()->first)));
+            }
+            const bool sub = rng_.chance(1, 2);
+            const bool swap = !sub && rng_.chance(1, 2);
+            p_.emit(rtype(sub ? Opcode::SUB : Opcode::ADD, rd,
+                          swap ? other : kPtrs[k], swap ? kPtrs[k] : other));
+            if (rd != Reg::zero) { // what the rule left, for the exit dump
+                p_.emit(stype(Opcode::SBDL, kSlotBase, rd, slot_off));
+                p_.emit(stype(Opcode::SBDU, kSlotBase, rd, slot_off));
+                slots_.erase(slot);
+            }
+        } else if (pick < 65) { // spill: value + both SRF halves
+            p_.emit(stype(Opcode::SD, kSlotBase, kPtrs[k], slot_off));
+            p_.emit(stype(Opcode::SBDL, kSlotBase, kPtrs[k], slot_off));
+            p_.emit(stype(Opcode::SBDU, kSlotBase, kPtrs[k], slot_off));
+            if (neutral) slots_.erase(slot);
+            else slots_[slot] = ptr;
+        } else if (pick < 70) { // shadow moves of x0 or a work register
+            // Loading into x0 gives SRF entry 0 metadata for ADD/SUB with
+            // rd = x0 to clear.
+            const Reg r = rng_.chance(1, 2) ? Reg::zero : w;
+            if (rng_.chance(1, 2)) {
+                p_.emit(stype(rng_.chance(1, 2) ? Opcode::SBDL : Opcode::SBDU,
+                              kSlotBase, r, slot_off));
+                slots_.erase(slot);
+            } else {
+                p_.emit(itype(rng_.chance(1, 2) ? Opcode::LBDLS
+                                                : Opcode::LBDUS,
+                              r, kSlotBase, slot_off));
+            }
+        } else if (pick < 76) { // decode a slot into a work register
+            static const Opcode kQueries[] = {Opcode::LBAS, Opcode::LBND,
+                                              Opcode::LKEY, Opcode::LLOC};
+            p_.emit(itype(Opcode::ADDI, Reg::t6, kSlotBase, slot_off));
+            p_.emit(rtype(kQueries[rng_.below(4)], w, Reg::t6, Reg::zero));
+            emit_fold(p_, w);
+        } else if (pick < 81) { // srfmv/srfclr, never into a pointer
+            const Reg rd = rng_.chance(1, 3) ? Reg::zero : w;
+            if (rng_.chance(1, 4)) {
+                p_.emit(rtype(Opcode::SRFCLR, rd, Reg::zero, Reg::zero));
+            } else {
+                p_.emit(rtype(Opcode::SRFMV, rd,
+                              rng_.chance(2, 3) ? kPtrs[k] : work_reg(rng_),
+                              Reg::zero));
+            }
+        } else if (pick < 85) { // key erasure, then the key minted again
+            const u64 j = rng_.below(kLocks);
+            p_.emit_li(Reg::a6, static_cast<i64>(lock_addr(j)));
+            p_.emit(stype(Opcode::SD, Reg::a6, Reg::zero, 0));
+            p_.emit_li(Reg::a7, static_cast<i64>(key(j)));
+            p_.emit(stype(Opcode::SD, Reg::a6, Reg::a7, 0));
+        } else if (pick < 87) {
+            p_.emit(rtype(Opcode::KBFLUSH, Reg::zero, Reg::zero, Reg::zero));
+        } else if (pick < 91) { // csr.status, csr.bitw rewrite, csr read
+            const u64 r = rng_.below(3);
+            if (r == 0) {
+                const u64 status = rng_.chance(1, 2) ? 3 : rng_.below(3);
+                p_.emit(csri_op(Opcode::CSRRWI, Reg::zero,
+                                static_cast<unsigned>(status),
+                                hwst::hwst::kCsrStatus));
+            } else if (r == 1) {
+                p_.emit_li(Reg::a6, bitw_);
+                p_.emit(csr_op(Opcode::CSRRW, Reg::zero, Reg::a6,
+                               hwst::hwst::kCsrBitw));
+            } else {
+                p_.emit(csr_op(Opcode::CSRRS, w, Reg::zero,
+                               hwst::hwst::kCsrBitw));
+            }
+        } else if (neutral) { // the rest would change the model
+            emit_checked(k, false);
+        } else if (pick < 95) { // pointer arithmetic within the object
+            const u64 cur = rng_.below(objs_[ptr.obj].len + 1);
+            p_.emit(itype(Opcode::ADDI, kPtrs[k], kPtrs[k],
+                          static_cast<i64>(cur) - static_cast<i64>(ptr.cur)));
+            ptr.cur = cur;
+        } else if (pick < 98 && !slots_.empty()) { // reload a spilled pointer
+            auto it = slots_.begin();
+            std::advance(it, static_cast<long>(rng_.below(slots_.size())));
+            const i64 off = static_cast<i64>(8 * it->first);
+            p_.emit(itype(Opcode::LD, kPtrs[k], kSlotBase, off));
+            p_.emit(itype(Opcode::LBDLS, kPtrs[k], kSlotBase, off));
+            ptr = it->second;
+            if (rng_.chance(4, 5))
+                p_.emit(itype(Opcode::LBDUS, kPtrs[k], kSlotBase, off));
+            else
+                ptr.lock = -1;
+        } else {
+            bind_lock(k, rng_.below(kLocks));
+        }
+    }
+
+    /// Re-enable both checks, then (after filler, so the violation sits
+    /// mid-block) the planted violation.
+    void emit_plant()
+    {
+        using hwst::hwst::TrapKind;
+        p_.emit(csri_op(Opcode::CSRRWI, Reg::zero, 3, hwst::hwst::kCsrStatus));
+        const int filler = 2 + static_cast<int>(rng_.below(3));
+        for (int i = 0; i < filler; ++i) emit_random_op(p_, rng_);
+        std::size_t k = pick_ptr();
+        Plant plant = plant_;
+        if (plant == Plant::ErasedKey) {
+            // Needs a pointer with a temporal half.
+            for (std::size_t i = 0; i < kPtrs.size() && ptrs_[k].lock < 0; ++i)
+                k = (k + 1) % kPtrs.size();
+            if (ptrs_[k].lock < 0) plant = Plant::OutOfBounds;
+        }
+        const Ptr& ptr = ptrs_[k];
+        const Obj& obj = objs_[ptr.obj];
+        switch (plant) {
+        case Plant::OutOfBounds: {
+            const i64 target =
+                rng_.chance(1, 2)
+                    ? static_cast<i64>(obj.len + 8 * rng_.below(3))
+                    : -8 * static_cast<i64>(1 + rng_.below(2));
+            expect(TrapKind::SpatialViolation,
+                   obj.base + static_cast<u64>(target));
+            emit_checked(k, rng_.chance(1, 2), target);
+            break;
+        }
+        case Plant::ErasedKey:
+            p_.emit_li(Reg::a6, static_cast<i64>(lock_addr(ptr.lock)));
+            p_.emit(stype(Opcode::SD, Reg::a6, Reg::zero, 0));
+            emit_random_op(p_, rng_);
+            expect(TrapKind::TemporalViolation, lock_addr(ptr.lock));
+            p_.emit(rtype(Opcode::TCHK, Reg::zero, kPtrs[k], Reg::zero));
+            break;
+        case Plant::SaturatedBounds:
+            // A range one bit wider than csr.bitw allows.
+            p_.emit_li(Reg::a6, static_cast<i64>(
+                                    addr(ptr) + (u64{1} << (widths_.range_bits + 4))));
+            p_.emit(rtype(Opcode::BNDRS, kPtrs[k], kPtrs[k], Reg::a6));
+            emit_random_op(p_, rng_);
+            expect(TrapKind::SpatialViolation, addr(ptr));
+            p_.emit(itype(Opcode::CLD, work_reg(rng_), kPtrs[k], 0));
+            break;
+        case Plant::SaturatedLock:
+            // A lock below csr.lock.base.
+            p_.emit_li(Reg::a6, 8);
+            p_.emit_li(Reg::a7, static_cast<i64>(key(0)));
+            p_.emit(rtype(Opcode::BNDRT, kPtrs[k], Reg::a7, Reg::a6));
+            emit_random_op(p_, rng_);
+            expect(TrapKind::TemporalViolation, addr(ptr));
+            p_.emit(rtype(Opcode::TCHK, Reg::zero, kPtrs[k], Reg::zero));
+            break;
+        case Plant::None:
+            break;
+        }
+    }
+
+    Xoshiro256& rng_;
+    const Plant plant_;
+    Program p_;
+    HwstCase out_;
+    hwst::metadata::CompressionConfig widths_;
+    i64 bitw_ = 0;
+    std::vector<Obj> objs_;
+    std::vector<Ptr> ptrs_;
+    std::map<u64, Ptr> slots_;
+};
+
+HwstCase fuzz_hwst_program(Xoshiro256& rng, Plant plant)
+{
+    return HwstGen{rng, plant}.generate();
+}
+
+/// FNV-1a over every RunResult observable: pins the simulated outcome
+/// of a generated program, so a change to an op's semantics shows even
+/// when both tiers share it.
+u64 digest(const sim::RunResult& r)
+{
+    u64 h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](u64 v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001B3ull;
+        }
+    };
+    for (const u64 v :
+         {static_cast<u64>(r.trap.kind), r.trap.addr, r.trap.pc,
+          static_cast<u64>(r.exit_code), r.cycles, r.instret,
+          r.dcache.accesses, r.dcache.misses, r.icache.accesses,
+          r.icache.misses, r.keybuffer.lookups, r.keybuffer.hits,
+          r.keybuffer.flushes, r.scu_checks, r.tcu_checks, r.scu_saturated,
+          r.tcu_saturated, r.smac_translations, r.mix.alu, r.mix.loads,
+          r.mix.stores, r.mix.checked_loads, r.mix.checked_stores,
+          r.mix.meta_moves, r.mix.binds, r.mix.tchk, r.mix.branches,
+          r.mix.jumps, r.mix.ecalls, r.mix.other})
+        mix(v);
+    for (const i64 v : r.output) mix(static_cast<u64>(v));
+    return h;
 }
 
 // ---- tier resolution -------------------------------------------------
@@ -301,6 +773,14 @@ class SuperblockFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SuperblockFuzz, DbtMatchesInterpreterBitForBit)
 {
+    static const u64 kGolden[] = {
+        0xd5c3345c48a31237ull, 0x95e3708db437832full, 0xd7ed4f94931d426full,
+        0x6d1232d431be8abfull, 0xd36b0c04e0c3aaadull, 0xa356cbbd362d0011ull,
+        0x51a1c919b74a7a04ull, 0xb932884848bfc5bull, 0x323e70442d8a9c5dull,
+        0x8f484e34356320bbull, 0xf6093851662b91dfull, 0x57a9c3a6a70b930aull,
+        0x659c9ec05ef44d29ull, 0x8e0b04b55f5a8b9full, 0x2719220534ff3b3bull,
+        0xa17f87c603f58c9cull,
+    };
     Xoshiro256 rng{0x5B10C + GetParam() * 6271};
     const Program p = fuzz_program(rng);
 
@@ -317,9 +797,91 @@ TEST_P(SuperblockFuzz, DbtMatchesInterpreterBitForBit)
     // fallback_runs counts runs where the tier was configured on but a
     // hook blocked it; configuring it off is not a fallback.
     EXPECT_EQ(interp.dbt_stats().fallback_runs, 0u);
+    EXPECT_EQ(digest(a), kGolden[GetParam()])
+        << "digest 0x" << std::hex << digest(a);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockFuzz, ::testing::Range<u64>(0, 16));
+
+// ---- fuzzed HWST metadata programs -----------------------------------
+//
+// Both tiers execute every op from one definition, so a tier-vs-tier
+// comparison alone cannot see a change to an op's semantics: each seed
+// also pins the digest() of its run.
+
+/// Runs `c` on both tiers, with the keybuffer on or off, and checks
+/// they agree on the RunResult and on the final State. The I-cache's
+/// last-miss flag is left out: the dispatcher counts same-line fetches
+/// in bulk without touching it, and only the D-cache's is ever read.
+sim::RunResult run_both_tiers(const HwstCase& c, bool keybuffer)
+{
+    sim::MachineConfig cfg;
+    cfg.keybuffer_enabled = keybuffer;
+    sim::Machine dbt{c.program, with_dbt(cfg, true)};
+    const sim::RunResult a = dbt.run();
+    sim::Machine interp{c.program, with_dbt(cfg, false)};
+    const sim::RunResult b = interp.run();
+    expect_bit_equal(a, b);
+    sim::State sa = dbt.state();
+    const sim::State sb = interp.state();
+    sa.icache.last_miss = sb.icache.last_miss;
+    EXPECT_TRUE(sa == sb);
+    EXPECT_GT(dbt.dbt_stats().block_execs, 0u);
+    return a;
+}
+
+class SuperblockHwstFuzz : public ::testing::TestWithParam<u64> {};
+
+TEST_P(SuperblockHwstFuzz, DbtMatchesInterpreterAndGolden)
+{
+    static const u64 kGolden[] = {
+        0xf335c036ffcd01a9ull, 0x3740f3b10f31eeabull, 0xd35b0aaf9b10ad3eull,
+        0xcbe6e657e4749f1aull, 0x1a0caecf493a90cull, 0xbe9d5a786ae55be9ull,
+        0xf8039feaaf680c64ull, 0x61dc12686a3f160eull, 0x3824026e56077447ull,
+        0x7ed64dee81010e73ull, 0x586ef849df592e96ull, 0x1f20342b31756e09ull,
+        0x547d47feec0fda3ull, 0xe708507f76c20992ull, 0xc87234edc63a472eull,
+        0x9345cad7e6c4003bull,
+    };
+    Xoshiro256 rng{0x4857F + GetParam() * 7919};
+    const HwstCase c = fuzz_hwst_program(rng, Plant::None);
+    const sim::RunResult r = run_both_tiers(c, GetParam() % 2 == 0);
+    ASSERT_EQ(r.trap.kind, hwst::hwst::TrapKind::None);
+    EXPECT_GT(r.scu_checks, 0u);
+    EXPECT_GT(r.tcu_checks, 0u);
+    EXPECT_EQ(digest(r), kGolden[GetParam()])
+        << "digest 0x" << std::hex << digest(r);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockHwstFuzz,
+                         ::testing::Range<u64>(0, 16));
+
+class SuperblockHwstTrap : public ::testing::TestWithParam<u64> {};
+
+TEST_P(SuperblockHwstTrap, MidBlockTrapMatchesInterpreterAndGolden)
+{
+    static const u64 kGolden[] = {
+        0x15039a2897e0dbe3ull, 0x162db23639a235f1ull, 0xd10f075c7d74ca10ull,
+        0xe367137dc95d1544ull, 0x1a6d86d97275844bull, 0xd60384f79f25e23bull,
+        0x9e7c768626b2a136ull, 0x14f56d73bc3f0e78ull, 0xe9a50e13faa26baaull,
+        0x6424f7f6d0d4c7c6ull, 0x1b2f657cd796bccdull, 0xd053999da207b609ull,
+        0xe94c75c77f400afeull, 0x24083f5d6cb03b02ull, 0x81782e35705d437aull,
+        0xc4eec14af6e8f3fbull,
+    };
+    static const Plant kPlants[] = {Plant::OutOfBounds, Plant::ErasedKey,
+                                    Plant::SaturatedBounds,
+                                    Plant::SaturatedLock};
+    Xoshiro256 rng{0x7A9F + GetParam() * 104729};
+    const HwstCase c = fuzz_hwst_program(rng, kPlants[GetParam() % 4]);
+    const sim::RunResult r = run_both_tiers(c, GetParam() / 4 % 2 == 0);
+    EXPECT_EQ(r.trap.kind, c.kind);
+    EXPECT_EQ(r.trap.addr, c.tval);
+    EXPECT_EQ(r.trap.pc, c.pc);
+    EXPECT_EQ(digest(r), kGolden[GetParam()])
+        << "digest 0x" << std::hex << digest(r);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockHwstTrap,
+                         ::testing::Range<u64>(0, 16));
 
 // ---- real workloads, all instrumentation schemes ---------------------
 
