@@ -1,9 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrate:
-// encoder/decoder round-trips, D-cache model accesses and whole-machine
-// simulation rate (simulated instructions per host second).
+// encoder/decoder round-trips, D-cache model accesses, whole-machine
+// simulation rate (simulated instructions per host second), and the
+// per-run fixed costs of a short Juliet cell: compile, and Machine
+// load (construction + teardown).
 #include <benchmark/benchmark.h>
 
 #include "compiler/driver.hpp"
+#include "juliet/cases.hpp"
 #include "mem/cache.hpp"
 #include "mir/builder.hpp"
 #include "riscv/encoding.hpp"
@@ -89,6 +92,43 @@ BENCHMARK(BM_SimulationRate)
     ->Arg(static_cast<int>(compiler::Scheme::None))
     ->Arg(static_cast<int>(compiler::Scheme::Sbcets))
     ->Arg(static_cast<int>(compiler::Scheme::Hwst128Tchk));
+
+/// One fixed Juliet case (a CWE122 heap overflow, fig6's largest
+/// category) under each of fig6's four schemes.
+const juliet::CaseSpec kJulietCase =
+    juliet::make_spec(juliet::Cwe::C122, 0, true);
+
+void fig6_schemes(benchmark::internal::Benchmark* b)
+{
+    for (const auto s : {compiler::Scheme::Gcc, compiler::Scheme::Asan,
+                         compiler::Scheme::Sbcets,
+                         compiler::Scheme::Hwst128Tchk})
+        b->Arg(static_cast<int>(s));
+}
+
+void BM_JulietCompile(benchmark::State& state)
+{
+    const auto scheme = static_cast<compiler::Scheme>(state.range(0));
+    const mir::Module m = juliet::build_case(kJulietCase);
+    for (auto _ : state) {
+        const auto cp = compiler::compile(m, scheme);
+        benchmark::DoNotOptimize(cp.program.code().data());
+    }
+    state.SetLabel(std::string{compiler::scheme_name(scheme)});
+}
+BENCHMARK(BM_JulietCompile)->Apply(fig6_schemes);
+
+void BM_JulietMachineLoad(benchmark::State& state)
+{
+    const auto scheme = static_cast<compiler::Scheme>(state.range(0));
+    const auto cp = compiler::compile(juliet::build_case(kJulietCase), scheme);
+    for (auto _ : state) {
+        sim::Machine machine{cp.program, cp.machine_config};
+        benchmark::DoNotOptimize(&machine);
+    }
+    state.SetLabel(std::string{compiler::scheme_name(scheme)});
+}
+BENCHMARK(BM_JulietMachineLoad)->Apply(fig6_schemes);
 
 } // namespace
 

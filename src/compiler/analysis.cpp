@@ -11,8 +11,15 @@ using mir::Ty;
 FunctionPointerFacts analyze_pointers(const mir::Function& fn)
 {
     FunctionPointerFacts facts;
+    const std::size_t n = fn.values().size();
+    facts.root_of.assign(n, FunctionPointerFacts::kNone);
+    facts.root_kind.resize(n);
+    facts.root_param.assign(n, FunctionPointerFacts::kNone);
 
     const auto make_root = [&](Value v, RootKind kind) {
+        if (v.id >= n)
+            throw common::ToolchainError{
+                "pointer analysis: value id out of range in " + fn.name()};
         facts.root_of[v.id] = v.id;
         facts.root_kind[v.id] = kind;
         facts.roots.push_back(v.id);
@@ -45,12 +52,12 @@ FunctionPointerFacts analyze_pointers(const mir::Function& fn)
                 break;
             case Op::Gep: {
                 // Derived pointer: shares the base pointer's metadata.
-                const auto it = facts.root_of.find(in.a.id);
-                if (it == facts.root_of.end())
+                if (in.a.id >= n || in.result.id >= n ||
+                    facts.root_of[in.a.id] == FunctionPointerFacts::kNone)
                     throw common::ToolchainError{
                         "pointer analysis: gep base has no provenance in " +
                         fn.name()};
-                facts.root_of[in.result.id] = it->second;
+                facts.root_of[in.result.id] = facts.root_of[in.a.id];
                 break;
             }
             case Op::Load:

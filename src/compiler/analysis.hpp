@@ -10,9 +10,9 @@
 // (Fig. 6's sub-100% coverage).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "mir/ir.hpp"
 
 namespace hwst::compiler {
@@ -33,14 +33,19 @@ enum class RootKind {
 };
 
 struct FunctionPointerFacts {
-    /// value id -> root value id (identity for roots).
-    std::unordered_map<u32, u32> root_of;
-    /// root value id -> kind.
-    std::unordered_map<u32, RootKind> root_kind;
+    static constexpr u32 kNone = Value::kInvalid;
+
+    /// value id -> root value id (identity for roots, kNone for values
+    /// without provenance). A value is a root iff it is its own root.
+    std::vector<u32> root_of;
+    /// root value id -> kind (meaningful only where root_of is the
+    /// identity).
+    std::vector<RootKind> root_kind;
     /// Distinct roots in definition order (group layout order).
     std::vector<u32> roots;
-    /// Param roots -> parameter index (they share the param's group).
-    std::unordered_map<u32, u32> root_param;
+    /// root value id -> parameter index for param roots (they share the
+    /// param's group), kNone otherwise.
+    std::vector<u32> root_param;
     /// True if any alloca's address is taken (the frame then needs a
     /// lock_location so stack temporal safety / use-after-return works).
     bool needs_frame_lock = false;
@@ -51,18 +56,16 @@ struct FunctionPointerFacts {
 
     u32 root(Value v) const
     {
-        const auto it = root_of.find(v.id);
-        if (it == root_of.end())
+        if (v.id >= root_of.size() || root_of[v.id] == kNone)
             throw common::ToolchainError{"pointer facts: unknown value"};
-        return it->second;
+        return root_of[v.id];
     }
 
     RootKind kind_of_root(u32 root_id) const
     {
-        const auto it = root_kind.find(root_id);
-        if (it == root_kind.end())
+        if (root_id >= root_of.size() || root_of[root_id] != root_id)
             throw common::ToolchainError{"pointer facts: unknown root"};
-        return it->second;
+        return root_kind[root_id];
     }
 };
 

@@ -97,6 +97,14 @@ riscv::Program Codegen::compile()
 
     riscv::Program prog;
     prog.layout() = layout_;
+    // Most schemes emit at most ~16 instructions per MIR instruction,
+    // plus the runtime library; reserving that up front saves emit()
+    // about ten reallocations a program.
+    std::size_t mir_instrs = 0;
+    for (const mir::Function& fn : module_.functions())
+        for (const mir::Block& bb : fn.blocks())
+            mir_instrs += bb.instrs().size();
+    prog.reserve(16 * mir_instrs + 1024);
 
     // Globals into the data segment.
     global_addr_.clear();
@@ -118,16 +126,24 @@ riscv::Program Codegen::compile()
     ctx.global_addr = &global_addr_;
     ctx.global_size = &global_size_;
 
+    // Named entry points: one name->id lookup per function and per
+    // runtime routine; everything else gets anonymous labels.
+    fn_labels_.clear();
+    for (const mir::Function& fn : module_.functions())
+        fn_labels_.push_back(prog.named_label("fn_" + fn.name()));
+    rt_memcpy_ = prog.named_label("rt_memcpy");
+    rt_memset_ = prog.named_label("rt_memset");
+
     // _start (the Machine's entry label is "main").
     prog.label("main");
-    ctx.begin_function("_start");
     emitter_.program_start(ctx);
-    prog.emit_call("fn_main");
+    prog.emit_call(fn_labels_[static_cast<std::size_t>(
+        main - module_.functions().data())]);
     ctx.ecall(sim::Sys::Exit); // a0 = main's return value
     ctx.emit(riscv::Instruction{Opcode::EBREAK});
 
-    for (const mir::Function& fn : module_.functions())
-        lower_function(prog, ctx, fn);
+    for (std::size_t f = 0; f < module_.functions().size(); ++f)
+        lower_function(prog, ctx, module_.functions()[f], fn_labels_[f]);
 
     emitter_.emit_runtime(ctx);
 
@@ -163,16 +179,18 @@ FrameInfo Codegen::build_frame(const mir::Function& fn,
         }
     }
 
-    for (u32 id = 0; id < fn.values().size(); ++id) {
-        frame.value_slot[id] = off;
+    frame.value_slot.resize(fn.values().size());
+    for (i64& slot : frame.value_slot) {
+        slot = off;
         off += 8;
     }
 
     if (emitter_.wants_groups()) {
+        frame.group_off.assign(fn.values().size(), -1);
         for (const u32 root : facts.roots) {
-            const auto pi = facts.root_param.find(root);
-            if (pi != facts.root_param.end()) {
-                frame.group_off[root] = frame.param_group[pi->second];
+            const u32 param = facts.root_param[root];
+            if (param != FunctionPointerFacts::kNone) {
+                frame.group_off[root] = frame.param_group[param];
             } else {
                 frame.group_off[root] = off;
                 off += 32;
@@ -216,18 +234,16 @@ void Codegen::emit_epilogue(riscv::Program& prog, Ctx& ctx,
 }
 
 void Codegen::lower_function(riscv::Program& prog, Ctx& ctx,
-                             const mir::Function& fn)
+                             const mir::Function& fn, riscv::Label fn_label)
 {
     const FunctionPointerFacts facts = analyze_pointers(fn);
     const FrameInfo frame = build_frame(fn, facts);
-    const std::string fn_label = "fn_" + fn.name();
 
-    ctx.begin_function(fn_label);
     ctx.fn = &fn;
     ctx.facts = &facts;
     ctx.frame = &frame;
 
-    prog.label(fn_label);
+    prog.bind(fn_label);
 
     // Prologue.
     if (fits_signed(-frame.size, 12)) {
@@ -256,31 +272,26 @@ void Codegen::lower_function(riscv::Program& prog, Ctx& ctx,
 
     // Body. The register cache is block-local: control-flow merges
     // always reload from home slots.
+    bb_labels_.clear();
+    for (std::size_t b = 0; b < fn.blocks().size(); ++b)
+        bb_labels_.push_back(prog.new_label());
     for (std::size_t b = 0; b < fn.blocks().size(); ++b) {
-        prog.label(fn_label + "$bb" + std::to_string(b));
+        prog.bind(bb_labels_[b]);
         cache_.clear();
         for (const Instr& in : fn.blocks()[b].instrs())
-            lower_instr(prog, ctx, fn, facts, frame, fn_label, in);
+            lower_instr(prog, ctx, fn, frame, in);
     }
 
-    ctx.flush_trampolines();
     ctx.fn = nullptr;
     ctx.facts = nullptr;
     ctx.frame = nullptr;
 }
 
 void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
-                          const mir::Function& fn,
-                          const FunctionPointerFacts& /*facts*/,
-                          const FrameInfo& frame,
-                          const std::string& fn_label, const Instr& in)
+                          const mir::Function& fn, const FrameInfo& frame,
+                          const Instr& in)
 {
-    const auto slot = [&](Value v) -> i64 {
-        const auto it = frame.value_slot.find(v.id);
-        if (it == frame.value_slot.end())
-            throw ToolchainError{"codegen: value without home slot"};
-        return it->second;
-    };
+    const auto slot = [&](Value v) { return frame.slot(v); };
     const auto is_ptr = [&](Value v) { return fn.value_type(v) == Ty::Ptr; };
 
     // Read a value: a cache hit returns the register the value already
@@ -481,7 +492,11 @@ void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
         emitter_.before_call(ctx, in);
         for (std::size_t i = 0; i < in.args.size(); ++i)
             use_into(arg_reg(i), in.args[i]);
-        prog.emit_call("fn_" + in.callee);
+        const mir::Function* callee = module_.find_function(in.callee);
+        if (!callee)
+            throw ToolchainError{"codegen: call to unknown " + in.callee};
+        prog.emit_call(fn_labels_[static_cast<std::size_t>(
+            callee - module_.functions().data())]);
         cache_.clear(); // the callee reuses the cache registers
         emitter_.after_call(ctx, in);
         if (in.ty != Ty::Void) {
@@ -512,7 +527,7 @@ void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
         use_into(Reg::a1, in.b);
         use_into(Reg::a2, in.c);
         emitter_.before_memcpy(ctx, in);
-        prog.emit_call("rt_memcpy");
+        prog.emit_call(rt_memcpy_);
         cache_.clear();
         break;
 
@@ -521,7 +536,7 @@ void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
         use_into(Reg::a1, in.b);
         use_into(Reg::a2, in.c);
         emitter_.before_memset(ctx, in);
-        prog.emit_call("rt_memset");
+        prog.emit_call(rt_memset_);
         cache_.clear();
         break;
 
@@ -535,10 +550,10 @@ void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
         if (frame.canary_off >= 0) {
             ctx.load_slot(Reg::t3, frame.canary_off);
             prog.emit_li(Reg::t4, kStackCanary);
-            const std::string ok = ctx.fresh_label("canary_ok");
+            const riscv::Label ok = ctx.fresh_label();
             prog.emit_branch(Opcode::BEQ, Reg::t3, Reg::t4, ok);
             ctx.ecall(sim::Sys::StackGuardFail);
-            prog.label(ok);
+            prog.bind(ok);
         }
         if (in.a.valid()) {
             use_into(Reg::a0, in.a);
@@ -549,16 +564,13 @@ void Codegen::lower_instr(riscv::Program& prog, Ctx& ctx,
 
     case Op::Br: {
         const Reg ra = use_any(in.a, Reg::t0);
-        prog.emit_branch(Opcode::BNE, ra, Reg::zero,
-                         fn_label + "$bb" + std::to_string(in.bb_true));
-        prog.emit_jal(Reg::zero,
-                      fn_label + "$bb" + std::to_string(in.bb_false));
+        prog.emit_branch(Opcode::BNE, ra, Reg::zero, bb_labels_[in.bb_true]);
+        prog.emit_jal(Reg::zero, bb_labels_[in.bb_false]);
         break;
     }
 
     case Op::Jmp:
-        prog.emit_jal(Reg::zero,
-                      fn_label + "$bb" + std::to_string(in.bb_true));
+        prog.emit_jal(Reg::zero, bb_labels_[in.bb_true]);
         break;
     }
 }

@@ -53,12 +53,11 @@ private:
     };
 
     void lower_function(riscv::Program& prog, Ctx& ctx,
-                        const mir::Function& fn);
+                        const mir::Function& fn, riscv::Label fn_label);
     FrameInfo build_frame(const mir::Function& fn,
                           const FunctionPointerFacts& facts) const;
     void lower_instr(riscv::Program& prog, Ctx& ctx, const mir::Function& fn,
-                     const FunctionPointerFacts& facts, const FrameInfo& frame,
-                     const std::string& fn_label, const mir::Instr& in);
+                     const FrameInfo& frame, const mir::Instr& in);
     void emit_epilogue(riscv::Program& prog, Ctx& ctx, const FrameInfo& frame);
 
     RegCache cache_;
@@ -68,6 +67,9 @@ private:
     riscv::MemoryLayout layout_;
     std::vector<u64> global_addr_;
     std::vector<u64> global_size_;
+    std::vector<riscv::Label> fn_labels_; ///< function index -> fn_<name>
+    std::vector<riscv::Label> bb_labels_; ///< block index -> its label
+    riscv::Label rt_memcpy_, rt_memset_;
 };
 
 /// Stack canary value used by the Gcc scheme.

@@ -38,11 +38,6 @@ void Ctx::store_slot(Reg src, i64 off, Reg scratch)
     }
 }
 
-std::string Ctx::fresh_label(const std::string& stem)
-{
-    return fn_label_ + "$" + stem + std::to_string(label_counter_++);
-}
-
 void Ctx::ecall(sim::Sys nr)
 {
     li(Reg::a7, static_cast<i64>(nr));
@@ -56,67 +51,14 @@ void Ctx::o0_home(Reg r)
     load_slot(r, frame->emitter_scratch_off);
 }
 
-void Ctx::begin_function(const std::string& fn_label)
-{
-    fn_label_ = fn_label;
-    want_sp_viol_ = want_tp_viol_ = want_asan_viol_ = false;
-    sp_viol_ = fn_label + "$viol_sp";
-    tp_viol_ = fn_label + "$viol_tp";
-    asan_viol_ = fn_label + "$viol_asan";
-}
-
-const std::string& Ctx::spatial_viol_label()
-{
-    want_sp_viol_ = true;
-    return sp_viol_;
-}
-
-const std::string& Ctx::temporal_viol_label()
-{
-    want_tp_viol_ = true;
-    return tp_viol_;
-}
-
-const std::string& Ctx::asan_viol_label()
-{
-    want_asan_viol_ = true;
-    return asan_viol_;
-}
-
-void Ctx::flush_trampolines()
-{
-    // Convention: the faulting address is in t0 when jumping here.
-    if (want_sp_viol_) {
-        prog_.label(sp_viol_);
-        emit(riscv::mv(Reg::a1, Reg::t0));
-        li(Reg::a0, 0);
-        ecall(sim::Sys::SoftViolation);
-        emit(riscv::Instruction{Opcode::EBREAK}); // unreachable backstop
-    }
-    if (want_tp_viol_) {
-        prog_.label(tp_viol_);
-        emit(riscv::mv(Reg::a1, Reg::t0));
-        li(Reg::a0, 1);
-        ecall(sim::Sys::SoftViolation);
-        emit(riscv::Instruction{Opcode::EBREAK});
-    }
-    if (want_asan_viol_) {
-        prog_.label(asan_viol_);
-        emit(riscv::mv(Reg::a1, Reg::t0));
-        ecall(sim::Sys::AsanReport);
-        emit(riscv::Instruction{Opcode::EBREAK});
-    }
-}
-
 i64 Ctx::group_of(Value v) const
 {
     if (!facts || !frame)
         throw common::ToolchainError{"Ctx::group_of outside a function"};
     const u32 root = facts->root(v);
-    const auto it = frame->group_off.find(root);
-    if (it == frame->group_off.end())
+    if (root >= frame->group_off.size() || frame->group_off[root] < 0)
         throw common::ToolchainError{"Ctx::group_of: root has no group"};
-    return it->second;
+    return frame->group_off[root];
 }
 
 // ---- SafetyEmitter defaults (uninstrumented baseline) -----------------
@@ -146,40 +88,46 @@ void SafetyEmitter::emit_runtime(Ctx& ctx)
     // rt_memcpy(a0 = dst, a1 = src, a2 = len). Word loop + byte tail;
     // per-word metadata propagation via the scheme hook (through-memory
     // propagation also happens for data moved by libc-style helpers).
+    const riscv::Label memcpy_word = prog.new_label();
+    const riscv::Label memcpy_byte = prog.new_label();
+    const riscv::Label memcpy_done = prog.new_label();
     prog.label("rt_memcpy");
     ctx.emit(riscv::mv(Reg::t0, Reg::a0)); // dst cursor (SRF follows)
     ctx.emit(riscv::mv(Reg::t1, Reg::a1)); // src cursor (SRF follows)
     ctx.emit(riscv::mv(Reg::t5, Reg::a2)); // remaining
-    prog.label("rt_memcpy$word");
+    prog.bind(memcpy_word);
     ctx.emit(itype(Opcode::ADDI, Reg::t6, Reg::zero, 8));
-    prog.emit_branch(Opcode::BLT, Reg::t5, Reg::t6, "rt_memcpy$byte");
+    prog.emit_branch(Opcode::BLT, Reg::t5, Reg::t6, memcpy_byte);
     ctx.emit(itype(ld8, Reg::t3, Reg::t1, 0));
     ctx.emit(stype(sd8, Reg::t0, Reg::t3, 0));
     copy_word_metadata(ctx, Reg::t0, Reg::t1);
     ctx.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 8));
     ctx.emit(itype(Opcode::ADDI, Reg::t1, Reg::t1, 8));
     ctx.emit(itype(Opcode::ADDI, Reg::t5, Reg::t5, -8));
-    prog.emit_jal(Reg::zero, "rt_memcpy$word");
-    prog.label("rt_memcpy$byte");
-    prog.emit_branch(Opcode::BEQ, Reg::t5, Reg::zero, "rt_memcpy$done");
+    prog.emit_jal(Reg::zero, memcpy_word);
+    prog.bind(memcpy_byte);
+    prog.emit_branch(Opcode::BEQ, Reg::t5, Reg::zero, memcpy_done);
     ctx.emit(itype(lb, Reg::t3, Reg::t1, 0));
     ctx.emit(stype(sb, Reg::t0, Reg::t3, 0));
     ctx.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 1));
     ctx.emit(itype(Opcode::ADDI, Reg::t1, Reg::t1, 1));
     ctx.emit(itype(Opcode::ADDI, Reg::t5, Reg::t5, -1));
-    prog.emit_jal(Reg::zero, "rt_memcpy$byte");
-    prog.label("rt_memcpy$done");
+    prog.emit_jal(Reg::zero, memcpy_byte);
+    prog.bind(memcpy_done);
     prog.emit_ret();
 
     // rt_memset(a0 = dst, a1 = byte, a2 = len). Byte loop with per-word
     // metadata invalidation (a memset over pointer containers kills
     // their metadata, as it must).
+    const riscv::Label memset_word = prog.new_label();
+    const riscv::Label memset_byte = prog.new_label();
+    const riscv::Label memset_done = prog.new_label();
     prog.label("rt_memset");
     ctx.emit(riscv::mv(Reg::t0, Reg::a0));
     ctx.emit(riscv::mv(Reg::t5, Reg::a2));
-    prog.label("rt_memset$word");
+    prog.bind(memset_word);
     ctx.emit(itype(Opcode::ADDI, Reg::t6, Reg::zero, 8));
-    prog.emit_branch(Opcode::BLT, Reg::t5, Reg::t6, "rt_memset$byte");
+    prog.emit_branch(Opcode::BLT, Reg::t5, Reg::t6, memset_byte);
     // Replicate the byte across the word in t3.
     ctx.emit(itype(Opcode::ANDI, Reg::t3, Reg::a1, 0xFF));
     ctx.emit(itype(Opcode::SLLI, Reg::t4, Reg::t3, 8));
@@ -192,14 +140,14 @@ void SafetyEmitter::emit_runtime(Ctx& ctx)
     clear_word_metadata(ctx, Reg::t0);
     ctx.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 8));
     ctx.emit(itype(Opcode::ADDI, Reg::t5, Reg::t5, -8));
-    prog.emit_jal(Reg::zero, "rt_memset$word");
-    prog.label("rt_memset$byte");
-    prog.emit_branch(Opcode::BEQ, Reg::t5, Reg::zero, "rt_memset$done");
+    prog.emit_jal(Reg::zero, memset_word);
+    prog.bind(memset_byte);
+    prog.emit_branch(Opcode::BEQ, Reg::t5, Reg::zero, memset_done);
     ctx.emit(stype(sb, Reg::t0, Reg::a1, 0));
     ctx.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 1));
     ctx.emit(itype(Opcode::ADDI, Reg::t5, Reg::t5, -1));
-    prog.emit_jal(Reg::zero, "rt_memset$byte");
-    prog.label("rt_memset$done");
+    prog.emit_jal(Reg::zero, memset_byte);
+    prog.bind(memset_done);
     prog.emit_ret();
 }
 

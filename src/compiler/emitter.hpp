@@ -13,10 +13,9 @@
 // are emitter scratch.
 #pragma once
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "compiler/analysis.hpp"
 #include "compiler/scheme.hpp"
 #include "mir/ir.hpp"
@@ -45,11 +44,19 @@ struct FrameInfo {
     i64 canary_off = -1;            ///< 8 B canary slot (Gcc scheme)
     std::vector<i64> param_slot;    ///< param index -> home slot
     std::vector<i64> param_group;   ///< param index -> 32 B group (-1 = none)
-    std::unordered_map<u32, i64> value_slot; ///< value id -> home slot
-    std::unordered_map<u32, i64> group_off;  ///< root id -> 32 B group
+    std::vector<i64> value_slot;    ///< value id -> home slot
+    std::vector<i64> group_off;     ///< root id -> 32 B group (-1 = none)
     std::vector<i64> alloca_off;    ///< alloca index -> offset
     i64 alloca_region_off = 0;      ///< start of the alloca area
     i64 alloca_region_size = 0;
+
+    /// Home slot of `v`; throws for a value this frame does not hold.
+    i64 slot(Value v) const
+    {
+        if (v.id >= value_slot.size())
+            throw common::ToolchainError{"codegen: value without home slot"};
+        return value_slot[v.id];
+    }
 };
 
 class SafetyEmitter;
@@ -90,7 +97,7 @@ public:
     void store_slot(Reg src, i64 off, Reg scratch = Reg::t6);
 
     /// Unique local label.
-    std::string fresh_label(const std::string& stem);
+    riscv::Label fresh_label() { return prog_.new_label(); }
 
     /// li a7, nr; ecall.
     void ecall(sim::Sys nr);
@@ -99,12 +106,6 @@ public:
     /// reload it, mimicking how -O0 lowers IR-level instrumentation.
     /// No-op outside a function or when the frame has no scratch.
     void o0_home(Reg r);
-
-    /// Per-function violation trampolines (lazily emitted at function
-    /// end). The faulting address must be in t0 when jumping there.
-    const std::string& spatial_viol_label();
-    const std::string& temporal_viol_label();
-    const std::string& asan_viol_label();
 
     /// 32 B metadata group offset of `v`'s root (software schemes).
     i64 group_of(Value v) const;
@@ -116,19 +117,10 @@ public:
     static constexpr Reg kMapBase = Reg::gp;     ///< swmeta / ASAN shadow base
     static constexpr Reg kShadowArgSp = Reg::tp; ///< SW shadow arg stack
 
-    // ---- internal (Codegen) -------------------------------------------
-    void begin_function(const std::string& fn_label);
-    /// Emit any pending violation trampolines; returns true if emitted.
-    void flush_trampolines();
-
 private:
     riscv::Program& prog_;
     const mir::Module& module_;
     const riscv::MemoryLayout& layout_;
-    u64 label_counter_ = 0;
-    std::string fn_label_;
-    bool want_sp_viol_ = false, want_tp_viol_ = false, want_asan_viol_ = false;
-    std::string sp_viol_, tp_viol_, asan_viol_;
 };
 
 class SafetyEmitter {

@@ -35,11 +35,6 @@ std::size_t count_ptr_args(Ctx& ctx, const mir::Instr& call)
     return n;
 }
 
-i64 slot_of(Ctx& ctx, Value v)
-{
-    return ctx.frame->value_slot.at(v.id);
-}
-
 /// CETS stack-lock push: grab a lock_location from the stack side of
 /// the lock region, mint a key from the stack-key counter, and store
 /// both into the frame slots — a handful of inline instructions, like
@@ -209,9 +204,9 @@ void SbcetsEmitter::ptr_stored(Ctx& ctx, Reg, Reg dst_addr, Value v)
 void SbcetsEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned width, bool,
                                 Value v)
 {
-    const std::string skip = ctx.fresh_label("chk_ok");
-    const std::string tmp_chk = ctx.fresh_label("chk_tmp");
-    const std::string viol_s = ctx.fresh_label("viol_s");
+    const riscv::Label skip = ctx.fresh_label();
+    const riscv::Label tmp_chk = ctx.fresh_label();
+    const riscv::Label viol_s = ctx.fresh_label();
 
     ctx.frame_addr(Reg::t6, ctx.group_of(v));
     ctx.emit(itype(Opcode::LD, Reg::t4, Reg::t6, 8)); // bound
@@ -225,7 +220,7 @@ void SbcetsEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned width, bool,
     ctx.emit(itype(Opcode::ADDI, Reg::t5, ptr, static_cast<i64>(width)));
     if (opts_.o0_cost) ctx.o0_home(Reg::t5);
     ctx.prog().emit_branch(Opcode::BLTU, Reg::t4, Reg::t5, viol_s);
-    ctx.prog().label(tmp_chk);
+    ctx.prog().bind(tmp_chk);
 
     if (opts_.temporal) {
         ctx.emit(itype(Opcode::LD, Reg::t5, Reg::t6, 24)); // lock
@@ -243,11 +238,11 @@ void SbcetsEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned width, bool,
     } else {
         ctx.prog().emit_jal(Reg::zero, skip);
     }
-    ctx.prog().label(viol_s);
+    ctx.prog().bind(viol_s);
     ctx.emit(mv(Reg::a1, ptr));
     ctx.li(Reg::a0, 0);
     ctx.ecall(sim::Sys::SoftViolation);
-    ctx.prog().label(skip);
+    ctx.prog().bind(skip);
 }
 
 void SbcetsEmitter::before_call(Ctx& ctx, const mir::Instr& call)
@@ -292,10 +287,10 @@ void SbcetsEmitter::malloc_wrapper(Ctx& ctx, Value result)
     ctx.emit(mv(Reg::t2, Reg::a0));
     if (opts_.temporal) {
         ctx.ecall(sim::Sys::LockAlloc); // a0 = lock, a1 = key
-        const std::string ok = ctx.fresh_label("mal_ok");
+        const riscv::Label ok = ctx.fresh_label();
         ctx.prog().emit_branch(Opcode::BNE, Reg::t2, Reg::zero, ok);
         ctx.li(Reg::a1, 0);
-        ctx.prog().label(ok);
+        ctx.prog().bind(ok);
     }
     ctx.frame_addr(Reg::t6, ctx.group_of(result));
     ctx.emit(stype(Opcode::SD, Reg::t6, Reg::t2, 0)); // base
@@ -309,9 +304,9 @@ void SbcetsEmitter::malloc_wrapper(Ctx& ctx, Value result)
 
 void SbcetsEmitter::free_wrapper(Ctx& ctx, Value operand)
 {
-    const std::string plain = ctx.fresh_label("free_plain");
-    const std::string viol = ctx.fresh_label("free_viol");
-    const std::string done = ctx.fresh_label("free_done");
+    const riscv::Label plain = ctx.fresh_label();
+    const riscv::Label viol = ctx.fresh_label();
+    const riscv::Label done = ctx.fresh_label();
 
     ctx.frame_addr(Reg::t6, ctx.group_of(operand));
     if (opts_.temporal) {
@@ -341,26 +336,26 @@ void SbcetsEmitter::free_wrapper(Ctx& ctx, Value operand)
             ctx.ecall(sim::Sys::BogoScan);
         }
     }
-    ctx.prog().label(plain);
+    ctx.prog().bind(plain);
     ctx.ecall(sim::Sys::Free);
     ctx.prog().emit_jal(Reg::zero, done);
-    ctx.prog().label(viol);
+    ctx.prog().bind(viol);
     ctx.emit(mv(Reg::a1, Reg::a0));
     ctx.li(Reg::a0, 1);
     ctx.ecall(sim::Sys::SoftViolation);
-    ctx.prog().label(done);
+    ctx.prog().bind(done);
 }
 
 void SbcetsEmitter::range_check(Ctx& ctx, Reg r, Value v)
 {
     // Wrapper-entry range check: [r, r + a2) inside v's bounds, plus
     // the temporal key check — what the SoftBoundCETS libc wrappers do.
-    const std::string skip = ctx.fresh_label("rng_ok");
-    const std::string viol = ctx.fresh_label("rng_viol");
-    const std::string run = ctx.fresh_label("rng_run");
+    const riscv::Label skip = ctx.fresh_label();
+    const riscv::Label viol = ctx.fresh_label();
+    const riscv::Label run = ctx.fresh_label();
     ctx.prog().emit_branch(Opcode::BNE, Reg::a2, Reg::zero, run);
     ctx.prog().emit_jal(Reg::zero, skip); // len == 0: nothing to check
-    ctx.prog().label(run);
+    ctx.prog().bind(run);
     ctx.frame_addr(Reg::t6, ctx.group_of(v));
     ctx.emit(itype(Opcode::LD, Reg::t4, Reg::t6, 8)); // bound
     ctx.prog().emit_branch(Opcode::BEQ, Reg::t4, Reg::zero, skip);
@@ -380,11 +375,11 @@ void SbcetsEmitter::range_check(Ctx& ctx, Reg r, Value v)
     } else {
         ctx.prog().emit_jal(Reg::zero, skip);
     }
-    ctx.prog().label(viol);
+    ctx.prog().bind(viol);
     ctx.emit(mv(Reg::a1, r));
     ctx.li(Reg::a0, 0);
     ctx.ecall(sim::Sys::SoftViolation);
-    ctx.prog().label(skip);
+    ctx.prog().bind(skip);
 }
 
 void SbcetsEmitter::before_memcpy(Ctx& ctx, const mir::Instr& in)
@@ -544,8 +539,8 @@ void HwstEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned, bool, Value v)
     }
     // "HWST128" (no tchk): software key load through lkey/lloc on the
     // shadow of the pointer's container (paper §5.1).
-    const std::string skip = ctx.fresh_label("tchk_ok");
-    ctx.frame_addr(Reg::t6, slot_of(ctx, v));
+    const riscv::Label skip = ctx.fresh_label();
+    ctx.frame_addr(Reg::t6, ctx.frame->slot(v));
     ctx.emit(rtype(Opcode::LLOC, Reg::t5, Reg::t6, Reg::zero));
     // DECOMP emits a null lock when there is no temporal metadata.
     ctx.prog().emit_branch(Opcode::BEQ, Reg::t5, Reg::zero, skip);
@@ -555,7 +550,7 @@ void HwstEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned, bool, Value v)
     ctx.emit(mv(Reg::a1, ptr));
     ctx.li(Reg::a0, 1);
     ctx.ecall(sim::Sys::SoftViolation);
-    ctx.prog().label(skip);
+    ctx.prog().bind(skip);
 }
 
 void HwstEmitter::malloc_wrapper(Ctx& ctx, Value)
@@ -563,10 +558,10 @@ void HwstEmitter::malloc_wrapper(Ctx& ctx, Value)
     ctx.ecall(sim::Sys::Malloc);
     ctx.emit(mv(Reg::t2, Reg::a0));
     ctx.ecall(sim::Sys::LockAlloc); // a0 = lock, a1 = key
-    const std::string ok = ctx.fresh_label("mal_ok");
+    const riscv::Label ok = ctx.fresh_label();
     ctx.prog().emit_branch(Opcode::BNE, Reg::t2, Reg::zero, ok);
     ctx.li(Reg::a1, 0); // null result -> key 0 (CWE690 mechanism)
-    ctx.prog().label(ok);
+    ctx.prog().bind(ok);
     ctx.emit(rtype(Opcode::ADD, Reg::t4, Reg::t2, Reg::t3)); // bound
     ctx.emit(rtype(Opcode::BNDRS, Reg::t2, Reg::t2, Reg::t4));
     ctx.emit(rtype(Opcode::BNDRT, Reg::t2, Reg::a1, Reg::a0));
@@ -574,14 +569,14 @@ void HwstEmitter::malloc_wrapper(Ctx& ctx, Value)
 
 void HwstEmitter::free_wrapper(Ctx& ctx, Value operand)
 {
-    const std::string plain = ctx.fresh_label("free_plain");
-    const std::string viol = ctx.fresh_label("free_viol");
-    const std::string done = ctx.fresh_label("free_done");
+    const riscv::Label plain = ctx.fresh_label();
+    const riscv::Label viol = ctx.fresh_label();
+    const riscv::Label done = ctx.fresh_label();
 
     // The free wrapper is "third-party" style code: it reads the
     // pointer's metadata from the shadow of its container via the
     // lbas/lloc/lkey instructions (paper §3.2, Fig. 1-d7).
-    ctx.frame_addr(Reg::t6, slot_of(ctx, operand));
+    ctx.frame_addr(Reg::t6, ctx.frame->slot(operand));
     ctx.emit(rtype(Opcode::LLOC, Reg::t4, Reg::t6, Reg::zero));
     ctx.prog().emit_branch(Opcode::BEQ, Reg::t4, Reg::zero, plain);
     if (use_tchk_) {
@@ -599,14 +594,14 @@ void HwstEmitter::free_wrapper(Ctx& ctx, Value operand)
     ctx.emit(mv(Reg::a0, Reg::t4));
     ctx.ecall(sim::Sys::LockFree);
     ctx.emit(mv(Reg::a0, Reg::t5));
-    ctx.prog().label(plain);
+    ctx.prog().bind(plain);
     ctx.ecall(sim::Sys::Free);
     ctx.prog().emit_jal(Reg::zero, done);
-    ctx.prog().label(viol);
+    ctx.prog().bind(viol);
     ctx.emit(mv(Reg::a1, Reg::a0));
     ctx.li(Reg::a0, 1);
     ctx.ecall(sim::Sys::SoftViolation);
-    ctx.prog().label(done);
+    ctx.prog().bind(done);
 }
 
 void HwstEmitter::hw_range_check(Ctx& ctx, Reg r)
@@ -614,7 +609,7 @@ void HwstEmitter::hw_range_check(Ctx& ctx, Reg r)
     // Probe both ends of [r, r + a2) with checked byte loads (SCU) and
     // run the temporal check; SRF[r] holds the pointer's metadata and
     // pointer arithmetic propagates it to the probe register.
-    const std::string skip = ctx.fresh_label("hwrng_ok");
+    const riscv::Label skip = ctx.fresh_label();
     ctx.prog().emit_branch(Opcode::BEQ, Reg::a2, Reg::zero, skip);
     ctx.emit(itype(Opcode::CLB, Reg::t4, r, 0)); // first byte
     ctx.emit(rtype(Opcode::ADD, Reg::t6, r, Reg::a2));
@@ -622,7 +617,7 @@ void HwstEmitter::hw_range_check(Ctx& ctx, Reg r)
     if (use_tchk_) {
         ctx.emit(rtype(Opcode::TCHK, Reg::zero, r, Reg::zero));
     }
-    ctx.prog().label(skip);
+    ctx.prog().bind(skip);
 }
 
 void HwstEmitter::before_memcpy(Ctx& ctx, const mir::Instr&)
@@ -691,14 +686,14 @@ void AsanEmitter::function_exit(Ctx& ctx)
 
 void AsanEmitter::deref_check(Ctx& ctx, Reg ptr, unsigned, bool, Value)
 {
-    const std::string ok = ctx.fresh_label("asan_ok");
+    const riscv::Label ok = ctx.fresh_label();
     ctx.emit(itype(Opcode::SRLI, Reg::t6, ptr, 3));
     ctx.emit(rtype(Opcode::ADD, Reg::t6, Reg::t6, Ctx::kMapBase));
     ctx.emit(itype(Opcode::LBU, Reg::t6, Reg::t6, 0));
     ctx.prog().emit_branch(Opcode::BEQ, Reg::t6, Reg::zero, ok);
     ctx.emit(mv(Reg::a1, ptr));
     ctx.ecall(sim::Sys::AsanReport);
-    ctx.prog().label(ok);
+    ctx.prog().bind(ok);
 }
 
 // ============================== factory =================================

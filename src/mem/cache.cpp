@@ -48,7 +48,7 @@ bool Cache::would_hit(u64 addr) const
 
 Cache::Snapshot Cache::snapshot() const
 {
-    Snapshot s{{}, mru_line_, last_miss_};
+    Snapshot s{{}, mru_line_};
     s.lines.reserve(line_addrs_.size());
     std::vector<std::pair<u64, u64>> set; // (tick, line) of valid ways
     for (std::size_t base = 0; base < line_addrs_.size();
@@ -73,7 +73,7 @@ void Cache::restore(const Snapshot& s)
     for (std::size_t i = 0; i < lru_.size(); ++i) lru_[i] = i % cfg_.ways + 1;
     tick_ = cfg_.ways;
     mru_line_ = s.mru_line;
-    last_miss_ = s.last_miss;
+    last_miss_ = false;
 }
 
 void Cache::flush()

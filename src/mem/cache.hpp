@@ -103,16 +103,19 @@ public:
     /// hit matches by address; a miss fills an empty way or the least
     /// recent one), so caches with equal snapshots behave alike from
     /// then on.
+    /// last_access_missed() is not part of it: it is read only right
+    /// after the access that set it, never across an instruction
+    /// boundary, so it is not state.
     struct Snapshot {
         std::vector<u64> lines;
         u64 mru_line = 0;
-        bool last_miss = false;
         bool operator==(const Snapshot&) const = default;
     };
     Snapshot snapshot() const;
     /// Take the tag state of `s` (a snapshot of a cache with this
     /// config): each set's lines get ticks in their rank order, so the
     /// cache behaves from here on exactly like the one snapshotted.
+    /// Clears last_access_missed().
     void restore(const Snapshot& s);
 
 private:

@@ -7,10 +7,11 @@
 
 namespace hwst::mem {
 
-void Memory::map_region(std::string name, u64 base, u64 size)
+void Memory::map_regions(std::initializer_list<Region> regions)
 {
-    if (size == 0) throw common::ConfigError{"map_region: empty region"};
-    regions_.push_back(Region{std::move(name), base, size});
+    for (const Region& r : regions)
+        if (r.size == 0) throw common::ConfigError{"map_region: empty region"};
+    regions_.insert(regions_.end(), regions.begin(), regions.end());
     // The region set changed: cached full-page validity claims may be
     // stale relative to the new layout. Refill on demand.
     tlb_invalidate();

@@ -27,6 +27,7 @@
 #include <array>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -89,7 +90,14 @@ public:
     /// Map [base, base+size) as accessible. Overlaps are allowed (the
     /// region list is a pure validity check, not an ownership model).
     /// Invalidates the translation cache.
-    void map_region(std::string name, u64 base, u64 size);
+    void map_region(std::string name, u64 base, u64 size)
+    {
+        map_regions({Region{std::move(name), base, size}});
+    }
+
+    /// Map several regions at once: one translation-cache invalidation
+    /// and one invalidation-hook call for the whole batch.
+    void map_regions(std::initializer_list<Region> regions);
 
     /// True if [addr, addr+width) lies inside some mapped region and
     /// does not touch the null guard page.
@@ -145,6 +153,11 @@ public:
 
     /// Bulk copy-in (used by the loader); maps nothing by itself.
     void write_bytes(u64 addr, std::span<const u8> bytes);
+
+    /// The backing store of addr's page, materialised (zeroed) if it
+    /// does not exist yet: the loader encodes text straight into it.
+    /// Maps nothing by itself.
+    u8* materialize_page(u64 addr) { return page_for(addr, true); }
 
     /// Bulk copy-out for tests and the Juliet oracle.
     std::vector<u8> read_bytes(u64 addr, u64 len) const;

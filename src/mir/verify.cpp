@@ -1,6 +1,6 @@
 #include "mir/verify.hpp"
 
-#include <unordered_set>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -29,14 +29,19 @@ void verify(const Module& module, const Function& fn)
     if (fn.blocks().empty())
         throw ToolchainError{"mir verify: " + fn.name() + ": no blocks"};
 
-    for (const Block& bb : fn.blocks()) {
+    // defined_in[id] = 1 + index of the block that has defined `id` so
+    // far: one stamp vector for the whole function, so "defined earlier
+    // in this block" needs no per-block set.
+    std::vector<u32> defined_in(fn.values().size(), 0);
+    for (std::size_t b = 0; b < fn.blocks().size(); ++b) {
+        const Block& bb = fn.blocks()[b];
+        const u32 stamp = static_cast<u32>(b + 1);
         if (bb.instrs().empty()) fail(fn, bb, "empty block");
 
-        std::unordered_set<u32> defined;
         const auto check_operand = [&](Value v, Ty want,
                                        const char* what) {
             if (!v.valid()) fail(fn, bb, std::string{what} + " missing");
-            if (!defined.contains(v.id))
+            if (v.id >= defined_in.size() || defined_in[v.id] != stamp)
                 fail(fn, bb, std::string{what} +
                                  " not defined earlier in this block "
                                  "(block-local SSA)");
@@ -151,7 +156,9 @@ void verify(const Module& module, const Function& fn)
             if (in.ty != Ty::Void) {
                 if (!in.result.valid())
                     fail(fn, bb, "instruction with result type has no result");
-                defined.insert(in.result.id);
+                if (in.result.id >= defined_in.size())
+                    fail(fn, bb, "result id out of range");
+                defined_in[in.result.id] = stamp;
             }
         }
     }

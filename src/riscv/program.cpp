@@ -18,32 +18,57 @@ std::size_t Program::emit(const Instruction& in)
     return code_.size() - 1;
 }
 
-void Program::label(const std::string& name)
+Label Program::new_label()
+{
+    label_pos_.push_back(kUnbound);
+    return Label{static_cast<u32>(label_pos_.size() - 1)};
+}
+
+Label Program::named_label(std::string_view name)
+{
+    if (const auto it = names_.find(name); it != names_.end())
+        return Label{it->second};
+    const Label l = new_label();
+    names_.emplace(std::string{name}, l.id);
+    return l;
+}
+
+void Program::bind(Label l)
 {
     if (finalized_) throw ToolchainError{"Program: label after finalize"};
-    const auto [it, inserted] = labels_.emplace(name, code_.size());
-    if (!inserted) throw ToolchainError{"Program: duplicate label " + name};
+    if (l.id >= label_pos_.size())
+        throw ToolchainError{"Program: bind of a foreign label"};
+    if (label_pos_[l.id] != kUnbound)
+        throw ToolchainError{"Program: duplicate label " + label_name(l.id)};
+    label_pos_[l.id] = static_cast<u32>(code_.size());
 }
 
-void Program::emit_branch(Opcode op, Reg rs1, Reg rs2,
-                          const std::string& target)
+bool Program::has_label(std::string_view name) const
+{
+    const auto it = names_.find(name);
+    return it != names_.end() && label_pos_[it->second] != kUnbound;
+}
+
+void Program::emit_branch(Opcode op, Reg rs1, Reg rs2, Label target)
 {
     const auto idx = emit(btype(op, rs1, rs2, 0));
-    fixups_.push_back(Fixup{idx, target, FixupKind::Branch});
+    fixups_.push_back(
+        Fixup{static_cast<u32>(idx), target.id, FixupKind::Branch});
 }
 
-void Program::emit_jal(Reg rd, const std::string& target)
+void Program::emit_jal(Reg rd, Label target)
 {
     const auto idx = emit(jal(rd, 0));
-    fixups_.push_back(Fixup{idx, target, FixupKind::Jal});
+    fixups_.push_back(Fixup{static_cast<u32>(idx), target.id, FixupKind::Jal});
 }
 
-void Program::emit_la_text(Reg rd, const std::string& target)
+void Program::emit_la_text(Reg rd, Label target)
 {
     // Two-instruction absolute materialisation (text addresses < 2^31).
     const auto idx = emit(utype(Opcode::LUI, rd, 0));
     emit(itype(Opcode::ADDIW, rd, rd, 0));
-    fixups_.push_back(Fixup{idx, target, FixupKind::LaText});
+    fixups_.push_back(
+        Fixup{static_cast<u32>(idx), target.id, FixupKind::LaText});
 }
 
 void Program::emit_li(Reg rd, i64 value)
@@ -87,17 +112,24 @@ u64 Program::add_bss(u64 size, unsigned align)
     return layout_.data_base + off;
 }
 
-std::size_t Program::label_index(const std::string& name) const
+std::string Program::label_name(u32 id) const
 {
-    const auto it = labels_.find(name);
-    if (it == labels_.end())
-        throw ToolchainError{"Program: undefined label " + name};
-    return it->second;
+    for (const auto& [name, named] : names_)
+        if (named == id) return name;
+    return ".L" + std::to_string(id);
+}
+
+std::size_t Program::label_index(std::string_view name) const
+{
+    const auto it = names_.find(name);
+    if (it == names_.end() || label_pos_[it->second] == kUnbound)
+        throw ToolchainError{"Program: undefined label " + std::string{name}};
+    return label_pos_[it->second];
 }
 
 u64 Program::entry_addr() const
 {
-    if (labels_.contains("main")) return label_addr("main");
+    if (has_label("main")) return label_addr("main");
     return layout_.text_base;
 }
 
@@ -105,19 +137,25 @@ void Program::finalize()
 {
     if (finalized_) return;
     for (const Fixup& fx : fixups_) {
-        const auto target = label_index(fx.label);
+        const u32 target =
+            fx.label < label_pos_.size() ? label_pos_[fx.label] : kUnbound;
+        if (target == kUnbound)
+            throw ToolchainError{"Program: undefined label " +
+                                 label_name(fx.label)};
         const i64 offset =
             (static_cast<i64>(target) - static_cast<i64>(fx.index)) * 4;
         Instruction& in = code_[fx.index];
         switch (fx.kind) {
         case FixupKind::Branch:
             if (!fits_signed(offset, 13))
-                throw ToolchainError{"branch to " + fx.label + " out of range"};
+                throw ToolchainError{"branch to " + label_name(fx.label) +
+                                     " out of range"};
             in.imm = offset;
             break;
         case FixupKind::Jal:
             if (!fits_signed(offset, 21))
-                throw ToolchainError{"jal to " + fx.label + " out of range"};
+                throw ToolchainError{"jal to " + label_name(fx.label) +
+                                     " out of range"};
             in.imm = offset;
             break;
         case FixupKind::LaText: {
@@ -139,9 +177,11 @@ void Program::finalize()
 
 std::string Program::listing() const
 {
-    // Invert the label map for printing.
+    // Invert the label table for printing.
     std::unordered_map<std::size_t, std::vector<std::string>> at;
-    for (const auto& [name, idx] : labels_) at[idx].push_back(name);
+    for (u32 id = 0; id < label_pos_.size(); ++id)
+        if (label_pos_[id] != kUnbound)
+            at[label_pos_[id]].push_back(label_name(id));
 
     std::ostringstream os;
     for (std::size_t i = 0; i < code_.size(); ++i) {

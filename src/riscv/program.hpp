@@ -9,6 +9,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -59,29 +60,61 @@ struct MemoryLayout {
     bool operator==(const MemoryLayout&) const = default;
 };
 
+/// A label interned by a Program: an index into its label table.
+/// Anonymous labels (`Program::new_label`) never build a string; named
+/// ones (`Program::named_label`) are the entry points someone looks up
+/// by name (`main`, `fn_<name>`, the `rt_*` runtime).
+struct Label {
+    u32 id = kNone;
+    static constexpr u32 kNone = 0xFFFFFFFF;
+};
+
 class Program {
 public:
+    /// Reserve room for `n` instructions (a sizing hint for emit()).
+    void reserve(std::size_t n) { code_.reserve(n); }
+
     /// Emit one instruction; returns its index in the code stream.
     std::size_t emit(const Instruction& in);
 
+    /// A fresh anonymous label, unbound.
+    Label new_label();
+
+    /// The label called `name`, created unbound on first mention.
+    Label named_label(std::string_view name);
+
+    /// Define `l` at the current emission point; throws if it is
+    /// already bound.
+    void bind(Label l);
+
     /// Define `name` at the current emission point.
-    void label(const std::string& name);
+    void label(std::string_view name) { bind(named_label(name)); }
 
     /// True if `name` has been defined (used by lazy runtime emission).
-    bool has_label(const std::string& name) const
-    {
-        return labels_.contains(name);
-    }
+    bool has_label(std::string_view name) const;
 
     // ---- label-relative emission (patched in finalize()) ------------
-    void emit_branch(Opcode op, Reg rs1, Reg rs2, const std::string& target);
-    void emit_jal(Reg rd, const std::string& target);
-    void emit_call(const std::string& target) { emit_jal(Reg::ra, target); }
+    void emit_branch(Opcode op, Reg rs1, Reg rs2, Label target);
+    void emit_jal(Reg rd, Label target);
+    void emit_call(Label target) { emit_jal(Reg::ra, target); }
+    void emit_branch(Opcode op, Reg rs1, Reg rs2, std::string_view target)
+    {
+        emit_branch(op, rs1, rs2, named_label(target));
+    }
+    void emit_jal(Reg rd, std::string_view target)
+    {
+        emit_jal(rd, named_label(target));
+    }
+    void emit_call(std::string_view target) { emit_jal(Reg::ra, target); }
     void emit_ret() { emit(itype(Opcode::JALR, Reg::zero, Reg::ra, 0)); }
 
     /// Load-address of a label (text address), via auipc-free absolute
     /// materialisation (text addresses fit 32 bits in our layout).
-    void emit_la_text(Reg rd, const std::string& target);
+    void emit_la_text(Reg rd, Label target);
+    void emit_la_text(Reg rd, std::string_view target)
+    {
+        emit_la_text(rd, named_label(target));
+    }
 
     /// Materialise an arbitrary 64-bit constant.
     void emit_li(Reg rd, i64 value);
@@ -110,8 +143,8 @@ public:
         return layout_.text_base + 4 * index;
     }
 
-    std::size_t label_index(const std::string& name) const;
-    u64 label_addr(const std::string& name) const
+    std::size_t label_index(std::string_view name) const;
+    u64 label_addr(std::string_view name) const
     {
         return text_addr(label_index(name));
     }
@@ -120,6 +153,7 @@ public:
     u64 entry_addr() const;
 
     /// Full listing with labels, for debugging and the examples.
+    /// Anonymous labels print as `.L<id>`.
     std::string listing() const;
 
     /// The golden-prefix checkpoint store (sim/checkpoint.hpp) that every
@@ -135,17 +169,33 @@ public:
     }
 
 private:
-    enum class FixupKind { Branch, Jal, LaText };
+    enum class FixupKind : u8 { Branch, Jal, LaText };
 
     struct Fixup {
-        std::size_t index;
-        std::string label;
+        u32 index;
+        u32 label;
         FixupKind kind;
     };
 
+    /// Hashes a std::string key by its string_view, so lookups by
+    /// string_view build no string.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    static constexpr u32 kUnbound = 0xFFFFFFFF;
+
+    /// `name` for a named label, `.L<id>` for an anonymous one.
+    std::string label_name(u32 id) const;
+
     std::vector<Instruction> code_;
     std::vector<u8> data_;
-    std::unordered_map<std::string, std::size_t> labels_;
+    std::vector<u32> label_pos_; ///< label id -> code index (kUnbound)
+    std::unordered_map<std::string, u32, NameHash, std::equal_to<>> names_;
     std::vector<Fixup> fixups_;
     MemoryLayout layout_{};
     bool finalized_ = false;

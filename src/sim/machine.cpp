@@ -45,6 +45,29 @@ constexpr bool reads_rs2(Format f)
     return f == Format::R || f == Format::S || f == Format::B;
 }
 
+/// Everything a Uop holds that depends on its opcode alone, so
+/// predecode is one table read per instruction.
+struct UopTraits {
+    Format fmt{};
+    bool reads_rs1 = false;
+    bool reads_rs2 = false;
+    bool is_load = false;
+    Fu fu = Fu::None;
+    u64 InstrMix::* bucket = nullptr;
+};
+
+constexpr std::array<UopTraits, riscv::kNumOpcodes> kUopTraits = [] {
+    std::array<UopTraits, riscv::kNumOpcodes> t{};
+    for (unsigned i = 0; i < riscv::kNumOpcodes; ++i) {
+        const auto op = static_cast<Opcode>(i);
+        const Format fmt = riscv::op_format(op);
+        t[i] = UopTraits{fmt,           reads_rs1(fmt),     reads_rs2(fmt),
+                         riscv::is_load(op), op_traits(op).fu,
+                         op_traits(op).bucket};
+    }
+    return t;
+}();
+
 } // namespace
 
 Machine::Machine(const riscv::Program& program, MachineConfig cfg)
@@ -55,39 +78,31 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
       keybuffer_{cfg.keybuffer_entries}
 {
     const auto& lay = program.layout();
-
-    // Predecode: lower the instruction stream into the uop side table
-    // so the per-step format/classify work disappears from the hot
-    // loop (docs/performance.md).
+    const std::span<const Instruction> code = program.code();
     text_base_ = lay.text_base;
-    code_bytes_ = program.code().size() * 4;
+    code_bytes_ = code.size() * 4;
     lock_base_ = lay.lock_base;
     lock_bytes_ = lay.lock_entries * 8;
-    uops_.reserve(program.code().size());
-    for (const riscv::Instruction& in : program.code()) {
-        const Format fmt = riscv::op_format(in.op);
-        const OpTraits& t = op_traits(in.op);
-        uops_.push_back(Uop{in, fmt, reads_rs1(fmt), reads_rs2(fmt),
-                            riscv::is_load(in.op),
-                            fu_cycles(t.fu, cfg_.timing), t.bucket});
-    }
 
-    // Process address-space map.
+    // Process address-space map, with one translation-cache
+    // invalidation for the whole layout.
     const u64 text_size =
-        common::align_up(std::max<u64>(program.code().size() * 4, 4), 4096);
+        common::align_up(std::max<u64>(code.size() * 4, 4), 4096);
     const u64 data_size = common::align_up(program.data().size() + 4096, 4096);
-    mem_.map_region("text", lay.text_base, text_size);
-    mem_.map_region("data", lay.data_base, data_size);
-    mem_.map_region("heap", lay.heap_base, lay.heap_size);
-    mem_.map_region("stack", lay.stack_top - lay.stack_size, lay.stack_size);
-    mem_.map_region("lock", lay.lock_base, lay.lock_entries * 8);
-    mem_.map_region("swss", lay.sw_arg_base, lay.sw_arg_size);
     // Shadow spaces cover the <<2 image of everything below stack_top.
-    mem_.map_region("lmsm", lay.shadow_offset, lay.stack_top << 2);
-    mem_.map_region("swmeta", lay.sw_meta_offset, lay.stack_top << 2);
-    mem_.map_region("swl2", lay.sw_l2_offset,
-                    lay.sw_l1_entries() * lay.sw_l2_bytes_per_entry());
-    mem_.map_region("asan", lay.asan_shadow_offset, lay.stack_top >> 3);
+    mem_.map_regions({
+        {"text", lay.text_base, text_size},
+        {"data", lay.data_base, data_size},
+        {"heap", lay.heap_base, lay.heap_size},
+        {"stack", lay.stack_top - lay.stack_size, lay.stack_size},
+        {"lock", lay.lock_base, lay.lock_entries * 8},
+        {"swss", lay.sw_arg_base, lay.sw_arg_size},
+        {"lmsm", lay.shadow_offset, lay.stack_top << 2},
+        {"swmeta", lay.sw_meta_offset, lay.stack_top << 2},
+        {"swl2", lay.sw_l2_offset,
+         lay.sw_l1_entries() * lay.sw_l2_bytes_per_entry()},
+        {"asan", lay.asan_shadow_offset, lay.stack_top >> 3},
+    });
 
     if (cfg_.runtime.init_sw_trie) {
         for (u64 i = 0; i < lay.sw_l1_entries(); ++i) {
@@ -97,13 +112,35 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
         }
     }
 
-    // Load text (encoded, for fidelity) and data.
-    std::vector<u8> text(program.code().size() * 4);
-    for (std::size_t i = 0; i < program.code().size(); ++i) {
-        const u32 word = riscv::encode(program.code()[i]);
-        std::memcpy(text.data() + 4 * i, &word, 4);
+    // One pass over the code: encode each instruction straight into its
+    // text page (for fidelity: fetches read memory) and predecode it
+    // into the uop side table, so the per-step format/classify work
+    // disappears from the hot loop (docs/performance.md).
+    const std::array<u32, 4> fu_extra = {
+        fu_cycles(Fu::None, cfg_.timing), fu_cycles(Fu::Mul, cfg_.timing),
+        fu_cycles(Fu::Div, cfg_.timing), fu_cycles(Fu::Jump, cfg_.timing)};
+    constexpr u64 kPageMask = mem::Memory::kPageSize - 1;
+    uops_.reserve(code.size());
+    u8* page = nullptr;
+    u64 page_base = ~u64{0};
+    for (std::size_t i = 0; i < code.size(); ++i) {
+        const Instruction& in = code[i];
+        const u32 word = riscv::encode(in);
+        const u64 addr = lay.text_base + 4 * i;
+        if ((addr & kPageMask) <= mem::Memory::kPageSize - 4) {
+            if ((addr & ~kPageMask) != page_base) {
+                page_base = addr & ~kPageMask;
+                page = mem_.materialize_page(addr);
+            }
+            std::memcpy(page + (addr & kPageMask), &word, 4);
+        } else { // a misaligned text base: the word straddles two pages
+            mem_.write_bytes(
+                addr, std::span{reinterpret_cast<const u8*>(&word), 4});
+        }
+        const UopTraits& t = kUopTraits[static_cast<unsigned>(in.op)];
+        uops_.push_back(Uop{in, t.fmt, t.reads_rs1, t.reads_rs2, t.is_load,
+                            fu_extra[static_cast<unsigned>(t.fu)], t.bucket});
     }
-    mem_.write_bytes(lay.text_base, text);
     mem_.write_bytes(lay.data_base, program.data());
 
     heap_ = std::make_unique<mem::HeapAllocator>(lay.heap_base, lay.heap_size);

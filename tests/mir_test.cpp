@@ -60,6 +60,38 @@ TEST(MirVerify, RejectsCrossBlockSsa)
     EXPECT_THROW(verify(m), ToolchainError);
 }
 
+TEST(MirVerify, RejectsOperandFromAnyOtherBlock)
+{
+    // Defined two blocks earlier, and defined in a later block: both
+    // fail, although the defining block's stamp is still on the value.
+    const auto build = [](bool later) {
+        Module m;
+        auto& fn = m.add_function("main", {}, Ty::I64);
+        FunctionBuilder b{m, fn};
+        const auto b0 = b.block("b0");
+        const auto b1 = b.block("b1");
+        const auto b2 = b.block("b2");
+        b.set_insert(later ? b2 : b0);
+        const Value v = b.const_i64(7);
+        if (later) {
+            b.ret(v);
+            b.set_insert(b0);
+        }
+        b.jmp(b1);
+        b.set_insert(b1);
+        if (later) {
+            b.ret(v);
+        } else {
+            b.jmp(b2);
+            b.set_insert(b2);
+            b.ret(v);
+        }
+        return m;
+    };
+    EXPECT_THROW(verify(build(false)), ToolchainError);
+    EXPECT_THROW(verify(build(true)), ToolchainError);
+}
+
 TEST(MirVerify, RejectsTypeErrors)
 {
     Module m;
@@ -149,6 +181,30 @@ TEST(PointerAnalysis, GepSharesRoot)
     EXPECT_EQ(facts.root(r), p.id);
     EXPECT_EQ(facts.kind_of_root(p.id), compiler::RootKind::Alloca);
     EXPECT_TRUE(facts.needs_frame_lock);
+}
+
+TEST(PointerAnalysis, UnknownValuesAndNonRootsThrow)
+{
+    Module m;
+    auto& fn = m.add_function("main", {}, Ty::I64);
+    FunctionBuilder b{m, fn};
+    b.set_insert(b.block("entry"));
+    const auto buf = b.array("buf", 64);
+    Value p = b.alloca_addr(buf);
+    Value q = b.gep_const(p, 8);
+    Value k = b.const_i64(3); // an integer: no provenance
+    b.ret(b.add(b.load(q), k));
+    verify(m);
+
+    const auto facts = compiler::analyze_pointers(fn);
+    EXPECT_THROW(facts.root(k), ToolchainError);
+    EXPECT_THROW(facts.root(Value{}), ToolchainError);
+    EXPECT_THROW(facts.root(Value{static_cast<u32>(fn.values().size())}),
+                 ToolchainError);
+    EXPECT_THROW(facts.kind_of_root(q.id), ToolchainError); // derived
+    EXPECT_THROW(facts.kind_of_root(k.id), ToolchainError);
+    EXPECT_THROW(facts.kind_of_root(Value::kInvalid), ToolchainError);
+    EXPECT_EQ(facts.kind_of_root(p.id), compiler::RootKind::Alloca);
 }
 
 TEST(PointerAnalysis, LaunderedIsItsOwnRoot)
