@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrate:
-// encoder/decoder round-trips, D-cache model accesses, whole-machine
-// simulation rate (simulated instructions per host second), and the
-// per-run fixed costs of a short Juliet cell: compile, and Machine
-// load (construction + teardown).
+// encoder/decoder round-trips, D-cache model accesses, memory accesses
+// to the layout's hot pages, whole-machine simulation rate (simulated
+// instructions per host second), and the per-run fixed costs of a
+// short Juliet cell: compile, and Machine load (construction +
+// teardown).
 #include <benchmark/benchmark.h>
 
 #include "compiler/driver.hpp"
 #include "juliet/cases.hpp"
 #include "mem/cache.hpp"
+#include "mem/memory.hpp"
 #include "mir/builder.hpp"
 #include "riscv/encoding.hpp"
 
@@ -48,6 +50,32 @@ void BM_DcacheAccess(benchmark::State& state)
     state.counters["miss_rate"] = cache.stats().miss_rate();
 }
 BENCHMARK(BM_DcacheAccess)->Arg(8)->Arg(64)->Arg(4096);
+
+void BM_MemoryHotPages(benchmark::State& state)
+{
+    // The default layout's three hottest pages, touched in turn as a
+    // checked store does: a store to the stack top, a store to its
+    // Eq. 1 shadow and a load of the lock cursor's page.
+    const riscv::MemoryLayout lay;
+    mem::Memory m;
+    m.map_regions({
+        {"stack", lay.stack_top - lay.stack_size, lay.stack_size},
+        {"lock", lay.lock_base, lay.lock_entries * 8},
+        {"lmsm", lay.shadow_offset, lay.stack_top << 2},
+    });
+    const common::u64 stack = lay.stack_top - 64;
+    const common::u64 shadow = lay.shadow_offset + (stack << 2);
+    const common::u64 lock = lay.lock_base + lay.lock_entries * 8 - 8;
+    common::u64 i = 0;
+    for (auto _ : state) {
+        const common::u64 off = 8 * (i++ & 7);
+        m.store(stack + off, 8, i);
+        m.store(shadow + 4 * off, 8, i);
+        benchmark::DoNotOptimize(m.load(lock, 8, false));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(3 * state.iterations()));
+}
+BENCHMARK(BM_MemoryHotPages);
 
 mir::Module spin_module()
 {

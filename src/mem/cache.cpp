@@ -1,8 +1,5 @@
 #include "mem/cache.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace hwst::mem {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_{cfg}
@@ -14,73 +11,29 @@ Cache::Cache(const CacheConfig& cfg) : cfg_{cfg}
     }
     line_shift_ = common::clog2(cfg_.line_bytes);
     set_mask_ = cfg_.sets - 1;
-    const std::size_t n = static_cast<std::size_t>(cfg_.sets) * cfg_.ways;
-    line_addrs_.assign(n, kInvalid);
-    lru_.assign(n, 0);
+    lines_.assign(static_cast<std::size_t>(cfg_.sets) * cfg_.ways, kInvalid);
 }
 
-unsigned Cache::miss(u64 line, std::size_t base)
+unsigned Cache::miss(u64 line, u64* set)
 {
-    std::size_t victim = base;
-    for (std::size_t i = base; i < base + cfg_.ways; ++i) {
-        if (line_addrs_[i] == kInvalid) {
-            victim = i; // prefer an invalid way
-        } else if (line_addrs_[victim] != kInvalid && lru_[i] < lru_[victim]) {
-            victim = i;
-        }
-    }
+    // Empty ways trail the valid ones, so the last way is the victim
+    // either way.
+    promote(set, cfg_.ways - 1, line);
     ++stats_.misses;
     last_miss_ = true;
-    line_addrs_[victim] = line;
-    lru_[victim] = tick_;
     return cfg_.hit_cycles + cfg_.miss_penalty;
 }
 
 bool Cache::would_hit(u64 addr) const
 {
     const u64 line = addr >> line_shift_;
-    const std::size_t base = set_base(line);
-    for (std::size_t i = base; i < base + cfg_.ways; ++i) {
-        if (line_addrs_[i] == line) return true;
+    const u64* set = &lines_[set_base(line)];
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+        if (set[w] == line) return true;
     }
     return false;
 }
 
-Cache::Snapshot Cache::snapshot() const
-{
-    Snapshot s{{}, mru_line_};
-    s.lines.reserve(line_addrs_.size());
-    std::vector<std::pair<u64, u64>> set; // (tick, line) of valid ways
-    for (std::size_t base = 0; base < line_addrs_.size();
-         base += cfg_.ways) {
-        set.clear();
-        for (std::size_t i = base; i < base + cfg_.ways; ++i) {
-            if (line_addrs_[i] != kInvalid)
-                set.emplace_back(lru_[i], line_addrs_[i]);
-        }
-        std::sort(set.begin(), set.end());
-        for (const auto& [tick, line] : set) s.lines.push_back(line);
-        s.lines.resize(base + cfg_.ways, kInvalid);
-    }
-    return s;
-}
-
-void Cache::restore(const Snapshot& s)
-{
-    // Valid lines lead each set, least recent first, so a line's tick is
-    // its position in the set (plus one: a fresh tick must exceed all).
-    line_addrs_ = s.lines;
-    for (std::size_t i = 0; i < lru_.size(); ++i) lru_[i] = i % cfg_.ways + 1;
-    tick_ = cfg_.ways;
-    mru_line_ = s.mru_line;
-    last_miss_ = false;
-}
-
-void Cache::flush()
-{
-    // Ticks of empty ways are never compared, so lru_ needs no reset.
-    line_addrs_.assign(line_addrs_.size(), kInvalid);
-    mru_line_ = kInvalid;
-}
+void Cache::flush() { lines_.assign(lines_.size(), kInvalid); }
 
 } // namespace hwst::mem

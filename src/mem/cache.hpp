@@ -4,6 +4,7 @@
 // 5-stage pipeline timing: hit = kHitCycles, miss adds a refill penalty.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -39,47 +40,39 @@ public:
     explicit Cache(const CacheConfig& cfg = {});
 
     /// Touch `addr`; returns the access latency in cycles and updates
-    /// LRU/stats. Accesses never straddle lines in our ISA (max width 8,
-    /// line 64, all accesses naturally aligned by codegen).
+    /// the set's recency order and the stats. Accesses never straddle
+    /// lines in our ISA (max width 8, line 64, all accesses naturally
+    /// aligned by codegen).
     ///
-    /// Each way holds its full line address (`addr >> line_shift`), so
-    /// a hit is one compare per way with no valid bit or tag split, and
-    /// the scan is inline; only a miss goes out of line. In front of the
-    /// scan, a repeat of the most recent access's line (sequential fetch,
-    /// a load then its store) counts a hit without touching the set: that
-    /// line is already the most recent in its set, so skipping its LRU
-    /// bump keeps the set's recency order, and with it every eviction.
+    /// Each set keeps its ways most recent first, and each way holds its
+    /// full line address (`addr >> line_shift`), so a hit is one compare
+    /// per way with no valid bit or tag split. Way 0 takes most hits
+    /// (sequential fetch, a load then its store) and moves nothing; a hit
+    /// at way k rotates ways 0..k by one. Only a miss goes out of line.
     unsigned access(u64 addr)
     {
         const u64 line = addr >> line_shift_;
         ++stats_.accesses;
-        if (line == mru_line_) {
-            last_miss_ = false;
-            return cfg_.hit_cycles;
-        }
-        mru_line_ = line;
-        ++tick_;
-        const std::size_t base = set_base(line);
-        const u64* ways = &line_addrs_[base];
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            if (ways[w] == line) {
-                lru_[base + w] = tick_;
-                last_miss_ = false;
+        u64* set = &lines_[set_base(line)];
+        last_miss_ = false;
+        if (set[0] == line) return cfg_.hit_cycles;
+        for (unsigned w = 1; w < cfg_.ways; ++w) {
+            if (set[w] == line) {
+                promote(set, w, line);
                 return cfg_.hit_cycles;
             }
         }
-        return miss(line, base);
+        return miss(line, set);
     }
 
     /// `n` proven repeat hits on the line of the most recent access()
-    /// (one superblock's worth of sequential fetches), counted without
-    /// re-touching the line. Only valid when the caller has proved the
-    /// accesses land on that same line: the line is present and already
-    /// the most recent in its set, so skipping the LRU bump preserves
-    /// the set's recency *order* and therefore every future eviction.
-    /// Deliberately leaves last_miss_ alone — the only consumer of
-    /// last_access_missed() is the d-cache's DcacheFillData probe, and
-    /// this entry point is used by the i-cache only.
+    /// (sequential fetches from one I$ line), counted without touching
+    /// the set: that line is already way 0 of its set, so a hit would
+    /// move nothing. Only valid when the caller has proved the accesses
+    /// land on that same line. Deliberately leaves last_miss_ alone —
+    /// the only consumer of last_access_missed() is the d-cache's
+    /// DcacheFillData probe, and this entry point is used by the
+    /// i-cache only.
     void count_repeat_hits(u64 n) { stats_.accesses += n; }
 
     /// Probe without updating state (diagnostics).
@@ -98,25 +91,23 @@ public:
     void reset_stats() { stats_ = {}; }
 
     /// The tag state every future access depends on: each set's lines
-    /// in LRU rank order, least recent first, then one ~0 per empty way.
-    /// Raw ticks only grow, and way positions are never observable (a
-    /// hit matches by address; a miss fills an empty way or the least
-    /// recent one), so caches with equal snapshots behave alike from
-    /// then on.
+    /// most recent first, then one ~0 per empty way (empty ways always
+    /// trail), so caches with equal snapshots behave alike from then on.
     /// last_access_missed() is not part of it: it is read only right
     /// after the access that set it, never across an instruction
     /// boundary, so it is not state.
     struct Snapshot {
         std::vector<u64> lines;
-        u64 mru_line = 0;
         bool operator==(const Snapshot&) const = default;
     };
-    Snapshot snapshot() const;
+    Snapshot snapshot() const { return Snapshot{lines_}; }
     /// Take the tag state of `s` (a snapshot of a cache with this
-    /// config): each set's lines get ticks in their rank order, so the
-    /// cache behaves from here on exactly like the one snapshotted.
-    /// Clears last_access_missed().
-    void restore(const Snapshot& s);
+    /// config). Clears last_access_missed().
+    void restore(const Snapshot& s)
+    {
+        lines_ = s.lines;
+        last_miss_ = false;
+    }
 
 private:
     /// Line address of an empty way. Never a real line address:
@@ -129,9 +120,18 @@ private:
         return static_cast<std::size_t>(line & set_mask_) * cfg_.ways;
     }
 
-    /// Miss in the set starting at `base`: fill the victim way (the last
-    /// invalid way, else the strictly least recent) with `line`.
-    unsigned miss(u64 line, std::size_t base);
+    /// Move way `w` of `set` to the front: ways 0..w-1 shift down one
+    /// and `line` becomes way 0. A carried value, not a block move: GCC
+    /// turns a plain shift loop into a memmove call.
+    static void promote(u64* set, unsigned w, u64 line)
+    {
+        u64 carry = line;
+        for (unsigned k = 0; k <= w; ++k) std::swap(carry, set[k]);
+    }
+
+    /// Miss in `set`: `line` becomes way 0 and the last way drops out,
+    /// an empty one if the set has any, else the least recent line.
+    unsigned miss(u64 line, u64* set);
 
     CacheConfig cfg_;
     // line_bytes and sets are enforced powers of two, so the index
@@ -139,14 +139,11 @@ private:
     // 64-bit divide per lookup is measurable across a campaign).
     unsigned line_shift_ = 6; ///< log2(line_bytes), set in the ctor
     u64 set_mask_ = 63;       ///< sets - 1
-    std::vector<u64> line_addrs_; ///< sets * ways; kInvalid = empty way
-    std::vector<u64> lru_;        ///< parallel ticks; larger = more recent
+    /// sets * ways line addresses, each set most recent first;
+    /// kInvalid = empty way.
+    std::vector<u64> lines_;
     CacheStats stats_;
-    u64 tick_ = 0;
     bool last_miss_ = false;
-    /// Line of the most recent access() (kInvalid after flush): always
-    /// present, since nothing has been filled since it was touched.
-    u64 mru_line_ = kInvalid;
 };
 
 } // namespace hwst::mem

@@ -101,7 +101,7 @@ u64 Memory::load_slow(u64 addr, unsigned width, bool do_sign_extend) const
         // Translation-cache miss on a single-page access: one page
         // lookup serves both the copy and the refill.
         u8* page = page_for(addr, false);
-        if (page) std::memcpy(&value, page + off, width);
+        if (page) value = read_host(page + off, width);
         tlb_fill(addr, page);
     } else {
         // Page straddle: never cacheable, assembled byte by byte.
@@ -123,7 +123,7 @@ void Memory::store_slow(u64 addr, unsigned width, u64 value)
     const u64 off = addr & (kPageSize - 1);
     if (off + width <= kPageSize) {
         u8* page = page_for(addr, true);
-        std::memcpy(page + off, &value, width);
+        write_host(page + off, width, value);
         tlb_fill(addr, page);
         return;
     }

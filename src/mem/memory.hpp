@@ -14,14 +14,16 @@
 // entry asserts that its whole page lies inside one mapped region, so
 // any access contained in the page needs no further validity check;
 // `host` is the page's backing store (null until the page materialises
-// — loads of untouched pages observe zero). Two ways with a per-set
-// round-robin victim bit fix the pathological aliasing a direct-mapped
-// cache has when text and shadow pages collide on the same index (the
-// shadow of a page is 4 pages away linearly, but distinct *spaces* sit
-// 2^38 apart and landed on identical slots). The cache is a pure
-// accelerator: it is invalidated on map_region and on page creation,
-// and every miss falls back to the original region-scan + hash path,
-// so behaviour is bit-identical with the cache disabled.
+// — loads of untouched pages observe zero). The set comes from a
+// multiplicative hash of the page number, not its low bits: the
+// layout's hottest pages (the stack top, its Eq. 1 shadow
+// `(addr << 2) + offset` and the lock region's top) all have page
+// numbers ending in six one bits, so `page mod sets` put them in one
+// set, where they thrashed its two ways. Two ways with a per-set
+// round-robin victim bit absorb the rest of the aliasing. The cache is
+// a pure accelerator: it is invalidated on map_region and on page
+// creation, and every miss falls back to the original region-scan +
+// hash path, so behaviour is bit-identical with the cache disabled.
 #pragma once
 
 #include <array>
@@ -116,8 +118,8 @@ public:
                                           ? &s.way[1]
                                           : nullptr;
             if (e) {
-                u64 value = 0;
-                if (e->host) std::memcpy(&value, e->host + off, width);
+                const u64 value =
+                    e->host ? read_host(e->host + off, width) : 0;
                 return sign_extend
                            ? static_cast<u64>(
                                  common::sign_extend(value, 8 * width))
@@ -139,7 +141,7 @@ public:
                                           ? &s.way[1]
                                           : nullptr;
             if (e && e->host) {
-                std::memcpy(e->host + off, &value, width);
+                write_host(e->host + off, width, value);
                 return;
             }
         }
@@ -192,8 +194,18 @@ public:
 
     // ---- translation-cache introspection (tests, diagnostics) --------
     /// Sets in the translation cache (kTlbWays entries each).
-    static constexpr unsigned kTlbEntries = 64;
+    static constexpr unsigned kTlbSetBits = 6;
+    static constexpr unsigned kTlbEntries = 1u << kTlbSetBits;
     static constexpr unsigned kTlbWays = 2;
+
+    /// The translation-cache set of addr's page: the top kTlbSetBits
+    /// bits of the page number times 2^64 / phi (Fibonacci hashing).
+    static constexpr unsigned tlb_slot(u64 addr)
+    {
+        return static_cast<unsigned>((addr / kPageSize) *
+                                         0x9E37'79B9'7F4A'7C15ull >>
+                                     (64 - kTlbSetBits));
+    }
 
     /// Translation-cache hit for addr's page without touching state?
     bool tlb_holds(u64 addr) const
@@ -234,10 +246,22 @@ private:
         u8 victim = 0;
     };
 
-    static constexpr unsigned tlb_slot(u64 addr)
+    /// A little-endian access of `width` <= 8 bytes to host memory. The
+    /// checked ops pass their width at run time, and GCC expands a
+    /// memcpy of a run-time size into a `rep movsq` sequence for 8 bytes
+    /// or more, which made every `csd` several times dearer than `csw`
+    /// on the dispatcher. Width 8 therefore gets a constant-size move.
+    static u64 read_host(const u8* src, unsigned width)
     {
-        return static_cast<unsigned>((addr / kPageSize) %
-                                     kTlbEntries);
+        u64 v = 0;
+        if (width == 8) std::memcpy(&v, src, 8);
+        else std::memcpy(&v, src, width);
+        return v;
+    }
+    static void write_host(u8* dst, unsigned width, u64 v)
+    {
+        if (width == 8) std::memcpy(dst, &v, 8);
+        else std::memcpy(dst, &v, width);
     }
 
     u8* page_for(u64 addr, bool create) const;

@@ -45,6 +45,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 
     SuperblockCache& sc = *m.sbcache_;
     DbtStats& st = m.dbt_stats_;
+    m.fetch_pc_ = Machine::kNoFetch;
     const TranslateEnv env{
         m.uops_.data(),
         static_cast<u32>(m.uops_.size()),

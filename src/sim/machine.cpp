@@ -224,8 +224,16 @@ Trap Machine::retire_one()
     if (trace_) trace_(pc_, in);
     ++instret_;
     cycles_ += 1 + uop.fu_cycles; // issue + the op's functional unit
-    if (cfg_.icache_enabled)
-        cycles_ += icache_.access(pc_) - cfg_.icache.hit_cycles;
+    if (cfg_.icache_enabled) {
+        // line_bytes is a power of two: same line iff the pcs differ
+        // only below it (kNoFetch differs in the top bit).
+        if ((pc_ ^ fetch_pc_) < cfg_.icache.line_bytes) {
+            icache_.count_repeat_hits(1);
+        } else {
+            cycles_ += icache_.access(pc_) - cfg_.icache.hit_cycles;
+            fetch_pc_ = pc_;
+        }
+    }
     ++(mix_.*uop.bucket);
 
     // Load-use hazard: the instruction right after a load stalls one
@@ -892,6 +900,7 @@ void Machine::restore(const Checkpoint& c)
     keybuffer_.restore(s.keybuffer);
     dcache_.restore(s.dcache);
     icache_.restore(s.icache);
+    fetch_pc_ = kNoFetch;
     *heap_ = *s.heap;
     *locks_ = *s.locks;
     quarantine_ = s.quarantine;

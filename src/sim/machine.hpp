@@ -188,8 +188,9 @@ struct Counters {
 /// with exact `==`: two Machines with equal States (and the same
 /// Program and MachineConfig) retire the same instructions with the
 /// same counter deltas from then on. Host-side accelerators (predecode,
-/// superblocks, the memory translation cache, the CSR memo version)
-/// are not part of it, and LRU ticks appear only as their order.
+/// superblocks, the memory translation cache, the CSR memo version, the
+/// interpreter's last fetch) are not part of it, and the keybuffer's LRU
+/// ticks appear only as their order.
 struct State {
     u64 pc = 0;
     std::array<u64, riscv::kNumRegs> regs{};
@@ -545,6 +546,14 @@ private:
     // Load-use hazard bookkeeping: destination of the previous
     // instruction if it was a load, else Reg::zero.
     Reg last_load_rd_ = Reg::zero;
+
+    // pc of the interpreter's last full I$ fetch, or kNoFetch. A fetch
+    // from the same line finds it at way 0 of its set, so retire_one()
+    // counts a repeat hit without the lookup (as the dispatcher's
+    // kOpFetchRepeat does). Host-only, never part of State: reset at
+    // dispatcher entry (its fetches move the I$ on) and on restore().
+    static constexpr u64 kNoFetch = ~u64{0};
+    u64 fetch_pc_ = kNoFetch;
 
     // Set whenever the program reads cycle or instret (csr read or
     // Sys::ReadCycle): the periodic fast-forward never skips a window

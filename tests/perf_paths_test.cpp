@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -57,44 +58,59 @@ private:
 
 constexpr u64 kPage = mem::Memory::kPageSize;
 
+/// `n` page bases from `from` up whose translation-cache set is `slot`,
+/// each at least two pages past the one before.
+std::vector<u64> pages_in_slot(u64 from, unsigned slot, unsigned n)
+{
+    std::vector<u64> out;
+    for (u64 page = from; out.size() < n; page += kPage) {
+        if (mem::Memory::tlb_slot(page) == slot &&
+            (out.empty() || page > out.back() + kPage))
+            out.push_back(page);
+    }
+    return out;
+}
+
 TEST(MemoryTlb, RandomizedAliasingAgainstReferenceModel)
 {
     mem::Memory m;
     RefMem ref;
     Xoshiro256 rng{0x7e5fc0de};
 
-    // Two regions far apart so their pages alias in the direct-mapped
-    // translation cache (same slot = page number mod kTlbEntries).
-    const u64 base_a = 0x10000;
-    const u64 size_a = 16 * kPage;
-    const u64 base_b = base_a + kPage * mem::Memory::kTlbEntries;
-    const u64 size_b = 16 * kPage;
-    m.map_region("a", base_a, size_a);
-    m.map_region("b", base_b, size_b);
+    // Three groups of 16 two-page regions. Region j of every group
+    // starts on a page in translation-cache set j, so the groups alias
+    // set by set: two pages per set for a and b, then three (one more
+    // than the ways) once c is mapped. The second page of each region
+    // lets accesses straddle.
+    constexpr unsigned kRegions = 16;
+    constexpr u64 kRegionSize = 2 * kPage;
+    std::vector<u64> groups[3];
+    for (unsigned j = 0; j < kRegions; ++j) {
+        const std::vector<u64> bases = pages_in_slot(0x10000, j, 3);
+        for (unsigned g = 0; g < 3; ++g) groups[g].push_back(bases[g]);
+    }
+    for (unsigned g = 0; g < 2; ++g) {
+        for (const u64 base : groups[g])
+            m.map_region("g" + std::to_string(g), base, kRegionSize);
+    }
 
     const unsigned widths[] = {1, 2, 4, 8};
     bool grew = false;
-    u64 base_c = 0, size_c = 0;
 
     for (int i = 0; i < 40000; ++i) {
         // Mid-stream growth: a new region must invalidate every cached
-        // translation (its pages may alias existing slots).
+        // translation (its pages alias existing sets).
         if (i == 20000) {
-            base_c = base_b + kPage * mem::Memory::kTlbEntries;
-            size_c = 16 * kPage;
-            m.map_region("c", base_c, size_c);
+            for (const u64 base : groups[2])
+                m.map_region("g2", base, kRegionSize);
             grew = true;
         }
-        u64 base = base_a, size = size_a;
-        switch (rng.below(grew ? 3 : 2)) {
-        case 1: base = base_b; size = size_b; break;
-        case 2: base = base_c; size = size_c; break;
-        default: break;
-        }
+        const std::vector<u64>& group = groups[rng.below(grew ? 3 : 2)];
+        const u64 base = group[rng.below(kRegions)];
         const unsigned width = widths[rng.below(4)];
         // Unconstrained offset: accesses may straddle page boundaries,
         // which must bypass the single-page fast path.
-        const u64 addr = base + rng.below(size - width);
+        const u64 addr = base + rng.below(kRegionSize - width);
 
         if (rng.chance(1, 2)) {
             const u64 value = rng.next();
@@ -110,12 +126,43 @@ TEST(MemoryTlb, RandomizedAliasingAgainstReferenceModel)
     // Bulk paths chunk per page; verify against the same byte model.
     std::vector<u8> blob(3 * kPage + 17);
     for (auto& b : blob) b = static_cast<u8>(rng.next());
-    const u64 blob_at = base_a + kPage - 9; // straddles page boundaries
+    // From one region into unmapped space is fine: the bulk paths map
+    // nothing and check nothing.
+    const u64 blob_at = groups[0][0] + kPage - 9; // straddles pages
     m.write_bytes(blob_at, blob);
     for (u64 i = 0; i < blob.size(); ++i) ref.store(blob_at + i, 1, blob[i]);
     const std::vector<u8> got = m.read_bytes(blob_at - 5, blob.size() + 10);
     for (u64 i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], ref.byte(blob_at - 5 + i)) << "offset " << i;
+}
+
+TEST(MemoryTlb, LayoutHotPagesStayResident)
+{
+    // The default layout's three hottest pages: the stack top, its Eq. 1
+    // shadow `(addr << 2) + offset` and the CETS lock cursor's page at
+    // the top of the lock region. Their page numbers all end in six one
+    // bits, so an index of `page mod sets` put them in one set and they
+    // evicted each other.
+    const MemoryLayout lay;
+    const u64 stack = lay.stack_top - 8;
+    const u64 shadow = lay.shadow_offset + (stack << 2);
+    const u64 lock = lay.lock_base + lay.lock_entries * 8 - 8;
+    mem::Memory m;
+    m.map_regions({
+        {"stack", lay.stack_top - lay.stack_size, lay.stack_size},
+        {"lock", lay.lock_base, lay.lock_entries * 8},
+        {"lmsm", lay.shadow_offset, lay.stack_top << 2},
+    });
+    for (u64 round = 0; round < 4; ++round) {
+        m.store(stack, 8, round);
+        m.store(shadow, 8, round << 4);
+        EXPECT_EQ(m.load(lock, 8, false), 0u);
+        EXPECT_TRUE(m.tlb_holds(stack)) << "round " << round;
+        EXPECT_TRUE(m.tlb_holds(shadow)) << "round " << round;
+        EXPECT_TRUE(m.tlb_holds(lock)) << "round " << round;
+    }
+    EXPECT_EQ(m.load(stack, 8, false), 3u);
+    EXPECT_EQ(m.load(shadow, 8, false), 0x30u);
 }
 
 TEST(MemoryTlb, FirstTouchPageCreationStaysVisible)
@@ -445,6 +492,50 @@ TEST(CacheFastPath, MatchesTrueLruReferenceModel)
                 EXPECT_EQ(c.stats().accesses, ref.accesses);
                 EXPECT_EQ(c.stats().misses, ref.misses);
             }
+        }
+    }
+}
+
+TEST(CacheFastPath, SnapshotRestoreMatchesReference)
+{
+    // A cache restored from a mid-stream snapshot (some sets still with
+    // empty ways, others full) behaves like the one snapshotted and like
+    // the reference, access by access.
+    u64 seed = 0x5a95;
+    for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+        for (const int at : {5, 3000}) {
+            SCOPED_TRACE(testing::Message() << "ways=" << ways << " at=" << at);
+            const mem::CacheConfig cfg{.line_bytes = 64,
+                                       .ways = ways,
+                                       .sets = 8,
+                                       .hit_cycles = 1,
+                                       .miss_penalty = 30};
+            mem::Cache a{cfg};
+            RefLru ref{cfg};
+            Xoshiro256 rng{++seed};
+            const u64 span = 2ull * ways * cfg.sets * cfg.line_bytes;
+            for (int i = 0; i < at; ++i) {
+                const u64 addr = rng.below(span);
+                ASSERT_EQ(a.access(addr), ref.access(addr)) << "i=" << i;
+            }
+            mem::Cache b{cfg};
+            b.restore(a.snapshot());
+            b.set_stats(a.stats());
+            ASSERT_TRUE(b.snapshot() == a.snapshot());
+            EXPECT_FALSE(b.last_access_missed());
+            for (int i = 0; i < 3000; ++i) {
+                const u64 addr = rng.below(span);
+                const unsigned want = ref.access(addr);
+                ASSERT_EQ(a.access(addr), want) << "i=" << i;
+                ASSERT_EQ(b.access(addr), want) << "i=" << i;
+                ASSERT_EQ(a.last_access_missed(), ref.last_missed);
+                ASSERT_EQ(b.last_access_missed(), ref.last_missed);
+            }
+            EXPECT_EQ(b.stats().accesses, ref.accesses);
+            EXPECT_EQ(b.stats().misses, ref.misses);
+            EXPECT_EQ(a.stats().accesses, ref.accesses);
+            EXPECT_EQ(a.stats().misses, ref.misses);
+            EXPECT_TRUE(b.snapshot() == a.snapshot());
         }
     }
 }

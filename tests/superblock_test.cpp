@@ -1164,4 +1164,99 @@ TEST(SuperblockCsr, CycleAndInstretReadsSeeBatchedCounters)
     expect_bit_equal(a, b);
 }
 
+// ---- I$ fetches across lines -----------------------------------------
+
+TEST(SuperblockFetch, StraightLineAcrossLinesMatchesInterpreter)
+{
+    // Two passes over 100 straight-line instructions: seven 64-byte I$
+    // lines, each entered by a sequential fetch and, in the second pass,
+    // re-entered after a taken branch. The interpreter counts repeat
+    // fetches on a line without the set lookup; the dispatcher batches
+    // them per block. Both must count every fetch and one miss per line.
+    Program p;
+    p.label("main");
+    p.emit_li(Reg::s6, 0);
+    p.emit_li(Reg::s7, 2);
+    p.label("loop");
+    for (int i = 0; i < 100; ++i)
+        p.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 1));
+    p.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
+    p.emit_branch(Opcode::BLT, Reg::s6, Reg::s7, "loop");
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    p.finalize();
+
+    sim::Machine dbt{p, with_dbt({}, true)};
+    const sim::RunResult a = dbt.run();
+    sim::Machine interp{p, with_dbt({}, false)};
+    const sim::RunResult b = interp.run();
+
+    ASSERT_EQ(b.trap.kind, hwst::hwst::TrapKind::None);
+    expect_bit_equal(a, b);
+    EXPECT_EQ(b.instret, 2u + 2 * 102 + 2);
+    EXPECT_EQ(b.icache.accesses, b.instret);
+    const u64 first = p.label_addr("main") / 64;
+    const u64 last = (p.label_addr("main") + 4 * (p.code().size() - 1)) / 64;
+    EXPECT_EQ(b.icache.misses, last - first + 1);
+    EXPECT_TRUE(dbt.state() == interp.state());
+}
+
+TEST(SuperblockFetch, InterpreterRefetchesLineTheDispatcherEvicted)
+{
+    // The loop's head and its four jump targets sit 4 KiB apart, so their
+    // lines share one set of the 4-way I$ and each iteration evicts the
+    // head's line. The interpreter steps up to the head's jump, the
+    // dispatcher runs one iteration, and the interpreter steps the head
+    // again: that fetch must miss, as on an all-interpreter run, however
+    // recently the interpreter itself fetched the same line.
+    Program p;
+    p.label("main");
+    p.emit_li(Reg::s6, 0);
+    p.emit_li(Reg::s7, 3);
+    p.label("loop");
+    p.emit(itype(Opcode::ADDI, Reg::t0, Reg::t0, 1));
+    p.emit_jal(Reg::zero, "b1");
+    const char* const targets[] = {"b1", "b2", "b3", "b4"};
+    for (int i = 0; i < 4; ++i) {
+        while (p.code().size() % 1024 != 0) p.emit(nop());
+        p.label(targets[i]);
+        p.emit(itype(Opcode::ADDI, Reg::t1, Reg::t1, 1));
+        if (i < 3) p.emit_jal(Reg::zero, targets[i + 1]);
+    }
+    p.emit(itype(Opcode::ADDI, Reg::s6, Reg::s6, 1));
+    p.emit_branch(Opcode::BGE, Reg::s6, Reg::s7, "done");
+    p.emit_jal(Reg::zero, "loop"); // out of a branch's reach
+    p.label("done");
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    p.finalize();
+
+    sim::Machine m{p, with_dbt({}, true)};
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(m.step().kind, hwst::hwst::TrapKind::None);
+    // Stride 1 polls at every block boundary; the sixth poll comes after
+    // the blocks at the head's jump, b1, b2, b3, b4 and the jump back.
+    unsigned polls = 0;
+    ASSERT_FALSE(
+        m.run_cancellable([&] { return ++polls == 6; }, 1).has_value());
+    ASSERT_EQ(m.pc(), p.label_addr("loop"));
+    ASSERT_EQ(m.step().kind, hwst::hwst::TrapKind::None);
+
+    // Right here, not only at the end: the dispatcher's next fetch of
+    // the head's line would make up for a missed miss.
+    sim::Machine interp{p, with_dbt({}, false)};
+    while (interp.instret() < m.instret()) interp.step();
+    const sim::Counters got = m.counters();
+    const sim::Counters want = interp.counters();
+    EXPECT_EQ(got.icache.accesses, want.icache.accesses);
+    EXPECT_EQ(got.icache.misses, want.icache.misses);
+    EXPECT_EQ(got.cycles, want.cycles);
+
+    const sim::RunResult a = m.run();
+    const sim::RunResult b = interp.run();
+    ASSERT_EQ(b.trap.kind, hwst::hwst::TrapKind::None);
+    expect_bit_equal(a, b);
+    EXPECT_TRUE(m.state() == interp.state());
+}
+
 } // namespace
