@@ -20,7 +20,6 @@
 #include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
-#include "exec/shutdown.hpp"
 #include "exec/simrun.hpp"
 #include "workloads/workload.hpp"
 
@@ -61,9 +60,9 @@ exec::Job emitter_job(std::string name, const workloads::Workload& w,
     };
 }
 
-/// The five sub-ablations share one journal, and their job names
-/// collide ("crc32/base" appears in three grids) — prefix the journal
-/// keys per ablation so records never alias.
+/// The five sub-ablations share one cache grid_hash, and their job
+/// names collide ("crc32/base" appears in three grids) — prefix the
+/// cache keys per ablation so cells never alias.
 void rekey(std::vector<exec::Job>& jobs, const char* prefix)
 {
     for (auto& j : jobs) j.key = std::string{prefix} + ":" + j.name;
@@ -366,8 +365,8 @@ int main(int argc, char** argv)
     std::cout << "HWST128 design-choice ablations (DESIGN.md 5)\n\n";
     std::optional<exec::Campaign> campaign;
     try {
-        // One journal (and cache grid_hash) covers all five sub-grids;
-        // the rekey() prefixes keep their records from aliasing.
+        // One cache grid_hash covers all five sub-grids; the rekey()
+        // prefixes keep their cells from aliasing.
         campaign.emplace(
             "ablations", grid,
             exec::grid_fingerprint(std::string{"ablations smoke="} +
@@ -391,9 +390,6 @@ int main(int argc, char** argv)
         }
     } catch (const std::exception& e) {
         std::cerr << "ablations: " << e.what() << '\n';
-        // A shutdown mid-ablation is a deliberate interrupt, not a
-        // failure: the journal holds the finished jobs for --resume.
-        if (exec::shutdown_requested()) return 130;
         return 1;
     }
     return 0;

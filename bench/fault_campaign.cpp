@@ -20,7 +20,6 @@
 #include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/report.hpp"
-#include "exec/shutdown.hpp"
 #include "fault/campaign.hpp"
 
 using namespace hwst;
@@ -95,15 +94,6 @@ CampaignConfig parse(int argc, char** argv, exec::GridOptions& grid)
     }
     cfg.jobs = grid.jobs;
     cfg.timeout_ms = grid.timeout_ms;
-    cfg.retries = grid.retries;
-    cfg.backoff_ms = grid.backoff_ms;
-    cfg.journal = grid.journal;
-    cfg.journal_path = grid.journal_path;
-    cfg.resume = grid.resume;
-    cfg.isolate = grid.isolate;
-    cfg.rlimit_mb = grid.rlimit_mb;
-    cfg.rlimit_cpu_s = grid.rlimit_cpu_s;
-    cfg.sentinel = grid.sentinel;
     if (cfg.workloads.empty() || cfg.points.empty() ||
         cfg.seeds_per_point == 0) {
         throw common::ToolchainError{
@@ -119,7 +109,6 @@ int main(int argc, char** argv)
     try {
         exec::GridOptions grid;
         CampaignConfig cfg = parse(argc, argv, grid);
-        exec::install_signal_handlers();
         // Cache binding for the classified faulted runs (--cache /
         // HWST_CACHE); cells are keyed by the campaign fingerprint, so
         // a config change can never serve a stale record.
@@ -141,20 +130,13 @@ int main(int argc, char** argv)
         // Exit status checks the completeness invariant first: no
         // silent corruption at metadata-protected points
         // (dcache-fill-data is outside HWST's protection domain — ECC's
-        // job — and expected to corrupt silently). Beyond that, the
-        // durability policy: a shutdown-partial report exits 130,
-        // unclassified runs (timeout/quarantine) fail the campaign
-        // unless --keep-going.
+        // job — and expected to corrupt silently). Beyond that,
+        // unclassified (timed-out) runs fail the campaign.
         if (report.protected_silent() != 0) return 1;
-        if (report.total_skipped() != 0) return 130;
-        if ((report.total_timeouts() != 0 ||
-             report.total_quarantined() != 0) &&
-            !grid.keep_going)
-            return 1;
+        if (report.total_timeouts() != 0) return 1;
         return 0;
     } catch (const std::exception& e) {
         std::cerr << "fault_campaign: " << e.what() << '\n';
-        if (exec::shutdown_requested()) return 130;
         return 2;
     }
 }

@@ -28,8 +28,8 @@ namespace {
 /// large enough that per-job overhead is invisible.
 constexpr std::size_t kChunk = 128;
 
-/// Journal round trip for a chunk's Coverage, so --resume can replay
-/// finished coverage chunks instead of re-running their cases.
+/// Cache round trip for a chunk's Coverage, so a warm --cache run
+/// serves finished coverage chunks instead of re-running their cases.
 exec::json::Value coverage_to_json(const juliet::Coverage& c)
 {
     exec::json::Value v = exec::json::Value::object();
@@ -122,7 +122,7 @@ int main(int argc, char** argv)
 
     // The grid is chunk-indexed, so the fingerprint hashes the campaign
     // shape: any change to stride, case count, scheme set or chunk size
-    // invalidates an old journal (and can never alias a cache cell).
+    // can never alias a cache cell.
     const std::string grid_desc =
         "fig6 stride=" + std::to_string(stride) +
         " cases=" + std::to_string(cases.size()) +
@@ -242,7 +242,7 @@ int main(int argc, char** argv)
 
     if (!complete)
         std::cout << "\nWARNING: grid incomplete — coverage above counts "
-                     "only the finished chunks (resume with --resume)\n";
+                     "only the finished chunks\n";
     std::cout << "\npaper (Fig. 6): GCC 11.20% (937), ASAN 58.08% (4859), "
                  "SBCETS 64.49% (5395), HWST128 63.63% (5323)\n";
 

@@ -4,35 +4,23 @@
 // non-zero on the first malformed file. `bench-smoke` runs it after
 // every harness.
 //
-// `json_check --journal FILE...` switches to journal mode: the header
-// must carry journal_version/bench/grid_hash, and every record should
-// round-trip through outcome_from_record. Mirroring --resume (which
-// forgives a torn tail from a crashed worker), malformed record lines
-// are skipped but *counted*: the report names their line numbers.
-// `--strict-journal` makes any skipped line a failure — for journals
-// from completed runs, which should be whole.
-//
 // `json_check --equiv A B` compares two BENCH envelopes after stripping
 // host-side fields (wall_ms, run_ms, mips, geo_mean_mips, git_rev,
 // jobs, tier choice + dbt counters, cache stats): the determinism
 // contract of docs/performance.md
 // says host speed may change between runs and revisions, simulated
 // numbers may not — this is the check that enforces it. The strip
-// itself is exec::strip_host_fields, shared with the engine's DBT
-// divergence sentinel so the two comparators cannot drift apart.
+// itself is exec::strip_host_fields.
 //
 // `json_check --cache DIR [GIT_REV]` audits a content-addressed result
 // cache (docs/cache.md): counts cells/bytes/dangling temps, validates
 // every cell (parse, version, address re-hash, record round trip), and
 // with GIT_REV flags cells another build published. Invalid or stale
 // cells exit 1.
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "exec/cache.hpp"
-#include "exec/journal.hpp"
 #include "exec/report.hpp"
 
 using namespace hwst;
@@ -105,87 +93,10 @@ void check_interp_speed(const exec::json::Value& v)
         throw exec::json::JsonError{"missing string key: tier"};
 }
 
-/// Validate one journal. The header is load-bearing (a journal without
-/// one replays nothing) and always fatal when broken; record lines that
-/// fail to parse or round-trip are skipped-and-counted, exactly as a
-/// --resume would skip them. Returns the number of skipped lines so
-/// --strict-journal can turn any of them into a failure.
-std::size_t check_journal(const char* path)
-{
-    std::ifstream in{path};
-    if (!in)
-        throw exec::json::JsonError{"cannot open journal"};
-    std::string line;
-    std::size_t lineno = 0;
-    std::size_t records = 0;
-    std::vector<std::size_t> skipped;
-    std::string bench;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty()) continue;
-        exec::json::Value v;
-        try {
-            v = exec::json::Value::parse(line);
-        } catch (const exec::json::JsonError& e) {
-            if (lineno == 1)
-                throw exec::json::JsonError{"header: " +
-                                            std::string{e.what()}};
-            skipped.push_back(lineno);
-            continue;
-        }
-        if (lineno == 1) {
-            const auto* version = v.find("journal_version");
-            const auto* b = v.find("bench");
-            const auto* hash = v.find("grid_hash");
-            if (!version || !version->is_int() ||
-                version->as_int() != exec::kJournalVersion)
-                throw exec::json::JsonError{
-                    "header: bad journal_version"};
-            if (!b || !b->is_string())
-                throw exec::json::JsonError{
-                    "header: missing string key: bench"};
-            if (!hash || !hash->is_string())
-                throw exec::json::JsonError{
-                    "header: missing string key: grid_hash"};
-            bench = b->as_string();
-            continue;
-        }
-        try {
-            (void)exec::outcome_from_record(v);
-            ++records;
-        } catch (const exec::json::JsonError&) {
-            skipped.push_back(lineno);
-        }
-    }
-    if (lineno == 0)
-        throw exec::json::JsonError{"empty journal (missing header)"};
-    std::cout << path << ": ok (bench=" << bench << ", records=" << records
-              << ", skipped=" << skipped.size();
-    if (!skipped.empty()) {
-        std::cout << " [lines";
-        for (const std::size_t n : skipped) std::cout << ' ' << n;
-        std::cout << ']';
-    }
-    std::cout << ")\n";
-    return skipped.size();
-}
-
 } // namespace
 
 int main(int argc, char** argv)
 {
-    bool journal_mode = false;
-    bool strict_journal = false;
-    int first = 1;
-    if (argc > 1 && std::string{argv[1]} == "--journal") {
-        journal_mode = true;
-        first = 2;
-    }
-    if (argc > 1 && std::string{argv[1]} == "--strict-journal") {
-        journal_mode = true;
-        strict_journal = true;
-        first = 2;
-    }
     if (argc > 1 && std::string{argv[1]} == "--equiv") {
         if (argc != 4) {
             std::cerr << "usage: json_check --equiv A.json B.json\n";
@@ -218,28 +129,17 @@ int main(int argc, char** argv)
             return 1;
         }
     }
-    if (first >= argc) {
+    if (argc < 2) {
         std::cerr
             << "usage: json_check BENCH_<name>.json...\n"
-               "       json_check --journal BENCH_<name>.journal...\n"
-               "       json_check --strict-journal "
-               "BENCH_<name>.journal...\n"
                "       json_check --equiv A.json B.json\n"
                "       json_check --cache DIR [GIT_REV]\n"
-               "--journal skips-and-counts malformed record lines (like "
-               "--resume);\n"
-               "--strict-journal fails on any skipped line.\n"
                "--cache audits a result cache; GIT_REV flags stale "
                "cells.\n";
         return 2;
     }
-    bool any_skipped = false;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         try {
-            if (journal_mode) {
-                if (check_journal(argv[i]) != 0) any_skipped = true;
-                continue;
-            }
             const auto v = exec::read_bench_json(argv[i]);
             const auto* bench = v.find("bench");
             const auto* jobs = v.find("jobs");
@@ -260,11 +160,6 @@ int main(int argc, char** argv)
                       << '\n';
             return 1;
         }
-    }
-    if (strict_journal && any_skipped) {
-        std::cerr << "json_check: --strict-journal: journals contain "
-                     "skipped lines\n";
-        return 1;
     }
     return 0;
 }

@@ -37,7 +37,6 @@
 #include "compiler/driver.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
-#include "exec/shutdown.hpp"
 #include "exec/simrun.hpp"
 #include "workloads/workload.hpp"
 
@@ -134,19 +133,12 @@ int main(int argc, char** argv)
                 throw common::ToolchainError{"unknown flag: " + a};
             }
         }
-        // Host-MIPS cells are written by reference on the worker thread;
-        // a forked worker's timing could never flow back (and isolated
-        // timing would not be comparable anyway).
-        if (grid.isolate || grid.sentinel > 0)
-            throw common::ToolchainError{
-                "perf_mips measures host timing in-process; --isolate / "
-                "--sentinel are not supported here"};
         // Host-timing rows are meaningless to replay: a cache-served
         // cell would report another run's MIPS as this one's.
-        if (!grid.cache_dir.empty() || grid.cache_mb != 0)
+        if (!grid.cache_dir.empty())
             throw common::ToolchainError{
-                "perf_mips rows are host timings; --cache / --cache-mb "
-                "are not supported here"};
+                "perf_mips rows are host timings; --cache is not "
+                "supported here"};
     } catch (const std::exception& e) {
         std::cerr << "perf_mips: " << e.what() << "\nflags:\n"
                   << exec::kGridFlagsHelp
@@ -186,11 +178,7 @@ int main(int argc, char** argv)
                 w->name + "/" + std::string{compiler::scheme_name(s)};
             job.workload = w->name;
             job.scheme = compiler::scheme_name(s);
-            // No journal key: a replayed job would have no host timing,
-            // so perf runs never resume from a checkpoint. Likewise
-            // in-process: the cells[] writes cannot cross a fork (and
-            // HWST_ISOLATE must not silently corrupt the numbers).
-            job.in_process = true;
+            // No cache key: a served job would have no host timing.
             job.body = [w, s, idx, tier, repeat,
                         &cells](const exec::JobContext& ctx) {
                 const mir::Module module = w->build();
@@ -229,7 +217,6 @@ int main(int argc, char** argv)
         }
     }
 
-    exec::install_signal_handlers();
     const exec::Engine engine{grid.engine()};
     const exec::Stopwatch stopwatch;
     const auto outcomes = engine.run(jobs);
@@ -378,7 +365,7 @@ int main(int argc, char** argv)
             return 2;
         }
     }
-    const int rc = exec::grid_exit_code(outcomes, grid.keep_going);
-    if (rc == 0 && bad_result && !grid.keep_going) return 1;
+    const int rc = exec::grid_exit_code(outcomes);
+    if (rc == 0 && bad_result) return 1;
     return rc;
 }

@@ -257,12 +257,11 @@ int run_grid(const Options& o)
 
     exec::json::Value payload = exec::json::Value::object();
     payload["rows"] = rows;
-    // Failed/skipped jobs drive the shared exit-code policy; a cell
-    // that ran but trapped keeps the classic exit 2 (gated by
-    // --keep-going like every other failure).
+    // Failed jobs drive the shared exit-code policy; a cell that ran
+    // but trapped keeps the classic exit 2.
     const int rc = campaign.finish(std::move(payload), jobs, outcomes);
     if (rc != 0) return rc;
-    if (!all_ok && !o.grid.keep_going) return 2;
+    if (!all_ok) return 2;
     if (o.expect_cached >= 0) {
         // Counts the cells the engine actually served from the cache,
         // so a warm run that silently recomputes fails instead of
@@ -288,8 +287,14 @@ int run_grid(const Options& o)
 
 int main(int argc, char** argv)
 {
+    Options o;
     try {
-        const Options o = parse(argc, argv);
+        o = parse(argc, argv);
+    } catch (const std::exception& e) {
+        std::cerr << "hwst_run: " << e.what() << '\n';
+        return 2;
+    }
+    try {
 
         if (o.list || (o.workloads.empty() && o.juliet.empty())) {
             std::cout << "workloads:\n";

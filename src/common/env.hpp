@@ -1,6 +1,6 @@
 // Shared environment-variable parsing for the HWST_* switches
-// (HWST_TIER, HWST_ISOLATE, HWST_SENTINEL, ...). One parser so every
-// switch accepts the same vocabulary and a typo'd value can never
+// (HWST_TIER, ...). One parser per kind of switch, so every switch of
+// that kind accepts the same vocabulary and a typo'd value can never
 // silently flip a mode: a per-site `e[0] != '0'` test would treat
 // `=off` as *on*.
 #pragma once

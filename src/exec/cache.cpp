@@ -1,6 +1,5 @@
 #include "exec/cache.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -9,10 +8,9 @@
 #include <iostream>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
+#include "compiler/scheme.hpp"
 #include "exec/envelope.hpp"
-#include "exec/journal.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -23,6 +21,205 @@
 namespace hwst::exec {
 
 namespace fs = std::filesystem;
+
+u64 fnv1a(std::string_view s)
+{
+    u64 h = 0xCBF29CE484222325ULL;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+std::string hash_hex(u64 h)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+u64 config_revision_hash()
+{
+    u64 h = derive_seed(static_cast<u64>(kConfigRevision),
+                        static_cast<u64>(kCacheVersion));
+    for (const compiler::Scheme s : compiler::kAllSchemes)
+        h = derive_seed(h, fnv1a(compiler::scheme_name(s)));
+    // Defaults a grid's coordinates never name but its simulated
+    // numbers depend on: a change here must invalidate stale cache
+    // cells even when the grid shape is unchanged.
+    const sim::MachineConfig def{};
+    h = derive_seed(h, def.dcache.sets, def.dcache.ways,
+                    def.dcache.line_bytes, def.icache.sets,
+                    def.icache.ways, def.icache.line_bytes,
+                    static_cast<u64>(def.icache_enabled),
+                    def.keybuffer_entries,
+                    static_cast<u64>(def.keybuffer_enabled), def.fuel);
+    return h;
+}
+
+u64 grid_fingerprint(std::span<const Job> jobs, u64 root_seed,
+                     std::string_view config_desc)
+{
+    u64 h = derive_seed(root_seed, jobs.size(), config_revision_hash(),
+                        fnv1a(config_desc));
+    for (const Job& j : jobs) {
+        h = derive_seed(h, fnv1a(j.key.empty() ? j.name : j.key),
+                        fnv1a(j.workload), fnv1a(j.scheme), j.seed);
+    }
+    return h;
+}
+
+u64 grid_fingerprint(std::string_view grid_desc, u64 root_seed)
+{
+    return derive_seed(root_seed, fnv1a(grid_desc),
+                       config_revision_hash());
+}
+
+// ---- serialization -----------------------------------------------------
+
+json::Value result_to_json(const sim::RunResult& r)
+{
+    json::Value v = json::Value::object();
+    json::Value trap = json::Value::object();
+    trap["kind"] = static_cast<int>(r.trap.kind);
+    trap["addr"] = r.trap.addr;
+    trap["pc"] = r.trap.pc;
+    v["trap"] = trap;
+    v["exit_code"] = r.exit_code;
+    v["cycles"] = r.cycles;
+    v["instret"] = r.instret;
+    json::Value out = json::Value::array();
+    for (const auto x : r.output) out.push_back(x);
+    v["output"] = out;
+    json::Value dc = json::Value::array();
+    dc.push_back(r.dcache.accesses);
+    dc.push_back(r.dcache.misses);
+    v["dcache"] = dc;
+    json::Value ic = json::Value::array();
+    ic.push_back(r.icache.accesses);
+    ic.push_back(r.icache.misses);
+    v["icache"] = ic;
+    json::Value kb = json::Value::array();
+    kb.push_back(r.keybuffer.lookups);
+    kb.push_back(r.keybuffer.hits);
+    kb.push_back(r.keybuffer.flushes);
+    v["keybuffer"] = kb;
+    v["scu_checks"] = r.scu_checks;
+    v["tcu_checks"] = r.tcu_checks;
+    v["scu_saturated"] = r.scu_saturated;
+    v["tcu_saturated"] = r.tcu_saturated;
+    v["smac_translations"] = r.smac_translations;
+    json::Value mix = json::Value::array();
+    for (const u64 x :
+         {r.mix.alu, r.mix.loads, r.mix.stores, r.mix.checked_loads,
+          r.mix.checked_stores, r.mix.meta_moves, r.mix.binds, r.mix.tchk,
+          r.mix.branches, r.mix.jumps, r.mix.ecalls, r.mix.other})
+        mix.push_back(x);
+    v["mix"] = mix;
+    return v;
+}
+
+namespace {
+
+u64 get_u64(const json::Value& v, std::string_view key)
+{
+    return static_cast<u64>(v.at(key).as_int());
+}
+
+void expect_items(const json::Value& v, std::string_view what,
+                  std::size_t n)
+{
+    if (!v.is_array() || v.size() != n)
+        throw json::JsonError{std::string{what} + ": expected " +
+                              std::to_string(n) + "-element array"};
+}
+
+} // namespace
+
+sim::RunResult result_from_json(const json::Value& v)
+{
+    sim::RunResult r;
+    const json::Value& trap = v.at("trap");
+    const auto kind = trap.at("kind").as_int();
+    if (kind < 0 ||
+        kind > static_cast<json::i64>(hwst::TrapKind::FuelExhausted))
+        throw json::JsonError{"trap.kind out of range: " +
+                              std::to_string(kind)};
+    r.trap.kind = static_cast<hwst::TrapKind>(kind);
+    r.trap.addr = get_u64(trap, "addr");
+    r.trap.pc = get_u64(trap, "pc");
+    r.exit_code = v.at("exit_code").as_int();
+    r.cycles = get_u64(v, "cycles");
+    r.instret = get_u64(v, "instret");
+    for (const json::Value& x : v.at("output").items())
+        r.output.push_back(x.as_int());
+    const json::Value& dc = v.at("dcache");
+    expect_items(dc, "dcache", 2);
+    r.dcache.accesses = static_cast<u64>(dc.items()[0].as_int());
+    r.dcache.misses = static_cast<u64>(dc.items()[1].as_int());
+    const json::Value& ic = v.at("icache");
+    expect_items(ic, "icache", 2);
+    r.icache.accesses = static_cast<u64>(ic.items()[0].as_int());
+    r.icache.misses = static_cast<u64>(ic.items()[1].as_int());
+    const json::Value& kb = v.at("keybuffer");
+    expect_items(kb, "keybuffer", 3);
+    r.keybuffer.lookups = static_cast<u64>(kb.items()[0].as_int());
+    r.keybuffer.hits = static_cast<u64>(kb.items()[1].as_int());
+    r.keybuffer.flushes = static_cast<u64>(kb.items()[2].as_int());
+    r.scu_checks = get_u64(v, "scu_checks");
+    r.tcu_checks = get_u64(v, "tcu_checks");
+    r.scu_saturated = get_u64(v, "scu_saturated");
+    r.tcu_saturated = get_u64(v, "tcu_saturated");
+    r.smac_translations = get_u64(v, "smac_translations");
+    const json::Value& mix = v.at("mix");
+    expect_items(mix, "mix", 12);
+    u64* const fields[] = {
+        &r.mix.alu,   &r.mix.loads,  &r.mix.stores, &r.mix.checked_loads,
+        &r.mix.checked_stores, &r.mix.meta_moves, &r.mix.binds,
+        &r.mix.tchk,  &r.mix.branches, &r.mix.jumps, &r.mix.ecalls,
+        &r.mix.other};
+    for (std::size_t i = 0; i < 12; ++i)
+        *fields[i] = static_cast<u64>(mix.items()[i].as_int());
+    return r;
+}
+
+json::Value outcome_to_record(const std::string& key,
+                              const JobOutcome& outcome)
+{
+    json::Value v = json::Value::object();
+    v["key"] = key;
+    v["status"] = job_status_name(outcome.status);
+    v["wall_ms"] = outcome.wall_ms;
+    if (outcome.status == JobStatus::Ok)
+        v["result"] = result_to_json(outcome.result);
+    else
+        v["error"] = outcome.error;
+    if (!outcome.aux.is_null()) v["aux"] = outcome.aux;
+    return v;
+}
+
+std::pair<std::string, JobOutcome> outcome_from_record(const json::Value& v)
+{
+    const std::string& key = v.at("key").as_string();
+    if (key.empty()) throw json::JsonError{"record with empty key"};
+    JobOutcome out;
+    const auto status = job_status_from_name(v.at("status").as_string());
+    if (!status)
+        throw json::JsonError{"unknown status: " +
+                              v.at("status").as_string()};
+    out.status = *status;
+    out.wall_ms = v.at("wall_ms").as_double();
+    if (out.status == JobStatus::Ok)
+        out.result = result_from_json(v.at("result"));
+    else
+        out.error = v.at("error").as_string();
+    if (const json::Value* aux = v.find("aux")) out.aux = *aux;
+    return {key, std::move(out)};
+}
+
+// ---- the store ---------------------------------------------------------
 
 u64 CellKey::address() const
 {
@@ -110,9 +307,6 @@ ResultCache::ResultCache(CacheOptions opts) : opts_{std::move(opts)}
     if (ec)
         throw common::ToolchainError{"cannot create cache root " +
                                      opts_.root + ": " + ec.message()};
-    for (const auto& e : fs::directory_iterator{
-             fs::path{opts_.root} / "cells", ec})
-        approx_bytes_ += file_size_or_zero(e.path());
 }
 
 std::string ResultCache::cell_path(u64 address) const
@@ -143,9 +337,6 @@ std::optional<JobOutcome> ResultCache::load(const CellKey& key)
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
-    // LRU refresh: a served cell is the last to go under pressure.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
     hits_.fetch_add(1, std::memory_order_relaxed);
     return outcome;
 }
@@ -155,20 +346,17 @@ void ResultCache::store(const CellKey& key, const JobOutcome& outcome)
     if (outcome.status != JobStatus::Ok) return;
     const std::string text = cell_to_json(key, outcome).dump(2) + "\n";
     const u64 address = key.address();
-    fs::path temp;
-    {
-        const std::lock_guard lock{mutex_};
-        temp = fs::path{opts_.root} / "tmp" /
-               (hash_hex(address).substr(2) + "." +
-                std::to_string(
+    const fs::path temp =
+        fs::path{opts_.root} / "tmp" /
+        (hash_hex(address).substr(2) + "." +
+         std::to_string(
 #ifdef HWST_CACHE_POSIX
-                    static_cast<long>(::getpid())
+             static_cast<long>(::getpid())
 #else
-                    0L
+             0L
 #endif
-                        ) +
-                "." + std::to_string(temp_counter_++));
-    }
+                 ) +
+         "." + std::to_string(temp_counter_.fetch_add(1)));
     if (!write_file_synced(temp.string(), text)) {
         std::cerr << "[cache] cannot write " << temp.string()
                   << "; cell not published\n";
@@ -185,49 +373,6 @@ void ResultCache::store(const CellKey& key, const JobOutcome& outcome)
         return;
     }
     stores_.fetch_add(1, std::memory_order_relaxed);
-    {
-        const std::lock_guard lock{mutex_};
-        approx_bytes_ += text.size();
-    }
-    if (opts_.max_bytes != 0) evict_over_budget();
-}
-
-void ResultCache::evict_over_budget()
-{
-    if (opts_.max_bytes == 0) return;
-    const std::lock_guard lock{mutex_};
-    if (approx_bytes_ <= opts_.max_bytes) return;
-
-    struct Entry {
-        fs::path path;
-        fs::file_time_type mtime;
-        u64 bytes = 0;
-    };
-    std::vector<Entry> entries;
-    u64 total = 0;
-    std::error_code ec;
-    for (const auto& e : fs::directory_iterator{
-             fs::path{opts_.root} / "cells", ec}) {
-        Entry entry{e.path(), fs::file_time_type::min(),
-                    file_size_or_zero(e.path())};
-        std::error_code mec;
-        entry.mtime = fs::last_write_time(e.path(), mec);
-        total += entry.bytes;
-        entries.push_back(std::move(entry));
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Entry& e : entries) {
-        if (total <= opts_.max_bytes) break;
-        std::error_code rec;
-        if (fs::remove(e.path, rec)) {
-            total -= std::min(total, e.bytes);
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    approx_bytes_ = total;
 }
 
 json::Value ResultCache::stats_json() const
@@ -237,7 +382,6 @@ json::Value ResultCache::stats_json() const
     v["hits"] = hits();
     v["misses"] = misses();
     v["stores"] = stores();
-    v["evictions"] = evictions();
     return v;
 }
 
@@ -284,22 +428,8 @@ std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
         if (const char* env = std::getenv("HWST_CACHE")) root = env;
     }
     if (root.empty()) return nullptr;
-    u64 max_bytes = grid.cache_mb << 20;
-    if (max_bytes == 0) {
-        if (const char* env = std::getenv("HWST_CACHE_MB")) {
-            if (const auto mb = parse_cache_mb(env))
-                max_bytes = *mb << 20;
-            else
-                common::warn_once(
-                    "HWST_CACHE_MB",
-                    std::string{"[env] HWST_CACHE_MB='"} + env +
-                        "' is not a whole number of MiB below 2^44; "
-                        "ignoring\n");
-        }
-    }
     auto cache = std::make_shared<ResultCache>(CacheOptions{
         .root = std::move(root),
-        .max_bytes = max_bytes,
         .git_rev = build_git_rev(),
     });
     return std::make_unique<CampaignCache>(std::move(cache), bench,

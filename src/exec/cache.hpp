@@ -1,11 +1,10 @@
 // Content-addressed result cache (docs/cache.md): finished Ok cells
 // from any campaign, keyed by everything that determines the simulated
 // numbers — (bench, grid_hash, job key, seed, git_rev) — and stored as
-// journal-format records, one JSON file per cell. A warm cache serves a
+// outcome records, one JSON file per cell. A warm cache serves a
 // repeated grid instead of recomputing it; the envelope stays
 // bit-identical modulo host-side fields because a cell record round
-// trips through the same outcome_to_record/outcome_from_record pair the
-// checkpoint journal uses.
+// trips every counter through outcome_to_record/outcome_from_record.
 //
 // On-disk layout under the cache root:
 //   cells/<16-hex-address>.json   published cells (content-addressed)
@@ -14,15 +13,18 @@
 // Publishing is atomic: a cell is written to tmp/ and rename(2)d into
 // cells/, so concurrent publishers — worker threads, several campaign
 // processes on one root — can never tear a record; the last writer of
-// one address wins with a bit-identical cell. Eviction is LRU by mtime
-// under a byte budget; a hit refreshes its cell's mtime.
+// one address wins with a bit-identical cell. Nothing is ever evicted:
+// a full fig4 plus fig6 cache is a few hundred cells in about 1.5 MB,
+// and a cache directory is deleted by hand.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/cli.hpp"
@@ -32,24 +34,78 @@ namespace hwst::exec {
 
 class Campaign;
 
-/// Cell record format revision (bumped with kJournalVersion
-/// semantics: readers reject other versions as a miss).
-inline constexpr int kCacheVersion = 1;
+/// Cell record format revision: readers reject other versions as a
+/// miss. v2 dropped the retry count and crash forensics from records.
+inline constexpr int kCacheVersion = 2;
+
+/// Bump when a scheme's instrumentation defaults or the machine-config
+/// defaults change in a way that alters simulated numbers without
+/// changing any grid coordinate. Folded into every grid fingerprint.
+inline constexpr int kConfigRevision = 1;
+
+// ---- fingerprints ----------------------------------------------------
+
+/// FNV-1a over a byte string — the leaf hash every fingerprint and the
+/// cache's content address build on (fold results via derive_seed so
+/// field boundaries matter: "ab","c" != "a","bc").
+u64 fnv1a(std::string_view s);
+
+/// Canonical "0x%016x" rendering of a fingerprint, shared by the cache
+/// cell records and their audit.
+std::string hash_hex(u64 h);
+
+/// Hash of everything a grid's coordinates do NOT name but its results
+/// depend on: the scheme registry (names, in order), the default
+/// MachineConfig (cache geometry, keybuffer, fuel) and kConfigRevision.
+/// Folded into every grid fingerprint so two grids that differ only in
+/// instrumentation defaults can never alias in the cache.
+u64 config_revision_hash();
+
+/// Fingerprint of a campaign grid: mixes the root seed with every job's
+/// key, workload, scheme and seed — plus config_revision_hash() and an
+/// optional harness-supplied `config_desc` naming grid-level knobs that
+/// the job coordinates don't (hwst_run's --keybuffer/--dcache-kib
+/// tweaks). Any change to any of these changes the fingerprint, so the
+/// cache can never serve a cell across configs.
+u64 grid_fingerprint(std::span<const Job> jobs, u64 root_seed = 0,
+                     std::string_view config_desc = {});
+
+/// Fingerprint for harnesses whose grid is built lazily (Engine::map
+/// chunks, multi-grid ablations): hash a descriptor string that names
+/// the campaign shape instead.
+u64 grid_fingerprint(std::string_view grid_desc, u64 root_seed = 0);
+
+// ---- JobOutcome <-> cell record (full-fidelity round trip) -----------
+
+/// Serialize a RunResult with every counter the harnesses fold into
+/// their tables, so a served cell is indistinguishable from a run one.
+json::Value result_to_json(const sim::RunResult& r);
+sim::RunResult result_from_json(const json::Value& v);
+
+/// One outcome record: key, status, wall_ms, then the result (Ok) or
+/// the error message, plus the body's aux payload when it set one.
+json::Value outcome_to_record(const std::string& key,
+                              const JobOutcome& outcome);
+/// Parse + validate one record; throws json::JsonError on a malformed
+/// or incomplete one.
+std::pair<std::string, JobOutcome> outcome_from_record(
+    const json::Value& v);
+
+// ---- the store -------------------------------------------------------
 
 struct CacheOptions {
     std::string root;    ///< cache directory (created if missing)
-    u64 max_bytes = 0;   ///< LRU eviction bound (0 = unbounded)
     std::string git_rev; ///< producer revision stamped into cells
 };
 
 /// Everything that addresses one cell. bench + grid_hash name the
-/// campaign (the grid fingerprint already folds the config revision,
-/// journal.hpp), key + seed name the cell inside it, git_rev pins the
-/// producing binary — a rebuilt simulator can never serve stale cells.
+/// campaign (the grid fingerprint already folds the config revision),
+/// key + seed name the cell inside it, git_rev pins the producing
+/// binary — a rebuilt simulator can never serve stale cells.
 struct CellKey {
     std::string bench;
     std::string grid_hash; ///< hash_hex(grid_fingerprint(...))
-    std::string key;       ///< the job's journal key
+    std::string key;       ///< the job's cache key
     u64 seed = 0;
     std::string git_rev;
 
@@ -67,49 +123,37 @@ public:
 
     const CacheOptions& options() const { return opts_; }
 
-    /// The published outcome for `key`, or nullopt. A hit refreshes the
-    /// cell's mtime (LRU) and revalidates the stored key fields — an
-    /// address collision or git_rev mismatch reads as a miss.
+    /// The published outcome for `key`, or nullopt. A hit revalidates
+    /// the stored key fields — an address collision or git_rev mismatch
+    /// reads as a miss.
     std::optional<JobOutcome> load(const CellKey& key);
 
     /// Publish one finished Ok outcome (write-temp + rename). Failures
     /// degrade to a warning on stderr — the campaign keeps running.
     void store(const CellKey& key, const JobOutcome& outcome);
 
-    /// Evict least-recently-used cells until the store fits max_bytes.
-    /// Called by store(); exposed for tests.
-    void evict_over_budget();
-
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
     u64 stores() const { return stores_.load(std::memory_order_relaxed); }
-    u64 evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
 
-    /// {"root","hits","misses","stores","evictions"} — the host-side
-    /// payload behind every envelope's stripped "cache" field.
+    /// {"root","hits","misses","stores"} — the host-side payload behind
+    /// every envelope's stripped "cache" field.
     json::Value stats_json() const;
 
 private:
     std::string cell_path(u64 address) const;
 
     CacheOptions opts_;
-    std::mutex mutex_; ///< serializes store+evict bookkeeping
-    u64 approx_bytes_ = 0;
-    unsigned temp_counter_ = 0;
+    std::atomic<unsigned> temp_counter_{0};
     std::atomic<u64> hits_{0};
     std::atomic<u64> misses_{0};
     std::atomic<u64> stores_{0};
-    std::atomic<u64> evictions_{0};
 };
 
 /// One campaign's binding onto a shared ResultCache: fixes the
 /// (bench, grid_hash, git_rev) half of every CellKey so the engine —
-/// which knows only Jobs — can hit the store. The engine treats it like
-/// a cross-campaign journal (EngineOptions::cache). Thread-safe: workers
-/// call load/store concurrently.
+/// which knows only Jobs — can hit the store (EngineOptions::cache).
+/// Thread-safe: workers call load/store concurrently.
 class CampaignCache {
 public:
     CampaignCache(std::shared_ptr<ResultCache> cache, std::string bench,
@@ -122,7 +166,7 @@ public:
     /// Publish a completed Ok outcome (atomic: concurrent publishers
     /// of the same cell never tear a record).
     void store(const Job& job, const JobOutcome& outcome);
-    /// Hit/miss/eviction counters for the envelope's host-side `cache`
+    /// Hit/miss/store counters for the envelope's host-side `cache`
     /// payload (stripped by json_check --equiv).
     json::Value stats_json() const;
 
@@ -135,11 +179,9 @@ private:
 };
 
 /// The one-liner harnesses use: build the campaign's cache binding from
-/// --cache/--cache-mb (or the HWST_CACHE / HWST_CACHE_MB environment,
-/// so presets can opt whole runs in), or nullptr when no cache was
-/// requested. An HWST_CACHE_MB that parse_cache_mb rejects is ignored
-/// with a one-time warning. The binding stamps build_git_rev() into
-/// every cell.
+/// --cache (or the HWST_CACHE environment, so presets can opt whole
+/// runs in), or nullptr when no cache was requested. The binding stamps
+/// build_git_rev() into every cell.
 std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
                                           const std::string& bench,
                                           u64 fingerprint);

@@ -10,11 +10,8 @@
 // folding the outcome vector in index order is bit-identical at every
 // thread count, including 1.
 //
-// Durability layer (docs/execution.md, "Durability"): an optional
-// checkpoint Journal replays finished jobs across restarts, timeout/
-// error jobs are retried with exponential backoff up to `retries` times
-// (exhaustion -> Quarantined), and a graceful shutdown (SIGINT/SIGTERM
-// or the `stop` flag) drains in-flight jobs and marks the rest Skipped.
+// Each job is a cache lookup (when a result cache is attached), then one
+// in-process run under its CancelToken deadline, then a cache publish.
 #pragma once
 
 #include <span>
@@ -25,74 +22,33 @@
 namespace hwst::exec {
 
 class CampaignCache;
-class Journal;
 
 struct EngineOptions {
     /// Worker threads. 0 = HWST_JOBS env var if set, else
     /// hardware_concurrency. 1 runs everything inline on the caller.
     unsigned jobs = 0;
     /// Per-job wall-clock budget; 0 = unlimited. A job that exceeds it
-    /// reports JobStatus::Timeout instead of hanging the grid. Each
-    /// retry attempt gets a fresh budget.
+    /// reports JobStatus::Timeout instead of hanging the grid.
     std::chrono::milliseconds timeout{0};
     /// Live progress line on stderr ("[done/total] name status").
     bool progress = false;
-    /// Retry budget for jobs that end Timeout/Error (never for traps —
-    /// those are results). 0 preserves the classic fail-once behavior;
-    /// N > 0 retries with exponential backoff and lands jobs that
-    /// exhaust the budget in JobStatus::Quarantined.
-    unsigned retries = 0;
-    /// Base backoff before the first retry; doubles per attempt.
-    std::chrono::milliseconds backoff{100};
-    /// Optional checkpoint journal: jobs with a non-empty `key` found
-    /// in it are replayed instead of run, and every finished job is
-    /// appended + fsync'd. Not owned.
-    Journal* journal = nullptr;
     /// Optional content-addressed result cache (--cache / HWST_CACHE,
     /// exec/cache.hpp): jobs with a non-empty `key` are looked up
-    /// before running — journal replay wins over a cache hit, a cache
-    /// hit wins over a recompute — and freshly run Ok outcomes are
-    /// published back. Cached and recomputed envelopes are
-    /// bit-identical modulo host-side fields (docs/cache.md). Not owned.
+    /// before running, and freshly run Ok outcomes are published back.
+    /// Cached and recomputed envelopes are bit-identical modulo
+    /// host-side fields (docs/cache.md). Not owned.
     CampaignCache* cache = nullptr;
-    /// Optional extra stop flag merged with the process-wide shutdown
-    /// flag (tests cancel mid-grid in-process through this).
-    const std::atomic<bool>* stop = nullptr;
-    /// Process-isolation mode (--isolate / HWST_ISOLATE): run each job
-    /// attempt in a forked, rlimit-caged worker subprocess. A worker
-    /// SIGSEGV, runaway allocation or hang becomes a Crashed/Timeout
-    /// outcome with forensics instead of killing the campaign
-    /// (docs/execution.md, "Process isolation & failure taxonomy").
-    bool isolate = false;
-    /// Worker RLIMIT_AS cap in MiB (0 = unlimited; isolate mode only).
-    u64 rlimit_mb = 0;
-    /// Worker RLIMIT_CPU cap in seconds (0 = unlimited).
-    u64 rlimit_cpu_s = 0;
-    /// SIGTERM -> SIGKILL escalation window for hard kills.
-    std::chrono::milliseconds grace{500};
-    /// Worker heartbeat period; the watchdog kills a worker after 8
-    /// missed beats. 0 disables the watchdog.
-    std::chrono::milliseconds heartbeat{250};
-    /// DBT divergence sentinel (--sentinel / HWST_SENTINEL): re-run
-    /// 1-in-N successful jobs under the pure interpreter in a sibling
-    /// worker and compare via the host-field-stripping comparator;
-    /// divergent jobs degrade to the interpreter result with a
-    /// journaled report. 0 = off. Nonzero implies isolate.
-    unsigned sentinel = 0;
 };
 
-/// The 1-in-N sample rate --sentinel / HWST_SENTINEL=1 select when no
-/// explicit rate is given.
-inline constexpr unsigned kDefaultSentinelRate = 4;
-
 /// Resolve an EngineOptions::jobs request against HWST_JOBS and
-/// hardware_concurrency (never returns 0).
+/// hardware_concurrency (never returns 0). An HWST_JOBS that is not a
+/// whole number >= 1 (parse_count) is ignored.
 unsigned resolve_jobs(unsigned requested);
 
 /// JSON round trip for Engine::map's typed per-job payloads, so
 /// map-based harnesses (fig6 coverage chunks, fault records) can use
-/// the checkpoint journal too. `label` prefixes the journal key (and
-/// display name) of every chunk; encode/decode must be inverses.
+/// the result cache too. `label` prefixes the cache key (and display
+/// name) of every chunk; encode/decode must be inverses.
 template <typename R>
 struct MapCodec {
     std::string label;
@@ -120,8 +76,8 @@ public:
     /// follow the same rules as Job bodies (JobTimeout -> Timeout slot,
     /// anything else -> Error slot); `out[i]` is written only on
     /// success, so R must be default-constructible. With a codec, each
-    /// chunk participates in the checkpoint journal: finished payloads
-    /// are persisted and replayed chunks are decoded back into out[i].
+    /// chunk is a result-cache cell: finished payloads are published
+    /// and cache-served chunks are decoded back into out[i].
     template <typename R>
     std::vector<JobOutcome> map(
         std::size_t count,
@@ -145,22 +101,14 @@ public:
                             *ctx.aux = codec.encode(out[i]);
                         return sim::RunResult{};
                     },
-                // Without a codec the only channel back is the out[i]
-                // write above, which cannot cross a fork — those
-                // chunks must stay in the caller's process even under
-                // --isolate.
-                .in_process = !codec.enabled(),
             });
         }
         auto outcomes = run(jobs);
         if (codec.enabled()) {
+            // Cache-served chunks never ran here: their payload comes
+            // back through aux.
             for (std::size_t i = 0; i < count; ++i) {
-                // Replayed and cache-served chunks never ran here;
-                // isolated chunks ran, but their out[i] write happened
-                // in the worker child. Either way the payload comes
-                // back through aux.
-                if ((outcomes[i].from_journal || outcomes[i].from_cache ||
-                     outcomes[i].isolated) &&
+                if (outcomes[i].from_cache &&
                     outcomes[i].status == JobStatus::Ok)
                     out[i] = codec.decode(outcomes[i].aux);
             }

@@ -2,8 +2,6 @@
 
 #include <iostream>
 
-#include "exec/shutdown.hpp"
-
 #ifndef HWST_GIT_REV
 #define HWST_GIT_REV "unknown"
 #endif
@@ -19,8 +17,6 @@ Campaign::Campaign(std::string bench, const GridOptions& grid,
                    u64 fingerprint)
     : bench_{std::move(bench)}, grid_{grid}, fingerprint_{fingerprint}
 {
-    install_signal_handlers();
-    journal_ = open_journal(grid_, bench_, fingerprint_);
 }
 
 void Campaign::attach_cache(std::unique_ptr<CampaignCache> cache)
@@ -31,7 +27,6 @@ void Campaign::attach_cache(std::unique_ptr<CampaignCache> cache)
 EngineOptions Campaign::engine_options() const
 {
     EngineOptions opts = grid_.engine();
-    opts.journal = journal_.get();
     opts.cache = cache_.get();
     return opts;
 }
@@ -55,8 +50,8 @@ int Campaign::finish(json::Value payload, std::span<const Job> jobs,
 {
     payload["summary"] = summary_json(jobs, outcomes);
     if (grid_.json) write(payload);
-    const int rc = grid_exit_code(outcomes, grid_.keep_going);
-    if (rc == 0 && bad_result && !grid_.keep_going) return 1;
+    const int rc = grid_exit_code(outcomes);
+    if (rc == 0 && bad_result) return 1;
     return rc;
 }
 

@@ -1,10 +1,9 @@
 // Campaign: the shared harness scaffold every BENCH envelope writer
-// (fig4/fig5/fig6/ablations/fault_campaign, hwst_run's grid mode) used
-// to open-code — signal handlers, the checkpoint journal, the optional
-// content-addressed result cache, the wall clock, the engine, and the
-// envelope write + exit-code policy. Factoring it here means a new
-// harness cannot forget a durability feature and the existing ones
-// cannot drift apart (docs/execution.md, docs/cache.md).
+// (fig4/fig5/fig6/ablations, hwst_run's grid mode) used to open-code —
+// the optional content-addressed result cache, the wall clock, the
+// engine, and the envelope write + exit-code policy. Factoring it here
+// means the harnesses cannot drift apart (docs/execution.md,
+// docs/cache.md).
 //
 // Canonical shape:
 //
@@ -23,7 +22,6 @@
 #include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/engine.hpp"
-#include "exec/journal.hpp"
 #include "exec/report.hpp"
 
 namespace hwst::exec {
@@ -36,23 +34,20 @@ std::string build_git_rev();
 
 class Campaign {
 public:
-    /// Installs the SIGINT/SIGTERM handlers, opens the journal the grid
-    /// options ask for (throws common::ToolchainError on a mismatched
-    /// --resume) and starts the wall clock. `fingerprint` comes from
-    /// grid_fingerprint() and also keys the result cache.
+    /// Starts the wall clock. `fingerprint` comes from
+    /// grid_fingerprint() and keys the result cache.
     Campaign(std::string bench, const GridOptions& grid, u64 fingerprint);
 
     const std::string& bench() const { return bench_; }
     const GridOptions& grid() const { return grid_; }
     u64 fingerprint() const { return fingerprint_; }
-    Journal* journal() const { return journal_.get(); }
 
     /// Attach the owned result-cache binding (normally open_cache's
     /// return value; nullptr — no --cache — is a no-op). Call before
     /// run()/map().
     void attach_cache(std::unique_ptr<CampaignCache> cache);
 
-    /// grid.engine() with the journal and cache wired in.
+    /// grid.engine() with the cache wired in.
     EngineOptions engine_options() const;
 
     /// Run a grid on the engine (usable repeatedly — ablations runs
@@ -62,7 +57,7 @@ public:
         return Engine{engine_options()}.run(jobs);
     }
 
-    /// Engine::map with the campaign's durability options.
+    /// Engine::map with the campaign's engine options.
     template <typename R>
     std::vector<JobOutcome> map(
         std::size_t count,
@@ -82,9 +77,8 @@ public:
 
     /// The shared harness epilogue: append payload["summary"], write
     /// the envelope when --json is on, and fold the exit-code policy —
-    /// grid_exit_code's 130-partial/1-failed rule plus the bad_result
-    /// rule (a job that ran Ok but produced a wrong answer fails the
-    /// campaign unless --keep-going).
+    /// grid_exit_code's 1-failed rule plus the bad_result rule (a job
+    /// that ran Ok but produced a wrong answer fails the campaign).
     int finish(json::Value payload, std::span<const Job> jobs,
                std::span<const JobOutcome> outcomes,
                bool bad_result = false) const;
@@ -93,7 +87,6 @@ private:
     std::string bench_;
     GridOptions grid_;
     u64 fingerprint_ = 0;
-    std::unique_ptr<Journal> journal_;
     std::unique_ptr<CampaignCache> cache_;
     Stopwatch stopwatch_;
 };

@@ -123,9 +123,8 @@ public:
 private:
     [[noreturn]] void fail(const std::string& why)
     {
-        // Quote a printable excerpt around the failure so a truncated
-        // journal line or garbage BENCH file is diagnosable at a
-        // glance.
+        // Quote a printable excerpt around the failure so a torn cache
+        // cell or garbage BENCH file is diagnosable at a glance.
         std::string near;
         for (std::size_t i = pos_;
              i < text_.size() && near.size() < 16; ++i) {

@@ -51,7 +51,7 @@ json::Value read_bench_json(const std::string& path)
         root = json::Value::parse(buf.str());
     } catch (const json::JsonError& e) {
         // A truncated or garbage BENCH file must name itself, not just
-        // an offset (satellite of the durability layer).
+        // an offset.
         throw json::JsonError{path + ": " + e.what()};
     }
     if (root.at("schema_version").as_int() != kBenchSchemaVersion)
@@ -125,9 +125,6 @@ OutcomeCounts count_outcomes(std::span<const JobOutcome> outcomes)
         case JobStatus::Ok: ++c.ok; break;
         case JobStatus::Timeout: ++c.timeout; break;
         case JobStatus::Error: ++c.error; break;
-        case JobStatus::Crashed: ++c.crashed; break;
-        case JobStatus::Quarantined: ++c.quarantined; break;
-        case JobStatus::Skipped: ++c.skipped; break;
         }
     }
     return c;
@@ -141,33 +138,25 @@ json::Value summary_json(std::span<const Job> jobs,
     v["ok"] = c.ok;
     v["timeout"] = c.timeout;
     v["error"] = c.error;
-    v["crashed"] = c.crashed;
-    v["quarantined"] = c.quarantined;
-    v["skipped"] = c.skipped;
-    v["partial"] = c.partial();
-    json::Value quarantined = json::Value::array();
+    // No job can crash, be quarantined or be skipped; kept for --equiv.
+    v["crashed"] = 0;
+    v["quarantined"] = 0;
+    v["skipped"] = 0;
+    v["partial"] = false;
+    v["quarantined_jobs"] = json::Value::array();
     json::Value failed = json::Value::array();
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const std::string& name =
-            i < jobs.size() ? jobs[i].name : std::to_string(i);
-        if (outcomes[i].status == JobStatus::Quarantined)
-            quarantined.push_back(name);
-        else if (outcomes[i].status == JobStatus::Timeout ||
-                 outcomes[i].status == JobStatus::Error ||
-                 outcomes[i].status == JobStatus::Crashed)
-            failed.push_back(name);
+        if (outcomes[i].status != JobStatus::Ok)
+            failed.push_back(i < jobs.size() ? jobs[i].name
+                                             : std::to_string(i));
     }
-    v["quarantined_jobs"] = quarantined;
     v["failed_jobs"] = failed;
     return v;
 }
 
-int grid_exit_code(std::span<const JobOutcome> outcomes, bool keep_going)
+int grid_exit_code(std::span<const JobOutcome> outcomes)
 {
-    const OutcomeCounts c = count_outcomes(outcomes);
-    if (c.partial()) return 130;
-    if (c.failed() > 0 && !keep_going) return 1;
-    return 0;
+    return count_outcomes(outcomes).failed() > 0 ? 1 : 0;
 }
 
 } // namespace hwst::exec

@@ -40,8 +40,7 @@ json::Value outcome_json(const Job& job, const JobOutcome& outcome);
 
 /// True for envelope/record keys that carry host-side timing or
 /// provenance — legitimately different between two runs of the same
-/// campaign (json_check --equiv strips them; the DBT sentinel strips
-/// them before comparing tiers).
+/// campaign (json_check --equiv strips them).
 bool is_host_field(std::string_view key);
 
 /// Deep copy of `v` with every host-side key removed, at any nesting
@@ -53,32 +52,21 @@ struct OutcomeCounts {
     std::size_t ok = 0;
     std::size_t timeout = 0;
     std::size_t error = 0;
-    std::size_t crashed = 0;
-    std::size_t quarantined = 0;
-    std::size_t skipped = 0;
 
-    std::size_t failed() const
-    {
-        return timeout + error + crashed + quarantined;
-    }
-    /// True when a graceful shutdown left jobs unstarted — the
-    /// envelope is valid but partial, and a --resume can finish it.
-    bool partial() const { return skipped != 0; }
+    std::size_t failed() const { return timeout + error; }
 };
 
 OutcomeCounts count_outcomes(std::span<const JobOutcome> outcomes);
 
-/// The envelope's durability summary: status counts, the quarantined /
-/// failed job names (so CI output names the culprits), and the partial
-/// flag. Deterministic — resumed and uninterrupted runs emit identical
-/// summaries.
+/// The envelope's status summary: status counts and the failed job
+/// names (so CI output names the culprits). Deterministic at every
+/// thread count and whether cells were computed or cache-served.
 json::Value summary_json(std::span<const Job> jobs,
                          std::span<const JobOutcome> outcomes);
 
-/// The shared exit-code policy (CI-visible failures by default):
-/// 130 when the grid was cut short by a shutdown, 1 when any job ended
-/// timeout/error/quarantined and --keep-going was not given, else 0.
-int grid_exit_code(std::span<const JobOutcome> outcomes, bool keep_going);
+/// The shared exit-code policy (CI-visible failures): 1 when any job
+/// ended timeout/error, else 0.
+int grid_exit_code(std::span<const JobOutcome> outcomes);
 
 /// Wall-clock stopwatch for the envelope's wall_ms field.
 class Stopwatch {

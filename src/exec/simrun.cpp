@@ -1,7 +1,7 @@
 #include "exec/simrun.hpp"
 
 #include "common/error.hpp"
-#include "exec/journal.hpp"
+#include "exec/cache.hpp"
 #include "workloads/workload.hpp"
 
 namespace hwst::exec {

@@ -32,8 +32,8 @@ sim::RunResult run_program(const riscv::Program& program,
 /// The standard campaign job: compile `build()` under `scheme`, apply
 /// the machine-config `tweak`, run cancellably. Everything happens
 /// inside the body, on the worker thread, so jobs never share mutable
-/// state. The job's journal `key` defaults to its name, so sim jobs
-/// participate in --journal / --resume checkpointing out of the box.
+/// state. The job's cache `key` defaults to its name, so sim jobs
+/// participate in the result cache out of the box.
 Job make_sim_job(std::string name, std::string workload,
                  compiler::Scheme scheme,
                  std::function<mir::Module()> build,
@@ -42,9 +42,9 @@ Job make_sim_job(std::string name, std::string workload,
 
 /// The workload x scheme grid hwst_run runs: one sim job per (workload,
 /// scheme) plus two machine-config tweaks. One definition builds the
-/// jobs, their journal keys ("workload/scheme") and the grid
-/// fingerprint, so journals and cache cells written by earlier runs of
-/// the same grid keep replaying and hitting.
+/// jobs, their cache keys ("workload/scheme") and the grid
+/// fingerprint, so cache cells written by earlier runs of the same grid
+/// keep hitting.
 struct GridSpec {
     std::vector<std::string> workloads;
     std::vector<compiler::Scheme> schemes;

@@ -5,9 +5,8 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "compiler/driver.hpp"
+#include "exec/cache.hpp"
 #include "exec/engine.hpp"
-#include "exec/journal.hpp"
-#include "exec/shutdown.hpp"
 #include "exec/simrun.hpp"
 #include "workloads/workload.hpp"
 
@@ -40,20 +39,6 @@ u64 CampaignReport::total_timeouts() const
 {
     u64 n = 0;
     for (const PointStats& p : points) n += p.timeouts;
-    return n;
-}
-
-u64 CampaignReport::total_quarantined() const
-{
-    u64 n = 0;
-    for (const PointStats& p : points) n += p.quarantined;
-    return n;
-}
-
-u64 CampaignReport::total_skipped() const
-{
-    u64 n = 0;
-    for (const PointStats& p : points) n += p.skipped;
     return n;
 }
 
@@ -97,8 +82,8 @@ struct RunRecord {
     double latency = 0.0;
 };
 
-/// Journal round trip for a RunRecord, so --resume replays classified
-/// runs instead of re-simulating them.
+/// Cache round trip for a RunRecord, so a warm --cache run serves
+/// classified runs instead of re-simulating them.
 exec::json::Value record_to_json(const RunRecord& r)
 {
     exec::json::Value v = exec::json::Value::object();
@@ -126,8 +111,8 @@ RunRecord record_from_json(const exec::json::Value& v)
 }
 
 /// Everything that shapes the run grid or its outcomes, hashed into the
-/// journal fingerprint so --resume refuses a journal from a different
-/// campaign.
+/// campaign fingerprint so the cache never serves a record across
+/// configs.
 std::string campaign_desc(const CampaignConfig& cfg)
 {
     std::string d = "fault_campaign scheme=";
@@ -162,30 +147,13 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
     for (std::size_t i = 0; i < cfg.points.size(); ++i)
         report.points[i].point = cfg.points[i];
 
-    // The journal holds classified faulted runs only. Goldens are
+    // The cache holds classified faulted runs only. Goldens are
     // deliberately keyless (cheap, and a compiled program does not
-    // round-trip through JSON), so they re-run on every resume.
-    std::unique_ptr<exec::Journal> journal;
-    if (cfg.journal || cfg.resume) {
-        const std::string path = cfg.journal_path.empty()
-                                     ? exec::journal_path("fault_campaign")
-                                     : cfg.journal_path;
-        journal = std::make_unique<exec::Journal>(
-            path, "fault_campaign", campaign_fingerprint(cfg),
-            cfg.resume);
-    }
-
+    // round-trip through JSON), so they re-run on every campaign.
     const exec::Engine engine{exec::EngineOptions{
         .jobs = cfg.jobs,
         .timeout = std::chrono::milliseconds{cfg.timeout_ms},
-        .retries = cfg.retries,
-        .backoff = std::chrono::milliseconds{cfg.backoff_ms},
-        .journal = journal.get(),
         .cache = cfg.cache,
-        .isolate = cfg.isolate,
-        .rlimit_mb = cfg.rlimit_mb,
-        .rlimit_cpu_s = cfg.rlimit_cpu_s,
-        .sentinel = cfg.sentinel,
     }};
 
     // Phase 1: compile + golden run, one job per workload. Goldens are
@@ -258,11 +226,6 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
             try {
                 faulted = exec::run_machine(machine, ctx.token);
             } catch (const exec::JobTimeout&) {
-                // A shutdown expires the same token as a wall-clock
-                // timeout. Only the latter is a classification; a
-                // cancelled run must rethrow so the engine skips it
-                // (unjournaled) and --resume re-runs it.
-                if (exec::shutdown_requested()) throw;
                 rec.timed_out = true;
                 return rec;
             }
@@ -293,20 +256,6 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
                 const std::size_t i = (wi * n_points + pi) * n_seeds + si;
                 const RunRecord& rec = records[i];
                 ++stats.runs;
-                if (outcomes[i].status == exec::JobStatus::Skipped) {
-                    ++stats.skipped;
-                    continue;
-                }
-                // A worker crash with retries=0 lands as Crashed; with
-                // a retry budget, exhaustion lands as Quarantined.
-                // Either way the run is contained, counted, and never
-                // classified — crash containment is the whole point of
-                // --isolate.
-                if (outcomes[i].status == exec::JobStatus::Quarantined ||
-                    outcomes[i].status == exec::JobStatus::Crashed) {
-                    ++stats.quarantined;
-                    continue;
-                }
                 if (rec.timed_out ||
                     outcomes[i].status == exec::JobStatus::Timeout) {
                     ++stats.timeouts;
@@ -354,14 +303,6 @@ void CampaignReport::print(std::ostream& os) const
     if (total_timeouts())
         os << "warning: " << total_timeouts()
            << " runs hit the wall-clock budget and were not classified\n";
-    if (total_quarantined())
-        os << "warning: " << total_quarantined()
-           << " runs exhausted the retry budget (quarantined, not "
-              "classified)\n";
-    if (total_skipped())
-        os << "warning: " << total_skipped()
-           << " runs were skipped by a graceful shutdown — the report is "
-              "partial, finish it with --resume\n";
 }
 
 exec::json::Value CampaignReport::to_json() const
@@ -390,8 +331,9 @@ exec::json::Value CampaignReport::to_json() const
         jp["masked"] = p.masked;
         jp["silent"] = p.silent;
         jp["timeouts"] = p.timeouts;
-        jp["quarantined"] = p.quarantined;
-        jp["skipped"] = p.skipped;
+        // No run can be quarantined or skipped; kept for --equiv.
+        jp["quarantined"] = 0;
+        jp["skipped"] = 0;
         jp["detection_rate"] = p.detection_rate();
         jp["mean_latency"] = p.mean_latency();
         jpoints.push_back(jp);
@@ -401,9 +343,10 @@ exec::json::Value CampaignReport::to_json() const
     root["total_silent"] = total_silent();
     root["protected_silent"] = protected_silent();
     root["total_timeouts"] = total_timeouts();
-    root["total_quarantined"] = total_quarantined();
-    root["total_skipped"] = total_skipped();
-    root["partial"] = total_skipped() != 0;
+    // No run can be quarantined or skipped; kept for --equiv.
+    root["total_quarantined"] = 0;
+    root["total_skipped"] = 0;
+    root["partial"] = false;
     return root;
 }
 

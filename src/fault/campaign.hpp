@@ -43,26 +43,6 @@ struct CampaignConfig {
     /// Per-run wall-clock budget in ms (0 = none). Timed-out runs are
     /// counted separately, never classified.
     u64 timeout_ms = 0;
-    /// Retry budget for timeout/error runs (exhaustion -> quarantined,
-    /// counted but never classified). 0 = classic fail-once behavior.
-    unsigned retries = 0;
-    /// Base retry backoff in ms; doubles per attempt.
-    u64 backoff_ms = 100;
-    /// Checkpoint each finished run to an fsync'd journal.
-    bool journal = false;
-    std::string journal_path; ///< "" = BENCH_fault_campaign.journal
-    /// Replay finished runs from the journal before running the rest.
-    bool resume = false;
-    /// Run each faulted run in a forked, caged worker subprocess:
-    /// a run that crashes the simulator is quarantined with forensics
-    /// instead of taking the campaign down. Goldens always stay
-    /// in-process (their compiled programs cannot cross a fork).
-    bool isolate = false;
-    u64 rlimit_mb = 0;     ///< worker RLIMIT_AS cap in MiB (0 = off)
-    u64 rlimit_cpu_s = 0;  ///< worker RLIMIT_CPU cap in s (0 = off)
-    /// 1-in-N DBT divergence sentinel on faulted runs (0 = off;
-    /// implies isolate).
-    unsigned sentinel = 0;
     /// Optional content-addressed result cache binding (--cache,
     /// docs/cache.md): classified faulted runs are served from and
     /// published to it like any other campaign cell. Not owned.
@@ -70,8 +50,7 @@ struct CampaignConfig {
 };
 
 /// The campaign's grid fingerprint: everything that shapes the run grid
-/// or its outcomes, hashed so --resume refuses a journal from a
-/// different campaign and the result cache can never alias configs.
+/// or its outcomes, hashed so the result cache can never alias configs.
 u64 campaign_fingerprint(const CampaignConfig& cfg);
 
 struct PointStats {
@@ -81,9 +60,7 @@ struct PointStats {
     u64 detected = 0;
     u64 masked = 0;
     u64 silent = 0;
-    u64 timeouts = 0;    ///< runs killed by the wall-clock budget
-    u64 quarantined = 0; ///< runs that exhausted the retry budget
-    u64 skipped = 0;     ///< runs not started (graceful shutdown)
+    u64 timeouts = 0; ///< runs killed by the wall-clock budget
     /// Detection latencies (instructions) over detected-and-fired runs.
     std::vector<double> latencies;
 
@@ -108,8 +85,6 @@ struct CampaignReport {
     u64 total_runs() const;
     u64 total_silent() const;
     u64 total_timeouts() const;
-    u64 total_quarantined() const;
-    u64 total_skipped() const;
 
     /// Silent corruptions at metadata_protected() points only — the
     /// quantity that must be zero for the completeness claim to hold.

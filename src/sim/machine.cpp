@@ -1,7 +1,6 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -647,8 +646,7 @@ std::optional<RunResult> Machine::run_cancellable(
     // (every `stride` loop iterations), and an uncancelled run is
     // bit-identical either way.
     if (stride == 0) stride = 1;
-    const bool dbt =
-        tier_ != ExecTier::Interp && !interpreter_forced() && !trace_;
+    const bool dbt = tier_ != ExecTier::Interp && !trace_;
     // Periodic fast-forward (sim/period.hpp) only for runs that start
     // with no hook: a probe hook may perturb any later instruction.
     std::optional<PeriodDetector> period;
@@ -658,7 +656,6 @@ std::optional<RunResult> Machine::run_cancellable(
     const auto quiet = [&] {
         return dbt && (!probe_hook_ || instret_ + 1 < probe_quiet_before_);
     };
-    bool dispatched = false;
     // Golden-prefix checkpoints (sim/checkpoint.hpp), only for probe-
     // hooked runs so that hook-free ones never pay for them. A fresh run
     // starts from the latest checkpoint before its quiet point and its
@@ -671,10 +668,8 @@ std::optional<RunResult> Machine::run_cancellable(
         key.config.fuel = 0;
         if (instret_ == 0) {
             if (const auto c = store->latest_below(
-                    key, std::min(probe_quiet_before_, cfg_.fuel))) {
+                    key, std::min(probe_quiet_before_, cfg_.fuel)))
                 restore(*c);
-                dispatched = true; // its prefix ran on the dispatcher
-            }
         }
     }
     bool fell_back = false;
@@ -723,21 +718,18 @@ std::optional<RunResult> Machine::run_cancellable(
                 *this, cancel ? &cancel : nullptr, stride, stop, result.trap);
             in_dispatch_ = false;
             if (!finished) return std::nullopt;
-            dispatched = true;
             if (record && running_ && instret_ == checkpoint)
                 store->record(*this, key);
             continue;
         }
         // Interpreter tier: per-instruction hooks installed (or the
-        // tier pinned to interp outright, or a sentinel worker forcing
-        // the reference tier). Counted once per run, however many
-        // interpreter segments it has. A live hook may perturb what
+        // tier pinned to interp outright). Counted once per run,
+        // however many interpreter segments it has. A live hook may perturb what
         // follows, so the state stops being the golden run's.
         prefix_golden_ = false;
         if (!fell_back && tier_ != ExecTier::Interp) {
             fell_back = true;
             ++dbt_stats_.fallback_runs;
-            if (interpreter_forced()) ++dbt_stats_.sentinel_degraded;
         }
         // The quiet point is re-read after every retired instruction:
         // the hook may re-declare it from inside a probe call.
@@ -758,12 +750,6 @@ std::optional<RunResult> Machine::run_cancellable(
             }
         } while (running_ && !quiet());
     }
-    // Test-only divergence seed for the DBT sentinel: nudge the
-    // translated-tier cycle count once per finished run that used the
-    // dispatcher, so a cross-check against the interpreter has
-    // something to catch. Never set outside the sentinel tests.
-    if (dispatched && common::env_flag("HWST_DBT_FAULT").value_or(false))
-        ++cycles_;
     result.exit_code = exit_code_;
     result.cycles = cycles_;
     result.instret = instret_;
@@ -925,20 +911,6 @@ std::optional<ExecTier> env_tier()
     const auto t = common::env_choice("HWST_TIER", {"auto", "interp", "dbt"});
     if (!t) return std::nullopt;
     return static_cast<ExecTier>(*t);
-}
-
-namespace {
-std::atomic<bool> g_force_interpreter{false};
-} // namespace
-
-void force_interpreter(bool on)
-{
-    g_force_interpreter.store(on, std::memory_order_relaxed);
-}
-
-bool interpreter_forced()
-{
-    return g_force_interpreter.load(std::memory_order_relaxed);
 }
 
 } // namespace hwst::sim

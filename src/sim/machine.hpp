@@ -83,8 +83,8 @@ constexpr std::string_view tier_name(ExecTier t)
 
 /// HWST_TIER (auto/interp/dbt, case-insensitive), or nullopt when unset
 /// or not in that vocabulary (with a warn-once diagnostic). The one
-/// parser of the variable: the Machine constructor and the engine's
-/// divergence sentinel both read the tier through it.
+/// parser of the variable: the Machine constructor and the tests read
+/// the tier through it.
 std::optional<ExecTier> env_tier();
 
 struct MachineConfig {
@@ -412,8 +412,7 @@ public:
 
     /// The execution tier this Machine resolved to (config and
     /// HWST_TIER folded together at construction; never Auto).
-    /// Trace hooks and force_interpreter() still pin individual runs to
-    /// the interpreter; a probe hook pins the parts of a run it has not
+    /// Trace hooks still pin individual runs to the interpreter; a probe hook pins the parts of a run it has not
     /// declared quiet (see set_probe_quiet_before).
     ExecTier tier() const { return tier_; }
 
@@ -576,14 +575,5 @@ private:
     // instruction.
     bool prefix_golden_ = true;
 };
-
-/// Process-wide override forcing every run onto the interpreter tier,
-/// regardless of MachineConfig::tier or HWST_TIER. The DBT divergence
-/// sentinel (docs/execution.md, "Process isolation & failure
-/// taxonomy") sets it inside its re-check workers so the reference run
-/// cannot consult the tier under suspicion; runs forced this way count
-/// in dbt_stats().sentinel_degraded.
-void force_interpreter(bool on);
-bool interpreter_forced();
 
 } // namespace hwst::sim

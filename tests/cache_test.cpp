@@ -1,12 +1,12 @@
-// Result-cache tests (docs/cache.md): the content-addressed cache's
-// hit/miss/bit-equality contract (cold vs warm vs --jobs 1), git_rev
-// pinning, LRU eviction under a byte budget (racing concurrent
-// publishers too), the json_check audit, the --cache-mb parser, and
-// the grid-fingerprint config folding that keys it all.
+// Result-cache tests (docs/cache.md): the outcome record's full-fidelity
+// round trip, the content-addressed cache's hit/miss/bit-equality
+// contract (cold vs warm vs --jobs 1, Engine::map chunks too), git_rev
+// pinning, concurrent publishers, the json_check audit, and the
+// grid-fingerprint config folding that keys it all.
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +18,6 @@
 #include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/engine.hpp"
-#include "exec/journal.hpp"
 #include "exec/simrun.hpp"
 #include "workloads/workload.hpp"
 
@@ -71,24 +70,95 @@ exec::json::Value records_json(const std::vector<Job>& jobs,
     return records;
 }
 
-/// Total bytes published under a cache root.
-u64 cells_bytes(const std::string& root)
+exec::CacheOptions cache_opts(const std::string& root,
+                               const char* rev = "rev1")
 {
-    u64 total = 0;
-    for (const auto& e :
-         fs::directory_iterator{fs::path{root} / "cells"})
-        total += static_cast<u64>(fs::file_size(e.path()));
-    return total;
+    return exec::CacheOptions{.root = root, .git_rev = rev};
 }
 
-exec::CacheOptions cache_opts(const std::string& root,
-                               const char* rev = "rev1", u64 max = 0)
+sim::RunResult synthetic_result()
 {
-    return exec::CacheOptions{
-        .root = root, .max_bytes = max, .git_rev = rev};
+    sim::RunResult r;
+    r.trap.kind = ::hwst::hwst::TrapKind::SpatialViolation;
+    r.trap.addr = 0xDEAD;
+    r.trap.pc = 0xBEEF;
+    r.exit_code = 7;
+    r.cycles = 123456;
+    r.instret = 654321;
+    r.output = {1, -2, 3};
+    r.dcache = {1000, 42};
+    r.icache = {2000, 17};
+    r.keybuffer = {300, 250, 4};
+    r.scu_checks = 11;
+    r.tcu_checks = 22;
+    r.scu_saturated = 1;
+    r.tcu_saturated = 2;
+    r.smac_translations = 33;
+    r.mix = {10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 12, 13};
+    return r;
 }
 
 } // namespace
+
+// ---- outcome records -------------------------------------------------
+
+TEST(Cache, OutcomeRecordRoundTripsFullFidelity)
+{
+    JobOutcome out;
+    out.status = JobStatus::Ok;
+    out.result = synthetic_result();
+    out.wall_ms = 1.5;
+    out.aux = exec::json::Value::object();
+    out.aux["extra"] = 99;
+
+    // Through the serialized form, exactly as a cache hit sees it.
+    const exec::json::Value rec =
+        exec::json::Value::parse(exec::outcome_to_record("k", out).dump(0));
+    const auto [key, back] = exec::outcome_from_record(rec);
+    EXPECT_EQ(key, "k");
+    EXPECT_EQ(back.status, JobStatus::Ok);
+    EXPECT_EQ(back.wall_ms, 1.5);
+    const sim::RunResult& a = out.result;
+    const sim::RunResult& b = back.result;
+    EXPECT_EQ(b.trap.kind, a.trap.kind);
+    EXPECT_EQ(b.trap.addr, a.trap.addr);
+    EXPECT_EQ(b.trap.pc, a.trap.pc);
+    EXPECT_EQ(b.exit_code, a.exit_code);
+    EXPECT_EQ(b.cycles, a.cycles);
+    EXPECT_EQ(b.instret, a.instret);
+    EXPECT_EQ(b.output, a.output);
+    EXPECT_EQ(b.dcache.accesses, a.dcache.accesses);
+    EXPECT_EQ(b.dcache.misses, a.dcache.misses);
+    EXPECT_EQ(b.icache.accesses, a.icache.accesses);
+    EXPECT_EQ(b.icache.misses, a.icache.misses);
+    EXPECT_EQ(b.keybuffer.lookups, a.keybuffer.lookups);
+    EXPECT_EQ(b.keybuffer.hits, a.keybuffer.hits);
+    EXPECT_EQ(b.keybuffer.flushes, a.keybuffer.flushes);
+    EXPECT_EQ(b.scu_checks, a.scu_checks);
+    EXPECT_EQ(b.tcu_checks, a.tcu_checks);
+    EXPECT_EQ(b.scu_saturated, a.scu_saturated);
+    EXPECT_EQ(b.tcu_saturated, a.tcu_saturated);
+    EXPECT_EQ(b.smac_translations, a.smac_translations);
+    EXPECT_EQ(b.mix.alu, a.mix.alu);
+    EXPECT_EQ(b.mix.tchk, a.mix.tchk);
+    EXPECT_EQ(b.mix.other, a.mix.other);
+    EXPECT_EQ(back.aux.at("extra").as_int(), 99);
+
+    // Failed outcomes carry the message instead of a result.
+    JobOutcome bad;
+    bad.status = JobStatus::Timeout;
+    bad.error = "cancelled after 4096 instructions";
+    const auto [k2, back2] = exec::outcome_from_record(
+        exec::outcome_to_record("k2", bad));
+    EXPECT_EQ(back2.status, JobStatus::Timeout);
+    EXPECT_EQ(back2.error, "cancelled after 4096 instructions");
+
+    // A record naming a retired status is malformed, not a result.
+    exec::json::Value crashed = exec::outcome_to_record("k3", bad);
+    crashed["status"] = "crashed";
+    EXPECT_THROW((void)exec::outcome_from_record(crashed),
+                 exec::json::JsonError);
+}
 
 // ---- ResultCache -----------------------------------------------------
 
@@ -168,39 +238,6 @@ TEST(Cache, NonOkOutcomesAreNeverPublished)
     EXPECT_FALSE(cache->load(key).has_value());
 }
 
-TEST(Cache, EvictionUnderPressureKeepsTheBudget)
-{
-    const std::vector<Job> jobs = small_grid();
-
-    // Probe pass: measure what the whole grid occupies unbounded.
-    const std::string probe_root = fresh_dir("cache_test_evict_probe");
-    auto probe =
-        std::make_shared<exec::ResultCache>(cache_opts(probe_root));
-    exec::CampaignCache probe_binding{probe, "cache_test", 42};
-    EngineOptions probe_opts;
-    probe_opts.jobs = 1;
-    probe_opts.cache = &probe_binding;
-    (void)Engine{probe_opts}.run(jobs);
-    const u64 total = cells_bytes(probe_root);
-    ASSERT_GT(total, 0u);
-
-    // Budgeted pass: half the footprint forces LRU eviction, and the
-    // store must land under the budget when the campaign ends.
-    const u64 budget = total / 2;
-    const std::string root = fresh_dir("cache_test_evict");
-    auto cache = std::make_shared<exec::ResultCache>(
-        cache_opts(root, "rev1", budget));
-    exec::CampaignCache binding{cache, "cache_test", 42};
-    EngineOptions opts;
-    opts.jobs = 1;
-    opts.cache = &binding;
-    (void)Engine{opts}.run(jobs);
-    EXPECT_GT(cache->evictions(), 0u);
-    EXPECT_LE(cells_bytes(root), budget);
-    // What survived still audits clean.
-    EXPECT_TRUE(exec::audit_cache(root, "rev1").ok());
-}
-
 TEST(Cache, AuditFlagsCorruptionDanglingTempsAndStaleCells)
 {
     const std::string root = fresh_dir("cache_test_audit");
@@ -240,23 +277,6 @@ TEST(Cache, AuditFlagsCorruptionDanglingTempsAndStaleCells)
     EXPECT_EQ(cache->hits(), jobs.size() - 1);
 }
 
-// ---- --cache-mb / HWST_CACHE_MB --------------------------------------
-
-TEST(Cache, ParseCacheMbAcceptsOnlyDigitsThatFit)
-{
-    EXPECT_EQ(exec::parse_cache_mb("64"), 64u);
-    EXPECT_EQ(exec::parse_cache_mb("0"), 0u);
-    // The largest budget whose MiB -> byte shift still fits in 64 bits.
-    EXPECT_EQ(exec::parse_cache_mb("17592186044415"),
-              (~u64{0}) >> 20);
-    EXPECT_FALSE(exec::parse_cache_mb(""));
-    EXPECT_FALSE(exec::parse_cache_mb("abc"));
-    EXPECT_FALSE(exec::parse_cache_mb("12abc"));
-    EXPECT_FALSE(exec::parse_cache_mb("-1"));
-    // 2^44 MiB shifts << 20 to 0, which would read as "unbounded".
-    EXPECT_FALSE(exec::parse_cache_mb("17592186044416"));
-}
-
 // ---- grid fingerprint config folding ---------------------------------
 
 TEST(GridFingerprint, ConfigTweaksChangeTheGridHash)
@@ -284,9 +304,9 @@ TEST(GridFingerprint, ConfigTweaksChangeTheGridHash)
                                         tweaked.config_desc()));
 }
 
-// ---- cache eviction racing a concurrent publish ----------------------
+// ---- concurrent publishers ------------------------------------------
 
-TEST(Cache, EvictionRacingConcurrentPublishStaysAuditClean)
+TEST(Cache, ConcurrentPublishStaysAuditClean)
 {
     const std::string root = fresh_dir("cache_test_race");
     // One real Ok outcome to publish under many synthetic keys.
@@ -296,18 +316,11 @@ TEST(Cache, EvictionRacingConcurrentPublishStaysAuditClean)
     const auto outcome = Engine{one}.run(seed_jobs)[0];
     ASSERT_EQ(outcome.status, JobStatus::Ok);
 
-    // A budget small enough that eviction fires constantly while four
-    // publishers hammer write-temp+rename — the mtime-LRU sweep must
-    // never observe (or leave behind) a torn cell.
-    auto cache = std::make_shared<exec::ResultCache>(
-        cache_opts(root, "rev1", 8 * 1024));
-    std::atomic<bool> done{false};
-    std::thread evictor{[&] {
-        while (!done.load()) {
-            cache->evict_over_budget();
-            std::this_thread::sleep_for(std::chrono::milliseconds{1});
-        }
-    }};
+    // Four publishers hammer write-temp+rename while each reads its
+    // cells straight back: no load may observe (or leave behind) a
+    // torn cell.
+    auto cache = std::make_shared<exec::ResultCache>(cache_opts(root));
+    std::atomic<u64> served{0};
     constexpr int kThreads = 4;
     constexpr int kPerThread = 32;
     std::vector<std::thread> publishers;
@@ -320,21 +333,72 @@ TEST(Cache, EvictionRacingConcurrentPublishStaysAuditClean)
                     "k" + std::to_string(t) + "_" + std::to_string(i),
                     7, "rev1"};
                 cache->store(key, outcome);
-                (void)cache->load(key); // mtime refresh races too
+                if (cache->load(key)) served.fetch_add(1);
             }
         });
     }
     for (auto& th : publishers) th.join();
-    done.store(true);
-    evictor.join();
 
-    EXPECT_EQ(cache->stores(),
-              static_cast<u64>(kThreads) * kPerThread);
-    EXPECT_GT(cache->evictions(), 0u);
-    // The audit contract: whatever survived the race parses, addresses
-    // and round-trips — no invalid, no stale (dangling temps are legal).
+    constexpr u64 kCells = static_cast<u64>(kThreads) * kPerThread;
+    EXPECT_EQ(cache->stores(), kCells);
+    EXPECT_EQ(served.load(), kCells);
+    // The audit contract: every published cell parses, addresses and
+    // round-trips — no invalid, no stale (dangling temps are legal).
     const auto audit = exec::audit_cache(root, "rev1");
+    EXPECT_EQ(audit.cells, kCells);
     EXPECT_EQ(audit.invalid, 0u);
     EXPECT_EQ(audit.stale, 0u);
     EXPECT_TRUE(audit.ok());
+}
+
+// ---- Engine::map chunks ----------------------------------------------
+
+TEST(Cache, MapChunksAreServedFromTheCache)
+{
+    // fig6 and fault_campaign cache their typed chunks through a
+    // MapCodec: a cold map publishes each chunk's payload, and a warm
+    // map in a fresh Engine decodes every out[i] from the cache without
+    // calling fn.
+    const std::string root = fresh_dir("cache_test_map");
+    auto cache = std::make_shared<exec::ResultCache>(cache_opts(root));
+    const exec::MapCodec<u64> codec{
+        .label = "chunk",
+        .encode = [](const u64& v) { return exec::json::Value{v}; },
+        .decode =
+            [](const exec::json::Value& v) {
+                return static_cast<u64>(v.as_int());
+            },
+    };
+    constexpr std::size_t kChunks = 8;
+    std::atomic<unsigned> calls{0};
+    const std::function<u64(std::size_t, const exec::JobContext&)> fn =
+        [&calls](std::size_t i, const exec::JobContext&) {
+            calls.fetch_add(1);
+            return u64{1000} + i * i;
+        };
+
+    exec::CampaignCache cold_binding{cache, "cache_test_map", 7};
+    std::vector<u64> cold;
+    const auto cold_out =
+        Engine{EngineOptions{.jobs = 2, .cache = &cold_binding}}.map<u64>(
+            kChunks, fn, cold, codec);
+    EXPECT_EQ(calls.load(), kChunks);
+    EXPECT_EQ(cache->stores(), kChunks);
+    for (std::size_t i = 0; i < kChunks; ++i) {
+        ASSERT_EQ(cold_out[i].status, JobStatus::Ok);
+        EXPECT_FALSE(cold_out[i].from_cache);
+        EXPECT_EQ(cold[i], 1000 + i * i);
+    }
+
+    exec::CampaignCache warm_binding{cache, "cache_test_map", 7};
+    std::vector<u64> warm;
+    const auto warm_out =
+        Engine{EngineOptions{.jobs = 1, .cache = &warm_binding}}.map<u64>(
+            kChunks, fn, warm, codec);
+    EXPECT_EQ(calls.load(), kChunks); // fn never ran again
+    for (std::size_t i = 0; i < kChunks; ++i) {
+        ASSERT_EQ(warm_out[i].status, JobStatus::Ok);
+        EXPECT_TRUE(warm_out[i].from_cache);
+        EXPECT_EQ(warm[i], cold[i]);
+    }
 }

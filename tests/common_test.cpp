@@ -7,6 +7,7 @@
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
@@ -178,15 +179,31 @@ TEST(Table, Fmt)
 
 TEST(Env, ParseBoolFlag)
 {
-    // The shared boolean vocabulary of HWST_ISOLATE / HWST_SENTINEL /
-    // HWST_DBT_FAULT: explicit truthy and falsy spellings,
-    // case-insensitive; anything else is "not a boolean".
+    // The shared boolean vocabulary of on/off switches: explicit truthy
+    // and falsy spellings, case-insensitive; anything else is "not a
+    // boolean".
     for (const char* v : {"1", "true", "on", "yes", "TRUE", "On", "YES"})
         EXPECT_EQ(parse_bool_flag(v), std::optional<bool>{true}) << v;
     for (const char* v : {"0", "false", "off", "no", "FALSE", "Off", "NO"})
         EXPECT_EQ(parse_bool_flag(v), std::optional<bool>{false}) << v;
     for (const char* v : {"", "2", "enabled", "y", "offf", " 1"})
         EXPECT_EQ(parse_bool_flag(v), std::nullopt) << v;
+
+    // env_flag reads the same vocabulary from the environment; unset
+    // and unrecognized both leave the caller's default.
+    const char* name = "HWST_COMMON_TEST_FLAG";
+    {
+        const EnvGuard unset{name, nullptr};
+        EXPECT_EQ(env_flag(name), std::nullopt);
+    }
+    {
+        const EnvGuard off{name, "Off"};
+        EXPECT_EQ(env_flag(name), std::optional<bool>{false});
+    }
+    {
+        const EnvGuard bad{name, "maybe"};
+        EXPECT_EQ(env_flag(name), std::nullopt);
+    }
 }
 
 } // namespace

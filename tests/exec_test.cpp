@@ -1,13 +1,14 @@
 // Exec engine tests: the determinism contract (serial and parallel runs
 // of the same grid produce identical aggregates), timeout/cancellation,
-// error capture, seed derivation, and the JSON layer (round-trip plus
-// the BENCH_<name>.json envelope).
+// error capture, seed derivation, the shared grid flags, and the JSON
+// layer (round-trip plus the BENCH_<name>.json envelope).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "env_guard.hpp"
 #include "exec/cli.hpp"
 #include "exec/engine.hpp"
 #include "exec/report.hpp"
@@ -107,7 +108,7 @@ TEST(ExecEngine, TimeoutCancelsAHungJobAndSparesTheRest)
     // sanitizer presets' ~10x slowdown, while the hung job can only be
     // ended by it.
     const Engine engine{EngineOptions{
-        .jobs = 1, .timeout = std::chrono::milliseconds{2000}}};
+        .jobs = 1, .timeout = std::chrono::milliseconds{500}}};
     const auto outcomes = engine.run(jobs);
     EXPECT_EQ(outcomes[0].status, JobStatus::Timeout);
     EXPECT_FALSE(outcomes[0].error.empty());
@@ -153,29 +154,20 @@ TEST(ExecEngine, DeriveSeedIsCoordinateStable)
     EXPECT_NE(s, exec::derive_seed(0xBEEF, 1, 2, 3));
 }
 
-TEST(ExecEngine, AttemptSeedKeepsAttemptZeroByteCompatible)
-{
-    // Attempt 0 must reproduce the original seed exactly (a retry-free
-    // campaign is bit-identical to the pre-retry engine); later
-    // attempts re-derive so a flaky run sees fresh randomness.
-    EXPECT_EQ(exec::attempt_seed(42, 0), 42u);
-    EXPECT_EQ(exec::attempt_seed(42, 1), exec::derive_seed(42, 1));
-    EXPECT_NE(exec::attempt_seed(42, 1), exec::attempt_seed(42, 2));
-}
-
 TEST(ExecEngine, JobStatusNamesRoundTrip)
 {
     using exec::JobStatus;
     for (const JobStatus s :
-         {JobStatus::Ok, JobStatus::Timeout, JobStatus::Error,
-          JobStatus::Crashed, JobStatus::Quarantined,
-          JobStatus::Skipped}) {
+         {JobStatus::Ok, JobStatus::Timeout, JobStatus::Error}) {
         const auto back =
             exec::job_status_from_name(exec::job_status_name(s));
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(*back, s);
     }
     EXPECT_FALSE(exec::job_status_from_name("nonsense").has_value());
+    // The statuses of the retired crash-safety layer are gone.
+    for (const char* gone : {"crashed", "quarantined", "skipped"})
+        EXPECT_FALSE(exec::job_status_from_name(gone).has_value()) << gone;
 }
 
 TEST(ExecEngine, ResolveJobsNeverReturnsZero)
@@ -214,37 +206,80 @@ TEST(ExecCli, ParsesTheSharedGridFlags)
         common::ToolchainError);
 }
 
-TEST(ExecCli, ParsesTheDurabilityFlags)
+namespace {
+
+/// parse_grid_flag over one flag and its value, as a harness's argv
+/// loop would see them. Returns whether the flag was consumed.
+bool parse_one(exec::GridOptions& o, const char* flag, const char* value)
 {
-    exec::GridOptions o;
-    const char* argv[] = {"prog",      "--retries", "3",
-                          "--backoff-ms", "50",     "--journal",
-                          "ckpt.journal", "--keep-going"};
-    const int argc = static_cast<int>(std::size(argv));
-    for (int i = 1; i < argc; ++i)
-        EXPECT_TRUE(exec::parse_grid_flag(
-            o, argc, const_cast<char**>(argv), i));
-    EXPECT_EQ(o.retries, 3u);
-    EXPECT_EQ(o.backoff_ms, 50u);
-    EXPECT_TRUE(o.journal);
-    EXPECT_EQ(o.journal_path, "ckpt.journal");
-    EXPECT_FALSE(o.resume);
-    EXPECT_TRUE(o.keep_going);
-
-    // --resume implies --journal; --journal without a path keeps the
-    // default (bench-derived) location.
-    exec::GridOptions r;
-    const char* argv2[] = {"prog", "--resume"};
+    const char* argv[] = {"prog", flag, value};
     int i = 1;
-    EXPECT_TRUE(
-        exec::parse_grid_flag(r, 2, const_cast<char**>(argv2), i));
-    EXPECT_TRUE(r.resume);
-    EXPECT_TRUE(r.journal);
-    EXPECT_TRUE(r.journal_path.empty());
+    return exec::parse_grid_flag(o, 3, const_cast<char**>(argv), i);
+}
 
-    const exec::EngineOptions eo = o.engine();
-    EXPECT_EQ(eo.retries, 3u);
-    EXPECT_EQ(eo.backoff, std::chrono::milliseconds{50});
+} // namespace
+
+TEST(ExecCli, NumericFlagsRejectSignsAndTrailingJunk)
+{
+    // std::stoul read "-1" as 4294967295 workers and "4x" as 4;
+    // std::stoull read "-5" ms as a wrapped, i.e. absent, timeout.
+    for (const char* bad : {"-1", "4x", "+3", " 4", "", "0", "0x10",
+                            "4294967296"}) {
+        exec::GridOptions o;
+        EXPECT_THROW(parse_one(o, "--jobs", bad), common::ToolchainError)
+            << "--jobs '" << bad << "'";
+        EXPECT_EQ(o.jobs, 0u) << bad;
+    }
+    for (const char* bad : {"12abc", "-5", "+5", "1e3", "",
+                            "1099511627777"}) {
+        exec::GridOptions o;
+        EXPECT_THROW(parse_one(o, "--timeout-ms", bad),
+                     common::ToolchainError)
+            << "--timeout-ms '" << bad << "'";
+        EXPECT_EQ(o.timeout_ms, 0u) << bad;
+    }
+
+    exec::GridOptions o;
+    EXPECT_TRUE(parse_one(o, "--jobs", "4294967295"));
+    EXPECT_EQ(o.jobs, 4294967295u);
+    EXPECT_TRUE(parse_one(o, "--timeout-ms", "0"));
+    EXPECT_EQ(o.timeout_ms, 0u);
+    EXPECT_TRUE(parse_one(o, "--timeout-ms", "1099511627776"));
+    EXPECT_EQ(o.timeout_ms, u64{1} << 40);
+}
+
+TEST(ExecCli, MalformedHwstJobsIsIgnored)
+{
+    const EnvGuard unset{"HWST_JOBS", nullptr};
+    const unsigned fallback = exec::resolve_jobs(0);
+    {
+        const EnvGuard env{"HWST_JOBS", "3"};
+        EXPECT_EQ(exec::resolve_jobs(0), 3u);
+        // An explicit request wins over the environment.
+        EXPECT_EQ(exec::resolve_jobs(2), 2u);
+    }
+    for (const char* bad : {"4x", "abc", "-1", "0", "", " 2"}) {
+        const EnvGuard env{"HWST_JOBS", bad};
+        EXPECT_EQ(exec::resolve_jobs(0), fallback) << "'" << bad << "'";
+    }
+}
+
+TEST(ExecCli, RetiredFlagsAreNotConsumed)
+{
+    // The crash-safety flags are gone: each reaches the harness's own
+    // "unknown flag" handling instead of being swallowed here.
+    for (const char* flag :
+         {"--journal", "--resume", "--retries", "--backoff-ms",
+          "--keep-going", "--isolate", "--rlimit-mb", "--rlimit-cpu-s",
+          "--sentinel", "--cache-mb"}) {
+        exec::GridOptions o;
+        const char* argv[] = {"prog", flag, "1"};
+        int i = 1;
+        EXPECT_FALSE(
+            exec::parse_grid_flag(o, 3, const_cast<char**>(argv), i))
+            << flag;
+        EXPECT_EQ(i, 1) << flag;
+    }
 }
 
 TEST(ExecJson, RoundTripsEveryValueKind)
@@ -282,7 +317,7 @@ TEST(ExecJson, ParserRejectsMalformedInput)
 TEST(ExecJson, ParserSurvivesTruncatedAndGarbageInput)
 {
     using exec::json::Value;
-    // The crash artifacts the journal loader must shrug off: truncated
+    // The artifacts a torn cache cell or BENCH file can hold: truncated
     // records, torn strings, half-written numbers. Every one must be a
     // JsonError, never a crash or hang.
     EXPECT_THROW(Value::parse(""), exec::json::JsonError);
@@ -321,7 +356,7 @@ TEST(ExecJson, ParseErrorsQuoteAnExcerpt)
         FAIL() << "expected JsonError";
     } catch (const exec::json::JsonError& e) {
         // The diagnostic names the offset and shows printable context,
-        // so a corrupt journal line is identifiable at a glance.
+        // so a corrupt record is identifiable at a glance.
         EXPECT_NE(std::string{e.what()}.find("offset"), std::string::npos);
         EXPECT_NE(std::string{e.what()}.find("gargage"), std::string::npos);
     }
@@ -331,33 +366,32 @@ TEST(ExecReport, OutcomeCountsAndExitPolicy)
 {
     using exec::JobOutcome;
     using exec::JobStatus;
-    std::vector<JobOutcome> outcomes(5);
+    std::vector<JobOutcome> outcomes(3);
     outcomes[0].status = JobStatus::Ok;
     outcomes[1].status = JobStatus::Timeout;
     outcomes[2].status = JobStatus::Error;
-    outcomes[3].status = JobStatus::Quarantined;
-    outcomes[4].status = JobStatus::Skipped;
 
     const exec::OutcomeCounts c = exec::count_outcomes(outcomes);
     EXPECT_EQ(c.ok, 1u);
-    EXPECT_EQ(c.failed(), 3u);
-    EXPECT_TRUE(c.partial());
+    EXPECT_EQ(c.failed(), 2u);
+    EXPECT_EQ(exec::grid_exit_code(outcomes), 1);
 
-    // Shutdown-partial dominates (130), then failures (1), and
-    // --keep-going only forgives failures, never partiality.
-    EXPECT_EQ(exec::grid_exit_code(outcomes, false), 130);
-    EXPECT_EQ(exec::grid_exit_code(outcomes, true), 130);
-    outcomes[4].status = JobStatus::Ok;
-    EXPECT_EQ(exec::grid_exit_code(outcomes, false), 1);
-    EXPECT_EQ(exec::grid_exit_code(outcomes, true), 0);
+    exec::json::Value s = exec::summary_json({}, outcomes);
+    EXPECT_EQ(s.at("failed_jobs").size(), 2u);
+
     outcomes[1].status = JobStatus::Ok;
     outcomes[2].status = JobStatus::Ok;
-    outcomes[3].status = JobStatus::Ok;
-    EXPECT_EQ(exec::grid_exit_code(outcomes, false), 0);
+    EXPECT_EQ(exec::grid_exit_code(outcomes), 0);
 
-    const exec::json::Value s = exec::summary_json({}, outcomes);
-    EXPECT_EQ(s.at("ok").as_int(), 5);
+    s = exec::summary_json({}, outcomes);
+    EXPECT_EQ(s.at("ok").as_int(), 3);
+    EXPECT_EQ(s.at("failed_jobs").size(), 0u);
+    // The retired statuses' keys keep their only possible values.
+    EXPECT_EQ(s.at("crashed").as_int(), 0);
+    EXPECT_EQ(s.at("quarantined").as_int(), 0);
+    EXPECT_EQ(s.at("skipped").as_int(), 0);
     EXPECT_EQ(s.at("partial").as_bool(), false);
+    EXPECT_EQ(s.at("quarantined_jobs").size(), 0u);
 }
 
 TEST(ExecReport, BenchEnvelopeRoundTrips)

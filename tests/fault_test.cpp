@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "compiler/driver.hpp"
+#include "env_guard.hpp"
 #include "fault/campaign.hpp"
 #include "mir/builder.hpp"
 #include "riscv/program.hpp"
@@ -659,15 +660,12 @@ TEST(FastForward, ForcedInterpreterDisablesFastForward)
     const auto plan = fault::FaultPlan::single(
         Probe::KeybufferLookup, fault::FaultMode::OneShot,
         f.golden.instret - 10, 0x1);
-    struct Forced {
-        Forced() { sim::force_interpreter(true); }
-        ~Forced() { sim::force_interpreter(false); }
-    };
-    FaultedRun ff;
-    {
-        const Forced forced;
-        ff = run_faulted(plan, true);
-    }
+    // HWST_TIER overrides MachineConfig::tier: unset it so the config
+    // alone pins this run to the interpreter.
+    const EnvGuard unset{"HWST_TIER", nullptr};
+    sim::MachineConfig cfg = f.cp.machine_config;
+    cfg.tier = sim::ExecTier::Interp;
+    const FaultedRun ff = run_faulted(plan, true, cfg);
     expect_same_faulted(ff, run_faulted(plan, false));
     EXPECT_EQ(ff.dbt.block_execs, 0u);
 }

@@ -25,6 +25,7 @@
 
 #include "common/prng.hpp"
 #include "compiler/driver.hpp"
+#include "env_guard.hpp"
 #include "hwst/csr.hpp"
 #include "riscv/instr.hpp"
 #include "riscv/program.hpp"
@@ -45,29 +46,6 @@ sim::MachineConfig with_dbt(sim::MachineConfig cfg, bool on)
     cfg.tier = on ? sim::ExecTier::Dbt : sim::ExecTier::Interp;
     return cfg;
 }
-
-/// Sets (value) or unsets (nullptr) an environment variable for one
-/// scope, restoring whatever the process had before.
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const char* value) : name_{name}
-    {
-        if (const char* old = std::getenv(name)) old_ = old;
-        if (value) ::setenv(name, value, 1);
-        else ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (old_) ::setenv(name_.c_str(), old_->c_str(), 1);
-        else ::unsetenv(name_.c_str());
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    std::string name_;
-    std::optional<std::string> old_;
-};
 
 void expect_bit_equal(const sim::RunResult& a, const sim::RunResult& b)
 {
