@@ -17,7 +17,6 @@
 #include "compiler/codegen.hpp"
 #include "compiler/driver.hpp"
 #include "compiler/emitters.hpp"
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/simrun.hpp"
@@ -55,17 +54,9 @@ exec::Job emitter_job(std::string name, const workloads::Workload& w,
                 compiler::Codegen cg{module, em};
                 const auto program = cg.compile();
                 return exec::run_program(program, em.machine_config(),
-                                         ctx.token);
+                                         ctx);
             },
     };
-}
-
-/// The five sub-ablations share one cache grid_hash, and their job
-/// names collide ("crc32/base" appears in three grids) — prefix the
-/// cache keys per ablation so cells never alias.
-void rekey(std::vector<exec::Job>& jobs, const char* prefix)
-{
-    for (auto& j : jobs) j.key = std::string{prefix} + ":" + j.name;
 }
 
 /// Run one ablation's grid and unwrap the results; any failed job aborts
@@ -119,7 +110,6 @@ exec::json::Value keybuffer_sweep(const exec::Campaign& campaign, bool smoke)
         jobs.push_back(exec::make_sim_job(name + "/sw-key-load", name,
                                           Scheme::Hwst128, w.build));
     }
-    rekey(jobs, "kb");
     const auto rs = run_grid(campaign, jobs);
 
     common::TextTable t{{"workload", "disabled", "1", "2", "4", "8 (paper)",
@@ -172,7 +162,6 @@ exec::json::Value compression_ablation(const exec::Campaign& campaign,
             return compiler::HwstEmitter{true, true};
         }));
     }
-    rekey(jobs, "cmp");
     const auto rs = run_grid(campaign, jobs);
 
     common::TextTable t{{"workload", "compressed (paper)", "uncompressed",
@@ -217,7 +206,6 @@ exec::json::Value trie_ablation(const exec::Campaign& campaign, bool smoke)
                 compiler::SbcetsEmitter::Options{.trie = false}};
         }));
     }
-    rekey(jobs, "trie");
     const auto rs = run_grid(campaign, jobs);
 
     common::TextTable t{{"workload", "trie (SoftBound)", "linear map"}};
@@ -266,7 +254,6 @@ exec::json::Value cache_sweep(const exec::Campaign& campaign, bool smoke)
                 w.name, s, w.build, tweak));
         }
     }
-    rekey(jobs, "dcache");
     const auto rs = run_grid(campaign, jobs);
 
     common::TextTable t{{"dcache", "sbcets", "hwst128_tchk"}};
@@ -314,7 +301,6 @@ exec::json::Value status_decomposition(const exec::Campaign& campaign,
                 }));
         }
     }
-    rekey(jobs, "status");
     const auto rs = run_grid(campaign, jobs);
 
     common::TextTable t{{"workload", "checks off", "spatial only",
@@ -365,13 +351,7 @@ int main(int argc, char** argv)
     std::cout << "HWST128 design-choice ablations (DESIGN.md 5)\n\n";
     std::optional<exec::Campaign> campaign;
     try {
-        // One cache grid_hash covers all five sub-grids; the rekey()
-        // prefixes keep their cells from aliasing.
-        campaign.emplace(
-            "ablations", grid,
-            exec::grid_fingerprint(std::string{"ablations smoke="} +
-                                   (grid.smoke ? "1" : "0")));
-        exec::attach_cache(*campaign, grid);
+        campaign.emplace("ablations", grid);
     } catch (const std::exception& e) {
         std::cerr << "ablations: " << e.what() << '\n';
         return 2;

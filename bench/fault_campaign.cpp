@@ -12,14 +12,14 @@
 //   fault_campaign --jobs 8 --json                # parallel + JSON
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
-#include "exec/report.hpp"
+#include "exec/envelope.hpp"
 #include "fault/campaign.hpp"
 
 using namespace hwst;
@@ -68,10 +68,20 @@ CampaignConfig parse(int argc, char** argv, exec::GridOptions& grid)
             return argv[++i];
         };
         if (a == "--seeds") {
-            cfg.seeds_per_point =
-                static_cast<unsigned>(std::stoul(need("--seeds")));
+            const std::string v = need("--seeds");
+            const auto n = exec::parse_positive(
+                v, std::numeric_limits<unsigned>::max());
+            if (!n)
+                throw common::ToolchainError{
+                    "--seeds needs a whole number >= 1, got '" + v + "'"};
+            cfg.seeds_per_point = static_cast<unsigned>(*n);
         } else if (a == "--seed") {
-            cfg.base_seed = std::stoull(need("--seed"));
+            const std::string v = need("--seed");
+            const auto n = exec::parse_count(v);
+            if (!n)
+                throw common::ToolchainError{
+                    "--seed needs a whole number, got '" + v + "'"};
+            cfg.base_seed = *n;
         } else if (a == "--scheme") {
             cfg.scheme = parse_scheme(need("--scheme"));
         } else if (a == "--mode") {
@@ -109,11 +119,10 @@ int main(int argc, char** argv)
     try {
         exec::GridOptions grid;
         CampaignConfig cfg = parse(argc, argv, grid);
-        // Cache binding for the classified faulted runs (--cache /
-        // HWST_CACHE); cells are keyed by the campaign fingerprint, so
-        // a config change can never serve a stale record.
-        const std::unique_ptr<exec::CampaignCache> cache = exec::open_cache(
-            grid, "fault_campaign", fault::campaign_fingerprint(cfg));
+        // The result cache for the classified faulted runs (--cache /
+        // HWST_CACHE).
+        const std::unique_ptr<exec::ResultCache> cache =
+            exec::open_cache(grid);
         cfg.cache = cache.get();
         const exec::Stopwatch stopwatch;
         const auto report = fault::run_campaign(cfg);

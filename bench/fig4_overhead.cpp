@@ -11,7 +11,6 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/simrun.hpp"
@@ -57,8 +56,7 @@ int main(int argc, char** argv)
 
     std::optional<exec::Campaign> campaign;
     try {
-        campaign.emplace("fig4", grid, exec::grid_fingerprint(jobs));
-        exec::attach_cache(*campaign, grid);
+        campaign.emplace("fig4", grid);
     } catch (const std::exception& e) {
         std::cerr << "fig4_overhead: " << e.what() << '\n';
         return 2;

@@ -16,7 +16,6 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "exec/simrun.hpp"
@@ -61,8 +60,7 @@ int main(int argc, char** argv)
 
     std::optional<exec::Campaign> campaign;
     try {
-        campaign.emplace("fig5", grid, exec::grid_fingerprint(jobs));
-        exec::attach_cache(*campaign, grid);
+        campaign.emplace("fig5", grid);
     } catch (const std::exception& e) {
         std::cerr << "fig5_speedup: " << e.what() << '\n';
         return 2;

@@ -4,17 +4,17 @@
 // the overall coverage, mirroring the paper's bars.
 //
 //   fig6_coverage [stride]    (default 1 = full suite; e.g. 7 for a
-//                              fast unbiased subsample)
+//                              fast unbiased subsample; a whole
+//                              number >= 1)
 //
 // The scheme × case grid is chunked onto the exec engine (--jobs N);
 // chunk coverages merge additively in grid order, so the table is
 // identical at every thread count. Results land in BENCH_fig6.json.
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "common/table.hpp"
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 #include "exec/envelope.hpp"
 #include "juliet/runner.hpp"
@@ -78,9 +78,14 @@ int main(int argc, char** argv)
         for (int i = 1; i < argc; ++i) {
             if (exec::parse_grid_flag(grid, argc, argv, i)) continue;
             if (argv[i][0] != '-') {
-                stride = static_cast<common::u32>(
-                    std::strtoul(argv[i], nullptr, 10));
-                if (stride == 0) stride = 1;
+                const auto n = exec::parse_positive(
+                    argv[i], std::numeric_limits<common::u32>::max());
+                if (!n)
+                    throw common::ToolchainError{
+                        std::string{"stride needs a whole number >= 1, "
+                                    "got '"} +
+                        argv[i] + "'"};
+                stride = static_cast<common::u32>(*n);
                 continue;
             }
             throw common::ToolchainError{std::string{"unknown flag: "} +
@@ -120,25 +125,24 @@ int main(int argc, char** argv)
                 Chunk{s, lo, std::min(lo + kChunk, cases.size())});
     }
 
-    // The grid is chunk-indexed, so the fingerprint hashes the campaign
-    // shape: any change to stride, case count, scheme set or chunk size
-    // can never alias a cache cell.
-    const std::string grid_desc =
-        "fig6 stride=" + std::to_string(stride) +
-        " cases=" + std::to_string(cases.size()) +
-        " schemes=" + std::to_string(schemes.size()) +
-        " chunk=" + std::to_string(kChunk);
     std::optional<exec::Campaign> campaign;
     try {
-        campaign.emplace("fig6", grid, exec::grid_fingerprint(grid_desc));
-        exec::attach_cache(*campaign, grid);
+        campaign.emplace("fig6", grid);
     } catch (const std::exception& e) {
         std::cerr << "fig6_coverage: " << e.what() << '\n';
         return 2;
     }
 
+    // A chunk's cache key is what it runs: its scheme and its cases.
     const exec::MapCodec<juliet::Coverage> codec{
-        .label = "chunk",
+        .key =
+            [&](std::size_t i) {
+                const Chunk& c = chunks[i];
+                common::u64 h = exec::fnv1a(compiler::scheme_name(c.scheme));
+                for (std::size_t k = c.lo; k < c.hi; ++k)
+                    h = exec::derive_seed(h, exec::fnv1a(cases[k].id()));
+                return h;
+            },
         .encode = coverage_to_json,
         .decode = coverage_from_json,
     };

@@ -14,9 +14,9 @@
 //
 // `json_check --cache DIR [GIT_REV]` audits a content-addressed result
 // cache (docs/cache.md): counts cells/bytes/dangling temps, validates
-// every cell (parse, version, address re-hash, record round trip), and
-// with GIT_REV flags cells another build published. Invalid or stale
-// cells exit 1.
+// every cell (parse, version, digest + git_rev re-hash to the file
+// name, payload present), and with GIT_REV flags cells another build
+// published. Invalid or stale cells exit 1.
 #include <iostream>
 #include <string>
 

@@ -102,10 +102,13 @@ int main(int argc, char** argv)
                 if (i + 1 >= argc)
                     throw common::ToolchainError{
                         "--gate needs a percentage"};
-                gate_pct = std::stod(argv[++i]);
-                if (gate_pct < 0.0 || gate_pct >= 100.0)
+                const auto pct = exec::parse_percent(argv[++i]);
+                if (!pct)
                     throw common::ToolchainError{
-                        "--gate: percentage must be in [0, 100)"};
+                        std::string{"--gate needs a percentage in [0, 100], "
+                                    "got '"} +
+                        argv[i] + "'"};
+                gate_pct = *pct;
             } else if (a == "--baseline") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--baseline needs a path"};
@@ -113,10 +116,13 @@ int main(int argc, char** argv)
             } else if (a == "--repeat") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--repeat needs a count"};
-                repeat = static_cast<unsigned>(std::stoul(argv[++i]));
-                if (repeat == 0 || repeat > 100)
+                const auto n = exec::parse_positive(argv[++i], 100);
+                if (!n)
                     throw common::ToolchainError{
-                        "--repeat: count must be in [1, 100]"};
+                        std::string{"--repeat needs a count in [1, 100], "
+                                    "got '"} +
+                        argv[i] + "'"};
+                repeat = static_cast<unsigned>(*n);
             } else if (a == "--schemes") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--schemes needs a list"};

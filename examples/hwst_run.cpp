@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -36,12 +38,13 @@
 
 using namespace hwst;
 using compiler::Scheme;
+using common::u64;
 
 namespace {
 
 struct Options {
     std::vector<std::string> workloads;
-    std::string juliet;
+    std::optional<juliet::CaseSpec> juliet;
     std::vector<Scheme> schemes{Scheme::Hwst128Tchk};
     unsigned keybuffer = 8;
     bool keybuffer_set = false;
@@ -81,13 +84,31 @@ juliet::CaseSpec parse_juliet(const std::string& arg)
     if (colon == std::string::npos)
         throw common::ToolchainError{"juliet case must be CWE<k>:<index>"};
     const std::string cwe = arg.substr(0, colon);
-    const auto index =
-        static_cast<common::u32>(std::stoul(arg.substr(colon + 1)));
+    const auto index = exec::parse_count(
+        std::string_view{arg}.substr(colon + 1),
+        std::numeric_limits<common::u32>::max());
+    if (!index)
+        throw common::ToolchainError{"juliet case index must be a whole "
+                                     "number, got '" +
+                                     arg.substr(colon + 1) + "'"};
     for (const auto& [c, count] : juliet::cwe_counts()) {
         if (juliet::cwe_name(c) == cwe)
-            return juliet::make_spec(c, index, true);
+            return juliet::make_spec(c, static_cast<common::u32>(*index),
+                                     true);
     }
     throw common::ToolchainError{"unknown CWE: " + cwe};
+}
+
+/// A flag's whole-number value >= 1 (--keybuffer, --dcache-kib).
+unsigned positive(const std::string& flag, const std::string& v)
+{
+    // Up to 2^20, so --dcache-kib's set count cannot overflow.
+    const auto n = exec::parse_positive(v, u64{1} << 20);
+    if (!n)
+        throw common::ToolchainError{flag +
+                                     " needs a whole number >= 1, got '" +
+                                     v + "'"};
+    return static_cast<unsigned>(*n);
 }
 
 Options parse(int argc, char** argv)
@@ -106,7 +127,7 @@ Options parse(int argc, char** argv)
             return argv[++i];
         };
         if (a == "--workload") o.workloads = split_csv(need("--workload"));
-        else if (a == "--juliet") o.juliet = need("--juliet");
+        else if (a == "--juliet") o.juliet = parse_juliet(need("--juliet"));
         else if (a == "--scheme") {
             o.schemes.clear();
             for (const auto& name : split_csv(need("--scheme")))
@@ -114,18 +135,23 @@ Options parse(int argc, char** argv)
             if (o.schemes.empty())
                 throw common::ToolchainError{"--scheme needs a name"};
         } else if (a == "--keybuffer") {
-            o.keybuffer = static_cast<unsigned>(
-                std::stoul(need("--keybuffer")));
+            o.keybuffer = positive(a, need("--keybuffer"));
             o.keybuffer_set = true;
         } else if (a == "--dcache-kib")
-            o.dcache_kib = static_cast<unsigned>(
-                std::stoul(need("--dcache-kib")));
+            o.dcache_kib = positive(a, need("--dcache-kib"));
         else if (a == "--emit-hex") o.emit_hex = need("--emit-hex");
         else if (a == "--emit-image") o.emit_image = need("--emit-image");
         else if (a == "--listing") o.listing = true;
         else if (a == "--list") o.list = true;
-        else if (a == "--expect-cached")
-            o.expect_cached = std::stod(need("--expect-cached"));
+        else if (a == "--expect-cached") {
+            const std::string v = need("--expect-cached");
+            const auto pct = exec::parse_percent(v);
+            if (!pct)
+                throw common::ToolchainError{
+                    "--expect-cached needs a percentage in [0, 100], got '" +
+                    v + "'"};
+            o.expect_cached = *pct;
+        }
         else
             throw common::ToolchainError{"unknown flag: " + a +
                                          "\nshared grid flags:\n" +
@@ -212,10 +238,8 @@ exec::GridSpec grid_spec(const Options& o)
 /// the engine. Used whenever a comma list (or --json) asks for it.
 int run_grid(const Options& o)
 {
-    const exec::GridSpec spec = grid_spec(o);
-    const std::vector<exec::Job> jobs = spec.jobs();
-    exec::Campaign campaign{"hwst_run", o.grid, spec.fingerprint()};
-    exec::attach_cache(campaign, o.grid);
+    const std::vector<exec::Job> jobs = grid_spec(o).jobs();
+    exec::Campaign campaign{"hwst_run", o.grid};
     const auto outcomes = campaign.run(jobs);
 
     common::TextTable table{{"workload", "scheme", "status", "result",
@@ -263,20 +287,20 @@ int run_grid(const Options& o)
     if (rc != 0) return rc;
     if (!all_ok) return 2;
     if (o.expect_cached >= 0) {
-        // Counts the cells the engine actually served from the cache,
-        // so a warm run that silently recomputes fails instead of
-        // passing an envelope comparison vacuously.
-        const auto cached = std::count_if(
-            outcomes.begin(), outcomes.end(),
-            [](const exec::JobOutcome& out) { return out.from_cache; });
-        const double pct = 100.0 * static_cast<double>(cached) /
-                           static_cast<double>(jobs.size());
-        std::cerr << cached << '/' << jobs.size()
-                  << " cells cache-served (" << common::fmt(pct, 1)
-                  << "%)\n";
+        // Reads the cache's own counters: every cell is one lookup, so
+        // a warm run that silently recomputes fails instead of passing
+        // an envelope comparison vacuously.
+        const exec::ResultCache* cache = campaign.cache();
+        const u64 hits = cache ? cache->hits() : 0;
+        const u64 lookups = cache ? hits + cache->misses() : 0;
+        const double pct = lookups ? 100.0 * static_cast<double>(hits) /
+                                         static_cast<double>(lookups)
+                                   : 0.0;
+        std::cerr << hits << '/' << lookups << " cache lookups hit ("
+                  << common::fmt(pct, 1) << "%)\n";
         if (pct + 1e-9 < o.expect_cached) {
             std::cerr << "hwst_run: expected >= " << o.expect_cached
-                      << "% cache-served cells\n";
+                      << "% cache hits\n";
             return 3;
         }
     }
@@ -296,7 +320,7 @@ int main(int argc, char** argv)
     }
     try {
 
-        if (o.list || (o.workloads.empty() && o.juliet.empty())) {
+        if (o.list || (o.workloads.empty() && !o.juliet)) {
             std::cout << "workloads:\n";
             for (const auto& w : workloads::all_workloads())
                 std::cout << "  " << w.name << " ("
@@ -311,9 +335,8 @@ int main(int argc, char** argv)
             return 0;
         }
 
-        if (!o.juliet.empty()) {
-            const mir::Module module =
-                juliet::build_case(parse_juliet(o.juliet));
+        if (o.juliet) {
+            const mir::Module module = juliet::build_case(*o.juliet);
             return run_single(o, module, o.schemes.front());
         }
         // A single cell without --json keeps the classic detailed

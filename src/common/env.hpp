@@ -1,8 +1,7 @@
-// Shared environment-variable parsing for the HWST_* switches
-// (HWST_TIER, ...). One parser per kind of switch, so every switch of
-// that kind accepts the same vocabulary and a typo'd value can never
-// silently flip a mode: a per-site `e[0] != '0'` test would treat
-// `=off` as *on*.
+// Shared environment-variable parsing for the HWST_* choice switches
+// (HWST_TIER): one parser, so every switch accepts its vocabulary
+// case-insensitively and a typo'd value is reported and ignored, never
+// silently taken as some other mode.
 #pragma once
 
 #include <cctype>
@@ -16,21 +15,6 @@
 
 namespace hwst::common {
 
-/// Parse a boolean flag value, case-insensitively:
-/// "0"/"false"/"off"/"no" -> false, "1"/"true"/"on"/"yes" -> true,
-/// anything else -> nullopt.
-inline std::optional<bool> parse_bool_flag(std::string_view s)
-{
-    std::string t;
-    t.reserve(s.size());
-    for (const char c : s)
-        t.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    if (t == "0" || t == "false" || t == "off" || t == "no") return false;
-    if (t == "1" || t == "true" || t == "on" || t == "yes") return true;
-    return std::nullopt;
-}
-
 /// Emit `msg` to stderr at most once per distinct `key` for the whole
 /// process. Shared by every env diagnostic so a campaign spawning
 /// thousands of Machines warns exactly once per misconfiguration.
@@ -40,21 +24,6 @@ inline void warn_once(const std::string& key, const std::string& msg)
     static std::set<std::string> warned;
     const std::lock_guard lock{mutex};
     if (warned.insert(key).second) std::cerr << msg;
-}
-
-/// Read `name` as a boolean flag. Unset -> nullopt (caller keeps its
-/// default); set to an unrecognized value -> nullopt plus a
-/// once-per-variable stderr diagnostic.
-inline std::optional<bool> env_flag(const char* name)
-{
-    const char* e = std::getenv(name);
-    if (!e) return std::nullopt;
-    const auto v = parse_bool_flag(e);
-    if (!v)
-        warn_once(name, std::string{"[env] "} + name + "='" + e +
-                            "' is not a boolean "
-                            "(0/1/on/off/true/false/yes/no); ignoring\n");
-    return v;
 }
 
 /// Parse a choice flag value against `allowed` (case-insensitive).

@@ -2,15 +2,14 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "compiler/scheme.hpp"
-#include "exec/envelope.hpp"
+#include "exec/job.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -40,41 +39,90 @@ std::string hash_hex(u64 h)
     return buf;
 }
 
-u64 config_revision_hash()
-{
-    u64 h = derive_seed(static_cast<u64>(kConfigRevision),
-                        static_cast<u64>(kCacheVersion));
-    for (const compiler::Scheme s : compiler::kAllSchemes)
-        h = derive_seed(h, fnv1a(compiler::scheme_name(s)));
-    // Defaults a grid's coordinates never name but its simulated
-    // numbers depend on: a change here must invalidate stale cache
-    // cells even when the grid shape is unchanged.
-    const sim::MachineConfig def{};
-    h = derive_seed(h, def.dcache.sets, def.dcache.ways,
-                    def.dcache.line_bytes, def.icache.sets,
-                    def.icache.ways, def.icache.line_bytes,
-                    static_cast<u64>(def.icache_enabled),
-                    def.keybuffer_entries,
-                    static_cast<u64>(def.keybuffer_enabled), def.fuel);
-    return h;
-}
+// ---- cell digest -------------------------------------------------------
 
-u64 grid_fingerprint(std::span<const Job> jobs, u64 root_seed,
-                     std::string_view config_desc)
-{
-    u64 h = derive_seed(root_seed, jobs.size(), config_revision_hash(),
-                        fnv1a(config_desc));
-    for (const Job& j : jobs) {
-        h = derive_seed(h, fnv1a(j.key.empty() ? j.name : j.key),
-                        fnv1a(j.workload), fnv1a(j.scheme), j.seed);
+// A field added to any of these structs changes its size and stops the
+// build here: fold the new field into cell_digest (or, if it is
+// host-only like `tier`, say so below) and update the size.
+static_assert(sizeof(riscv::Instruction) == 24);
+static_assert(sizeof(riscv::MemoryLayout) == 14 * sizeof(u64));
+static_assert(sizeof(mem::CacheConfig) == 5 * sizeof(unsigned));
+static_assert(sizeof(sim::TimingConfig) == 6 * sizeof(unsigned));
+static_assert(sizeof(sim::RuntimeConfig) == 32);
+static_assert(sizeof(sim::MachineConfig) == 128);
+
+namespace {
+
+/// SplitMix-style running digest (derive_seed), one u64 at a time.
+struct Digest {
+    u64 h = 0;
+
+    void add(u64 v) { h = derive_seed(h, v); }
+
+    void add(std::span<const common::u8> bytes)
+    {
+        add(bytes.size());
+        std::size_t i = 0;
+        for (; i + 8 <= bytes.size(); i += 8) {
+            u64 w;
+            std::memcpy(&w, bytes.data() + i, 8);
+            add(w);
+        }
+        u64 tail = 0;
+        std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
+        add(tail);
     }
-    return h;
-}
 
-u64 grid_fingerprint(std::string_view grid_desc, u64 root_seed)
+    void add(const mem::CacheConfig& c)
+    {
+        for (const u64 v :
+             {c.line_bytes, c.ways, c.sets, c.hit_cycles, c.miss_penalty})
+            add(v);
+    }
+};
+
+} // namespace
+
+u64 cell_digest(const riscv::Program& program, const sim::MachineConfig& cfg)
 {
-    return derive_seed(root_seed, fnv1a(grid_desc),
-                       config_revision_hash());
+    Digest d;
+    const auto code = program.code();
+    d.add(code.size());
+    for (const riscv::Instruction& in : code) {
+        d.add(static_cast<u64>(in.op) | static_cast<u64>(in.rd) << 8 |
+              static_cast<u64>(in.rs1) << 16 |
+              static_cast<u64>(in.rs2) << 24 |
+              static_cast<u64>(in.csr) << 32);
+        d.add(static_cast<u64>(in.imm));
+    }
+    d.add(program.data());
+    d.add(program.entry_addr());
+    const riscv::MemoryLayout& l = program.layout();
+    for (const u64 v :
+         {l.text_base, l.data_base, l.heap_base, l.heap_size, l.stack_top,
+          l.stack_size, l.shadow_offset, l.lock_base, l.lock_entries,
+          l.sw_arg_base, l.sw_arg_size, l.sw_meta_offset, l.sw_l2_offset,
+          l.asan_shadow_offset})
+        d.add(v);
+
+    // Every simulated MachineConfig field; `tier` is host-only.
+    d.add(cfg.dcache);
+    d.add(cfg.icache);
+    d.add(cfg.icache_enabled);
+    d.add(cfg.keybuffer_entries);
+    d.add(cfg.keybuffer_enabled);
+    d.add(cfg.fuel);
+    const sim::TimingConfig& t = cfg.timing;
+    for (const u64 v : {t.branch_taken_penalty, t.load_use_stall,
+                        t.mul_extra, t.div_extra, t.csr_extra, t.ecall_cost})
+        d.add(v);
+    const sim::RuntimeConfig& r = cfg.runtime;
+    for (const u64 v :
+         {r.asan_redzone, static_cast<u64>(r.quarantine),
+          r.quarantine_bytes, static_cast<u64>(r.libc_free_aborts),
+          static_cast<u64>(r.init_sw_trie)})
+        d.add(v);
+    return d.h;
 }
 
 // ---- serialization -----------------------------------------------------
@@ -185,82 +233,17 @@ sim::RunResult result_from_json(const json::Value& v)
     return r;
 }
 
-json::Value outcome_to_record(const std::string& key,
-                              const JobOutcome& outcome)
-{
-    json::Value v = json::Value::object();
-    v["key"] = key;
-    v["status"] = job_status_name(outcome.status);
-    v["wall_ms"] = outcome.wall_ms;
-    if (outcome.status == JobStatus::Ok)
-        v["result"] = result_to_json(outcome.result);
-    else
-        v["error"] = outcome.error;
-    if (!outcome.aux.is_null()) v["aux"] = outcome.aux;
-    return v;
-}
-
-std::pair<std::string, JobOutcome> outcome_from_record(const json::Value& v)
-{
-    const std::string& key = v.at("key").as_string();
-    if (key.empty()) throw json::JsonError{"record with empty key"};
-    JobOutcome out;
-    const auto status = job_status_from_name(v.at("status").as_string());
-    if (!status)
-        throw json::JsonError{"unknown status: " +
-                              v.at("status").as_string()};
-    out.status = *status;
-    out.wall_ms = v.at("wall_ms").as_double();
-    if (out.status == JobStatus::Ok)
-        out.result = result_from_json(v.at("result"));
-    else
-        out.error = v.at("error").as_string();
-    if (const json::Value* aux = v.find("aux")) out.aux = *aux;
-    return {key, std::move(out)};
-}
-
 // ---- the store ---------------------------------------------------------
-
-u64 CellKey::address() const
-{
-    return derive_seed(fnv1a(bench), fnv1a(grid_hash), fnv1a(key), seed,
-                       fnv1a(git_rev));
-}
 
 namespace {
 
-/// The cell document published for one outcome.
-json::Value cell_to_json(const CellKey& key, const JobOutcome& outcome)
+std::string read_file(const fs::path& path)
 {
-    json::Value v = json::Value::object();
-    v["cache_version"] = kCacheVersion;
-    v["bench"] = key.bench;
-    v["grid_hash"] = key.grid_hash;
-    v["key"] = key.key;
-    v["seed"] = key.seed;
-    v["git_rev"] = key.git_rev;
-    v["record"] = outcome_to_record(key.key, outcome);
-    return v;
-}
-
-/// Validate a parsed cell against the key that addressed it and decode
-/// the record. Returns nullopt (a miss) on any mismatch — an address
-/// collision, another build's cell, a future format.
-std::optional<JobOutcome> cell_from_json(const json::Value& v,
-                                         const CellKey& key)
-{
-    if (v.at("cache_version").as_int() != kCacheVersion)
-        return std::nullopt;
-    if (v.at("bench").as_string() != key.bench ||
-        v.at("grid_hash").as_string() != key.grid_hash ||
-        v.at("key").as_string() != key.key ||
-        static_cast<u64>(v.at("seed").as_int()) != key.seed ||
-        v.at("git_rev").as_string() != key.git_rev)
-        return std::nullopt;
-    auto [rec_key, outcome] = outcome_from_record(v.at("record"));
-    if (rec_key != key.key || outcome.status != JobStatus::Ok)
-        return std::nullopt;
-    return outcome;
+    std::ifstream in{path, std::ios::binary};
+    if (!in) return {};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 u64 file_size_or_zero(const fs::path& p)
@@ -297,6 +280,18 @@ bool write_file_synced(const std::string& path, const std::string& text)
 #endif
 }
 
+u64 cell_address(u64 digest, const std::string& git_rev)
+{
+    return derive_seed(digest, fnv1a(git_rev),
+                       static_cast<u64>(kCacheVersion));
+}
+
+/// "<16 hex digits>.json": hash_hex without its "0x".
+std::string cell_name(u64 address)
+{
+    return hash_hex(address).substr(2) + ".json";
+}
+
 } // namespace
 
 ResultCache::ResultCache(CacheOptions opts) : opts_{std::move(opts)}
@@ -309,46 +304,47 @@ ResultCache::ResultCache(CacheOptions opts) : opts_{std::move(opts)}
                                      opts_.root + ": " + ec.message()};
 }
 
+u64 ResultCache::address(u64 digest) const
+{
+    return cell_address(digest, opts_.git_rev);
+}
+
 std::string ResultCache::cell_path(u64 address) const
 {
-    // hash_hex gives "0x%016x"; the file name drops the prefix.
-    return (fs::path{opts_.root} / "cells" /
-            (hash_hex(address).substr(2) + ".json"))
-        .string();
+    return (fs::path{opts_.root} / "cells" / cell_name(address)).string();
 }
 
-std::optional<JobOutcome> ResultCache::load(const CellKey& key)
+std::optional<json::Value> ResultCache::load(u64 digest)
 {
-    const fs::path path = cell_path(key.address());
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::optional<JobOutcome> outcome;
+    std::optional<json::Value> payload;
     try {
-        outcome = cell_from_json(json::Value::parse(buf.str()), key);
+        const std::string text = read_file(cell_path(address(digest)));
+        if (!text.empty()) {
+            json::Value v = json::Value::parse(text);
+            if (v.at("cache_version").as_int() == kCacheVersion &&
+                v.at("git_rev").as_string() == opts_.git_rev &&
+                v.at("digest").as_string() == hash_hex(digest))
+                payload = v.at("payload");
+        }
     } catch (const std::exception&) {
-        outcome = std::nullopt; // torn or foreign cell: a miss
+        payload.reset(); // torn or foreign cell: a miss
     }
-    if (!outcome) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return outcome;
+    (payload ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return payload;
 }
 
-void ResultCache::store(const CellKey& key, const JobOutcome& outcome)
+void ResultCache::store(u64 digest, const json::Value& payload)
 {
-    if (outcome.status != JobStatus::Ok) return;
-    const std::string text = cell_to_json(key, outcome).dump(2) + "\n";
-    const u64 address = key.address();
+    json::Value cell = json::Value::object();
+    cell["cache_version"] = kCacheVersion;
+    cell["git_rev"] = opts_.git_rev;
+    cell["digest"] = hash_hex(digest);
+    cell["payload"] = payload;
+    const std::string text = cell.dump(2) + "\n";
+    const u64 addr = address(digest);
     const fs::path temp =
         fs::path{opts_.root} / "tmp" /
-        (hash_hex(address).substr(2) + "." +
+        (hash_hex(addr).substr(2) + "." +
          std::to_string(
 #ifdef HWST_CACHE_POSIX
              static_cast<long>(::getpid())
@@ -365,9 +361,9 @@ void ResultCache::store(const CellKey& key, const JobOutcome& outcome)
         return;
     }
     std::error_code ec;
-    fs::rename(temp, cell_path(address), ec);
+    fs::rename(temp, cell_path(addr), ec);
     if (ec) {
-        std::cerr << "[cache] cannot publish " << cell_path(address) << ": "
+        std::cerr << "[cache] cannot publish " << cell_path(addr) << ": "
                   << ec.message() << '\n';
         fs::remove(temp, ec);
         return;
@@ -383,63 +379,6 @@ json::Value ResultCache::stats_json() const
     v["misses"] = misses();
     v["stores"] = stores();
     return v;
-}
-
-CampaignCache::CampaignCache(std::shared_ptr<ResultCache> cache,
-                             std::string bench, u64 fingerprint)
-    : cache_{std::move(cache)},
-      bench_{std::move(bench)},
-      grid_hash_{hash_hex(fingerprint)}
-{
-}
-
-CellKey CampaignCache::key_for(const Job& job) const
-{
-    return CellKey{
-        .bench = bench_,
-        .grid_hash = grid_hash_,
-        .key = job.key,
-        .seed = job.seed,
-        .git_rev = cache_->options().git_rev,
-    };
-}
-
-std::optional<JobOutcome> CampaignCache::load(const Job& job)
-{
-    return cache_->load(key_for(job));
-}
-
-void CampaignCache::store(const Job& job, const JobOutcome& outcome)
-{
-    cache_->store(key_for(job), outcome);
-}
-
-json::Value CampaignCache::stats_json() const
-{
-    return cache_->stats_json();
-}
-
-std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
-                                          const std::string& bench,
-                                          u64 fingerprint)
-{
-    std::string root = grid.cache_dir;
-    if (root.empty()) {
-        if (const char* env = std::getenv("HWST_CACHE")) root = env;
-    }
-    if (root.empty()) return nullptr;
-    auto cache = std::make_shared<ResultCache>(CacheOptions{
-        .root = std::move(root),
-        .git_rev = build_git_rev(),
-    });
-    return std::make_unique<CampaignCache>(std::move(cache), bench,
-                                           fingerprint);
-}
-
-void attach_cache(Campaign& campaign, const GridOptions& grid)
-{
-    campaign.attach_cache(
-        open_cache(grid, campaign.bench(), campaign.fingerprint()));
 }
 
 CacheAudit audit_cache(const std::string& root,
@@ -458,35 +397,25 @@ CacheAudit audit_cache(const std::string& root,
         audit.bytes += file_size_or_zero(e.path());
         const std::string name = e.path().filename().string();
         try {
-            std::ifstream in{e.path(), std::ios::binary};
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            const auto v = json::Value::parse(buf.str());
+            const auto v = json::Value::parse(read_file(e.path()));
             if (v.at("cache_version").as_int() != kCacheVersion)
                 throw common::ToolchainError{
                     "cache_version " +
                     std::to_string(v.at("cache_version").as_int())};
-            const CellKey key{
-                .bench = v.at("bench").as_string(),
-                .grid_hash = v.at("grid_hash").as_string(),
-                .key = v.at("key").as_string(),
-                .seed = static_cast<u64>(v.at("seed").as_int()),
-                .git_rev = v.at("git_rev").as_string(),
-            };
-            // The address fields must re-hash to the file's own name:
-            // a renamed or hand-edited cell is invalid, not just stale.
-            if (hash_hex(key.address()).substr(2) + ".json" != name)
+            const std::string& git_rev = v.at("git_rev").as_string();
+            const u64 digest = static_cast<u64>(
+                std::stoull(v.at("digest").as_string(), nullptr, 16));
+            // The digest and git_rev must re-hash to the file's own
+            // name: a renamed or hand-edited cell is invalid, not stale.
+            if (cell_name(cell_address(digest, git_rev)) != name)
                 throw common::ToolchainError{"address mismatch"};
-            auto [rec_key, outcome] = outcome_from_record(v.at("record"));
-            if (rec_key != key.key)
-                throw common::ToolchainError{"record key mismatch"};
-            if (outcome.status != JobStatus::Ok)
-                throw common::ToolchainError{"non-ok cached outcome"};
-            if (!expect_rev.empty() && key.git_rev != expect_rev) {
+            if (v.at("payload").is_null())
+                throw common::ToolchainError{"empty payload"};
+            if (!expect_rev.empty() && git_rev != expect_rev) {
                 ++audit.stale;
                 audit.problems.push_back("stale cell " + name +
-                                         ": git_rev " + key.git_rev +
-                                         " != " + expect_rev);
+                                         ": git_rev " + git_rev + " != " +
+                                         expect_rev);
             }
         } catch (const std::exception& ex) {
             ++audit.invalid;

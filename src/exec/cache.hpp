@@ -1,120 +1,64 @@
-// Content-addressed result cache (docs/cache.md): finished Ok cells
-// from any campaign, keyed by everything that determines the simulated
-// numbers — (bench, grid_hash, job key, seed, git_rev) — and stored as
-// outcome records, one JSON file per cell. A warm cache serves a
-// repeated grid instead of recomputing it; the envelope stays
-// bit-identical modulo host-side fields because a cell record round
-// trips every counter through outcome_to_record/outcome_from_record.
+// Content-addressed result cache (docs/cache.md): finished cells from
+// any harness, keyed by a digest of what the cell simulates and stored
+// as one JSON file each. A sim cell's digest covers the finalized
+// Program and every simulated MachineConfig field (cell_digest), so two
+// harnesses that run the same program under the same config share one
+// cell; Engine::map chunks supply their own digest (MapCodec::key).
 //
 // On-disk layout under the cache root:
-//   cells/<16-hex-address>.json   published cells (content-addressed)
+//   cells/<16-hex-address>.json   published cells
 //   tmp/<address>.<pid>.<n>       in-flight writes (publish = rename)
 //
-// Publishing is atomic: a cell is written to tmp/ and rename(2)d into
-// cells/, so concurrent publishers — worker threads, several campaign
-// processes on one root — can never tear a record; the last writer of
-// one address wins with a bit-identical cell. Nothing is ever evicted:
-// a full fig4 plus fig6 cache is a few hundred cells in about 1.5 MB,
-// and a cache directory is deleted by hand.
+// A cell's address folds its digest with the producing git_rev and
+// kCacheVersion. Publishing is atomic: a cell is written to tmp/ and
+// rename(2)d into cells/, so concurrent publishers — worker threads,
+// several harness processes on one root — can never tear one; the last
+// writer of an address wins with a bit-identical cell. Nothing is ever
+// evicted: a cache directory is deleted by hand.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "exec/cli.hpp"
-#include "exec/engine.hpp"
+#include "exec/json.hpp"
+#include "riscv/program.hpp"
+#include "sim/machine.hpp"
 
 namespace hwst::exec {
 
-class Campaign;
+using common::u64;
 
-/// Cell record format revision: readers reject other versions as a
-/// miss. v2 dropped the retry count and crash forensics from records.
-inline constexpr int kCacheVersion = 2;
+/// Cell format revision: readers treat other versions as a miss. v3
+/// keys cells by content digest and stores a bare payload.
+inline constexpr int kCacheVersion = 3;
 
-/// Bump when a scheme's instrumentation defaults or the machine-config
-/// defaults change in a way that alters simulated numbers without
-/// changing any grid coordinate. Folded into every grid fingerprint.
-inline constexpr int kConfigRevision = 1;
-
-// ---- fingerprints ----------------------------------------------------
-
-/// FNV-1a over a byte string — the leaf hash every fingerprint and the
-/// cache's content address build on (fold results via derive_seed so
-/// field boundaries matter: "ab","c" != "a","bc").
+/// FNV-1a over a byte string, for folding names into a digest.
 u64 fnv1a(std::string_view s);
 
-/// Canonical "0x%016x" rendering of a fingerprint, shared by the cache
-/// cell records and their audit.
+/// Canonical "0x%016x" rendering of a digest or address.
 std::string hash_hex(u64 h);
 
-/// Hash of everything a grid's coordinates do NOT name but its results
-/// depend on: the scheme registry (names, in order), the default
-/// MachineConfig (cache geometry, keybuffer, fuel) and kConfigRevision.
-/// Folded into every grid fingerprint so two grids that differ only in
-/// instrumentation defaults can never alias in the cache.
-u64 config_revision_hash();
-
-/// Fingerprint of a campaign grid: mixes the root seed with every job's
-/// key, workload, scheme and seed — plus config_revision_hash() and an
-/// optional harness-supplied `config_desc` naming grid-level knobs that
-/// the job coordinates don't (hwst_run's --keybuffer/--dcache-kib
-/// tweaks). Any change to any of these changes the fingerprint, so the
-/// cache can never serve a cell across configs.
-u64 grid_fingerprint(std::span<const Job> jobs, u64 root_seed = 0,
-                     std::string_view config_desc = {});
-
-/// Fingerprint for harnesses whose grid is built lazily (Engine::map
-/// chunks, multi-grid ablations): hash a descriptor string that names
-/// the campaign shape instead.
-u64 grid_fingerprint(std::string_view grid_desc, u64 root_seed = 0);
-
-// ---- JobOutcome <-> cell record (full-fidelity round trip) -----------
+/// The digest of one simulation: the Program's code, data, entry point
+/// and MemoryLayout, and every MachineConfig field except the host-only
+/// `tier` (both tiers produce bit-identical results).
+u64 cell_digest(const riscv::Program& program, const sim::MachineConfig& cfg);
 
 /// Serialize a RunResult with every counter the harnesses fold into
 /// their tables, so a served cell is indistinguishable from a run one.
 json::Value result_to_json(const sim::RunResult& r);
+/// Throws json::JsonError on a malformed or incomplete payload.
 sim::RunResult result_from_json(const json::Value& v);
-
-/// One outcome record: key, status, wall_ms, then the result (Ok) or
-/// the error message, plus the body's aux payload when it set one.
-json::Value outcome_to_record(const std::string& key,
-                              const JobOutcome& outcome);
-/// Parse + validate one record; throws json::JsonError on a malformed
-/// or incomplete one.
-std::pair<std::string, JobOutcome> outcome_from_record(
-    const json::Value& v);
-
-// ---- the store -------------------------------------------------------
 
 struct CacheOptions {
     std::string root;    ///< cache directory (created if missing)
-    std::string git_rev; ///< producer revision stamped into cells
+    std::string git_rev; ///< producer revision folded into every address
 };
 
-/// Everything that addresses one cell. bench + grid_hash name the
-/// campaign (the grid fingerprint already folds the config revision),
-/// key + seed name the cell inside it, git_rev pins the producing
-/// binary — a rebuilt simulator can never serve stale cells.
-struct CellKey {
-    std::string bench;
-    std::string grid_hash; ///< hash_hex(grid_fingerprint(...))
-    std::string key;       ///< the job's cache key
-    u64 seed = 0;
-    std::string git_rev;
-
-    /// The 64-bit content address the cell file is named after.
-    u64 address() const;
-};
-
-/// The shared on-disk store. Thread-safe; one instance may be shared by
-/// many campaigns at once, each bound to it through a CampaignCache.
+/// The shared on-disk store. Thread-safe: worker threads look cells up
+/// and publish them concurrently.
 class ResultCache {
 public:
     /// Creates root/cells and root/tmp; throws common::ToolchainError
@@ -123,14 +67,15 @@ public:
 
     const CacheOptions& options() const { return opts_; }
 
-    /// The published outcome for `key`, or nullopt. A hit revalidates
-    /// the stored key fields — an address collision or git_rev mismatch
-    /// reads as a miss.
-    std::optional<JobOutcome> load(const CellKey& key);
+    /// The payload published under `digest`, or nullopt. A hit
+    /// revalidates the stored version, git_rev and digest, so an
+    /// address collision or a torn file reads as a miss.
+    std::optional<json::Value> load(u64 digest);
 
-    /// Publish one finished Ok outcome (write-temp + rename). Failures
-    /// degrade to a warning on stderr — the campaign keeps running.
-    void store(const CellKey& key, const JobOutcome& outcome);
+    /// Publish a finished cell's payload (write-temp + rename). Callers
+    /// publish only completed runs: a timeout or error never reaches
+    /// here. Failures degrade to a warning on stderr.
+    void store(u64 digest, const json::Value& payload);
 
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -141,6 +86,7 @@ public:
     json::Value stats_json() const;
 
 private:
+    u64 address(u64 digest) const;
     std::string cell_path(u64 address) const;
 
     CacheOptions opts_;
@@ -150,44 +96,24 @@ private:
     std::atomic<u64> stores_{0};
 };
 
-/// One campaign's binding onto a shared ResultCache: fixes the
-/// (bench, grid_hash, git_rev) half of every CellKey so the engine —
-/// which knows only Jobs — can hit the store (EngineOptions::cache).
-/// Thread-safe: workers call load/store concurrently.
-class CampaignCache {
-public:
-    CampaignCache(std::shared_ptr<ResultCache> cache, std::string bench,
-                  u64 fingerprint);
-
-    /// A finished outcome for this job, or nullopt on a miss. The
-    /// returned outcome is always JobStatus::Ok (failures are verdicts
-    /// of a particular host run and are never cached).
-    std::optional<JobOutcome> load(const Job& job);
-    /// Publish a completed Ok outcome (atomic: concurrent publishers
-    /// of the same cell never tear a record).
-    void store(const Job& job, const JobOutcome& outcome);
-    /// Hit/miss/store counters for the envelope's host-side `cache`
-    /// payload (stripped by json_check --equiv).
-    json::Value stats_json() const;
-
-private:
-    CellKey key_for(const Job& job) const;
-
-    std::shared_ptr<ResultCache> cache_;
-    std::string bench_;
-    std::string grid_hash_;
-};
-
-/// The one-liner harnesses use: build the campaign's cache binding from
-/// --cache (or the HWST_CACHE environment, so presets can opt whole
-/// runs in), or nullptr when no cache was requested. The binding stamps
-/// build_git_rev() into every cell.
-std::unique_ptr<CampaignCache> open_cache(const GridOptions& grid,
-                                          const std::string& bench,
-                                          u64 fingerprint);
-
-/// attach_cache(open_cache(...)) for the Campaign scaffold.
-void attach_cache(Campaign& campaign, const GridOptions& grid);
+/// `decode` of the cell published under `digest`, else `compute()`,
+/// published through `encode`. A payload that fails to decode is
+/// recomputed and overwritten. Exceptions from `compute` (JobTimeout
+/// included) propagate and publish nothing.
+template <typename Compute, typename Decode, typename Encode>
+auto cached(ResultCache& cache, u64 digest, Compute&& compute,
+            Decode&& decode, Encode&& encode)
+{
+    if (auto hit = cache.load(digest)) {
+        try {
+            return decode(*hit);
+        } catch (const json::JsonError&) {
+        }
+    }
+    auto r = compute();
+    cache.store(digest, encode(r));
+    return r;
+}
 
 // ---- auditing (json_check --cache) -----------------------------------
 
@@ -195,7 +121,7 @@ struct CacheAudit {
     u64 cells = 0;
     u64 bytes = 0;
     u64 dangling_tmp = 0; ///< leftover tmp/ files (crashed publishers)
-    u64 invalid = 0;      ///< cells that fail to parse or round-trip
+    u64 invalid = 0;      ///< cells that fail to parse or address
     u64 stale = 0;        ///< cells whose git_rev != the expected one
     std::vector<std::string> problems; ///< one line per invalid/stale cell
 
@@ -203,9 +129,9 @@ struct CacheAudit {
 };
 
 /// Walk a cache root validating every published cell: JSON parses,
-/// cache_version matches, the stored address fields re-hash to the file
-/// name, and the record decodes through outcome_from_record. A
-/// non-empty `expect_rev` additionally flags cells from other builds.
+/// cache_version matches, (digest, git_rev) re-hash to the file name
+/// and a payload is present. A non-empty `expect_rev` additionally
+/// flags cells from other builds.
 CacheAudit audit_cache(const std::string& root,
                        const std::string& expect_rev = {});
 

@@ -54,6 +54,39 @@ inline std::optional<u64> parse_count(std::string_view s,
     return n;
 }
 
+/// Parse a count that must be at least 1 (--seeds, --repeat,
+/// --keybuffer, fig6's stride): parse_count's rules, and 0 is refused.
+inline std::optional<u64> parse_positive(std::string_view s,
+                                         u64 max = ~u64{0})
+{
+    const auto n = parse_count(s, max);
+    if (!n || *n == 0) return std::nullopt;
+    return n;
+}
+
+/// Parse a percentage (--gate, --expect-cached): a plain decimal number
+/// in [0, 100], with no sign, exponent or trailing junk — "", "1x",
+/// "-1", "1e2", "101" and "nan" are all nullopt.
+inline std::optional<double> parse_percent(std::string_view s)
+{
+    if (s.empty() || s.size() > 32) return std::nullopt;
+    bool digit = false;
+    bool dot = false;
+    for (const char c : s) {
+        if (c >= '0' && c <= '9') {
+            digit = true;
+        } else if (c == '.' && !dot) {
+            dot = true;
+        } else {
+            return std::nullopt;
+        }
+    }
+    if (!digit) return std::nullopt;
+    const double v = std::stod(std::string{s});
+    if (v > 100.0) return std::nullopt;
+    return v;
+}
+
 /// Try to consume argv[i] (and possibly argv[i+1]) as one of the shared
 /// grid flags. Returns true and advances `i` past the flag when it
 /// matched; the caller handles its own flags otherwise. A malformed

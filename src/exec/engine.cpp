@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "exec/cache.hpp"
 #include "exec/cli.hpp"
 
 namespace hwst::exec {
@@ -25,16 +24,14 @@ unsigned resolve_jobs(unsigned requested)
 
 namespace {
 
-/// The job's one run on the calling thread under its deadline; the
-/// outcome's aux carries the body's side-channel payload.
+/// The job's one run on the calling thread under its deadline.
 JobOutcome run_in_process(const Job& job, const EngineOptions& opts)
 {
     std::optional<std::chrono::steady_clock::time_point> deadline;
     if (opts.timeout.count() > 0)
         deadline = std::chrono::steady_clock::now() + opts.timeout;
     JobOutcome out;
-    json::Value aux;
-    const JobContext ctx{CancelToken{deadline}, &aux};
+    const JobContext ctx{CancelToken{deadline}, opts.cache};
     const auto t0 = std::chrono::steady_clock::now();
     try {
         out.result = job.body(ctx);
@@ -49,7 +46,6 @@ JobOutcome run_in_process(const Job& job, const EngineOptions& opts)
     out.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-    out.aux = std::move(aux);
     return out;
 }
 
@@ -61,29 +57,11 @@ std::vector<JobOutcome> Engine::run(std::span<const Job> jobs) const
     std::vector<JobOutcome> outcomes(jobs.size());
     if (jobs.empty()) return outcomes;
 
-    // Cache prepass: jobs with a finished cell in the content-addressed
-    // cache never hit the pool. Serial and deterministic — served
-    // outcomes land in their grid slots exactly as the cold run left
-    // them.
-    std::vector<std::size_t> pending;
-    pending.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        std::optional<JobOutcome> hit =
-            opts.cache && !jobs[i].key.empty() ? opts.cache->load(jobs[i])
-                                               : std::nullopt;
-        if (hit) {
-            outcomes[i] = std::move(*hit);
-            outcomes[i].from_cache = true;
-            continue;
-        }
-        pending.push_back(i);
-    }
-
     const unsigned workers = std::max<std::size_t>(
-        1, std::min<std::size_t>(resolve_jobs(opts.jobs), pending.size()));
+        1, std::min<std::size_t>(resolve_jobs(opts.jobs), jobs.size()));
 
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{jobs.size() - pending.size()};
+    std::atomic<std::size_t> done{0};
     std::mutex progress_mutex;
 
     const auto report = [&](const Job& job, const JobOutcome& out) {
@@ -98,16 +76,9 @@ std::vector<JobOutcome> Engine::run(std::span<const Job> jobs) const
 
     const auto worker = [&] {
         for (;;) {
-            const std::size_t slot = next.fetch_add(1);
-            if (slot >= pending.size()) return;
-            const std::size_t i = pending[slot];
+            const std::size_t i = next.fetch_add(1);
+            if (i >= jobs.size()) return;
             outcomes[i] = run_in_process(jobs[i], opts);
-            // Only a finished verdict is worth serving to other
-            // campaigns; a timeout is a fact about this host run, not
-            // the cell.
-            if (opts.cache && !jobs[i].key.empty() &&
-                outcomes[i].status == JobStatus::Ok)
-                opts.cache->store(jobs[i], outcomes[i]);
             report(jobs[i], outcomes[i]);
         }
     };

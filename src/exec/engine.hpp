@@ -10,18 +10,18 @@
 // folding the outcome vector in index order is bit-identical at every
 // thread count, including 1.
 //
-// Each job is a cache lookup (when a result cache is attached), then one
-// in-process run under its CancelToken deadline, then a cache publish.
+// Each job is one in-process run under its CancelToken deadline. The
+// result cache, when attached, is consulted inside the run: by
+// run_program for a simulation, by Engine::map for a MapCodec chunk.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "exec/cache.hpp"
 #include "exec/job.hpp"
 
 namespace hwst::exec {
-
-class CampaignCache;
 
 struct EngineOptions {
     /// Worker threads. 0 = HWST_JOBS env var if set, else
@@ -33,11 +33,10 @@ struct EngineOptions {
     /// Live progress line on stderr ("[done/total] name status").
     bool progress = false;
     /// Optional content-addressed result cache (--cache / HWST_CACHE,
-    /// exec/cache.hpp): jobs with a non-empty `key` are looked up
-    /// before running, and freshly run Ok outcomes are published back.
+    /// exec/cache.hpp), handed to every body as JobContext::cache.
     /// Cached and recomputed envelopes are bit-identical modulo
     /// host-side fields (docs/cache.md). Not owned.
-    CampaignCache* cache = nullptr;
+    ResultCache* cache = nullptr;
 };
 
 /// Resolve an EngineOptions::jobs request against HWST_JOBS and
@@ -45,19 +44,19 @@ struct EngineOptions {
 /// whole number >= 1 (parse_count) is ignored.
 unsigned resolve_jobs(unsigned requested);
 
-/// JSON round trip for Engine::map's typed per-job payloads, so
-/// map-based harnesses (fig6 coverage chunks, fault records) can use
-/// the result cache too. `label` prefixes the cache key (and display
-/// name) of every chunk; encode/decode must be inverses.
+/// Result-cache binding for Engine::map's typed per-job payloads (fig6
+/// coverage chunks, fault records). `key(i)` is the digest of what
+/// chunk i computes; encode/decode must be inverses.
 template <typename R>
 struct MapCodec {
-    std::string label;
+    std::function<u64(std::size_t)> key;
     std::function<json::Value(const R&)> encode;
     std::function<R(const json::Value&)> decode;
 
     bool enabled() const
     {
-        return static_cast<bool>(encode) && static_cast<bool>(decode);
+        return static_cast<bool>(key) && static_cast<bool>(encode) &&
+               static_cast<bool>(decode);
     }
 };
 
@@ -75,9 +74,10 @@ public:
     /// fn(i, ctx) for i in [0, count) on the pool. fn's exceptions
     /// follow the same rules as Job bodies (JobTimeout -> Timeout slot,
     /// anything else -> Error slot); `out[i]` is written only on
-    /// success, so R must be default-constructible. With a codec, each
-    /// chunk is a result-cache cell: finished payloads are published
-    /// and cache-served chunks are decoded back into out[i].
+    /// success, so R must be default-constructible. With a codec and a
+    /// cache, each chunk is a cache cell under codec.key(i): a hit is
+    /// decoded into out[i] without calling fn, a miss runs fn and
+    /// publishes its result.
     template <typename R>
     std::vector<JobOutcome> map(
         std::size_t count,
@@ -88,32 +88,22 @@ public:
         std::vector<Job> jobs;
         jobs.reserve(count);
         for (std::size_t i = 0; i < count; ++i) {
-            const std::string name =
-                codec.label.empty() ? "#" + std::to_string(i)
-                                    : codec.label + "#" + std::to_string(i);
             jobs.push_back(Job{
-                .name = name,
-                .key = codec.enabled() ? name : std::string{},
+                .name = "#" + std::to_string(i),
                 .body =
                     [&fn, &out, &codec, i](const JobContext& ctx) {
-                        out[i] = fn(i, ctx);
-                        if (codec.enabled() && ctx.aux)
-                            *ctx.aux = codec.encode(out[i]);
+                        if (ctx.cache && codec.enabled())
+                            out[i] = cached(
+                                *ctx.cache, codec.key(i),
+                                [&] { return fn(i, ctx); }, codec.decode,
+                                codec.encode);
+                        else
+                            out[i] = fn(i, ctx);
                         return sim::RunResult{};
                     },
             });
         }
-        auto outcomes = run(jobs);
-        if (codec.enabled()) {
-            // Cache-served chunks never ran here: their payload comes
-            // back through aux.
-            for (std::size_t i = 0; i < count; ++i) {
-                if (outcomes[i].from_cache &&
-                    outcomes[i].status == JobStatus::Ok)
-                    out[i] = codec.decode(outcomes[i].aux);
-            }
-        }
-        return outcomes;
+        return run(jobs);
     }
 
 private:

@@ -1,5 +1,6 @@
 #include "exec/envelope.hpp"
 
+#include <cstdlib>
 #include <iostream>
 
 #ifndef HWST_GIT_REV
@@ -13,15 +14,22 @@ std::string build_git_rev()
     return HWST_GIT_REV;
 }
 
-Campaign::Campaign(std::string bench, const GridOptions& grid,
-                   u64 fingerprint)
-    : bench_{std::move(bench)}, grid_{grid}, fingerprint_{fingerprint}
+std::unique_ptr<ResultCache> open_cache(const GridOptions& grid)
 {
+    std::string root = grid.cache_dir;
+    if (root.empty()) {
+        if (const char* env = std::getenv("HWST_CACHE")) root = env;
+    }
+    if (root.empty()) return nullptr;
+    return std::make_unique<ResultCache>(CacheOptions{
+        .root = std::move(root),
+        .git_rev = build_git_rev(),
+    });
 }
 
-void Campaign::attach_cache(std::unique_ptr<CampaignCache> cache)
+Campaign::Campaign(std::string bench, const GridOptions& grid)
+    : bench_{std::move(bench)}, grid_{grid}, cache_{open_cache(grid)}
 {
-    cache_ = std::move(cache);
 }
 
 EngineOptions Campaign::engine_options() const

@@ -7,8 +7,7 @@
 //
 // Canonical shape:
 //
-//   exec::Campaign campaign{"fig5", grid, exec::grid_fingerprint(jobs)};
-//   exec::attach_cache(campaign, grid);
+//   exec::Campaign campaign{"fig5", grid};
 //   const auto outcomes = campaign.run(jobs);
 //   ... fold outcomes into payload ...
 //   return campaign.finish(payload, jobs, outcomes, bad_result);
@@ -32,20 +31,21 @@ namespace hwst::exec {
 /// each CMake target redefining the macro.
 std::string build_git_rev();
 
+/// The result cache --cache DIR names (or the HWST_CACHE environment,
+/// so presets can opt whole runs in), stamped with build_git_rev(); or
+/// nullptr when no cache was requested. Throws common::ToolchainError
+/// when the root cannot be created.
+std::unique_ptr<ResultCache> open_cache(const GridOptions& grid);
+
 class Campaign {
 public:
-    /// Starts the wall clock. `fingerprint` comes from
-    /// grid_fingerprint() and keys the result cache.
-    Campaign(std::string bench, const GridOptions& grid, u64 fingerprint);
+    /// Starts the wall clock and opens the grid's result cache
+    /// (open_cache); throws when the cache root cannot be created.
+    Campaign(std::string bench, const GridOptions& grid);
 
-    const std::string& bench() const { return bench_; }
     const GridOptions& grid() const { return grid_; }
-    u64 fingerprint() const { return fingerprint_; }
-
-    /// Attach the owned result-cache binding (normally open_cache's
-    /// return value; nullptr — no --cache — is a no-op). Call before
-    /// run()/map().
-    void attach_cache(std::unique_ptr<CampaignCache> cache);
+    /// The attached result cache, or nullptr without --cache.
+    const ResultCache* cache() const { return cache_.get(); }
 
     /// grid.engine() with the cache wired in.
     EngineOptions engine_options() const;
@@ -86,8 +86,7 @@ public:
 private:
     std::string bench_;
     GridOptions grid_;
-    u64 fingerprint_ = 0;
-    std::unique_ptr<CampaignCache> cache_;
+    std::unique_ptr<ResultCache> cache_;
     Stopwatch stopwatch_;
 };
 

@@ -13,12 +13,13 @@
 #include <string_view>
 
 #include "common/bitops.hpp"
-#include "exec/json.hpp"
 #include "sim/machine.hpp"
 
 namespace hwst::exec {
 
 using common::u64;
+
+class ResultCache; // exec/cache.hpp
 
 /// Cooperative cancellation handle passed to every job body. A job is
 /// cancelled when its per-job wall-clock deadline passes; long-running
@@ -76,29 +77,25 @@ constexpr std::optional<JobStatus> job_status_from_name(std::string_view s)
     return std::nullopt;
 }
 
-/// Everything a body receives for its one run. `aux` (if non-null) is a
-/// side-channel the body may fill with a JSON payload to be published
-/// alongside the outcome in the result cache (Engine::map uses it to
-/// round-trip typed per-job results).
+/// Everything a body receives for its one run: its cancellation token
+/// and the result cache (nullptr without --cache). A body that
+/// simulates through run_program, or an Engine::map chunk with a
+/// MapCodec, looks its cell up there and publishes it on a miss.
 struct JobContext {
     CancelToken token;
-    json::Value* aux = nullptr;
+    ResultCache* cache = nullptr;
 
     bool expired() const { return token.expired(); }
 };
 
-/// One unit of campaign work. `workload`/`scheme`/`seed` are the grid
-/// coordinates (informational: they name the job in progress lines and
-/// JSON rows); `key` is the result-cache identity (empty = never
-/// cached); `body` does the actual run. make_sim_job() builds the
-/// common compile-and-run body; harnesses with bespoke emitters or
-/// fault injectors supply their own.
+/// One unit of campaign work. `workload`/`scheme` name the job in
+/// progress lines and JSON rows; `body` does the actual run.
+/// make_sim_job() builds the common compile-and-run body; harnesses
+/// with bespoke emitters or fault injectors supply their own.
 struct Job {
     std::string name;     ///< unique display name, e.g. "bzip2/hwst128"
     std::string workload{};
     std::string scheme{};
-    u64 seed = 0;
-    std::string key{};    ///< cache key; empty opts out of the cache
     std::function<sim::RunResult(const JobContext&)> body;
 };
 
@@ -110,8 +107,6 @@ struct JobOutcome {
     sim::RunResult result;   ///< valid only when status == Ok
     std::string error;       ///< JobTimeout / exception message otherwise
     double wall_ms = 0.0;    ///< host wall-clock time spent in the body
-    bool from_cache = false; ///< served from the content-addressed cache
-    json::Value aux;         ///< body side-channel (cache-published)
 };
 
 /// Deterministic per-job seed: a SplitMix64-style mix of the root seed

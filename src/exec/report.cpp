@@ -138,12 +138,6 @@ json::Value summary_json(std::span<const Job> jobs,
     v["ok"] = c.ok;
     v["timeout"] = c.timeout;
     v["error"] = c.error;
-    // No job can crash, be quarantined or be skipped; kept for --equiv.
-    v["crashed"] = 0;
-    v["quarantined"] = 0;
-    v["skipped"] = 0;
-    v["partial"] = false;
-    v["quarantined_jobs"] = json::Value::array();
     json::Value failed = json::Value::array();
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (outcomes[i].status != JobStatus::Ok)

@@ -20,23 +20,26 @@ sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token)
 
 sim::RunResult run_program(const riscv::Program& program,
                            const sim::MachineConfig& cfg,
-                           const CancelToken& token)
+                           const JobContext& ctx)
 {
-    sim::Machine machine{program, cfg};
-    return run_machine(machine, token);
+    const auto run = [&] {
+        sim::Machine machine{program, cfg};
+        return run_machine(machine, ctx.token);
+    };
+    if (!ctx.cache) return run();
+    return cached(*ctx.cache, cell_digest(program, cfg), run,
+                  result_from_json, result_to_json);
 }
 
 Job make_sim_job(std::string name, std::string workload,
                  compiler::Scheme scheme,
                  std::function<mir::Module()> build,
-                 std::function<void(sim::MachineConfig&)> tweak, u64 seed)
+                 std::function<void(sim::MachineConfig&)> tweak)
 {
     Job job;
     job.name = std::move(name);
     job.workload = std::move(workload);
     job.scheme = compiler::scheme_name(scheme);
-    job.seed = seed;
-    job.key = job.name;
     job.body = [scheme, build = std::move(build),
                 tweak = std::move(tweak)](const JobContext& ctx) {
         // Codegen holds a reference to the module during compile; keep
@@ -44,19 +47,9 @@ Job make_sim_job(std::string name, std::string workload,
         const mir::Module module = build();
         compiler::CompiledProgram cp = compiler::compile(module, scheme);
         if (tweak) tweak(cp.machine_config);
-        return run_program(cp.program, cp.machine_config, ctx.token);
+        return run_program(cp.program, cp.machine_config, ctx);
     };
     return job;
-}
-
-std::string GridSpec::config_desc() const
-{
-    // Empty when no tweak is set, so an untweaked grid keeps the same
-    // fingerprint as the plain grid_fingerprint(jobs) call sites.
-    std::string d;
-    if (keybuffer) d += " keybuffer=" + std::to_string(keybuffer);
-    if (dcache_kib) d += " dcache_kib=" + std::to_string(dcache_kib);
-    return d.empty() ? std::string{} : "tweaks:" + d;
 }
 
 std::vector<Job> GridSpec::jobs() const
@@ -80,11 +73,6 @@ std::vector<Job> GridSpec::jobs() const
                 name, scheme, w.build, tweak));
     }
     return out;
-}
-
-u64 GridSpec::fingerprint() const
-{
-    return grid_fingerprint(jobs(), 0, config_desc());
 }
 
 } // namespace hwst::exec

@@ -25,42 +25,35 @@ inline constexpr u64 kCancelCheckStride = 4096;
 sim::RunResult run_machine(sim::Machine& machine, const CancelToken& token);
 
 /// Construct a Machine for the compiled program and run it cancellably.
+/// With ctx.cache, the run is a cache cell keyed by cell_digest(program,
+/// cfg): a hit returns the published result without simulating, a
+/// finished miss is published. Whichever harness or job asks, the same
+/// program under the same config is the same cell.
 sim::RunResult run_program(const riscv::Program& program,
                            const sim::MachineConfig& cfg,
-                           const CancelToken& token);
+                           const JobContext& ctx);
 
 /// The standard campaign job: compile `build()` under `scheme`, apply
-/// the machine-config `tweak`, run cancellably. Everything happens
-/// inside the body, on the worker thread, so jobs never share mutable
-/// state. The job's cache `key` defaults to its name, so sim jobs
-/// participate in the result cache out of the box.
+/// the machine-config `tweak`, run through run_program. Everything
+/// happens inside the body, on the worker thread, so jobs never share
+/// mutable state.
 Job make_sim_job(std::string name, std::string workload,
                  compiler::Scheme scheme,
                  std::function<mir::Module()> build,
-                 std::function<void(sim::MachineConfig&)> tweak = {},
-                 u64 seed = 0);
+                 std::function<void(sim::MachineConfig&)> tweak = {});
 
 /// The workload x scheme grid hwst_run runs: one sim job per (workload,
-/// scheme) plus two machine-config tweaks. One definition builds the
-/// jobs, their cache keys ("workload/scheme") and the grid
-/// fingerprint, so cache cells written by earlier runs of the same grid
-/// keep hitting.
+/// scheme) plus two machine-config tweaks.
 struct GridSpec {
     std::vector<std::string> workloads;
     std::vector<compiler::Scheme> schemes;
     unsigned keybuffer = 0;  ///< keybuffer_entries tweak (0 = default)
     unsigned dcache_kib = 0; ///< d-cache capacity tweak (0 = default)
 
-    /// The grid-level knobs the job coordinates don't name, folded into
-    /// grid_fingerprint's config_desc ("" when no tweak is set).
-    std::string config_desc() const;
-
     /// One sim job per (workload, scheme), in enumeration order.
     /// Throws common::ToolchainError on an unknown workload or an empty
     /// grid.
     std::vector<Job> jobs() const;
-
-    u64 fingerprint() const;
 };
 
 } // namespace hwst::exec

@@ -72,10 +72,9 @@ struct Golden {
     sim::MachineConfig faulted_cfg;
 };
 
-/// One faulted run's contribution, merged into PointStats in grid
-/// order.
+/// One classified faulted run's contribution, merged into PointStats in
+/// grid order.
 struct RunRecord {
-    bool timed_out = false;
     bool fired = false;
     Verdict verdict = Verdict::Masked;
     bool has_latency = false;
@@ -87,7 +86,6 @@ struct RunRecord {
 exec::json::Value record_to_json(const RunRecord& r)
 {
     exec::json::Value v = exec::json::Value::object();
-    v["t"] = r.timed_out;
     v["f"] = r.fired;
     v["v"] = static_cast<common::i64>(r.verdict);
     v["hl"] = r.has_latency;
@@ -98,7 +96,6 @@ exec::json::Value record_to_json(const RunRecord& r)
 RunRecord record_from_json(const exec::json::Value& v)
 {
     RunRecord r;
-    r.timed_out = v.at("t").as_bool();
     r.fired = v.at("f").as_bool();
     const common::i64 verdict = v.at("v").as_int();
     if (verdict < 0 ||
@@ -110,34 +107,7 @@ RunRecord record_from_json(const exec::json::Value& v)
     return r;
 }
 
-/// Everything that shapes the run grid or its outcomes, hashed into the
-/// campaign fingerprint so the cache never serves a record across
-/// configs.
-std::string campaign_desc(const CampaignConfig& cfg)
-{
-    std::string d = "fault_campaign scheme=";
-    d += compiler::scheme_name(cfg.scheme);
-    d += " mode=";
-    d += fault_mode_name(cfg.mode);
-    d += " seeds=" + std::to_string(cfg.seeds_per_point);
-    d += " seed=" + std::to_string(cfg.base_seed);
-    d += " timeout=" + std::to_string(cfg.timeout_ms);
-    d += " workloads=";
-    for (const auto& w : cfg.workloads) { d += w; d += ','; }
-    d += " points=";
-    for (const Probe p : cfg.points) {
-        d += sim::probe_name(p);
-        d += ',';
-    }
-    return d;
-}
-
 } // namespace
-
-u64 campaign_fingerprint(const CampaignConfig& cfg)
-{
-    return exec::grid_fingerprint(campaign_desc(cfg));
-}
 
 CampaignReport run_campaign(const CampaignConfig& cfg)
 {
@@ -148,8 +118,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
         report.points[i].point = cfg.points[i];
 
     // The cache holds classified faulted runs only. Goldens are
-    // deliberately keyless (cheap, and a compiled program does not
-    // round-trip through JSON), so they re-run on every campaign.
+    // deliberately keyless (a compiled program does not round-trip
+    // through JSON), so they re-run on every campaign.
     const exec::Engine engine{exec::EngineOptions{
         .jobs = cfg.jobs,
         .timeout = std::chrono::milliseconds{cfg.timeout_ms},
@@ -198,8 +168,33 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
     const std::size_t n_points = cfg.points.size();
     const std::size_t n_seeds = cfg.seeds_per_point;
     const std::size_t n_runs = cfg.workloads.size() * n_points * n_seeds;
+    std::vector<FaultSpec> specs;
+    specs.reserve(n_runs);
+    for (std::size_t i = 0; i < n_runs; ++i) {
+        const std::size_t wi = i / (n_points * n_seeds);
+        const Probe point = cfg.points[(i / n_seeds) % n_points];
+        common::Xoshiro256 rng{run_seed(cfg.base_seed, wi, point,
+                                        i % n_seeds)};
+        specs.push_back(FaultPlan::random_spec(
+            point, goldens[wi]->run.instret, rng, cfg.mode));
+    }
+    // A record is keyed by what its run simulates: the golden program
+    // under the faulted config, plus the one fault injected into it.
+    std::vector<u64> golden_digests;
+    if (cfg.cache) {
+        for (const auto& g : goldens)
+            golden_digests.push_back(
+                exec::cell_digest(g->cp.program, g->faulted_cfg));
+    }
     const exec::MapCodec<RunRecord> codec{
-        .label = "run",
+        .key =
+            [&](std::size_t i) {
+                const FaultSpec& f = specs[i];
+                return exec::derive_seed(
+                    golden_digests[i / (n_points * n_seeds)],
+                    static_cast<u64>(f.point), static_cast<u64>(f.mode),
+                    f.trigger_instret, f.xor_mask);
+            },
         .encode = record_to_json,
         .decode = record_from_json,
     };
@@ -207,29 +202,16 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
     const auto outcomes = engine.map<RunRecord>(
         n_runs,
         [&](std::size_t i, const exec::JobContext& ctx) {
-            const std::size_t wi = i / (n_points * n_seeds);
-            const std::size_t pi = (i / n_seeds) % n_points;
-            const std::size_t si = i % n_seeds;
-            const Golden& g = *goldens[wi];
-            const Probe point = cfg.points[pi];
-
-            common::Xoshiro256 rng{
-                run_seed(cfg.base_seed, wi, point, si)};
-            Injector injector{FaultPlan{{FaultPlan::random_spec(
-                point, g.run.instret, rng, cfg.mode)}}};
-
+            const Golden& g = *goldens[i / (n_points * n_seeds)];
+            Injector injector{FaultPlan{{specs[i]}}};
             sim::Machine machine{g.cp.program, g.faulted_cfg};
             injector.attach(machine);
-
+            // A JobTimeout propagates: the slot becomes a Timeout
+            // outcome, counted below and never published.
+            const sim::RunResult faulted =
+                exec::run_machine(machine, ctx.token);
+            const Outcome outcome = classify(g.run, faulted, injector);
             RunRecord rec;
-            std::optional<sim::RunResult> faulted;
-            try {
-                faulted = exec::run_machine(machine, ctx.token);
-            } catch (const exec::JobTimeout&) {
-                rec.timed_out = true;
-                return rec;
-            }
-            const Outcome outcome = classify(g.run, *faulted, injector);
             rec.fired = outcome.fired;
             rec.verdict = outcome.verdict;
             if (outcome.verdict == Verdict::Detected && outcome.fired) {
@@ -256,8 +238,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
                 const std::size_t i = (wi * n_points + pi) * n_seeds + si;
                 const RunRecord& rec = records[i];
                 ++stats.runs;
-                if (rec.timed_out ||
-                    outcomes[i].status == exec::JobStatus::Timeout) {
+                if (outcomes[i].status == exec::JobStatus::Timeout) {
                     ++stats.timeouts;
                     continue;
                 }
@@ -331,9 +312,6 @@ exec::json::Value CampaignReport::to_json() const
         jp["masked"] = p.masked;
         jp["silent"] = p.silent;
         jp["timeouts"] = p.timeouts;
-        // No run can be quarantined or skipped; kept for --equiv.
-        jp["quarantined"] = 0;
-        jp["skipped"] = 0;
         jp["detection_rate"] = p.detection_rate();
         jp["mean_latency"] = p.mean_latency();
         jpoints.push_back(jp);
@@ -343,10 +321,6 @@ exec::json::Value CampaignReport::to_json() const
     root["total_silent"] = total_silent();
     root["protected_silent"] = protected_silent();
     root["total_timeouts"] = total_timeouts();
-    // No run can be quarantined or skipped; kept for --equiv.
-    root["total_quarantined"] = 0;
-    root["total_skipped"] = 0;
-    root["partial"] = false;
     return root;
 }
 

@@ -41,17 +41,13 @@ struct CampaignConfig {
     /// The report is bit-identical at every value (docs/execution.md).
     unsigned jobs = 0;
     /// Per-run wall-clock budget in ms (0 = none). Timed-out runs are
-    /// counted separately, never classified.
+    /// counted separately, never classified, and never cached.
     u64 timeout_ms = 0;
-    /// Optional content-addressed result cache binding (--cache,
-    /// docs/cache.md): classified faulted runs are served from and
-    /// published to it like any other campaign cell. Not owned.
-    exec::CampaignCache* cache = nullptr;
+    /// Optional content-addressed result cache (--cache,
+    /// docs/cache.md): a classified faulted run is a cell keyed by its
+    /// golden program, faulted config and FaultSpec. Not owned.
+    exec::ResultCache* cache = nullptr;
 };
-
-/// The campaign's grid fingerprint: everything that shapes the run grid
-/// or its outcomes, hashed so the result cache can never alias configs.
-u64 campaign_fingerprint(const CampaignConfig& cfg);
 
 struct PointStats {
     Probe point = Probe::SrfSpatialWrite;

@@ -3,11 +3,9 @@
 #include <sstream>
 
 #include "common/bitops.hpp"
-#include "common/env.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "env_guard.hpp"
 
 namespace {
 
@@ -175,35 +173,6 @@ TEST(Table, Fmt)
 {
     EXPECT_EQ(fmt(3.14159, 2), "3.14");
     EXPECT_EQ(fmt(100.0, 0), "100");
-}
-
-TEST(Env, ParseBoolFlag)
-{
-    // The shared boolean vocabulary of on/off switches: explicit truthy
-    // and falsy spellings, case-insensitive; anything else is "not a
-    // boolean".
-    for (const char* v : {"1", "true", "on", "yes", "TRUE", "On", "YES"})
-        EXPECT_EQ(parse_bool_flag(v), std::optional<bool>{true}) << v;
-    for (const char* v : {"0", "false", "off", "no", "FALSE", "Off", "NO"})
-        EXPECT_EQ(parse_bool_flag(v), std::optional<bool>{false}) << v;
-    for (const char* v : {"", "2", "enabled", "y", "offf", " 1"})
-        EXPECT_EQ(parse_bool_flag(v), std::nullopt) << v;
-
-    // env_flag reads the same vocabulary from the environment; unset
-    // and unrecognized both leave the caller's default.
-    const char* name = "HWST_COMMON_TEST_FLAG";
-    {
-        const EnvGuard unset{name, nullptr};
-        EXPECT_EQ(env_flag(name), std::nullopt);
-    }
-    {
-        const EnvGuard off{name, "Off"};
-        EXPECT_EQ(env_flag(name), std::optional<bool>{false});
-    }
-    {
-        const EnvGuard bad{name, "maybe"};
-        EXPECT_EQ(env_flag(name), std::nullopt);
-    }
 }
 
 } // namespace

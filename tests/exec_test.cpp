@@ -248,6 +248,24 @@ TEST(ExecCli, NumericFlagsRejectSignsAndTrailingJunk)
     EXPECT_EQ(o.timeout_ms, u64{1} << 40);
 }
 
+TEST(ExecCli, CountsAndPercentagesRejectJunk)
+{
+    // The parsers behind --seeds/--repeat/--keybuffer/fig6's stride and
+    // --gate/--expect-cached.
+    for (const char* bad : {"-1", "1x", "+1", " 1", "", "0", "0x10"})
+        EXPECT_FALSE(exec::parse_positive(bad).has_value()) << bad;
+    EXPECT_EQ(exec::parse_positive("7"), std::optional<u64>{7});
+    EXPECT_FALSE(exec::parse_positive("101", 100).has_value());
+
+    for (const char* bad : {"-1", "1x", "+1", " 1", "", ".", "1.2.3",
+                            "1e2", "nan", "inf", "100.5", "101"})
+        EXPECT_FALSE(exec::parse_percent(bad).has_value()) << bad;
+    EXPECT_EQ(exec::parse_percent("0"), std::optional<double>{0.0});
+    EXPECT_EQ(exec::parse_percent("30"), std::optional<double>{30.0});
+    EXPECT_EQ(exec::parse_percent("99.5"), std::optional<double>{99.5});
+    EXPECT_EQ(exec::parse_percent("100"), std::optional<double>{100.0});
+}
+
 TEST(ExecCli, MalformedHwstJobsIsIgnored)
 {
     const EnvGuard unset{"HWST_JOBS", nullptr};
@@ -386,12 +404,10 @@ TEST(ExecReport, OutcomeCountsAndExitPolicy)
     s = exec::summary_json({}, outcomes);
     EXPECT_EQ(s.at("ok").as_int(), 3);
     EXPECT_EQ(s.at("failed_jobs").size(), 0u);
-    // The retired statuses' keys keep their only possible values.
-    EXPECT_EQ(s.at("crashed").as_int(), 0);
-    EXPECT_EQ(s.at("quarantined").as_int(), 0);
-    EXPECT_EQ(s.at("skipped").as_int(), 0);
-    EXPECT_EQ(s.at("partial").as_bool(), false);
-    EXPECT_EQ(s.at("quarantined_jobs").size(), 0u);
+    // The retired statuses' constant keys are gone.
+    for (const char* gone :
+         {"crashed", "quarantined", "skipped", "partial", "quarantined_jobs"})
+        EXPECT_EQ(s.find(gone), nullptr) << gone;
 }
 
 TEST(ExecReport, BenchEnvelopeRoundTrips)
