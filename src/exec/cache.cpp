@@ -69,7 +69,8 @@ struct Digest {
             add(w);
         }
         u64 tail = 0;
-        std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
+        if (i < bytes.size())
+            std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
         add(tail);
     }
 

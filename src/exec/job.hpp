@@ -1,5 +1,5 @@
 // Job model of the campaign execution engine: a Job is one independent
-// sim::Machine run (workload × scheme × machine-config tweak × seed)
+// sim::Machine run (workload × scheme × machine-config tweak)
 // and a JobOutcome is what the worker hands back. Everything the figure
 // harnesses and the fault campaign share lives here, so every
 // campaign-style harness enumerates the same shape of work.
@@ -66,15 +66,6 @@ constexpr std::string_view job_status_name(JobStatus s)
     case JobStatus::Error: return "error";
     }
     return "unknown";
-}
-
-constexpr std::optional<JobStatus> job_status_from_name(std::string_view s)
-{
-    for (const JobStatus k :
-         {JobStatus::Ok, JobStatus::Timeout, JobStatus::Error}) {
-        if (job_status_name(k) == s) return k;
-    }
-    return std::nullopt;
 }
 
 /// Everything a body receives for its one run: its cancellation token

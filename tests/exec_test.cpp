@@ -154,20 +154,12 @@ TEST(ExecEngine, DeriveSeedIsCoordinateStable)
     EXPECT_NE(s, exec::derive_seed(0xBEEF, 1, 2, 3));
 }
 
-TEST(ExecEngine, JobStatusNamesRoundTrip)
+TEST(ExecEngine, JobStatusNames)
 {
-    using exec::JobStatus;
-    for (const JobStatus s :
-         {JobStatus::Ok, JobStatus::Timeout, JobStatus::Error}) {
-        const auto back =
-            exec::job_status_from_name(exec::job_status_name(s));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, s);
-    }
-    EXPECT_FALSE(exec::job_status_from_name("nonsense").has_value());
-    // The statuses of the retired crash-safety layer are gone.
-    for (const char* gone : {"crashed", "quarantined", "skipped"})
-        EXPECT_FALSE(exec::job_status_from_name(gone).has_value()) << gone;
+    // The names envelope rows and progress lines print.
+    EXPECT_EQ(exec::job_status_name(JobStatus::Ok), "ok");
+    EXPECT_EQ(exec::job_status_name(JobStatus::Timeout), "timeout");
+    EXPECT_EQ(exec::job_status_name(JobStatus::Error), "error");
 }
 
 TEST(ExecEngine, ResolveJobsNeverReturnsZero)
