@@ -68,20 +68,11 @@ CampaignConfig parse(int argc, char** argv, exec::GridOptions& grid)
             return argv[++i];
         };
         if (a == "--seeds") {
-            const std::string v = need("--seeds");
-            const auto n = exec::parse_positive(
-                v, std::numeric_limits<unsigned>::max());
-            if (!n)
-                throw common::ToolchainError{
-                    "--seeds needs a whole number >= 1, got '" + v + "'"};
-            cfg.seeds_per_point = static_cast<unsigned>(*n);
+            cfg.seeds_per_point = static_cast<unsigned>(
+                exec::count_flag(a, need("--seeds"), 1,
+                                 std::numeric_limits<unsigned>::max()));
         } else if (a == "--seed") {
-            const std::string v = need("--seed");
-            const auto n = exec::parse_count(v);
-            if (!n)
-                throw common::ToolchainError{
-                    "--seed needs a whole number, got '" + v + "'"};
-            cfg.base_seed = *n;
+            cfg.base_seed = exec::count_flag(a, need("--seed"));
         } else if (a == "--scheme") {
             cfg.scheme = parse_scheme(need("--scheme"));
         } else if (a == "--mode") {

@@ -78,14 +78,9 @@ int main(int argc, char** argv)
         for (int i = 1; i < argc; ++i) {
             if (exec::parse_grid_flag(grid, argc, argv, i)) continue;
             if (argv[i][0] != '-') {
-                const auto n = exec::parse_positive(
-                    argv[i], std::numeric_limits<common::u32>::max());
-                if (!n)
-                    throw common::ToolchainError{
-                        std::string{"stride needs a whole number >= 1, "
-                                    "got '"} +
-                        argv[i] + "'"};
-                stride = static_cast<common::u32>(*n);
+                stride = static_cast<common::u32>(exec::count_flag(
+                    "stride", argv[i], 1,
+                    std::numeric_limits<common::u32>::max()));
                 continue;
             }
             throw common::ToolchainError{std::string{"unknown flag: "} +

@@ -102,13 +102,7 @@ int main(int argc, char** argv)
                 if (i + 1 >= argc)
                     throw common::ToolchainError{
                         "--gate needs a percentage"};
-                const auto pct = exec::parse_percent(argv[++i]);
-                if (!pct)
-                    throw common::ToolchainError{
-                        std::string{"--gate needs a percentage in [0, 100], "
-                                    "got '"} +
-                        argv[i] + "'"};
-                gate_pct = *pct;
+                gate_pct = exec::percent_flag(a, argv[++i]);
             } else if (a == "--baseline") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--baseline needs a path"};
@@ -116,13 +110,8 @@ int main(int argc, char** argv)
             } else if (a == "--repeat") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--repeat needs a count"};
-                const auto n = exec::parse_positive(argv[++i], 100);
-                if (!n)
-                    throw common::ToolchainError{
-                        std::string{"--repeat needs a count in [1, 100], "
-                                    "got '"} +
-                        argv[i] + "'"};
-                repeat = static_cast<unsigned>(*n);
+                repeat = static_cast<unsigned>(
+                    exec::count_flag(a, argv[++i], 1, 100));
             } else if (a == "--schemes") {
                 if (i + 1 >= argc)
                     throw common::ToolchainError{"--schemes needs a list"};

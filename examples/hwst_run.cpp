@@ -16,7 +16,6 @@
 //   hwst_run --workload milc,lbm --scheme sbcets,hwst128_tchk
 //            --cache DIR --expect-cached 100  (exit 3 when fewer cells
 //                                              were cache-served)
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -84,31 +83,14 @@ juliet::CaseSpec parse_juliet(const std::string& arg)
     if (colon == std::string::npos)
         throw common::ToolchainError{"juliet case must be CWE<k>:<index>"};
     const std::string cwe = arg.substr(0, colon);
-    const auto index = exec::parse_count(
-        std::string_view{arg}.substr(colon + 1),
-        std::numeric_limits<common::u32>::max());
-    if (!index)
-        throw common::ToolchainError{"juliet case index must be a whole "
-                                     "number, got '" +
-                                     arg.substr(colon + 1) + "'"};
+    const auto index = static_cast<common::u32>(exec::count_flag(
+        "--juliet index", std::string_view{arg}.substr(colon + 1), 0,
+        std::numeric_limits<common::u32>::max()));
     for (const auto& [c, count] : juliet::cwe_counts()) {
         if (juliet::cwe_name(c) == cwe)
-            return juliet::make_spec(c, static_cast<common::u32>(*index),
-                                     true);
+            return juliet::make_spec(c, index, true);
     }
     throw common::ToolchainError{"unknown CWE: " + cwe};
-}
-
-/// A flag's whole-number value >= 1 (--keybuffer, --dcache-kib).
-unsigned positive(const std::string& flag, const std::string& v)
-{
-    // Up to 2^20, so --dcache-kib's set count cannot overflow.
-    const auto n = exec::parse_positive(v, u64{1} << 20);
-    if (!n)
-        throw common::ToolchainError{flag +
-                                     " needs a whole number >= 1, got '" +
-                                     v + "'"};
-    return static_cast<unsigned>(*n);
 }
 
 Options parse(int argc, char** argv)
@@ -135,23 +117,20 @@ Options parse(int argc, char** argv)
             if (o.schemes.empty())
                 throw common::ToolchainError{"--scheme needs a name"};
         } else if (a == "--keybuffer") {
-            o.keybuffer = positive(a, need("--keybuffer"));
+            o.keybuffer = static_cast<unsigned>(
+                exec::count_flag(a, need("--keybuffer"), 1, 1u << 20));
             o.keybuffer_set = true;
         } else if (a == "--dcache-kib")
-            o.dcache_kib = positive(a, need("--dcache-kib"));
+            // At most 2^20 KiB, so the set count cannot overflow.
+            o.dcache_kib = static_cast<unsigned>(
+                exec::count_flag(a, need("--dcache-kib"), 1, 1u << 20));
         else if (a == "--emit-hex") o.emit_hex = need("--emit-hex");
         else if (a == "--emit-image") o.emit_image = need("--emit-image");
         else if (a == "--listing") o.listing = true;
         else if (a == "--list") o.list = true;
-        else if (a == "--expect-cached") {
-            const std::string v = need("--expect-cached");
-            const auto pct = exec::parse_percent(v);
-            if (!pct)
-                throw common::ToolchainError{
-                    "--expect-cached needs a percentage in [0, 100], got '" +
-                    v + "'"};
-            o.expect_cached = *pct;
-        }
+        else if (a == "--expect-cached")
+            o.expect_cached =
+                exec::percent_flag(a, need("--expect-cached"));
         else
             throw common::ToolchainError{"unknown flag: " + a +
                                          "\nshared grid flags:\n" +

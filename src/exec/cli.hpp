@@ -54,37 +54,44 @@ inline std::optional<u64> parse_count(std::string_view s,
     return n;
 }
 
-/// Parse a count that must be at least 1 (--seeds, --repeat,
-/// --keybuffer, fig6's stride): parse_count's rules, and 0 is refused.
-inline std::optional<u64> parse_positive(std::string_view s,
-                                         u64 max = ~u64{0})
+/// The value of a count flag (--jobs, --seeds, --repeat, fig6's
+/// stride, ...): parse_count's rules, at least `min` and at most `max`.
+/// Throws common::ToolchainError naming the flag otherwise.
+inline u64 count_flag(std::string_view flag, std::string_view v,
+                      u64 min = 0, u64 max = ~u64{0})
 {
-    const auto n = parse_count(s, max);
-    if (!n || *n == 0) return std::nullopt;
-    return n;
+    const auto n = parse_count(v, max);
+    if (!n || *n < min)
+        throw common::ToolchainError{
+            std::string{flag} + " needs a whole number in [" +
+            std::to_string(min) + ", " + std::to_string(max) + "], got '" +
+            std::string{v} + "'"};
+    return *n;
 }
 
-/// Parse a percentage (--gate, --expect-cached): a plain decimal number
-/// in [0, 100], with no sign, exponent or trailing junk — "", "1x",
-/// "-1", "1e2", "101" and "nan" are all nullopt.
-inline std::optional<double> parse_percent(std::string_view s)
+/// The value of a percentage flag (--gate, --expect-cached): a plain
+/// decimal number in [0, 100], with no sign, exponent or trailing junk.
+/// Throws common::ToolchainError naming the flag otherwise.
+inline double percent_flag(std::string_view flag, std::string_view v)
 {
-    if (s.empty() || s.size() > 32) return std::nullopt;
     bool digit = false;
     bool dot = false;
-    for (const char c : s) {
-        if (c >= '0' && c <= '9') {
+    bool ok = v.size() <= 32;
+    for (const char c : v) {
+        if (c >= '0' && c <= '9')
             digit = true;
-        } else if (c == '.' && !dot) {
+        else if (c == '.' && !dot)
             dot = true;
-        } else {
-            return std::nullopt;
-        }
+        else
+            ok = false;
     }
-    if (!digit) return std::nullopt;
-    const double v = std::stod(std::string{s});
-    if (v > 100.0) return std::nullopt;
-    return v;
+    const double pct = ok && digit ? std::stod(std::string{v}) : -1.0;
+    if (pct < 0.0 || pct > 100.0)
+        throw common::ToolchainError{std::string{flag} +
+                                     " needs a percentage in [0, 100], "
+                                     "got '" +
+                                     std::string{v} + "'"};
+    return pct;
 }
 
 /// Try to consume argv[i] (and possibly argv[i+1]) as one of the shared
@@ -101,13 +108,8 @@ inline bool parse_grid_flag(GridOptions& o, int argc, char** argv, int& i)
         return argv[++i];
     };
     if (a == "--jobs") {
-        const std::string v = need("--jobs");
-        const auto n =
-            parse_count(v, std::numeric_limits<unsigned>::max());
-        if (!n || *n == 0)
-            throw common::ToolchainError{
-                "--jobs needs a whole number >= 1, got '" + v + "'"};
-        o.jobs = static_cast<unsigned>(*n);
+        o.jobs = static_cast<unsigned>(count_flag(
+            a, need("--jobs"), 1, std::numeric_limits<unsigned>::max()));
         return true;
     }
     if (a == "--json") {
@@ -122,13 +124,7 @@ inline bool parse_grid_flag(GridOptions& o, int argc, char** argv, int& i)
         return true;
     }
     if (a == "--timeout-ms") {
-        const std::string v = need("--timeout-ms");
-        const auto n = parse_count(v, kMaxTimeoutMs);
-        if (!n)
-            throw common::ToolchainError{
-                "--timeout-ms needs a whole number of ms up to 2^40, got '" +
-                v + "'"};
-        o.timeout_ms = *n;
+        o.timeout_ms = count_flag(a, need("--timeout-ms"), 0, kMaxTimeoutMs);
         return true;
     }
     if (a == "--smoke") {

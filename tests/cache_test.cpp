@@ -71,8 +71,8 @@ std::string results_json(const std::vector<JobOutcome>& outcomes)
     return results.dump();
 }
 
-std::unique_ptr<exec::ResultCache> open(const std::string& root,
-                                        const char* rev = "rev1")
+std::unique_ptr<exec::ResultCache> make_cache(const std::string& root,
+                                              const char* rev = "rev1")
 {
     return std::make_unique<exec::ResultCache>(
         exec::CacheOptions{.root = root, .git_rev = rev});
@@ -177,7 +177,7 @@ TEST(Cache, ResultRoundTripsFullFidelity)
 
 TEST(Cache, ColdRunPublishesWarmRunServesBitIdentical)
 {
-    const auto cache = open(fresh_dir("cache_test_roundtrip"));
+    const auto cache = make_cache(fresh_dir("cache_test_roundtrip"));
     const std::vector<Job> jobs = small_grid();
 
     const auto cold =
@@ -201,7 +201,7 @@ TEST(Cache, ColdRunPublishesWarmRunServesBitIdentical)
 TEST(Cache, DigestCoversEverythingSimulated)
 {
     const std::string root = fresh_dir("cache_test_digest");
-    const auto cache = open(root);
+    const auto cache = make_cache(root);
     const riscv::Program base = tiny_program(7, 1, 0);
     const sim::MachineConfig cfg{};
     const u64 digest = exec::cell_digest(base, cfg);
@@ -259,7 +259,7 @@ TEST(Cache, DigestCoversEverythingSimulated)
     EXPECT_FALSE(cache->load(exec::cell_digest(moved, cfg))) << "layout";
 
     // Another build's cells never serve.
-    EXPECT_FALSE(open(root, "rev2")->load(digest)) << "git_rev";
+    EXPECT_FALSE(make_cache(root, "rev2")->load(digest)) << "git_rev";
 
     // The tier is host-only: both tiers produce bit-identical results.
     for (const sim::ExecTier tier :
@@ -277,7 +277,7 @@ TEST(Cache, DifferentlyNamedGridsShareCells)
     // a second grid with other job names — hwst_run's GridSpec, its
     // keybuffer tweak set to the default — is served in full by the
     // first grid's cells.
-    const auto cache = open(fresh_dir("cache_test_shared"));
+    const auto cache = make_cache(fresh_dir("cache_test_shared"));
     const auto first = Engine{EngineOptions{.jobs = 2, .cache = cache.get()}}
                            .run(small_grid("fig4"));
     const exec::GridSpec spec{
@@ -295,7 +295,7 @@ TEST(Cache, DifferentlyNamedGridsShareCells)
 
 TEST(Cache, TimedOutRunsAreNeverPublished)
 {
-    const auto cache = open(fresh_dir("cache_test_timeout"));
+    const auto cache = make_cache(fresh_dir("cache_test_timeout"));
     const std::vector<Job> jobs{exec::make_sim_job(
         "hang/none", "hang", compiler::Scheme::None, infinite_module,
         [](sim::MachineConfig& cfg) { cfg.fuel = 4'000'000'000ULL; })};
@@ -314,7 +314,7 @@ TEST(Cache, FaultCampaignNeverServesATimedOutRun)
     // A timeout is a fact about one host run, not about the cell: a
     // 1 ms budget times faulted runs out, and a rerun on the same cache
     // without a budget must classify every one of them.
-    const auto cache = open(fresh_dir("cache_test_fault_timeout"));
+    const auto cache = make_cache(fresh_dir("cache_test_fault_timeout"));
     fault::CampaignConfig cfg;
     cfg.workloads = {"bitcounts"}; // ~10 M instructions a run
     cfg.points = {sim::Probe::SrfSpatialWrite};
@@ -337,7 +337,7 @@ TEST(Cache, FaultCampaignNeverServesATimedOutRun)
 TEST(Cache, AuditFlagsCorruptionDanglingTempsAndStaleCells)
 {
     const std::string root = fresh_dir("cache_test_audit");
-    const auto cache = open(root);
+    const auto cache = make_cache(root);
     const std::vector<Job> jobs = small_grid();
     (void)Engine{EngineOptions{.jobs = 1, .cache = cache.get()}}.run(jobs);
 
@@ -375,7 +375,7 @@ TEST(Cache, AuditFlagsCorruptionDanglingTempsAndStaleCells)
 TEST(Cache, ConcurrentPublishStaysAuditClean)
 {
     const std::string root = fresh_dir("cache_test_race");
-    const auto cache = open(root);
+    const auto cache = make_cache(root);
     const exec::json::Value payload =
         exec::result_to_json(synthetic_result());
 
@@ -418,7 +418,7 @@ TEST(Cache, MapChunksAreServedFromTheCache)
     // MapCodec: a cold map publishes each chunk's payload under key(i),
     // and a warm map in a fresh Engine decodes every out[i] from the
     // cache without calling fn.
-    const auto cache = open(fresh_dir("cache_test_map"));
+    const auto cache = make_cache(fresh_dir("cache_test_map"));
     const exec::MapCodec<u64> codec{
         .key = [](std::size_t i) { return exec::derive_seed(0x7, i); },
         .encode = [](const u64& v) { return exec::json::Value{v}; },

@@ -245,17 +245,22 @@ TEST(ExecCli, CountsAndPercentagesRejectJunk)
     // The parsers behind --seeds/--repeat/--keybuffer/fig6's stride and
     // --gate/--expect-cached.
     for (const char* bad : {"-1", "1x", "+1", " 1", "", "0", "0x10"})
-        EXPECT_FALSE(exec::parse_positive(bad).has_value()) << bad;
-    EXPECT_EQ(exec::parse_positive("7"), std::optional<u64>{7});
-    EXPECT_FALSE(exec::parse_positive("101", 100).has_value());
+        EXPECT_THROW(exec::count_flag("--seeds", bad, 1),
+                     common::ToolchainError)
+            << bad;
+    EXPECT_EQ(exec::count_flag("--seeds", "7", 1), 7u);
+    EXPECT_THROW(exec::count_flag("--repeat", "101", 1, 100),
+                 common::ToolchainError);
 
     for (const char* bad : {"-1", "1x", "+1", " 1", "", ".", "1.2.3",
                             "1e2", "nan", "inf", "100.5", "101"})
-        EXPECT_FALSE(exec::parse_percent(bad).has_value()) << bad;
-    EXPECT_EQ(exec::parse_percent("0"), std::optional<double>{0.0});
-    EXPECT_EQ(exec::parse_percent("30"), std::optional<double>{30.0});
-    EXPECT_EQ(exec::parse_percent("99.5"), std::optional<double>{99.5});
-    EXPECT_EQ(exec::parse_percent("100"), std::optional<double>{100.0});
+        EXPECT_THROW(exec::percent_flag("--gate", bad),
+                     common::ToolchainError)
+            << bad;
+    EXPECT_EQ(exec::percent_flag("--gate", "0"), 0.0);
+    EXPECT_EQ(exec::percent_flag("--gate", "30"), 30.0);
+    EXPECT_EQ(exec::percent_flag("--gate", "99.5"), 99.5);
+    EXPECT_EQ(exec::percent_flag("--gate", "100"), 100.0);
 }
 
 TEST(ExecCli, MalformedHwstJobsIsIgnored)
