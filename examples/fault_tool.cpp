@@ -5,12 +5,17 @@
 //
 //   fault_tool --list-points
 //   fault_tool --workload crc32 --point srf-spatial-write --trigger 5000
-//   fault_tool --workload treeadd --point lmsm-load --mode stuck-at
+//   fault_tool --workload treeadd --point lmsm-load --mode stuck-at --xor 0x40
 //   fault_tool --workload dijkstra --point keybuffer-fill --random 42
+//
+// --trigger and --random take decimal counts, --xor a hex mask (0x
+// prefix optional); anything else, signs and trailing junk included,
+// exits 2.
 #include <iostream>
 #include <string>
 
 #include "common/error.hpp"
+#include "exec/cli.hpp"
 #include "fault/campaign.hpp"
 #include "workloads/workload.hpp"
 
@@ -63,12 +68,14 @@ Options parse(int argc, char** argv)
         else if (a == "--point") o.point = parse_point(need("--point"));
         else if (a == "--mode")
             o.mode = fault::fault_mode_from_name(need("--mode"));
-        else if (a == "--trigger") o.trigger = std::stoull(need("--trigger"));
+        else if (a == "--trigger")
+            o.trigger = exec::count_flag(a, need("--trigger"));
         else if (a == "--xor")
-            o.xor_mask = std::stoull(need("--xor"), nullptr, 0);
+            o.xor_mask =
+                exec::count_flag(a, need("--xor"), 0, ~common::u64{0}, 16);
         else if (a == "--random") {
             o.random = true;
-            o.random_seed = std::stoull(need("--random"));
+            o.random_seed = exec::count_flag(a, need("--random"));
         } else if (a == "--list-points") o.list_points = true;
         else throw common::ToolchainError{"unknown flag: " + a};
     }

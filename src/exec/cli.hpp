@@ -37,33 +37,43 @@ struct GridOptions {
 /// steady_clock::now() + budget cannot overflow its nanosecond count.
 inline constexpr u64 kMaxTimeoutMs = u64{1} << 40;
 
-/// Parse a count (--jobs, --timeout-ms, HWST_JOBS): decimal digits
-/// only, at most `max`. Returns nullopt for anything else — "", "abc",
+/// Parse a count (--jobs, --timeout-ms, HWST_JOBS): digits of `base`
+/// only (10, or 16 with an optional 0x prefix and digits of either
+/// case), at most `max`. Returns nullopt for anything else — "", "abc",
 /// "4x", "-1", "+3", " 7", or a value above `max`.
 inline std::optional<u64> parse_count(std::string_view s,
-                                      u64 max = ~u64{0})
+                                      u64 max = ~u64{0}, unsigned base = 10)
 {
+    if (base == 16 && (s.starts_with("0x") || s.starts_with("0X")))
+        s.remove_prefix(2);
     if (s.empty()) return std::nullopt;
     u64 n = 0;
     for (const char c : s) {
-        if (c < '0' || c > '9') return std::nullopt;
-        const auto digit = static_cast<u64>(c - '0');
-        if (n > (max - digit) / 10) return std::nullopt;
-        n = n * 10 + digit;
+        u64 digit = 0;
+        if (c >= '0' && c <= '9') digit = static_cast<u64>(c - '0');
+        else if (base == 16 && c >= 'a' && c <= 'f')
+            digit = static_cast<u64>(c - 'a' + 10);
+        else if (base == 16 && c >= 'A' && c <= 'F')
+            digit = static_cast<u64>(c - 'A' + 10);
+        else return std::nullopt;
+        if (n > (max - digit) / base) return std::nullopt;
+        n = n * base + digit;
     }
     return n;
 }
 
 /// The value of a count flag (--jobs, --seeds, --repeat, fig6's
-/// stride, ...): parse_count's rules, at least `min` and at most `max`.
-/// Throws common::ToolchainError naming the flag otherwise.
+/// stride, fault_tool's --xor in base 16, ...): parse_count's rules, at
+/// least `min` and at most `max`. Throws common::ToolchainError naming
+/// the flag otherwise.
 inline u64 count_flag(std::string_view flag, std::string_view v,
-                      u64 min = 0, u64 max = ~u64{0})
+                      u64 min = 0, u64 max = ~u64{0}, unsigned base = 10)
 {
-    const auto n = parse_count(v, max);
+    const auto n = parse_count(v, max, base);
     if (!n || *n < min)
         throw common::ToolchainError{
-            std::string{flag} + " needs a whole number in [" +
+            std::string{flag} + " needs a " +
+            (base == 16 ? "hex" : "whole") + " number in [" +
             std::to_string(min) + ", " + std::to_string(max) + "], got '" +
             std::string{v} + "'"};
     return *n;

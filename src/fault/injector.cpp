@@ -25,19 +25,22 @@ u64 Injector::perturb(Probe point, u64 instret, u64 value)
                                       value ^ a.spec.xor_mask, value});
         }
     }
-    // A fault that has fired for good no longer holds the run on the
-    // interpreter: only the faults still armed do.
-    if (disarmed && machine_) machine_->set_probe_quiet_before(quiet_before());
+    // A fault that has fired for good no longer needs the hook called:
+    // only the faults still armed do.
+    if (disarmed && machine_) machine_->set_probe_quiet(quiet());
     return value;
 }
 
-u64 Injector::quiet_before() const
+sim::ProbeQuiet Injector::quiet() const
 {
-    // perturb() is the identity below every armed trigger.
-    u64 quiet = ~u64{0};
-    for (const Armed& a : armed_)
-        if (!a.done) quiet = std::min(quiet, a.spec.trigger_instret);
-    return quiet;
+    // perturb() is the identity at a point below its armed triggers.
+    sim::ProbeQuiet q = sim::kProbesQuiet;
+    for (const Armed& a : armed_) {
+        if (a.done) continue;
+        u64& at = q[static_cast<unsigned>(a.spec.point)];
+        at = std::min(at, a.spec.trigger_instret);
+    }
+    return q;
 }
 
 void Injector::attach(sim::Machine& m)
@@ -47,7 +50,7 @@ void Injector::attach(sim::Machine& m)
         [this](Probe point, u64 instret, u64 value) {
             return perturb(point, instret, value);
         },
-        quiet_before());
+        quiet());
 }
 
 } // namespace hwst::fault

@@ -27,12 +27,16 @@ public:
     u64 perturb(Probe point, u64 instret, u64 value);
 
     /// Install this injector on `m`. The injector must outlive the run.
-    /// The hook is declared quiet below the earliest armed trigger, so
-    /// the run executes on the dispatcher tier up to it. Each time a
-    /// one-shot fault fires, perturb() re-declares the quiet point on
-    /// `m` from the faults still armed, so the run goes back to the
-    /// dispatcher once its last one-shot fault has fired.
+    /// Each probe point is declared quiet below the earliest trigger
+    /// still armed there, so the Machine calls the hook only where a
+    /// fault may fire. Each time a one-shot fault fires, perturb()
+    /// re-declares the quiet points on `m` from the faults still armed:
+    /// a point whose last fault has fired is never called again.
     void attach(sim::Machine& m);
+
+    /// Per point, the earliest trigger among the faults still armed
+    /// there (~0 where none is): the quiet points attach() declares.
+    sim::ProbeQuiet quiet() const;
 
     bool fired() const { return fires_ != 0; }
     u64 fires() const { return fires_; }
@@ -48,9 +52,6 @@ private:
         FaultSpec spec;
         bool done = false; ///< one-shot faults disarm after firing
     };
-
-    /// Earliest trigger among the faults still armed (~0 if none).
-    u64 quiet_before() const;
 
     std::vector<Armed> armed_;
     sim::Machine* machine_ = nullptr; ///< set by attach()

@@ -5,8 +5,8 @@
 // run. A dispatcher run whose state is still the golden run's stores
 // its exact simulated state every kSpacing instructions in its
 // Program's store; a later fresh run of the same Program with the same
-// config (fuel aside) starts from the latest checkpoint before its quiet
-// point instead of instruction 0. Simulated results are identical to
+// config (fuel aside) starts from the latest checkpoint before its
+// lowest quiet point instead of instruction 0. Simulated results are identical to
 // simulating the prefix.
 //
 // Checkpoints are immutable once stored and shared by every Machine of

@@ -23,8 +23,12 @@ class Machine;
 /// the machine running with `out` untouched. For a run with a periodic
 /// fast-forward detector (sim/period.hpp) an earlier stop is the
 /// detector's next checkpoint, taken at the block boundary before it.
-/// Must only be called when no trace or probe hook is installed — the
-/// tier batches per-instruction bookkeeping those hooks would observe.
+/// Must only be called when no trace hook is installed — the tier
+/// batches per-instruction bookkeeping a trace hook would observe. The
+/// `Hooked` copy runs a probe-hooked Machine (probe points live past
+/// their quiet points), the other a hook-free one; a Machine runs each
+/// copy on that copy's block cache only.
+template <bool Hooked>
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                      common::u64 stride, common::u64 stop, hwst::Trap& out);
 

@@ -175,19 +175,22 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
     // exist yet, so those initial map_region calls cost nothing), and
     // deferred while the dispatcher is on-stack.
     mem_.set_invalidation_hook([this] {
-        if (!sbcache_) return;
-        if (in_dispatch_) sbcache_->request_flush();
-        else sbcache_->flush(dbt_stats_);
+        for (SuperblockCache* sc : {sbcache_.get(), sbcache_hooked_.get()}) {
+            if (!sc) continue;
+            if (in_dispatch_) sc->request_flush();
+            else sc->flush(dbt_stats_);
+        }
     });
 }
 
 const Machine::ActiveCompression& Machine::active_compression()
 {
     // Memoized against the CSR file's version counter: the decode +
-    // validate work only reruns after a CSR write. A probe hook
-    // bypasses the memo entirely — it must observe (and may perturb)
+    // validate work only reruns after a CSR write. A live CompCsrWidths
+    // point bypasses the memo — the hook must observe (and may perturb)
     // every single invocation, so its result is never reused.
-    if (!probe_hook_ && comp_version_ == csrs_.version()) return comp_memo_;
+    const bool live = probe_live(Probe::CompCsrWidths);
+    if (!live && comp_version_ == csrs_.version()) return comp_memo_;
     const u64 bitw = probe(Probe::CompCsrWidths,
                            csrs_.read(hwst::kCsrBitw).value_or(0));
     auto cfg = metadata::CompressionConfig::from_csr(
@@ -200,7 +203,7 @@ const Machine::ActiveCompression& Machine::active_compression()
         valid = false;
     }
     comp_memo_ = ActiveCompression{cfg, valid};
-    comp_version_ = probe_hook_ ? ~u64{0} : csrs_.version();
+    comp_version_ = live ? ~u64{0} : csrs_.version();
     return comp_memo_;
 }
 
@@ -451,8 +454,9 @@ Trap Machine::exec_hwst(const Instruction& in)
     return Trap{};
 }
 
-// The interpreter runs the hooked form, the dispatcher's generic HWST
-// executor (SbKind::Hwst) the hook-free one.
+// The interpreter and the probe-hooked dispatcher run the hooked form,
+// the hook-free dispatcher's generic HWST executor (SbKind::Hwst) the
+// other.
 template Trap Machine::exec_hwst<true>(const Instruction&);
 template Trap Machine::exec_hwst<false>(const Instruction&);
 
@@ -641,115 +645,13 @@ std::optional<RunResult> Machine::run_cancellable(
     const std::function<bool()>& cancel, u64 stride)
 {
     RunResult result;
-    // Countdown poll: one decrement per step instead of re-deriving the
-    // next poll point from instret_. Poll positions are unchanged
-    // (every `stride` loop iterations), and an uncancelled run is
-    // bit-identical either way.
     if (stride == 0) stride = 1;
-    const bool dbt = tier_ != ExecTier::Interp && !trace_;
-    // Periodic fast-forward (sim/period.hpp) only for runs that start
-    // with no hook: a probe hook may perturb any later instruction.
-    std::optional<PeriodDetector> period;
-    if (!probe_hook_) period.emplace(*this);
-    // True while the next instruction may run on the dispatcher: no
-    // probe hook, or one that promised to be the identity for it.
-    const auto quiet = [&] {
-        return dbt && (!probe_hook_ || instret_ + 1 < probe_quiet_before_);
-    };
-    // Golden-prefix checkpoints (sim/checkpoint.hpp), only for probe-
-    // hooked runs so that hook-free ones never pay for them. A fresh run
-    // starts from the latest checkpoint before its quiet point and its
-    // fuel limit; while still golden, it records every kSpacing.
-    CheckpointStore* store = nullptr;
-    CheckpointKey key;
-    if (dbt && probe_hook_ && prefix_golden_) {
-        store = &CheckpointStore::of(program_);
-        key = CheckpointKey{cfg_, program_.layout()};
-        key.config.fuel = 0;
-        if (instret_ == 0) {
-            if (const auto c = store->latest_below(
-                    key, std::min(probe_quiet_before_, cfg_.fuel)))
-                restore(*c);
-        }
-    }
-    bool fell_back = false;
-    u64 countdown = stride;
-    // One loop, two segment kinds: the dispatcher while the hook is
-    // quiet, the interpreter while it is not. A probe-hooked run may
-    // alternate several times (a one-shot fault re-quiets its hook once
-    // it has fired).
-    while (running_) {
-        if (quiet()) {
-            // Superblock tier (sim/dispatch.cpp) with the hook detached
-            // (the guard reinstalls it on every exit, cancellation and
-            // exceptions included), stopping one instruction short of
-            // the first one the hook may perturb. Cancellation polls
-            // move to block boundaries — every >= stride retired
-            // instructions — which cannot change simulated results (a
-            // poll that does not fire has no architectural effect).
-            // A hook attached since the run started ends detection: the
-            // detector's skips stop only at the fuel limit. Otherwise the
-            // detector's next checkpoint is the stop.
-            if (probe_hook_) period.reset();
-            u64 stop =
-                probe_hook_ ? std::min(cfg_.fuel, probe_quiet_before_ - 1)
-                : period    ? std::min(cfg_.fuel, period->next_checkpoint())
-                            : cfg_.fuel;
-            // A recording run also stops at the next checkpoint instret
-            // if that lies within the quiet prefix and below the fuel.
-            const u64 checkpoint =
-                (instret_ / CheckpointStore::kSpacing + 1) *
-                CheckpointStore::kSpacing;
-            const bool record = store && prefix_golden_ &&
-                                checkpoint <= stop && checkpoint < cfg_.fuel;
-            if (record) stop = checkpoint;
-            struct Detach {
-                ProbeHook& slot;
-                ProbeHook saved;
-                explicit Detach(ProbeHook& s)
-                    : slot{s}, saved{std::exchange(s, nullptr)}
-                {
-                }
-                ~Detach() { slot = std::move(saved); }
-            } detach{probe_hook_};
-            if (!sbcache_) sbcache_ = std::make_unique<SuperblockCache>();
-            in_dispatch_ = true;
-            const bool finished = run_superblocks(
-                *this, cancel ? &cancel : nullptr, stride, stop, result.trap);
-            in_dispatch_ = false;
-            if (!finished) return std::nullopt;
-            if (record && running_ && instret_ == checkpoint)
-                store->record(*this, key);
-            continue;
-        }
-        // Interpreter tier: per-instruction hooks installed (or the
-        // tier pinned to interp outright). Counted once per run,
-        // however many interpreter segments it has. A live hook may perturb what
-        // follows, so the state stops being the golden run's.
-        prefix_golden_ = false;
-        if (!fell_back && tier_ != ExecTier::Interp) {
-            fell_back = true;
-            ++dbt_stats_.fallback_runs;
-        }
-        // The quiet point is re-read after every retired instruction:
-        // the hook may re-declare it from inside a probe call.
-        do {
-            if (cancel && --countdown == 0) {
-                if (cancel()) return std::nullopt;
-                countdown = stride;
-            }
-            if (instret_ >= cfg_.fuel) {
-                result.trap = Trap{TrapKind::FuelExhausted, 0, pc_};
-                running_ = false;
-                break;
-            }
-            const Trap trap = retire_one();
-            if (trap.kind != TrapKind::None) {
-                result.trap = trap;
-                break;
-            }
-        } while (running_ && !quiet());
-    }
+    const bool finished =
+        tier_ == ExecTier::Interp || trace_
+            ? run_interpreted(cancel, stride, result.trap)
+        : probe_hook_ ? run_probe_hooked(cancel, stride, result.trap)
+                      : run_hook_free(cancel, stride, result.trap);
+    if (!finished) return std::nullopt;
     result.exit_code = exit_code_;
     result.cycles = cycles_;
     result.instret = instret_;
@@ -764,6 +666,107 @@ std::optional<RunResult> Machine::run_cancellable(
     result.smac_translations = smac_.translations();
     result.mix = mix_;
     return result;
+}
+
+bool Machine::run_interpreted(const std::function<bool()>& cancel,
+                              u64 stride, Trap& out)
+{
+    // The tier pinned to interp, or a trace hook that must see every
+    // instruction. The state stops being the golden run's.
+    prefix_golden_ = false;
+    if (tier_ != ExecTier::Interp) ++dbt_stats_.fallback_runs;
+    // Countdown poll: one decrement per step instead of re-deriving the
+    // next poll point from instret_.
+    u64 countdown = stride;
+    while (running_) {
+        if (cancel && --countdown == 0) {
+            if (cancel()) return false;
+            countdown = stride;
+        }
+        if (instret_ >= cfg_.fuel) {
+            out = Trap{TrapKind::FuelExhausted, 0, pc_};
+            running_ = false;
+            break;
+        }
+        if (const Trap trap = retire_one(); trap.kind != TrapKind::None) {
+            out = trap;
+            break;
+        }
+    }
+    return true;
+}
+
+template <bool Hooked>
+bool Machine::dispatch(const std::function<bool()>& cancel, u64 stride,
+                       u64 stop, Trap& out)
+{
+    // Cancellation polls move to block boundaries — every >= stride
+    // retired instructions — which cannot change simulated results (a
+    // poll that does not fire has no architectural effect).
+    auto& sc = sbcache<Hooked>();
+    if (!sc) sc = std::make_unique<SuperblockCache>();
+    in_dispatch_ = true;
+    const bool finished = run_superblocks<Hooked>(
+        *this, cancel ? &cancel : nullptr, stride, stop, out);
+    in_dispatch_ = false;
+    return finished;
+}
+
+bool Machine::run_hook_free(const std::function<bool()>& cancel, u64 stride,
+                            Trap& out)
+{
+    // Periodic fast-forward (sim/period.hpp): each segment stops at the
+    // detector's next checkpoint.
+    PeriodDetector period{*this};
+    while (running_) {
+        const u64 stop = std::min(cfg_.fuel, period.next_checkpoint());
+        if (!dispatch<false>(cancel, stride, stop, out)) return false;
+    }
+    return true;
+}
+
+bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
+                               u64 stride, Trap& out)
+{
+    // No periodic fast-forward: the hook may perturb any later
+    // instruction. Golden-prefix checkpoints (sim/checkpoint.hpp)
+    // instead: a fresh run starts from the latest checkpoint below its
+    // lowest quiet point and its fuel limit, and records every kSpacing
+    // while still golden.
+    const auto lowest_quiet = [this] {
+        return *std::ranges::min_element(probe_quiet_);
+    };
+    CheckpointStore* store = nullptr;
+    CheckpointKey key;
+    if (prefix_golden_) {
+        store = &CheckpointStore::of(program_);
+        key = CheckpointKey{cfg_, program_.layout()};
+        key.config.fuel = 0;
+        if (instret_ == 0) {
+            if (const auto c = store->latest_below(
+                    key, std::min(lowest_quiet(), cfg_.fuel)))
+                restore(*c);
+        }
+    }
+    while (running_) {
+        // A golden run stops at the next checkpoint instret if no probe
+        // point is live up to it and it lies below the fuel. A segment
+        // that may reach a live point leaves the golden run for good.
+        u64 stop = cfg_.fuel;
+        const u64 checkpoint =
+            (instret_ / CheckpointStore::kSpacing + 1) *
+            CheckpointStore::kSpacing;
+        if (prefix_golden_) {
+            if (checkpoint < lowest_quiet() && checkpoint < cfg_.fuel)
+                stop = checkpoint;
+            else
+                prefix_golden_ = false;
+        }
+        if (!dispatch<true>(cancel, stride, stop, out)) return false;
+        if (prefix_golden_ && running_ && instret_ == checkpoint)
+            store->record(*this, key);
+    }
+    return true;
 }
 
 namespace {

@@ -101,11 +101,11 @@ struct MachineConfig {
     u64 fuel = 400'000'000; ///< max instructions before FuelExhausted
     /// Execution tier. `Auto` and `Dbt` run the superblock dispatcher,
     /// `Interp` pins the interpreter. Runs automatically fall back to
-    /// the interpreter while a trace hook is installed, and while the
-    /// probe hook is not quiet (see Machine::set_probe_hook). The
-    /// HWST_TIER environment variable (see env_tier()) overrides this
-    /// field — it is how the tier-smoke bench target forces both tiers
-    /// through identical binaries.
+    /// the interpreter while a trace hook is installed; a probe hook
+    /// keeps the run on the dispatcher (see Machine::set_probe_hook).
+    /// The HWST_TIER environment variable (see env_tier()) overrides
+    /// this field — it is how the tier-smoke bench target forces both
+    /// tiers through identical binaries.
     ExecTier tier = ExecTier::Auto;
     TimingConfig timing{};
     RuntimeConfig runtime{};
@@ -231,6 +231,18 @@ enum class Probe : common::u8 {
 
 inline constexpr unsigned kNumProbes = 8;
 
+/// One quiet point per Probe, indexed by its value: the probe hook is
+/// called at point `p` only on instructions retiring with instret >=
+/// quiet[p] (see Machine::set_probe_hook).
+using ProbeQuiet = std::array<u64, kNumProbes>;
+
+/// Every point quiet for good: no hook call ever.
+inline constexpr ProbeQuiet kProbesQuiet = [] {
+    ProbeQuiet q{};
+    q.fill(~u64{0});
+    return q;
+}();
+
 class Machine;
 
 enum class SrfRule : common::u8; // sim/ops.hpp
@@ -238,8 +250,10 @@ class PeriodDetector;  // sim/period.hpp
 class CheckpointStore; // sim/checkpoint.hpp
 struct Checkpoint;     // sim/checkpoint.hpp
 
-/// Superblock-tier dispatcher (sim/dispatch.cpp); a friend of Machine
+/// Superblock-tier dispatcher (sim/dispatch_impl.hpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
+/// `Hooked` picks the copy that runs with probe points live.
+template <bool Hooked>
 bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
                      u64 stride, u64 stop, hwst::Trap& out);
 
@@ -314,35 +328,37 @@ public:
         std::function<void(u64 pc, const riscv::Instruction&)>;
     void set_trace(TraceHook hook) { trace_ = std::move(hook); }
 
-    /// Value-perturbation hook, invoked at every Probe point with the
+    /// Value-perturbation hook, invoked at Probe points with the
     /// in-flight value; whatever it returns is used instead (return
     /// `value` unchanged for a transparent observer). Pass nullptr to
     /// disable. The fault engine (src/fault/) is the main client.
     ///
-    /// `quiet_before` is the caller's promise that every call with
-    /// `instret < quiet_before` returns `value` unchanged and has no
-    /// side effect. The dispatcher tier then runs with the hook detached
-    /// until the next instruction would retire with `instret ==
-    /// quiet_before`, and the interpreter takes over with the hook
-    /// live. 0 (no promise) keeps the whole run on the interpreter.
-    /// Such a run also shares golden-prefix checkpoints with the other
-    /// Machines of its Program (sim/checkpoint.hpp): it may start from
-    /// one below `quiet_before` and records new ones on the way.
+    /// `quiet` holds one quiet point per Probe: the hook is called at
+    /// point `p` only by instructions that retire with `instret >=
+    /// quiet[p]`, and `instret` is what step() would pass, on either
+    /// tier. The default (all 0) calls it everywhere; ~0 never calls it
+    /// at that point. The run stays on the dispatcher tier either way.
+    /// The hook sees only its arguments: on the dispatcher, Machine
+    /// counters such as cycles() and instret() are batched per block,
+    /// so they may lag the instruction in flight.
+    ///
+    /// A run whose points are all quiet so far shares golden-prefix
+    /// checkpoints with the other Machines of its Program
+    /// (sim/checkpoint.hpp): a fresh one may start from one below its
+    /// lowest quiet point and records new ones on the way.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
-    void set_probe_hook(ProbeHook hook, u64 quiet_before = 0)
+    void set_probe_hook(ProbeHook hook, const ProbeQuiet& quiet = {})
     {
         probe_hook_ = std::move(hook);
-        probe_quiet_before_ = quiet_before;
+        set_probe_quiet(quiet);
     }
 
-    /// Re-declare the hook's quiet point (same promise as
-    /// set_probe_hook's `quiet_before`). The hook may call this from
-    /// inside a probe call: the interpreter re-reads the quiet point
-    /// after every retired instruction and hands the run back to the
-    /// dispatcher as soon as the next instruction is quiet again.
-    void set_probe_quiet_before(u64 quiet_before)
+    /// Re-declare the hook's quiet points (same meaning as
+    /// set_probe_hook's `quiet`). The hook may call this from inside a
+    /// probe call; the next probe call reads the new points.
+    void set_probe_quiet(const ProbeQuiet& quiet)
     {
-        probe_quiet_before_ = quiet_before;
+        probe_quiet_ = probe_hook_ ? quiet : kProbesQuiet;
     }
 
     // ---- introspection (tests, examples) -----------------------------
@@ -412,11 +428,11 @@ public:
 
     /// The execution tier this Machine resolved to (config and
     /// HWST_TIER folded together at construction; never Auto).
-    /// Trace hooks still pin individual runs to the interpreter; a probe hook pins the parts of a run it has not
-    /// declared quiet (see set_probe_quiet_before).
+    /// Trace hooks still pin individual runs to the interpreter.
     ExecTier tier() const { return tier_; }
 
 private:
+    template <bool Hooked>
     friend bool run_superblocks(Machine&, const std::function<bool()>*,
                                 u64, u64, hwst::Trap&);
     friend class PeriodDetector;
@@ -428,6 +444,25 @@ private:
     /// Take the state of a golden-prefix checkpoint (sim/checkpoint.hpp)
     /// and drop every host cache derived from simulated state.
     void restore(const Checkpoint& c);
+    /// run_cancellable's three run kinds; false when `cancel` fired.
+    bool run_interpreted(const std::function<bool()>& cancel, u64 stride,
+                         hwst::Trap& out);
+    bool run_hook_free(const std::function<bool()>& cancel, u64 stride,
+                       hwst::Trap& out);
+    bool run_probe_hooked(const std::function<bool()>& cancel, u64 stride,
+                          hwst::Trap& out);
+    /// The block cache of the run_superblocks<Hooked> copy (null until
+    /// its first run).
+    template <bool Hooked>
+    std::unique_ptr<SuperblockCache>& sbcache()
+    {
+        return Hooked ? sbcache_hooked_ : sbcache_;
+    }
+    /// One run_superblocks<Hooked> segment up to `stop`, on the block
+    /// cache of that copy.
+    template <bool Hooked>
+    bool dispatch(const std::function<bool()>& cancel, u64 stride, u64 stop,
+                  hwst::Trap& out);
     void set_reg(Reg r, u64 v)
     {
         if (r != Reg::zero) regs_[riscv::reg_index(r)] = v;
@@ -457,11 +492,21 @@ private:
 
     // ---- op semantics, defined once in sim/ops.hpp ---------------------
     // `Hooked`: probe points live and the csr.bitw decode through
-    // active_compression() (the interpreter), or no probes and the
-    // decode memo read directly (the dispatcher, which never runs with a
-    // hook attached).
+    // active_compression() (the interpreter and the probe-hooked
+    // dispatcher), or no probes and the decode memo read directly (the
+    // hook-free dispatcher).
 
-    /// Run `value` through the probe hook (identity when no hook set).
+    /// The instret step() passes to a probe for the instruction in
+    /// flight: on the dispatcher, instret_ plus the ops of the block
+    /// not yet counted.
+    u64 probe_instret() const { return instret_ + probe_pos_; }
+    /// Whether the hook is called at `p` for the instruction in flight.
+    bool probe_live(Probe p) const
+    {
+        return probe_instret() >= probe_quiet_[static_cast<unsigned>(p)];
+    }
+    /// Run `value` through the probe hook while `p` is live (identity
+    /// otherwise).
     template <bool Hooked = true>
     u64 probe(Probe p, u64 value);
     template <bool Hooked>
@@ -494,12 +539,13 @@ private:
     template <bool Hooked>
     hwst::Trap tchk(Reg ptr);
 
-    // Superblock DBT tier state. The block cache is created lazily on
-    // the first translated run; comp_memo_ caches active_compression()
-    // against the CSR file's version counter (bypassed whenever a probe
-    // hook is installed — the hook must see every invocation, so a
-    // hooked result is stored with an invalid version; the dispatcher
-    // runs only while no hook is attached).
+    // Superblock DBT tier state. The hook-free dispatcher copy's block
+    // cache (the probe-hooked copy has its own, sbcache_hooked_: the
+    // copies bind different label addresses), created lazily on its
+    // first run; comp_memo_ caches active_compression() against the
+    // CSR file's version counter (bypassed while CompCsrWidths is live
+    // — the hook must see every invocation, so a hooked result is
+    // stored with an invalid version).
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
     ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
@@ -565,15 +611,24 @@ private:
     InstrMix mix_;
     TraceHook trace_;
     ProbeHook probe_hook_;
-    u64 probe_quiet_before_ = 0; ///< see set_probe_hook
+    ProbeQuiet probe_quiet_ = kProbesQuiet; ///< see set_probe_hook
+    // Ops of the running block executed but not yet counted in
+    // instret_, the one in flight included: set by the probe-hooked
+    // dispatcher copy, 0 everywhere else (see probe_instret()).
+    u64 probe_pos_ = 0;
 
     // True while this Machine's state is the hook-free run's: every
-    // instruction so far retired on the dispatcher (with any probe hook
-    // quiet and detached) and no accessor has handed out mutable state.
-    // Only such a Machine records or restores golden-prefix checkpoints
-    // (sim/checkpoint.hpp). Cleared for good by the first interpreted
-    // instruction.
+    // instruction so far retired on the dispatcher below every probe
+    // point's quiet point, and no accessor has handed out mutable
+    // state. Only such a Machine records or restores golden-prefix
+    // checkpoints (sim/checkpoint.hpp). Cleared for good by the first
+    // interpreted instruction and by a dispatcher segment that may
+    // reach a live probe point.
     bool prefix_golden_ = true;
+
+    // The probe-hooked dispatcher copy's block cache (see sbcache_).
+    // Last, so that no member the hook-free dispatcher reads moved.
+    std::unique_ptr<SuperblockCache> sbcache_hooked_;
 };
 
 } // namespace hwst::sim

@@ -5,14 +5,15 @@
 //    expression (RV64IM, branches), access width (loads, stores), SRF
 //    rule, functional unit, InstrMix bucket and superblock executor
 //    kind. Machine::exec/exec_hwst expand their cases from the rows,
-//    the dispatcher (dispatch.cpp) its executor bodies, and translation
+//    the dispatcher (dispatch_impl.hpp) its executor bodies, and translation
 //    (superblock.cpp) reads kind, rd == x0 fold and static cycles from
 //    kOpTraits. An Opcode without a row does not compile;
 //  * the memory and HWST metadata ops are Machine members templated on
-//    `Hooked`. The interpreter runs them with Hooked = true: probe
-//    points live and the csr.bitw decode goes through
-//    active_compression()'s probe-hook bypass. The dispatcher, which
-//    only runs while no hook is attached, runs Hooked = false: no
+//    `Hooked`. The interpreter and the probe-hooked dispatcher copy run
+//    them with Hooked = true: each probe point calls the hook from its
+//    quiet point on, and the csr.bitw decode goes through
+//    active_compression(), which bypasses its memo while CompCsrWidths
+//    is live. The hook-free dispatcher copy runs Hooked = false: no
 //    probes, the decode memo read directly.
 //
 // Accounting is not defined here: the interpreter counts per step in
@@ -435,19 +436,22 @@ constexpr const OpTraits& op_traits(Opcode op)
 template <bool Hooked>
 [[gnu::always_inline]] inline u64 Machine::probe(Probe p, u64 value)
 {
-    if constexpr (Hooked)
-        return probe_hook_ ? probe_hook_(p, instret_, value) : value;
-    else
-        return value;
+    if constexpr (Hooked) {
+        if (probe_live(p)) [[unlikely]]
+            return probe_hook_(p, probe_instret(), value);
+    }
+    return value;
 }
 
 template <bool Hooked>
 [[gnu::always_inline]] inline const Machine::ActiveCompression&
 Machine::compression()
 {
-    if constexpr (!Hooked) {
-        if (comp_version_ == csrs_.version()) [[likely]] return comp_memo_;
+    // active_compression()'s memo test, inlined.
+    if constexpr (Hooked) {
+        if (probe_live(Probe::CompCsrWidths)) return active_compression();
     }
+    if (comp_version_ == csrs_.version()) [[likely]] return comp_memo_;
     return active_compression();
 }
 
@@ -500,8 +504,8 @@ template <bool Hooked>
     // Fill data is the one datapath HWST metadata does not cover (the
     // paper leaves data integrity to ECC); expose it as its own probe.
     if constexpr (Hooked) {
-        if (probe_hook_ && dcache_.last_access_missed())
-            value = probe_hook_(Probe::DcacheFillData, instret_, value);
+        if (dcache_.last_access_missed())
+            value = probe<true>(Probe::DcacheFillData, value);
     }
     return value;
 }

@@ -168,9 +168,8 @@ struct DbtStats {
     u64 flushes = 0;       ///< block-cache invalidations (map_region)
     u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits
     u64 jalr_misses = 0;   ///< jalr inline-cache misses (way refilled)
-    /// Runs that used the interpreter because of a hook; a probe-hooked
-    /// run counts once, however many interpreter segments it alternates
-    /// with the dispatcher.
+    /// Runs that used the interpreter because of a trace hook. A probe
+    /// hook never makes a run fall back.
     u64 fallback_runs = 0;
     /// Exact periodic fast-forwards (sim/period.hpp) and the
     /// instructions they skipped.

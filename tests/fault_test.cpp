@@ -1,15 +1,16 @@
 // Tests of the metadata fault-injection engine (src/fault/) and the
 // graceful-degradation paths it exercises: the injector's trigger
 // semantics, the trap-or-survive oracle, saturating metadata
-// compression at machine level, a small deterministic campaign, and
-// the dispatcher fast-forward of faulted runs and their golden-prefix
-// checkpoints.
+// compression at machine level, a small deterministic campaign,
+// faulted runs on the probe-hooked dispatcher with per-point quiet
+// points, and their golden-prefix checkpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -331,11 +332,11 @@ TEST(FaultCampaign, SmokeNoSilentCorruptionAtProtectedPoints)
 
 // ------------------------------------------- dispatcher fast-forward
 //
-// Injector::attach declares its hook quiet below the earliest armed
-// trigger, so the run executes that prefix on the dispatcher and
-// continues on the interpreter. The reference installs the same
-// perturb() without the promise, which keeps the whole run on the
-// interpreter; both must agree on every observable.
+// Injector::attach declares each probe point quiet below the earliest
+// trigger armed there, and the whole run executes on the probe-hooked
+// dispatcher. The reference installs the same perturb() with every
+// point live on the interpreter tier; both must agree on every
+// observable.
 
 /// A miniature treeadd (src/workloads/olden.cpp) that also frees its
 /// tree: heap pointers stored to and reloaded from memory, a tchk on
@@ -474,11 +475,13 @@ FaultedRun finish_faulted(std::optional<sim::RunResult> result,
 }
 
 /// One faulted run of the fixture: through attach() (fast-forward) or
-/// with the same hook and no quiet promise (all-interpreter reference).
+/// with the same hook, every point live, on the interpreter tier
+/// (all-interpreter reference).
 FaultedRun run_faulted(const fault::FaultPlan& plan, bool fast_forward,
                        sim::MachineConfig cfg = ff_fixture().cp.machine_config)
 {
     fault::Injector inj{plan};
+    if (!fast_forward) cfg.tier = sim::ExecTier::Interp;
     Machine m{ff_fixture().cp.program, cfg};
     if (fast_forward) {
         inj.attach(m);
@@ -558,14 +561,14 @@ TEST(FastForward, MatchesAllInterpreterRunAtEveryProbeModeAndTrigger)
     const auto& f = ff_fixture();
     const u64 g = f.golden.instret;
     // Probes see instret after the increment: trigger T first fires on
-    // the instruction that makes instret == T, so the dispatcher stops
-    // after T - 1. `boundary + 1` stops exactly at a block end,
-    // `mid + 1` inside a block, `g + 1` never fires.
+    // the instruction that makes instret == T, so the dispatcher's first
+    // live probe call is T. `boundary + 1` is the first instruction of a
+    // block, `mid + 1` one inside a block, `g + 1` never fires.
     std::array<bool, sim::kNumProbes> fired{};
     for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
         const auto point = static_cast<Probe>(pi);
         // `exact` is an instruction that itself exercises the datapath,
-        // so a fast-forward that overshoots by one would miss the fire.
+        // so a dispatcher that mis-counts by one would miss the fire.
         const u64 exact =
             run_faulted(fault::FaultPlan::single(
                             point, fault::FaultMode::StuckAt, f.mid + 1, 0),
@@ -612,7 +615,7 @@ TEST(FastForward, TwoFaultPlanStopsAtTheEarlierTrigger)
     EXPECT_LT(ff.first_fire, late);
     if (dispatcher_available()) {
         EXPECT_GT(ff.dbt.block_execs, 0u);
-        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 0u);
     }
 }
 
@@ -682,22 +685,22 @@ TEST(FastForward, LateTriggerRunsThePrefixOnTheDispatcher)
     EXPECT_EQ(ref.dbt.block_execs, 0u);
     if (dispatcher_available()) {
         EXPECT_GT(ff.dbt.block_execs, 0u);
-        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 0u);
     }
 }
 
-// ------------------------------------------- dispatcher resume
+// ------------------------------------------- past the trigger
 //
 // Once a one-shot fault has fired, Injector::perturb re-declares the
-// quiet point from the faults still armed, and the run goes back to the
-// dispatcher. Stuck-at faults never disarm, so their runs stay on the
-// interpreter from the trigger on.
+// quiet points from the faults still armed, so its point is never
+// called again. Stuck-at faults never disarm, so their point stays live
+// from the trigger on. Either way the run stays on the dispatcher.
 
 /// A fast-forwarded run of the fixture, polled after every block (on
 /// the dispatcher) and every instruction (on the interpreter). Each
 /// poll is labelled 'D' if a dispatcher block ran since the previous
 /// one, else 'I'; `segments` keeps one letter per run of equal labels,
-/// so "DID" is dispatcher, interpreter, dispatcher again.
+/// so "DID" would be dispatcher, interpreter, dispatcher again.
 struct ObservedRun {
     FaultedRun run;
     std::string segments;
@@ -723,11 +726,14 @@ ObservedRun run_observed(const fault::FaultPlan& plan)
     return r;
 }
 
-/// Instret of the last call at `point` on the golden run.
+/// Instret of the last call at `point` on the golden run, with every
+/// point live on the interpreter tier.
 u64 last_probe_call(Probe point)
 {
     const auto& f = ff_fixture();
-    Machine m{f.cp.program, f.cp.machine_config};
+    sim::MachineConfig cfg = f.cp.machine_config;
+    cfg.tier = sim::ExecTier::Interp;
+    Machine m{f.cp.program, cfg};
     u64 last = 0;
     m.set_probe_hook([&](Probe p, u64 instret, u64 value) {
         if (p == point) last = instret;
@@ -737,11 +743,11 @@ u64 last_probe_call(Probe point)
     return last;
 }
 
-TEST(FastForward, EarlyOneShotTriggerResumesTheDispatcher)
+TEST(FastForward, EarlyOneShotTriggerStaysOnTheDispatcher)
 {
     const auto& f = ff_fixture();
-    // Trigger 1 leaves no quiet prefix: every dispatcher block runs
-    // after the fault has fired. The zero mask fires without changing
+    // Trigger 1 leaves no quiet prefix: every dispatcher block but the
+    // first few runs after the fault has fired. The zero mask fires without changing
     // the run, so it lasts as long as the golden one; 0x40 corrupts the
     // field widths.
     for (const u64 mask : {u64{0}, u64{0x40}}) {
@@ -758,25 +764,27 @@ TEST(FastForward, EarlyOneShotTriggerResumesTheDispatcher)
         EXPECT_LT(ff.first_fire, f.golden.instret / 4);
         if (dispatcher_available()) {
             EXPECT_GT(ff.dbt.block_execs, 0u);
-            EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+            EXPECT_EQ(ff.dbt.fallback_runs, 0u);
         }
     }
 }
 
-TEST(FastForward, StuckAtAtTheSameTriggerStaysOnTheInterpreter)
+TEST(FastForward, StuckAtAtTheSameTriggerStaysOnTheDispatcher)
 {
     const auto plan = fault::FaultPlan::single(
         Probe::CompCsrWidths, fault::FaultMode::StuckAt, 1, 0);
     const FaultedRun ff = run_faulted(plan, true);
     expect_same_faulted(ff, run_faulted(plan, false));
     EXPECT_GT(ff.fires, 1u);
-    EXPECT_EQ(ff.dbt.block_execs, 0u);
     if (dispatcher_available()) {
-        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+        EXPECT_GT(ff.dbt.block_execs, 0u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 0u);
+    } else {
+        EXPECT_EQ(ff.dbt.block_execs, 0u);
     }
 }
 
-TEST(FastForward, TwoOneShotFaultsResumeAfterEachFire)
+TEST(FastForward, TwoOneShotFaultsStayOnTheDispatcher)
 {
     const auto& f = ff_fixture();
     const u64 g = f.golden.instret;
@@ -792,26 +800,27 @@ TEST(FastForward, TwoOneShotFaultsResumeAfterEachFire)
     const FaultedRun ref = run_faulted(plan, false);
     expect_same_faulted(ff.run, ref);
     ASSERT_EQ(ref.fires, 2u);
-    // Neither trigger lands on a tchk, so each interpreter segment
-    // retires more than one instruction.
+    // Neither trigger lands on a tchk, so each fire comes more than one
+    // instruction after its trigger.
     EXPECT_GT(ref.log[0].instret, early);
     EXPECT_LT(ref.log[0].instret, late - 64);
     EXPECT_GT(ref.log[1].instret, late);
     EXPECT_LT(ref.log[1].instret, g - 64);
     if (dispatcher_available()) {
-        EXPECT_EQ(ff.segments, "DIDID");
-        EXPECT_EQ(ff.run.dbt.fallback_runs, 1u);
+        EXPECT_EQ(ff.segments, "D");
+        EXPECT_EQ(ff.run.dbt.fallback_runs, 0u);
     } else {
         EXPECT_EQ(ff.segments, "I");
     }
 }
 
-TEST(FastForward, ResumedDispatcherStopsShortOfTheNextTrigger)
+TEST(FastForward, SecondTriggerOnATchkFiresThere)
 {
     const auto& f = ff_fixture();
     const u64 early = f.golden.instret / 4;
-    // `exact` is a tchk, so a resumed segment that overshoots its stop
-    // by one instruction would retire it without the hook.
+    // `exact` is a tchk, so a dispatcher that passed the probe the
+    // wrong instret, or still held the point quiet after the first
+    // fire, would retire it without the fault.
     const u64 exact =
         run_faulted(fault::FaultPlan::single(Probe::KeybufferLookup,
                                              fault::FaultMode::OneShot,
@@ -828,16 +837,16 @@ TEST(FastForward, ResumedDispatcherStopsShortOfTheNextTrigger)
     ASSERT_EQ(ref.fires, 2u);
     EXPECT_EQ(ref.log[1].instret, exact);
     if (dispatcher_available()) {
-        EXPECT_EQ(ff.dbt.fallback_runs, 1u);
+        EXPECT_EQ(ff.dbt.fallback_runs, 0u);
     }
 }
 
-TEST(FastForward, ArmedOneShotThatNeverFiresStaysInterpreted)
+TEST(FastForward, ArmedOneShotThatNeverFiresStaysOnTheDispatcher)
 {
     const auto& f = ff_fixture();
     // Armed past the last D-cache miss refill, a few thousand
-    // instructions before the end: the fault holds the run on the
-    // interpreter to the end without ever firing.
+    // instructions before the end: the point stays live to the end
+    // without the fault ever firing, and the run on the dispatcher.
     const u64 trigger = last_probe_call(Probe::DcacheFillData) + 1;
     ASSERT_GT(trigger, 1u);
     ASSERT_LT(trigger, f.golden.instret - 64);
@@ -846,10 +855,10 @@ TEST(FastForward, ArmedOneShotThatNeverFiresStaysInterpreted)
     const ObservedRun ff = run_observed(plan);
     expect_same_faulted(ff.run, run_faulted(plan, false));
     EXPECT_EQ(ff.run.fires, 0u);
-    EXPECT_EQ(ff.segments, dispatcher_available() ? "DI" : "I");
+    EXPECT_EQ(ff.segments, dispatcher_available() ? "D" : "I");
 }
 
-TEST(FastForward, CancelInsideEitherSegmentResumesToTheSameRun)
+TEST(FastForward, CancelBeforeAndAfterTheFireResumesToTheSameRun)
 {
     const auto& f = ff_fixture();
     const u64 trigger = f.golden.instret / 4;
@@ -863,13 +872,13 @@ TEST(FastForward, CancelInsideEitherSegmentResumesToTheSameRun)
     fault::Injector inj{plan};
     Machine m{f.cp.program, f.cp.machine_config};
     inj.attach(m);
-    // Inside the interpreter segment: past the trigger, before the fire.
-    const auto in_interp = [&] { return m.instret() >= trigger; };
-    EXPECT_FALSE(m.run_cancellable(in_interp, 1).has_value());
+    // Past the trigger, before the fire (the point is live there).
+    const auto live = [&] { return m.instret() >= trigger; };
+    EXPECT_FALSE(m.run_cancellable(live, 1).has_value());
     EXPECT_GE(m.instret(), trigger);
     EXPECT_LT(m.instret(), fire);
     EXPECT_EQ(inj.fires(), 0u);
-    // Inside the resumed dispatcher segment: well past the fire.
+    // Well past the fire.
     const u64 execs = m.dbt_stats().block_execs;
     const auto in_dispatch = [&] { return m.instret() > fire + 64; };
     EXPECT_FALSE(m.run_cancellable(in_dispatch, 16).has_value());
@@ -879,6 +888,114 @@ TEST(FastForward, CancelInsideEitherSegmentResumesToTheSameRun)
     }
     const FaultedRun resumed = finish_faulted(m.run(), inj, m);
     expect_same_faulted(resumed, ref);
+}
+
+// ------------------------------------------- per-point quiet points
+//
+// The Machine calls the hook at a point only from that point's quiet
+// point on. Each run below is checked against the reference log: an
+// identity hook with every point live on the interpreter tier, which
+// never reads the compression memo.
+
+struct ProbeCall {
+    Probe point;
+    u64 instret;
+    u64 value;
+
+    bool operator==(const ProbeCall&) const = default;
+};
+
+/// Every call an identity hook with quiet points `quiet` receives over
+/// a run of the fixture on `tier`; the run itself must be the golden one.
+std::vector<ProbeCall> record_probe_calls(const sim::ProbeQuiet& quiet,
+                                          sim::ExecTier tier)
+{
+    const auto& f = ff_fixture();
+    sim::MachineConfig cfg = f.cp.machine_config;
+    cfg.tier = tier;
+    Machine m{f.cp.program, cfg};
+    std::vector<ProbeCall> calls;
+    m.set_probe_hook(
+        [&calls](Probe p, u64 instret, u64 value) {
+            calls.push_back(ProbeCall{p, instret, value});
+            return value;
+        },
+        quiet);
+    expect_same_run(m.run(), f.golden);
+    return calls;
+}
+
+/// The reference log's calls that `keep` selects.
+template <class Keep>
+std::vector<ProbeCall> reference_calls(Keep keep)
+{
+    static const std::vector<ProbeCall> all =
+        record_probe_calls({}, sim::ExecTier::Interp);
+    std::vector<ProbeCall> out;
+    std::ranges::copy_if(all, std::back_inserter(out), keep);
+    return out;
+}
+
+TEST(ProbeQuiet, ArmedPointIsTheOnlyOneThatReachesTheHook)
+{
+    const auto& f = ff_fixture();
+    for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
+        const auto point = static_cast<Probe>(pi);
+        for (const u64 trigger : {u64{1}, f.mid + 1}) {
+            SCOPED_TRACE(std::string{sim::probe_name(point)} + " @" +
+                         std::to_string(trigger));
+            const fault::Injector inj{fault::FaultPlan::single(
+                point, fault::FaultMode::StuckAt, trigger, 0x1)};
+            const sim::ProbeQuiet quiet = inj.quiet();
+            for (unsigned q = 0; q < sim::kNumProbes; ++q)
+                EXPECT_EQ(quiet[q], q == pi ? trigger : ~u64{0});
+            const auto want = reference_calls([&](const ProbeCall& c) {
+                return c.point == point && c.instret >= trigger;
+            });
+            if (trigger == 1) {
+                EXPECT_FALSE(want.empty());
+            }
+            for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Interp})
+                EXPECT_EQ(record_probe_calls(quiet, tier), want)
+                    << sim::tier_name(tier);
+        }
+        // A one-shot fault that has fired leaves every point quiet.
+        fault::Injector inj{fault::FaultPlan::single(
+            point, fault::FaultMode::OneShot, 1, 0)};
+        Machine m{f.cp.program, f.cp.machine_config};
+        inj.attach(m);
+        m.run();
+        EXPECT_EQ(inj.fires(), 1u);
+        EXPECT_EQ(inj.quiet(), sim::kProbesQuiet);
+    }
+}
+
+TEST(ProbeQuiet, CompressionMemoServesOnlyWhileCompCsrWidthsIsQuiet)
+{
+    const auto& f = ff_fixture();
+    // LmsmLoad live throughout keeps the run hooked, so every metadata
+    // op decodes the widths through active_compression(); with
+    // CompCsrWidths quiet, those decodes never reach the hook.
+    sim::ProbeQuiet quiet = sim::kProbesQuiet;
+    quiet[static_cast<unsigned>(Probe::LmsmLoad)] = 0;
+    const auto lmsm = reference_calls(
+        [](const ProbeCall& c) { return c.point == Probe::LmsmLoad; });
+    ASSERT_FALSE(lmsm.empty());
+    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Interp})
+        EXPECT_EQ(record_probe_calls(quiet, tier), lmsm)
+            << sim::tier_name(tier);
+    // CompCsrWidths live from mid-run: the memo its quiet prefix built
+    // must not serve a single decode from then on.
+    const u64 live = f.mid + 1;
+    quiet[static_cast<unsigned>(Probe::CompCsrWidths)] = live;
+    const auto want = reference_calls([&](const ProbeCall& c) {
+        return c.point == Probe::LmsmLoad ||
+               (c.point == Probe::CompCsrWidths && c.instret >= live);
+    });
+    ASSERT_GT(want.size(), lmsm.size());
+    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Interp})
+        EXPECT_EQ(record_probe_calls(quiet, tier), want)
+            << sim::tier_name(tier);
 }
 
 // ------------------------------------------- golden-prefix checkpoints
@@ -925,7 +1042,7 @@ FaultedRun run_prefix(const Program& program, const fault::FaultPlan& plan,
     return finish_faulted(m.run(), inj, m);
 }
 
-/// The reference: the same hook with no quiet promise on the
+/// The reference: the same hook with every point live on the
 /// interpreter tier.
 FaultedRun run_interp(const Program& program, const fault::FaultPlan& plan,
                       sim::MachineConfig cfg)
@@ -1155,8 +1272,8 @@ TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
         p.emit_li(Reg::a0, 0);
     });
     const sim::MachineConfig cfg{};
-    // LmsmLoad never fires here: the run stays interpreted from the
-    // trigger to the end.
+    // LmsmLoad never fires here: its point stays live from the trigger
+    // to the end.
     const auto plan = fault::FaultPlan::single(
         Probe::LmsmLoad, fault::FaultMode::OneShot, 2 * kSpacing + 99, 0x1);
     const FaultedRun ref = run_interp(b.program, plan, cfg);

@@ -337,12 +337,14 @@ TEST(PeriodicSkip, MoreThan64ResidentPagesDoNotSkip)
 
 TEST(PeriodicSkip, QuietProbeHookDoesNotSkip)
 {
-    // The hook promises to stay quiet past the fuel limit, so the whole
-    // run dispatches; a run that starts hooked is never fast-forwarded.
+    // Every point stays quiet past the fuel limit, so the hook is never
+    // called; a run that starts hooked is still never fast-forwarded.
     const DbtRun r = run_both(
         store_evict_loop(), config(sim::ExecTier::Dbt), [](sim::Machine& m) {
+            sim::ProbeQuiet quiet{};
+            quiet.fill(kFuel + 1);
             m.set_probe_hook([](sim::Probe, u64, u64 v) { return v; },
-                             kFuel + 1);
+                             quiet);
         });
     EXPECT_EQ(r.stats.period_skips, 0u);
     EXPECT_EQ(r.stats.fallback_runs, 0u);

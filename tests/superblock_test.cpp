@@ -1,4 +1,4 @@
-// Execution tiers (src/sim/dispatch.cpp): the superblock dispatcher is
+// Execution tiers (src/sim/dispatch_impl.hpp): the superblock dispatcher is
 // a pure host-side accelerator, so every test here is a differential
 // one — the same program runs under the interpreter and the dispatcher
 // (MachineConfig::tier) and the full RunResult must be bit-identical:
@@ -10,8 +10,9 @@
 // are also pinned to golden digests. The workload tests cover compiled
 // schemes and ecalls; dedicated tests pin down tier resolution, block
 // invalidation and arena overflow, chaining (jalr inline-cache evictions
-// included), hook-forced fallback, cancellation strides, fuel traps and
-// mid-stream CSR reads of the batched counters.
+// included), trace-hook fallback, probe-hook calls on both tiers,
+// cancellation strides, fuel traps and mid-stream CSR reads of the
+// batched counters.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -803,6 +805,24 @@ sim::RunResult run_both_tiers(const HwstCase& c, bool keybuffer)
     return a;
 }
 
+/// The clean fuzzed HWST program of seed `i`.
+HwstCase fuzz_case(u64 i)
+{
+    Xoshiro256 rng{0x4857F + i * 7919};
+    return fuzz_hwst_program(rng, Plant::None);
+}
+
+/// The fuzzed HWST program of seed `i` with a planted trap, the four
+/// plants in turn.
+HwstCase trap_case(u64 i)
+{
+    static const Plant kPlants[] = {Plant::OutOfBounds, Plant::ErasedKey,
+                                    Plant::SaturatedBounds,
+                                    Plant::SaturatedLock};
+    Xoshiro256 rng{0x7A9F + i * 104729};
+    return fuzz_hwst_program(rng, kPlants[i % 4]);
+}
+
 class SuperblockHwstFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SuperblockHwstFuzz, DbtMatchesInterpreterAndGolden)
@@ -815,8 +835,7 @@ TEST_P(SuperblockHwstFuzz, DbtMatchesInterpreterAndGolden)
         0x547d47feec0fda3ull, 0xe708507f76c20992ull, 0xc87234edc63a472eull,
         0x9345cad7e6c4003bull,
     };
-    Xoshiro256 rng{0x4857F + GetParam() * 7919};
-    const HwstCase c = fuzz_hwst_program(rng, Plant::None);
+    const HwstCase c = fuzz_case(GetParam());
     const sim::RunResult r = run_both_tiers(c, GetParam() % 2 == 0);
     ASSERT_EQ(r.trap.kind, hwst::hwst::TrapKind::None);
     EXPECT_GT(r.scu_checks, 0u);
@@ -827,6 +846,55 @@ TEST_P(SuperblockHwstFuzz, DbtMatchesInterpreterAndGolden)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockHwstFuzz,
                          ::testing::Range<u64>(0, 16));
+
+/// One probe-hook call: (point, instret, value).
+using ProbeCall = std::tuple<sim::Probe, u64, u64>;
+
+/// Runs `c` on both tiers, with the keybuffer on or off, under an
+/// identity probe hook with every point live that records each call.
+/// The two call logs, RunResults and final States must be identical:
+/// the probe-hooked dispatcher passes each probe site, mid-block ones
+/// included, the instret step() passes. Returns the log.
+std::vector<ProbeCall> probe_both_tiers(const HwstCase& c, bool keybuffer)
+{
+    sim::MachineConfig cfg;
+    cfg.keybuffer_enabled = keybuffer;
+    std::vector<ProbeCall> logs[2];
+    std::optional<sim::Machine> machines[2];
+    for (const bool dbt : {true, false}) {
+        auto& log = logs[dbt];
+        sim::Machine& m = machines[dbt].emplace(c.program, with_dbt(cfg, dbt));
+        m.set_probe_hook([&log](sim::Probe p, u64 instret, u64 value) {
+            log.emplace_back(p, instret, value);
+            return value;
+        });
+    }
+    const sim::RunResult a = machines[1]->run();
+    const sim::RunResult b = machines[0]->run();
+    expect_bit_equal(a, b);
+    EXPECT_TRUE(machines[1]->state() == machines[0]->state());
+    EXPECT_GT(machines[1]->dbt_stats().block_execs, 0u);
+    EXPECT_EQ(machines[1]->dbt_stats().fallback_runs, 0u);
+    EXPECT_TRUE(logs[1] == logs[0]) << logs[1].size() << " dbt calls vs "
+                                    << logs[0].size() << " interp calls";
+    return logs[1];
+}
+
+TEST_P(SuperblockHwstFuzz, ProbeHookSeesTheSameCallsOnBothTiers)
+{
+    const auto log = probe_both_tiers(fuzz_case(GetParam()),
+                                      GetParam() % 2 == 0);
+    // The generator's ops reach the SRF, LMSM and csr.bitw datapaths
+    // (and the keybuffer, when it is on).
+    std::array<bool, sim::kNumProbes> seen{};
+    for (const auto& [p, instret, value] : log)
+        seen[static_cast<unsigned>(p)] = true;
+    for (const auto p :
+         {sim::Probe::SrfSpatialWrite, sim::Probe::SrfTemporalWrite,
+          sim::Probe::LmsmStore, sim::Probe::LmsmLoad,
+          sim::Probe::CompCsrWidths})
+        EXPECT_TRUE(seen[static_cast<unsigned>(p)]) << sim::probe_name(p);
+}
 
 class SuperblockHwstTrap : public ::testing::TestWithParam<u64> {};
 
@@ -840,17 +908,20 @@ TEST_P(SuperblockHwstTrap, MidBlockTrapMatchesInterpreterAndGolden)
         0xe94c75c77f400afeull, 0x24083f5d6cb03b02ull, 0x81782e35705d437aull,
         0xc4eec14af6e8f3fbull,
     };
-    static const Plant kPlants[] = {Plant::OutOfBounds, Plant::ErasedKey,
-                                    Plant::SaturatedBounds,
-                                    Plant::SaturatedLock};
-    Xoshiro256 rng{0x7A9F + GetParam() * 104729};
-    const HwstCase c = fuzz_hwst_program(rng, kPlants[GetParam() % 4]);
+    const HwstCase c = trap_case(GetParam());
     const sim::RunResult r = run_both_tiers(c, GetParam() / 4 % 2 == 0);
     EXPECT_EQ(r.trap.kind, c.kind);
     EXPECT_EQ(r.trap.addr, c.tval);
     EXPECT_EQ(r.trap.pc, c.pc);
     EXPECT_EQ(digest(r), kGolden[GetParam()])
         << "digest 0x" << std::hex << digest(r);
+}
+
+TEST_P(SuperblockHwstTrap, ProbeHookSeesTheSameCallsOnBothTiers)
+{
+    EXPECT_FALSE(
+        probe_both_tiers(trap_case(GetParam()), GetParam() / 4 % 2 == 0)
+            .empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockHwstTrap,
@@ -1033,7 +1104,7 @@ TEST(SuperblockChaining, JalrSiteCyclingTargetsEvictsInlineCache)
 
 // ---- hook-forced interpreter fallback --------------------------------
 
-TEST(SuperblockFallback, TraceAndProbeHooksFallBackBitIdentical)
+TEST(SuperblockFallback, TraceHookFallsBackProbeHookDispatchesBitIdentical)
 {
     const auto& w = hwst::workloads::all_workloads().front();
     const auto cp =
@@ -1055,14 +1126,15 @@ TEST(SuperblockFallback, TraceAndProbeHooksFallBackBitIdentical)
     EXPECT_EQ(traced.dbt_stats().fallback_runs, 1u);
     EXPECT_EQ(traced.dbt_stats().block_execs, 0u);
 
-    // Same for a probe hook, even a transparent one, unless it declares
-    // a quiet prefix (set_probe_hook's quiet_before; see fault_test).
+    // A probe hook, even with every point live, keeps the run on the
+    // dispatcher's probe-hooked copy.
     sim::Machine probed{cp.program, with_dbt(cp.machine_config, true)};
     probed.set_probe_hook(
         [](sim::Probe, u64, u64 value) { return value; });
     const sim::RunResult c = probed.run();
     expect_bit_equal(a, c);
-    EXPECT_EQ(probed.dbt_stats().fallback_runs, 1u);
+    EXPECT_EQ(probed.dbt_stats().fallback_runs, 0u);
+    EXPECT_GT(probed.dbt_stats().block_execs, 0u);
 }
 
 // ---- cancellation strides --------------------------------------------
