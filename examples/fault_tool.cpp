@@ -8,8 +8,9 @@
 //   fault_tool --workload treeadd --point lmsm-load --mode stuck-at --xor 0x40
 //   fault_tool --workload dijkstra --point keybuffer-fill --random 42
 //
-// --trigger and --random take decimal counts, --xor a hex mask (0x
-// prefix optional); anything else, signs and trailing junk included,
+// --trigger and --random take decimal counts, --xor a hex mask with a
+// 0x prefix (an unprefixed "--xor 64" is refused rather than read as
+// decimal or hex); anything else, signs and trailing junk included,
 // exits 2.
 #include <iostream>
 #include <string>

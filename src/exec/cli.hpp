@@ -38,14 +38,17 @@ struct GridOptions {
 inline constexpr u64 kMaxTimeoutMs = u64{1} << 40;
 
 /// Parse a count (--jobs, --timeout-ms, HWST_JOBS): digits of `base`
-/// only (10, or 16 with an optional 0x prefix and digits of either
+/// only (10, or 16 behind a required 0x or 0X prefix, digits of either
 /// case), at most `max`. Returns nullopt for anything else — "", "abc",
-/// "4x", "-1", "+3", " 7", or a value above `max`.
+/// "4x", "-1", "+3", " 7", a base-16 value with no prefix ("64" is not
+/// read as 0x64), or a value above `max`.
 inline std::optional<u64> parse_count(std::string_view s,
                                       u64 max = ~u64{0}, unsigned base = 10)
 {
-    if (base == 16 && (s.starts_with("0x") || s.starts_with("0X")))
+    if (base == 16) {
+        if (!s.starts_with("0x") && !s.starts_with("0X")) return std::nullopt;
         s.remove_prefix(2);
+    }
     if (s.empty()) return std::nullopt;
     u64 n = 0;
     for (const char c : s) {
@@ -73,7 +76,7 @@ inline u64 count_flag(std::string_view flag, std::string_view v,
     if (!n || *n < min)
         throw common::ToolchainError{
             std::string{flag} + " needs a " +
-            (base == 16 ? "hex" : "whole") + " number in [" +
+            (base == 16 ? "0x-prefixed hex" : "whole") + " number in [" +
             std::to_string(min) + ", " + std::to_string(max) + "], got '" +
             std::string{v} + "'"};
     return *n;

@@ -22,7 +22,9 @@ class Machine;
 /// limit raises FuelExhausted; reaching an earlier stop point leaves
 /// the machine running with `out` untouched. For a run with a periodic
 /// fast-forward detector (sim/period.hpp) an earlier stop is the
-/// detector's next checkpoint, taken at the block boundary before it.
+/// detector's next checkpoint, taken at the block boundary before it;
+/// for a probe-hooked run still on its golden prefix it is the next
+/// golden-prefix checkpoint (sim/checkpoint.hpp).
 /// Must only be called when no trace hook is installed — the tier
 /// batches per-instruction bookkeeping a trace hook would observe. The
 /// `Hooked` copy runs a probe-hooked Machine (probe points live past

@@ -10,7 +10,8 @@
 // interpreter calls. Adding an op is a table row, never a second copy
 // here. The dispatcher is compiled twice: Hooked = false for hook-free
 // runs, and Hooked = true for probe-hooked runs, whose op members call
-// the hook at live probe points. The copies have separate label tables,
+// the hook at live probe points (one Hooked copy for every run measured
+// slower on long hook-free runs; docs/performance.md "Probe hooks"). The copies have separate label tables,
 // so each has its own block cache (Machine::sbcache<Hooked>()). Each
 // copy has a translation unit of its own: with both in one, GCC's
 // growth limit for large units left mem::Cache::access and
@@ -87,8 +88,9 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     // retiring it.
     const bool checkpoint_stop = m.period_ && stop < m.cfg_.fuel;
 
-    // The stop point: the fuel limit ends the run, an earlier stop
-    // (a probe hook's quiet point) hands it back still running.
+    // The stop point: the fuel limit ends the run, an earlier stop (a
+    // periodic-detector or golden-prefix checkpoint) hands it back
+    // still running.
     const auto reached_stop = [&] {
         if (m.instret_ < stop || checkpoint_stop) return false;
         if (stop >= m.cfg_.fuel) {

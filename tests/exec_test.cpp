@@ -251,14 +251,16 @@ TEST(ExecCli, CountsAndPercentagesRejectJunk)
     EXPECT_EQ(exec::count_flag("--seeds", "7", 1), 7u);
     EXPECT_THROW(exec::count_flag("--repeat", "101", 1, 100),
                  common::ToolchainError);
-    // Base 16 (fault_tool's --xor): an optional 0x prefix, either case.
+    // Base 16 (fault_tool's --xor): a required 0x prefix, either case.
+    // An unprefixed mask is refused, not read in another base.
     for (const char* bad : {"0xZZ", "0x", "", "-1", "+f", "0x-1", " f",
-                            "fx", "0x10000000000000000"})
+                            "fx", "0x10000000000000000", "Ff", "64",
+                            "0100"})
         EXPECT_THROW(exec::count_flag("--xor", bad, 0, ~u64{0}, 16),
                      common::ToolchainError)
             << bad;
     EXPECT_EQ(exec::count_flag("--xor", "0x40", 0, ~u64{0}, 16), 0x40u);
-    EXPECT_EQ(exec::count_flag("--xor", "Ff", 0, ~u64{0}, 16), 0xFFu);
+    EXPECT_EQ(exec::count_flag("--xor", "0xFf", 0, ~u64{0}, 16), 0xFFu);
     EXPECT_EQ(exec::count_flag("--xor", "0XffffFFFFffffFFFF", 0, ~u64{0}, 16),
               ~u64{0});
 
