@@ -101,6 +101,8 @@ public:
         bool operator==(const Snapshot&) const = default;
     };
     Snapshot snapshot() const { return Snapshot{lines_}; }
+    /// snapshot() == s, without the copy.
+    bool holds(const Snapshot& s) const { return lines_ == s.lines; }
     /// Take the tag state of `s` (a snapshot of a cache with this
     /// config). Clears last_access_missed().
     void restore(const Snapshot& s)

@@ -182,6 +182,19 @@ void decode_page(const Memory::PageWords& p, u8* page)
     }
 }
 
+/// decode_page(p) == page, without decoding.
+bool page_equals(const Memory::PageWords& p, const u8* page)
+{
+    std::size_t k = 0;
+    for (unsigned w = 0; w < kPageWordCount; ++w) {
+        u64 v = 0;
+        std::memcpy(&v, page + 8 * w, 8);
+        const u64 want = p.mask[w / 64] >> (w % 64) & 1 ? p.words[k++] : 0;
+        if (v != want) return false;
+    }
+    return true;
+}
+
 } // namespace
 
 Memory::PageImage Memory::page_image() const
@@ -219,6 +232,20 @@ Memory::SharedPages Memory::shared_pages(const SharedPages* share) const
         out.pages.emplace_back(std::move(page));
     }
     return out;
+}
+
+bool Memory::holds(const std::vector<Region>& regions,
+                   const SharedPages& pages) const
+{
+    if (regions_ != regions || pages_.size() != pages.keys.size())
+        return false;
+    for (std::size_t i = 0; i < pages.keys.size(); ++i) {
+        const auto it = pages_.find(pages.keys[i]);
+        if (it == pages_.end() ||
+            !page_equals(*pages.pages[i], it->second.get()))
+            return false;
+    }
+    return true;
 }
 
 void Memory::restore(const std::vector<Region>& regions,

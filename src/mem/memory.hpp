@@ -173,6 +173,11 @@ public:
     SharedPages shared_pages(const SharedPages* share) const;
     const std::vector<Region>& regions() const { return regions_; }
 
+    /// True if the region map and the materialised pages are exactly
+    /// `regions` and `pages` (checkpoint comparison), compared in place.
+    bool holds(const std::vector<Region>& regions,
+               const SharedPages& pages) const;
+
     /// Replace the region map and every page with the given ones
     /// (checkpoint restore). Drops the translation cache. The
     /// invalidation hook does not run: a checkpoint of the same program

@@ -2,12 +2,18 @@
 // checkpoints"). A fault campaign re-runs one Program many times, each
 // run with a probe hook that is quiet up to its fault's trigger, so
 // every faulted run begins with a prefix of the fault-free (golden)
-// run. A dispatcher run whose state is still the golden run's stores
-// its exact simulated state every kSpacing instructions in its
-// Program's store; a later fresh run of the same Program with the same
-// config (fuel aside) starts from the latest checkpoint before its
-// lowest quiet point instead of instruction 0. Simulated results are identical to
-// simulating the prefix.
+// run, and a masked fault soon brings it back to the golden run's
+// state. A dispatcher run whose state is still the golden run's (no
+// probe call has changed a value) stores its exact simulated state
+// every kSpacing instructions in its Program's store, and its final
+// state when it ends by exit or trap (the terminal checkpoint). A later
+// run of the same Program with the same config (fuel aside) jumps
+// ahead along the golden run: a fresh one from instruction 0, a
+// faulted one once its state equals a stored checkpoint again. It
+// jumps to the terminal checkpoint if that lies below its lowest quiet
+// point and its fuel, and to the latest checkpoint below them
+// otherwise. Simulated results are identical to simulating what was
+// skipped.
 //
 // Checkpoints are immutable once stored and shared by every Machine of
 // the Program (fault_campaign --jobs N runs them on N workers), so the
@@ -33,13 +39,15 @@ struct CheckpointKey {
     bool operator==(const CheckpointKey&) const = default;
 };
 
-/// The exact simulated state of a golden prefix at `counters.instret`.
+/// The exact simulated state of the golden run at `counters.instret`:
+/// a multiple of kSpacing while `state.running`, else its end.
 struct Checkpoint {
     CheckpointKey key;
     State state; ///< `pages` left empty: they are in `pages` below
     Counters counters;
     std::vector<i64> output;
     mem::Memory::SharedPages pages;
+    hwst::Trap trap{}; ///< how the golden run ended (terminal only)
 };
 
 class CheckpointStore {
@@ -52,22 +60,40 @@ public:
     /// The store of `program`, created on first use.
     static CheckpointStore& of(const riscv::Program& program);
 
-    /// The latest checkpoint under `key` strictly below instret `bound`
-    /// (null: none).
-    std::shared_ptr<const Checkpoint> latest_below(const CheckpointKey& key,
-                                                   u64 bound) const;
+    /// Where a golden run under `key` may jump when every instruction
+    /// it skips must lie strictly below instret `bound`: the terminal
+    /// checkpoint if it ends below `bound`, else the latest checkpoint
+    /// below it (null: none).
+    std::shared_ptr<const Checkpoint> jump_target(const CheckpointKey& key,
+                                                  u64 bound) const;
 
-    /// Store `m`'s current state under `key`, unless the store already
-    /// holds a checkpoint at that instret under that key or is full.
-    void record(const Machine& m, const CheckpointKey& key);
+    /// The earliest checkpoint under `key` strictly above instret `at`,
+    /// the terminal one excluded (null: none).
+    std::shared_ptr<const Checkpoint> next_above(const CheckpointKey& key,
+                                                 u64 at) const;
 
+    /// Store `m`'s current state under `key`: a running `m` at its
+    /// instret, a stopped one that ended with `end` as the terminal
+    /// checkpoint. Nothing happens if the store already holds that
+    /// checkpoint under that key or is full.
+    void record(const Machine& m, const CheckpointKey& key,
+                const hwst::Trap& end = {});
+
+    /// Checkpoints stored, the terminal ones excluded.
     std::size_t size() const;
+    /// The terminal checkpoint under `key` (null: none yet).
+    std::shared_ptr<const Checkpoint> terminal(const CheckpointKey& key) const;
 
 private:
-    mutable std::mutex mu_; ///< guards the two members below
+    mutable std::mutex mu_; ///< guards the three members below
     /// Ascending instret.
     std::vector<std::shared_ptr<const Checkpoint>> checkpoints_;
+    /// At most one per key.
+    std::vector<std::shared_ptr<const Checkpoint>> terminals_;
     std::size_t bytes_ = 0; ///< estimated, pages counted once
+
+    std::shared_ptr<const Checkpoint> terminal_locked(
+        const CheckpointKey& key) const;
 };
 
 } // namespace hwst::sim

@@ -187,23 +187,31 @@ const Machine::ActiveCompression& Machine::active_compression()
 {
     // Memoized against the CSR file's version counter: the decode +
     // validate work only reruns after a CSR write. A live CompCsrWidths
-    // point bypasses the memo — the hook must observe (and may perturb)
-    // every single invocation, so its result is never reused.
+    // point still calls the hook on every invocation (it must observe,
+    // and may perturb, each one); the decode is reused while the widths
+    // it returns and the version are unchanged.
     const bool live = probe_live(Probe::CompCsrWidths);
-    if (!live && comp_version_ == csrs_.version()) return comp_memo_;
-    const u64 bitw = probe(Probe::CompCsrWidths,
-                           csrs_.read(hwst::kCsrBitw).value_or(0));
-    auto cfg = metadata::CompressionConfig::from_csr(
-        static_cast<u32>(bitw) & 0xFFFFFF,
-        csrs_.read(hwst::kCsrLockBase).value_or(0));
-    bool valid = true;
-    try {
-        cfg.validate();
-    } catch (const common::ConfigError&) {
-        valid = false;
+    const u64 version = csrs_.version();
+    if (!live && comp_version_ == version) return comp_memo_;
+    const u64 bitw = csrs_.read(hwst::kCsrBitw).value_or(0);
+    const u32 csr = static_cast<u32>(bitw) & 0xFFFFFF;
+    const u32 widths =
+        static_cast<u32>(probe(Probe::CompCsrWidths, bitw)) & 0xFFFFFF;
+    if (comp_memo_key_.version != version || comp_memo_key_.widths != widths) {
+        auto cfg = metadata::CompressionConfig::from_csr(
+            widths, csrs_.read(hwst::kCsrLockBase).value_or(0));
+        bool valid = true;
+        try {
+            cfg.validate();
+        } catch (const common::ConfigError&) {
+            valid = false;
+        }
+        comp_memo_ = ActiveCompression{cfg, valid};
+        comp_memo_key_ = {version, widths};
     }
-    comp_memo_ = ActiveCompression{cfg, valid};
-    comp_version_ = live ? ~u64{0} : csrs_.version();
+    // The quiet fast paths may serve only a decode of the CSR's own
+    // widths.
+    comp_version_ = widths == csr ? version : ~u64{0};
     return comp_memo_;
 }
 
@@ -730,42 +738,50 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
 {
     // No periodic fast-forward: the hook may perturb any later
     // instruction. Golden-prefix checkpoints (sim/checkpoint.hpp)
-    // instead: a fresh run starts from the latest checkpoint below its
-    // lowest quiet point and its fuel limit, and records every kSpacing
-    // while still golden.
-    const auto lowest_quiet = [this] {
-        return *std::ranges::min_element(probe_quiet_);
+    // instead: a golden run jumps ahead along the golden run and
+    // records every kSpacing and at its end; a run that has left it
+    // compares itself with every stored checkpoint it reaches and
+    // rejoins it on equality.
+    if (!running_) return true;
+    CheckpointStore& store = CheckpointStore::of(program_);
+    CheckpointKey key{cfg_, program_.layout()};
+    key.config.fuel = 0;
+    // Skip ahead as far as every skipped instruction lies below each
+    // quiet point (so that none would have called the hook) and the
+    // fuel.
+    const auto jump = [&] {
+        const u64 bound =
+            std::min(*std::ranges::min_element(probe_quiet_), cfg_.fuel);
+        const auto c = store.jump_target(key, bound);
+        if (!c || c->counters.instret <= instret_) return;
+        restore(*c);
+        if (!running_) out = c->trap;
     };
-    CheckpointStore* store = nullptr;
-    CheckpointKey key;
-    if (prefix_golden_) {
-        store = &CheckpointStore::of(program_);
-        key = CheckpointKey{cfg_, program_.layout()};
-        key.config.fuel = 0;
-        if (instret_ == 0) {
-            if (const auto c = store->latest_below(
-                    key, std::min(lowest_quiet(), cfg_.fuel)))
-                restore(*c);
-        }
-    }
+    if (prefix_golden_) jump();
     while (running_) {
-        // A golden run stops at the next checkpoint instret if no probe
-        // point is live up to it and it lies below the fuel. A segment
-        // that may reach a live point leaves the golden run for good.
-        u64 stop = cfg_.fuel;
-        const u64 checkpoint =
-            (instret_ / CheckpointStore::kSpacing + 1) *
-            CheckpointStore::kSpacing;
+        // Golden: stop at the next multiple of kSpacing to record.
+        // Otherwise: stop at the next stored checkpoint to compare.
+        u64 at = ~u64{0};
         if (prefix_golden_) {
-            if (checkpoint < lowest_quiet() && checkpoint < cfg_.fuel)
-                stop = checkpoint;
-            else
-                prefix_golden_ = false;
+            at = (instret_ / CheckpointStore::kSpacing + 1) *
+                 CheckpointStore::kSpacing;
+        } else if (const auto next = store.next_above(key, instret_)) {
+            at = next->counters.instret;
         }
-        if (!dispatch<true>(cancel, stride, stop, out)) return false;
-        if (prefix_golden_ && running_ && instret_ == checkpoint)
-            store->record(*this, key);
+        if (!dispatch<true>(cancel, stride, std::min(at, cfg_.fuel), out))
+            return false;
+        if (!running_ || instret_ != at) continue;
+        if (prefix_golden_) {
+            store.record(*this, key);
+        } else if (const auto c = store.next_above(key, at - 1);
+                   c && c->counters.instret == at && matches(*c)) {
+            prefix_golden_ = true;
+            ++dbt_stats_.rejoins;
+            jump();
+        }
     }
+    if (prefix_golden_ && out.kind != TrapKind::FuelExhausted)
+        store.record(*this, key, out);
     return true;
 }
 
@@ -846,6 +862,27 @@ void Machine::set_counters(const Counters& c)
     smac_.set_translations(c.smac_translations);
 }
 
+bool Machine::matches(const Checkpoint& c) const
+{
+    // Cheapest first: a run that still carries its fault mostly differs
+    // in a register or a counter already. The pages come last.
+    const State& s = c.state;
+    if (pc_ != s.pc || regs_ != s.regs) return false;
+    Counters mine = counters();
+    bool same = true;
+    zip_counters(mine, c.counters,
+                 [&same](u64& x, u64 y) { same = same && x == y; });
+    return same && output_ == c.output && srf_.entries() == s.srf &&
+           csrs_.registers() == s.csrs && running_ == s.running &&
+           exit_code_ == s.exit_code && last_load_rd_ == s.last_load_rd &&
+           keybuffer_.ranked_slots() == s.keybuffer &&
+           dcache_.holds(s.dcache) && icache_.holds(s.icache) &&
+           *heap_ == *s.heap && *locks_ == *s.locks &&
+           quarantine_ == s.quarantine &&
+           quarantine_used_ == s.quarantine_used &&
+           mem_.holds(s.regions, c.pages);
+}
+
 State Machine::state() const
 {
     State s = state_except_pages(nullptr);
@@ -878,6 +915,8 @@ State Machine::state_except_pages(const State* share) const
 
 void Machine::restore(const Checkpoint& c)
 {
+    dbt_stats_.restored_instret += c.counters.instret - instret_;
+    ++dbt_stats_.prefix_restores;
     const State& s = c.state;
     pc_ = s.pc;
     regs_ = s.regs;
@@ -901,11 +940,10 @@ void Machine::restore(const Checkpoint& c)
     // (and the translation cache, dropped above). Superblocks depend
     // only on the text.
     comp_version_ = ~u64{0};
+    comp_memo_key_.version = ~u64{0};
     // Unknown whether the prefix read the counters: assume it did (a
     // later periodic fast-forward then restarts its proof).
     counters_read_ = true;
-    ++dbt_stats_.prefix_restores;
-    dbt_stats_.restored_instret += c.counters.instret;
 }
 
 std::optional<ExecTier> env_tier()

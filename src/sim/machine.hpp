@@ -342,10 +342,12 @@ public:
     /// counters such as cycles() and instret() are batched per block,
     /// so they may lag the instruction in flight.
     ///
-    /// A run whose points are all quiet so far shares golden-prefix
-    /// checkpoints with the other Machines of its Program
-    /// (sim/checkpoint.hpp): a fresh one may start from one below its
-    /// lowest quiet point and records new ones on the way.
+    /// A probe-hooked dispatcher run shares golden-prefix checkpoints
+    /// with the other Machines of its Program (sim/checkpoint.hpp):
+    /// while no probe call has changed a value it records them, and it
+    /// jumps ahead along the golden run at its start and whenever its
+    /// state equals a stored checkpoint again, as far as its lowest
+    /// quiet point and its fuel allow.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, const ProbeQuiet& quiet = {})
     {
@@ -362,8 +364,8 @@ public:
     }
 
     // ---- introspection (tests, examples) -----------------------------
-    // The mutable accessors and step() end golden-prefix checkpointing
-    // for this Machine (see prefix_golden_).
+    // The mutable accessors and step() leave the golden run (see
+    // prefix_golden_).
     u64 reg(Reg r) const { return regs_[riscv::reg_index(r)]; }
     u64 pc() const { return pc_; }
     void set_pc(u64 pc)
@@ -444,6 +446,9 @@ private:
     /// Take the state of a golden-prefix checkpoint (sim/checkpoint.hpp)
     /// and drop every host cache derived from simulated state.
     void restore(const Checkpoint& c);
+    /// True if the State, Counters and output equal `c`'s, compared in
+    /// place, cheapest field first.
+    bool matches(const Checkpoint& c) const;
     /// run_cancellable's three run kinds; false when `cancel` fired.
     bool run_interpreted(const std::function<bool()>& cancel, u64 stride,
                          hwst::Trap& out);
@@ -467,8 +472,8 @@ private:
     {
         if (r != Reg::zero) regs_[riscv::reg_index(r)] = v;
     }
-    /// step() without ending golden-prefix checkpointing: the
-    /// interpreter loop and the dispatcher's block tails.
+    /// step() without leaving the golden run: the interpreter loop and
+    /// the dispatcher's block tails.
     hwst::Trap retire_one();
     /// One instruction's effect, its SRF rule and dynamic cycles
     /// included; instret, the issue and functional-unit cycles and the
@@ -506,7 +511,7 @@ private:
         return probe_instret() >= probe_quiet_[static_cast<unsigned>(p)];
     }
     /// Run `value` through the probe hook while `p` is live (identity
-    /// otherwise).
+    /// otherwise). A changed value leaves the golden run.
     template <bool Hooked = true>
     u64 probe(Probe p, u64 value);
     template <bool Hooked>
@@ -542,14 +547,13 @@ private:
     // Superblock DBT tier state. The hook-free dispatcher copy's block
     // cache (the probe-hooked copy has its own, sbcache_hooked_: the
     // copies bind different label addresses), created lazily on its
-    // first run; comp_memo_ caches active_compression() against the
-    // CSR file's version counter (bypassed while CompCsrWidths is live
-    // — the hook must see every invocation, so a hooked result is
-    // stored with an invalid version).
+    // first run; comp_memo_ caches active_compression(), and
+    // comp_version_ is the CSR file's version at which it holds the
+    // decode of the unperturbed widths (~0: none). The quiet fast paths
+    // read only these two; a live CompCsrWidths point keys its reuse on
+    // comp_memo_key_ below.
     std::unique_ptr<SuperblockCache> sbcache_;
     DbtStats dbt_stats_;
-    ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
-    bool in_dispatch_ = false;
     u64 comp_version_ = ~u64{0};
     ActiveCompression comp_memo_{};
 
@@ -569,6 +573,10 @@ private:
     u64 cycles_ = 0;
     u64 instret_ = 0;
     bool running_ = true;
+    // In running_'s padding, so that DbtStats can grow without moving a
+    // member the hook-free dispatcher reads.
+    ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
+    bool in_dispatch_ = false;
     i64 exit_code_ = 0;
 
     mem::Memory mem_;
@@ -617,18 +625,28 @@ private:
     // dispatcher copy, 0 everywhere else (see probe_instret()).
     u64 probe_pos_ = 0;
 
-    // True while this Machine's state is the hook-free run's: every
-    // instruction so far retired on the dispatcher below every probe
-    // point's quiet point, and no accessor has handed out mutable
-    // state. Only such a Machine records or restores golden-prefix
-    // checkpoints (sim/checkpoint.hpp). Cleared for good by the first
-    // interpreted instruction and by a dispatcher segment that may
-    // reach a live probe point.
+    // True while this Machine's state is the hook-free run's: no probe
+    // call has returned a value other than its argument, no instruction
+    // was interpreted outside the dispatcher, and no accessor has handed
+    // out mutable state. Such a Machine records golden-prefix
+    // checkpoints and may jump ahead to them (sim/checkpoint.hpp).
+    // Cleared by the probe call that changes a value, by interpreted
+    // instructions and by the mutable accessors; set again when a
+    // probe-hooked run's state equals a stored checkpoint.
     bool prefix_golden_ = true;
 
     // The probe-hooked dispatcher copy's block cache (see sbcache_).
-    // Last, so that no member the hook-free dispatcher reads moved.
+    // This and the members below come last, so that no member the
+    // hook-free dispatcher reads moved.
     std::unique_ptr<SuperblockCache> sbcache_hooked_;
+    // What comp_memo_ decodes, whatever comp_version_ says: the CSR
+    // version and the (possibly perturbed) widths. A live CompCsrWidths
+    // point reuses the decode while both are unchanged (the version
+    // covers the lock base too).
+    struct {
+        u64 version = ~u64{0};
+        u32 widths = 0;
+    } comp_memo_key_;
 };
 
 } // namespace hwst::sim

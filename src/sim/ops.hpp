@@ -437,8 +437,11 @@ template <bool Hooked>
 [[gnu::always_inline]] inline u64 Machine::probe(Probe p, u64 value)
 {
     if constexpr (Hooked) {
-        if (probe_live(p)) [[unlikely]]
-            return probe_hook_(p, probe_instret(), value);
+        if (probe_live(p)) [[unlikely]] {
+            const u64 out = probe_hook_(p, probe_instret(), value);
+            if (out != value) prefix_golden_ = false;
+            return out;
+        }
     }
     return value;
 }

@@ -175,10 +175,14 @@ struct DbtStats {
     /// instructions they skipped.
     u64 period_skips = 0;
     u64 skipped_instret = 0;
-    /// Runs started from a golden-prefix checkpoint (sim/checkpoint.hpp)
-    /// and the instructions those checkpoints stood in for.
+    /// Jumps to a golden-prefix checkpoint (sim/checkpoint.hpp) and the
+    /// instructions they skipped: each checkpoint's instret minus the
+    /// instret the run jumped from.
     u64 prefix_restores = 0;
     u64 restored_instret = 0;
+    /// Times a faulted run's state equalled a stored checkpoint again,
+    /// so that it rejoined the golden run.
+    u64 rejoins = 0;
 };
 
 /// Everything translation needs from the Machine, flattened so the

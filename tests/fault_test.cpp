@@ -460,6 +460,7 @@ struct FaultedRun {
     u64 first_fire = 0;
     std::vector<fault::FireRecord> log;
     sim::DbtStats dbt;
+    std::optional<sim::State> state; ///< at the end of the run
 };
 
 FaultedRun finish_faulted(std::optional<sim::RunResult> result,
@@ -471,6 +472,7 @@ FaultedRun finish_faulted(std::optional<sim::RunResult> result,
     r.first_fire = inj.first_fire_instret();
     r.log = inj.log();
     r.dbt = m.dbt_stats();
+    r.state = m.state();
     return r;
 }
 
@@ -998,14 +1000,90 @@ TEST(ProbeQuiet, CompressionMemoServesOnlyWhileCompCsrWidthsIsQuiet)
             << sim::tier_name(tier);
 }
 
+/// Binds a0 and then a1 to 16-KiB objects and checks a load through a1:
+/// fits the default csr.bitw widths, saturates under kNarrowWidths.
+Built two_binds()
+{
+    return build([](Program& p) {
+        const i64 base = static_cast<i64>(p.layout().data_base);
+        p.emit_li(Reg::a0, base);
+        p.emit_li(Reg::t4, base + 16384);
+        p.emit(rtype(Opcode::BNDRS, Reg::a0, Reg::a0, Reg::t4));
+        p.emit_li(Reg::a1, base);
+        p.emit_li(Reg::t5, base + 16384);
+        p.emit(rtype(Opcode::BNDRS, Reg::a1, Reg::a1, Reg::t5));
+        p.emit(itype(Opcode::CLD, Reg::a1, Reg::a1, 0));
+        p.emit_li(Reg::a0, 0);
+    });
+}
+
+/// csr.bitw with a 10-bit range field (max 8184-byte objects).
+constexpr u64 kNarrowWidths = 32 | (10 << 6) | (10 << 12);
+
+TEST(ProbeQuiet, PerturbedWidthsNeverServeAQuietDecode)
+{
+    // The first decode sees narrowed widths, then the point goes quiet
+    // (as a fired one-shot fault does): the second bind must decode the
+    // CSR's own widths again.
+    const Built b = two_binds();
+    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Interp}) {
+        SCOPED_TRACE(sim::tier_name(tier));
+        sim::MachineConfig cfg{};
+        cfg.tier = tier;
+        Machine m{b.program, cfg};
+        u64 calls = 0;
+        sim::ProbeQuiet quiet = sim::kProbesQuiet;
+        quiet[static_cast<unsigned>(Probe::CompCsrWidths)] = 0;
+        m.set_probe_hook(
+            [&](Probe, u64, u64) {
+                ++calls;
+                m.set_probe_quiet(sim::kProbesQuiet);
+                return kNarrowWidths;
+            },
+            quiet);
+        const auto r = m.run();
+        EXPECT_EQ(calls, 1u);
+        EXPECT_TRUE(r.ok()) << trap_name(r.trap.kind);
+        EXPECT_EQ(r.scu_saturated, 0u);
+    }
+}
+
+TEST(ProbeQuiet, LiveWidthsDecodeFollowsEveryReturnedValue)
+{
+    // The hook passes the first decode through and narrows every later
+    // one, at the same CSR version: the second bind must saturate and
+    // the checked load trap.
+    const Built b = two_binds();
+    for (const auto tier : {sim::ExecTier::Dbt, sim::ExecTier::Interp}) {
+        SCOPED_TRACE(sim::tier_name(tier));
+        sim::MachineConfig cfg{};
+        cfg.tier = tier;
+        Machine m{b.program, cfg};
+        u64 calls = 0;
+        sim::ProbeQuiet quiet = sim::kProbesQuiet;
+        quiet[static_cast<unsigned>(Probe::CompCsrWidths)] = 0;
+        m.set_probe_hook(
+            [&](Probe, u64, u64 value) {
+                return calls++ == 0 ? value : kNarrowWidths;
+            },
+            quiet);
+        const auto r = m.run();
+        EXPECT_GE(calls, 3u); // both binds and the checked load
+        EXPECT_EQ(r.trap.kind, TrapKind::SpatialViolation);
+        EXPECT_EQ(r.scu_saturated, 1u);
+    }
+}
+
 // ------------------------------------------- golden-prefix checkpoints
 //
-// A dispatcher run whose probe hook has stayed quiet records its state
-// every CheckpointStore::kSpacing instructions in its Program's store;
-// a later fresh run of the same Program and config (fuel aside) starts
-// from the latest checkpoint before its trigger. Every run below is
-// checked against the same plan on the interpreter, which never records
-// or restores.
+// A dispatcher run whose probe calls have changed no value records its
+// state every CheckpointStore::kSpacing instructions in its Program's
+// store, and its end (the terminal checkpoint); a later fresh run of the
+// same Program and config (fuel aside) jumps to the terminal checkpoint
+// or the latest checkpoint before its trigger, and a faulted run whose
+// state equals a stored checkpoint again rejoins the golden run and
+// jumps the same way. Every run below is checked against the same plan
+// on the interpreter, which never records, restores or rejoins.
 
 constexpr u64 kSpacing = sim::CheckpointStore::kSpacing;
 
@@ -1056,25 +1134,91 @@ FaultedRun run_interp(const Program& program, const fault::FaultPlan& plan,
     return finish_faulted(m.run(), inj, m);
 }
 
-/// The checkpoint a fresh run of `plan` restores, given the instrets
-/// recorded so far (0: none); then adds those the run records.
-u64 expect_restore(std::vector<u64>& recorded, const fault::FaultPlan& plan,
-                   u64 golden_instret)
+/// The key the runs of `w` store their checkpoints under.
+sim::CheckpointKey key_of(const PrefixWorkload& w)
+{
+    sim::CheckpointKey key{w.cfg, w.cp.program.layout()};
+    key.config.fuel = 0;
+    return key;
+}
+
+/// The lowest trigger of `plan`: its fresh run's lowest quiet point.
+u64 lowest_trigger(const fault::FaultPlan& plan)
 {
     u64 quiet = ~u64{0};
     for (const auto& f : plan.faults)
         quiet = std::min(quiet, f.trigger_instret);
-    u64 restore = 0;
-    for (const u64 c : recorded)
-        if (c < quiet) restore = std::max(restore, c);
-    for (u64 c = kSpacing; c < std::min(quiet, golden_instret); c += kSpacing)
-        if (std::find(recorded.begin(), recorded.end(), c) == recorded.end())
-            recorded.push_back(c);
-    return restore;
+    return quiet;
 }
 
+/// What one key's store holds, as the tests predict it. A golden run
+/// records every multiple of kSpacing it passes, from where it started
+/// or jumped to, so the checkpoints are always every multiple below
+/// `covered`; the terminal one is there once a run has ended golden.
+struct StoreShape {
+    u64 golden_instret;
+    u64 covered = 0;
+    bool terminal = false;
+
+    /// Where a golden run jumps when every instruction it skips must lie
+    /// below `bound` (0: nowhere).
+    u64 jump(u64 bound) const
+    {
+        if (terminal && golden_instret < bound) return golden_instret;
+        const u64 below = std::min(bound, covered);
+        return below == 0 ? 0 : (below - 1) / kSpacing * kSpacing;
+    }
+
+    /// The run was golden up to instret `at`.
+    void golden_to(u64 at)
+    {
+        covered = std::max(covered, std::min(at, golden_instret));
+    }
+
+    /// The run ended golden.
+    void golden_end()
+    {
+        golden_to(golden_instret);
+        terminal = true;
+    }
+
+    std::size_t size() const
+    {
+        return covered == 0
+                   ? 0
+                   : static_cast<std::size_t>((covered - 1) / kSpacing);
+    }
+};
+
+/// A plan whose trigger lies past the end of `w`'s golden run: its runs
+/// stay golden, so a fresh one records every checkpoint and the
+/// terminal one.
+fault::FaultPlan never_fires(const PrefixWorkload& w)
+{
+    return fault::FaultPlan::single(Probe::LmsmLoad, fault::FaultMode::OneShot,
+                                    w.golden.instret + 1, 0x1);
+}
+
+/// A CompCsrWidths mask above the 24 width bits: every fire changes the
+/// probed value, and the decode ignores it, so nothing else changes.
+constexpr u64 kIgnoredWidthBit = u64{1} << 40;
+
+/// Equal end-of-run States. A stopped Machine never reads last_load_rd
+/// again, and on a trap the dispatcher leaves it as the trapping block
+/// found it while step() clears it, so a trapped run's is not compared.
+void expect_same_end_state(const FaultedRun& a, const FaultedRun& b)
+{
+    ASSERT_TRUE(a.state && b.state);
+    sim::State x = *a.state;
+    if (!a.result->ok()) x.last_load_rd = b.state->last_load_rd;
+    EXPECT_TRUE(x == *b.state);
+}
+
+/// A run that rejoined nowhere: one jump, to `checkpoint`, at its start
+/// (0: none).
 void expect_restored(const FaultedRun& run, u64 checkpoint)
 {
+    EXPECT_EQ(run.dbt.rejoins, 0u);
     if (!dispatcher_available()) {
         EXPECT_EQ(run.dbt.prefix_restores, 0u);
         return;
@@ -1083,13 +1227,29 @@ void expect_restored(const FaultedRun& run, u64 checkpoint)
     EXPECT_EQ(run.dbt.restored_instret, checkpoint);
 }
 
+/// A fresh jump to `checkpoint` (0: none), then at most one further
+/// jump per rejoin, each forward.
+void expect_jumps(const FaultedRun& run, u64 checkpoint)
+{
+    if (run.dbt.rejoins == 0 || !dispatcher_available()) {
+        expect_restored(run, checkpoint);
+        return;
+    }
+    const u64 fresh = checkpoint ? 1 : 0;
+    EXPECT_GE(run.dbt.prefix_restores, fresh);
+    EXPECT_LE(run.dbt.prefix_restores - fresh, run.dbt.rejoins);
+    EXPECT_GE(run.dbt.restored_instret,
+              checkpoint + run.dbt.prefix_restores - fresh);
+}
+
 TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
 {
     for (const char* name : {"crc32", "treeadd"}) {
         const PrefixWorkload w{name};
         ASSERT_GT(w.golden.instret, 2 * kSpacing) << name;
-        std::vector<u64> recorded;
+        StoreShape shape{w.golden.instret};
         u64 restores = 0;
+        u64 one_shot_rejoins = 0;
         for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
             const auto point = static_cast<Probe>(pi);
             for (const auto mode :
@@ -1100,18 +1260,41 @@ TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
                         point, w.golden.instret, rng, mode)}};
                     SCOPED_TRACE(std::string{name} + " " +
                                  plan.faults[0].describe());
-                    const u64 c =
-                        expect_restore(recorded, plan, w.golden.instret);
-                    const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
-                    expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
-                    expect_restored(ff, c);
+                    const u64 c = shape.jump(lowest_trigger(plan));
+                    const FaultedRun ff =
+                        run_prefix(w.cp.program, plan, w.cfg);
+                    const FaultedRun ref =
+                        run_interp(w.cp.program, plan, w.cfg);
+                    expect_same_faulted(ff, ref);
+                    expect_same_end_state(ff, ref);
+                    expect_jumps(ff, c);
                     restores += c != 0;
+                    if (!dispatcher_available()) continue;
+                    // Golden up to its first changed value, and from a
+                    // one-shot run's rejoin to the end. A stuck-at run
+                    // that rejoined records up to its next fire: read
+                    // back.
+                    const bool one_shot = mode == fault::FaultMode::OneShot;
+                    if (one_shot) one_shot_rejoins += ff.dbt.rejoins;
+                    if (ff.fires == 0 || (one_shot && ff.dbt.rejoins != 0)) {
+                        shape.golden_end();
+                    } else {
+                        shape.golden_to(ff.first_fire);
+                        if (ff.dbt.rejoins != 0) {
+                            shape.golden_to((w.store().size() + 1) * kSpacing);
+                            shape.terminal |=
+                                w.store().terminal(key_of(w)) != nullptr;
+                        }
+                    }
+                    EXPECT_EQ(w.store().size(), shape.size());
+                    EXPECT_EQ(w.store().terminal(key_of(w)) != nullptr,
+                              shape.terminal);
                 }
             }
         }
-        EXPECT_GT(restores, 8u) << name;
         if (dispatcher_available()) {
-            EXPECT_EQ(w.store().size(), recorded.size()) << name;
+            EXPECT_GT(restores, 8u) << name;
+            EXPECT_GT(one_shot_rejoins, 0u) << name;
         }
     }
 }
@@ -1243,14 +1426,17 @@ TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
         {Probe::LmsmLoad, fault::FaultMode::StuckAt, late, 0x3},
         {Probe::CompCsrWidths, fault::FaultMode::OneShot, early, 0x40},
     }};
-    std::vector<u64> recorded;
+    StoreShape shape{w.golden.instret};
     for (int i = 0; i < 2; ++i) {
-        const u64 c = expect_restore(recorded, plan, w.golden.instret);
+        const u64 c = shape.jump(early);
         const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
         expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
         expect_restored(ff, c);
+        shape.golden_to(ff.first_fire);
     }
-    EXPECT_EQ(recorded, std::vector<u64>{kSpacing});
+    if (dispatcher_available()) {
+        EXPECT_EQ(w.store().size(), 1u);
+    }
 }
 
 TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
@@ -1317,8 +1503,159 @@ TEST(PrefixCheckpoint, FourThreadsShareOneProgram)
     }
     if (dispatcher_available()) {
         EXPECT_GE(restores, 8u); // every thread's second and third runs
-        EXPECT_EQ(w.store().size(), 3u);
+        // The LmsmLoad and KeybufferFill faults never fire on crc32: those
+        // runs stay golden to the end and record every checkpoint.
+        EXPECT_EQ(w.store().size(), (w.golden.instret - 1) / kSpacing);
+        EXPECT_NE(w.store().terminal(key_of(w)), nullptr);
     }
+}
+
+TEST(PrefixCheckpoint, RunThatDiffersOnlyInItsOutputDoesNotRejoin)
+{
+    // Prints the word it loads from an untouched stack slot, then clears
+    // the register: a DcacheFillData fault on that load changes the
+    // printed value and nothing else.
+    const Built b = build([](Program& p) {
+        p.emit(itype(Opcode::LD, Reg::a0, Reg::sp, -64));
+        p.emit_li(Reg::a7, static_cast<i64>(Sys::PrintI64));
+        p.emit(Instruction{Opcode::ECALL});
+        p.emit_li(Reg::a0, 0);
+        p.emit_li(Reg::s0, 0);
+        p.emit_li(Reg::s1, 150'000);
+        p.label("loop");
+        p.emit(itype(Opcode::ADDI, Reg::s0, Reg::s0, 1));
+        p.emit_branch(Opcode::BLT, Reg::s0, Reg::s1, "loop");
+    });
+    const sim::MachineConfig cfg{};
+    // No LmsmLoad point here: a golden run that records every checkpoint.
+    expect_restored(run_prefix(b.program,
+                               fault::FaultPlan::single(
+                                   Probe::LmsmLoad, fault::FaultMode::OneShot,
+                                   1, 0x1),
+                               cfg),
+                    0);
+    const auto plan = fault::FaultPlan::single(
+        Probe::DcacheFillData, fault::FaultMode::OneShot, 1, 0x5);
+    const FaultedRun ref = run_interp(b.program, plan, cfg);
+    ASSERT_EQ(ref.fires, 1u);
+    ASSERT_EQ(ref.result->output, std::vector<i64>{5});
+    ASSERT_GT(ref.result->instret, 2 * kSpacing);
+    const FaultedRun ff = run_prefix(b.program, plan, cfg);
+    expect_same_faulted(ff, ref);
+    expect_same_end_state(ff, ref);
+    expect_restored(ff, 0);
+}
+
+TEST(PrefixCheckpoint, TwoFaultPlanRejoinsOnlyBelowItsSecondTrigger)
+{
+    const PrefixWorkload w{"crc32"};
+    const u64 late = 3 * kSpacing + 4321;
+    ASSERT_GT(w.golden.instret, late + kSpacing);
+    const fault::FaultPlan plan{{
+        {Probe::CompCsrWidths, fault::FaultMode::OneShot, kSpacing / 2,
+         kIgnoredWidthBit},
+        {Probe::CompCsrWidths, fault::FaultMode::StuckAt, late,
+         kIgnoredWidthBit << 1},
+    }};
+    expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg), 0);
+    const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+    ASSERT_GT(ref.fires, 1u);
+    const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+    expect_same_faulted(ff, ref);
+    expect_same_end_state(ff, ref);
+    if (dispatcher_available()) {
+        // Rejoined at kSpacing, then jumped to the last checkpoint below
+        // the stuck-at trigger; the rejoins after it cannot jump.
+        EXPECT_GE(ff.dbt.rejoins, 2u);
+        EXPECT_EQ(ff.dbt.prefix_restores, 1u);
+        EXPECT_EQ(ff.dbt.restored_instret, 2 * kSpacing);
+    }
+}
+
+TEST(PrefixCheckpoint, FuelBelowTheTerminalDoesNotJumpThere)
+{
+    const PrefixWorkload w{"crc32"};
+    // A golden run that exhausts its fuel stores no terminal checkpoint.
+    sim::MachineConfig short_fuel = w.cfg;
+    short_fuel.fuel = w.golden.instret - 1;
+    const FaultedRun cut = run_prefix(w.cp.program, never_fires(w), short_fuel);
+    EXPECT_EQ(cut.result->trap.kind, TrapKind::FuelExhausted);
+    EXPECT_EQ(w.store().terminal(key_of(w)), nullptr);
+    expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg),
+                    (w.golden.instret - 1) / kSpacing * kSpacing);
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::OneShot, kSpacing / 2,
+        kIgnoredWidthBit);
+    // The rejoin at kSpacing jumps to the latest checkpoint below the
+    // fuel; with the fuel past the golden run's end, to the terminal.
+    for (const u64 fuel :
+         {w.golden.instret - 1000, w.golden.instret, w.golden.instret + 1}) {
+        SCOPED_TRACE(fuel);
+        sim::MachineConfig cfg = w.cfg;
+        cfg.fuel = fuel;
+        const FaultedRun ref = run_interp(w.cp.program, plan, cfg);
+        EXPECT_EQ(ref.result->ok(), fuel >= w.golden.instret);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, cfg);
+        expect_same_faulted(ff, ref);
+        expect_same_end_state(ff, ref);
+        if (!dispatcher_available()) continue;
+        EXPECT_EQ(ff.dbt.rejoins, 1u);
+        EXPECT_EQ(ff.dbt.prefix_restores, 1u);
+        const u64 to = fuel > w.golden.instret
+                           ? w.golden.instret
+                           : (fuel - 1) / kSpacing * kSpacing;
+        EXPECT_EQ(ff.dbt.restored_instret, to - kSpacing);
+    }
+}
+
+TEST(PrefixCheckpoint, StuckAtRunsRejoinButNeverJump)
+{
+    const PrefixWorkload w{"crc32"};
+    expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg), 0);
+    for (const u64 trigger : {kSpacing / 2, 2 * kSpacing + 1}) {
+        SCOPED_TRACE(trigger);
+        const auto plan = fault::FaultPlan::single(
+            Probe::CompCsrWidths, fault::FaultMode::StuckAt, trigger,
+            kIgnoredWidthBit);
+        const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+        expect_same_faulted(ff, ref);
+        expect_same_end_state(ff, ref);
+        if (!dispatcher_available()) continue;
+        // Equal at every checkpoint past the trigger; the only jump is
+        // the fresh one below it.
+        EXPECT_EQ(ff.dbt.rejoins,
+                  (w.golden.instret - 1) / kSpacing - (trigger - 1) / kSpacing);
+        const u64 c = (trigger - 1) / kSpacing * kSpacing;
+        EXPECT_EQ(ff.dbt.prefix_restores, c ? 1u : 0u);
+        EXPECT_EQ(ff.dbt.restored_instret, c);
+    }
+}
+
+TEST(PrefixCheckpoint, FourThreadsRaceToStoreOneTerminal)
+{
+    const PrefixWorkload w{"treeadd"};
+    const auto plan = never_fires(w);
+    std::vector<FaultedRun> runs(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < runs.size(); ++t)
+        threads.emplace_back(
+            [&, t] { runs[t] = run_prefix(w.cp.program, plan, w.cfg); });
+    for (auto& t : threads) t.join();
+    for (const auto& r : runs) expect_same_run(*r.result, w.golden);
+    const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+    const FaultedRun fifth = run_prefix(w.cp.program, plan, w.cfg);
+    expect_same_faulted(fifth, ref);
+    expect_same_end_state(fifth, ref);
+    if (!dispatcher_available()) return;
+    EXPECT_EQ(w.store().size(), (w.golden.instret - 1) / kSpacing);
+    const auto terminal = w.store().terminal(key_of(w));
+    ASSERT_NE(terminal, nullptr);
+    EXPECT_EQ(terminal->counters.instret, w.golden.instret);
+    EXPECT_EQ(terminal->output, w.golden.output);
+    EXPECT_EQ(terminal->trap.kind, TrapKind::None);
+    // A fresh run whose trigger lies past the end jumps straight there.
+    expect_restored(fifth, w.golden.instret);
 }
 
 } // namespace

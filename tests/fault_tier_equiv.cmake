@@ -1,8 +1,8 @@
 # fault_campaign's tier equivalence (docs/performance.md "Execution
 # tiers"): the smoke campaign on the interpreter and on the dispatcher
 # must produce identical envelopes modulo host-side fields, in both
-# fault modes. The one-shot leg also runs on the dispatcher with 4
-# workers, which share each Program's golden-prefix checkpoint store.
+# fault modes. Both modes also run on the dispatcher with 4 workers,
+# which share each Program's golden-prefix checkpoint store.
 #   cmake -DFAULT_CAMPAIGN=... -DJSON_CHECK=... -P fault_tier_equiv.cmake
 function(run)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc)
@@ -29,5 +29,8 @@ run(${JSON_CHECK} --equiv BENCH_fault_campaign_tier_dbt.json
 campaign(interp 1 BENCH_fault_campaign_stuck_tier_interp.json
          --mode stuck-at)
 campaign(dbt 1 BENCH_fault_campaign_stuck_tier_dbt.json --mode stuck-at)
+campaign(dbt 4 BENCH_fault_campaign_stuck_tier_dbt4.json --mode stuck-at)
 run(${JSON_CHECK} --equiv BENCH_fault_campaign_stuck_tier_interp.json
     BENCH_fault_campaign_stuck_tier_dbt.json)
+run(${JSON_CHECK} --equiv BENCH_fault_campaign_stuck_tier_dbt.json
+    BENCH_fault_campaign_stuck_tier_dbt4.json)
