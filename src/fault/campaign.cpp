@@ -79,6 +79,8 @@ struct RunRecord {
     Verdict verdict = Verdict::Masked;
     bool has_latency = false;
     double latency = 0.0;
+    /// Host-side, so not cached: a record served from the cache has none.
+    CheckpointActivity dbt;
 };
 
 /// Cache round trip for a RunRecord, so a warm --cache run serves
@@ -214,6 +216,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
             RunRecord rec;
             rec.fired = outcome.fired;
             rec.verdict = outcome.verdict;
+            const sim::DbtStats& st = machine.dbt_stats();
+            rec.dbt = {st.prefix_restores, st.restored_instret, st.rejoins};
             if (outcome.verdict == Verdict::Detected && outcome.fired) {
                 rec.has_latency = true;
                 rec.latency =
@@ -238,6 +242,9 @@ CampaignReport run_campaign(const CampaignConfig& cfg)
                 const std::size_t i = (wi * n_points + pi) * n_seeds + si;
                 const RunRecord& rec = records[i];
                 ++stats.runs;
+                report.dbt.prefix_restores += rec.dbt.prefix_restores;
+                report.dbt.restored_instret += rec.dbt.restored_instret;
+                report.dbt.rejoins += rec.dbt.rejoins;
                 if (outcomes[i].status == exec::JobStatus::Timeout) {
                     ++stats.timeouts;
                     continue;
@@ -321,6 +328,11 @@ exec::json::Value CampaignReport::to_json() const
     root["total_silent"] = total_silent();
     root["protected_silent"] = protected_silent();
     root["total_timeouts"] = total_timeouts();
+    Value jdbt = Value::object();
+    jdbt["prefix_restores"] = dbt.prefix_restores;
+    jdbt["restored_instret"] = dbt.restored_instret;
+    jdbt["rejoins"] = dbt.rejoins;
+    root["dbt"] = jdbt;
     return root;
 }
 

@@ -74,9 +74,20 @@ struct PointStats {
     }
 };
 
+/// Golden-prefix checkpoint activity (sim::DbtStats) summed over the
+/// faulted runs the campaign simulated; runs served from the cache add
+/// nothing. Host-side: it depends on the tier, the worker count and the
+/// order the runs shared their checkpoints in, never on a result.
+struct CheckpointActivity {
+    u64 prefix_restores = 0;
+    u64 restored_instret = 0;
+    u64 rejoins = 0;
+};
+
 struct CampaignReport {
     CampaignConfig config;
     std::vector<PointStats> points; ///< one entry per config.points entry
+    CheckpointActivity dbt;
 
     u64 total_runs() const;
     u64 total_silent() const;
@@ -90,6 +101,7 @@ struct CampaignReport {
     void print(std::ostream& os) const;
 
     /// Machine-readable form (the payload of BENCH_fault_campaign.json).
+    /// Its `dbt` block is host-side (exec::is_host_field).
     exec::json::Value to_json() const;
 };
 

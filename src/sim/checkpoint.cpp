@@ -1,5 +1,7 @@
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
+
 namespace hwst::sim {
 
 namespace {
@@ -42,13 +44,40 @@ std::shared_ptr<const Checkpoint> CheckpointStore::terminal_locked(
 }
 
 std::shared_ptr<const Checkpoint> CheckpointStore::jump_target(
-    const CheckpointKey& key, u64 bound) const
+    const Machine& m, const CheckpointKey& key) const
 {
+    // The instruction that retires with instret i calls the hook at p
+    // iff i >= quiet[p], so those up to dark[p] cannot: the ones `m`
+    // has retired and the quiet ones. A jump to instret c is safe at p
+    // if c <= dark[p], or if p's count at c equals its count at the
+    // latest known instret at or below dark[p] (`seen[p]`): counts only
+    // grow, so the golden run reaches p nowhere in (dark[p], c].
+    const u64 from = m.instret_;
+    ProbeQuiet dark{}; // instrets, like the quiet points
+    ProbeCounts seen = m.probe_events_;
+    for (unsigned p = 0; p < kNumProbes; ++p) {
+        const u64 quiet = m.probe_quiet_[p];
+        dark[p] = std::max(from, quiet ? quiet - 1 : 0);
+    }
+    const auto safe = [&](const Checkpoint& c) {
+        const u64 at = c.counters.instret;
+        if (at <= from || at >= m.cfg_.fuel) return false;
+        for (unsigned p = 0; p < kNumProbes; ++p)
+            if (at > dark[p] && c.events[p] != seen[p]) return false;
+        return true;
+    };
+
     const std::lock_guard lock{mu_};
-    if (auto t = terminal_locked(key); t && t->counters.instret < bound)
-        return t;
+    // Ascending instret: the last one at or below dark[p] stays.
+    for (const auto& c : checkpoints_) {
+        const u64 at = c->counters.instret;
+        if (at <= from || c->key != key) continue;
+        for (unsigned p = 0; p < kNumProbes; ++p)
+            if (at <= dark[p]) seen[p] = c->events[p];
+    }
+    if (auto t = terminal_locked(key); t && safe(*t)) return t;
     for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-        if ((*it)->counters.instret < bound && (*it)->key == key) return *it;
+        if ((*it)->key == key && safe(**it)) return *it;
     }
     return nullptr;
 }
@@ -81,7 +110,8 @@ void CheckpointStore::record(const Machine& m, const CheckpointKey& key,
     auto c = std::make_shared<const Checkpoint>(Checkpoint{
         key, m.state_except_pages(prev ? &prev->state : nullptr),
         m.counters(), m.output(),
-        m.mem_.shared_pages(prev ? &prev->pages : nullptr), end});
+        m.mem_.shared_pages(prev ? &prev->pages : nullptr), end,
+        m.probe_events_});
     bytes_ += footprint(*c);
     if (m.running())
         checkpoints_.insert(pos, std::move(c));

@@ -8,12 +8,14 @@
 // every kSpacing instructions in its Program's store, and its final
 // state when it ends by exit or trap (the terminal checkpoint). A later
 // run of the same Program with the same config (fuel aside) jumps
-// ahead along the golden run: a fresh one from instruction 0, a
-// faulted one once its state equals a stored checkpoint again. It
-// jumps to the terminal checkpoint if that lies below its lowest quiet
-// point and its fuel, and to the latest checkpoint below them
-// otherwise. Simulated results are identical to simulating what was
-// skipped.
+// ahead along the golden run: a fresh one from instruction 0 and at
+// each stored checkpoint it reaches, a faulted one once its state
+// equals a stored checkpoint again. It jumps as far as its fuel allows
+// and no skipped instruction would have called its probe hook. Each
+// checkpoint carries the golden run's probe-event counts (the event
+// index, Machine::probe_events()), so a point that is live may still
+// be jumped over where the counts prove the golden run never reaches
+// it. Simulated results are identical to simulating what was skipped.
 //
 // Checkpoints are immutable once stored and shared by every Machine of
 // the Program (fault_campaign --jobs N runs them on N workers), so the
@@ -48,24 +50,30 @@ struct Checkpoint {
     std::vector<i64> output;
     mem::Memory::SharedPages pages;
     hwst::Trap trap{}; ///< how the golden run ended (terminal only)
+    /// Machine::probe_events() at `counters.instret`: the event index.
+    ProbeCounts events{};
 };
 
 class CheckpointStore {
 public:
     /// Checkpoints sit at multiples of this instret.
-    static constexpr u64 kSpacing = u64{1} << 17;
+    static constexpr u64 kSpacing = u64{1} << 16;
     /// Estimated bytes a store may hold; recording stops once reached.
     static constexpr std::size_t kMaxBytes = std::size_t{4} << 20;
 
     /// The store of `program`, created on first use.
     static CheckpointStore& of(const riscv::Program& program);
 
-    /// Where a golden run under `key` may jump when every instruction
-    /// it skips must lie strictly below instret `bound`: the terminal
-    /// checkpoint if it ends below `bound`, else the latest checkpoint
-    /// below it (null: none).
-    std::shared_ptr<const Checkpoint> jump_target(const CheckpointKey& key,
-                                                  u64 bound) const;
+    /// The furthest checkpoint under `key`, the terminal one first,
+    /// that the golden run `m` may jump to (null: none). It lies above
+    /// `m`'s instret and below its fuel, and for each probe point p
+    /// either below p's quiet point (no skipped instruction is live at
+    /// p) or with p's event count equal to the count at the latest known
+    /// instret (`m`'s own or a stored checkpoint's) before p's first
+    /// live skipped instruction: the golden run reaches p nowhere in
+    /// between.
+    std::shared_ptr<const Checkpoint> jump_target(
+        const Machine& m, const CheckpointKey& key) const;
 
     /// The earliest checkpoint under `key` strictly above instret `at`,
     /// the terminal one excluded (null: none).

@@ -196,7 +196,8 @@ const Machine::ActiveCompression& Machine::active_compression()
     const u64 bitw = csrs_.read(hwst::kCsrBitw).value_or(0);
     const u32 csr = static_cast<u32>(bitw) & 0xFFFFFF;
     const u32 widths =
-        static_cast<u32>(probe(Probe::CompCsrWidths, bitw)) & 0xFFFFFF;
+        static_cast<u32>(call_probe_if_live(Probe::CompCsrWidths, bitw)) &
+        0xFFFFFF;
     if (comp_memo_key_.version != version || comp_memo_key_.widths != widths) {
         auto cfg = metadata::CompressionConfig::from_csr(
             widths, csrs_.read(hwst::kCsrLockBase).value_or(0));
@@ -717,6 +718,17 @@ bool Machine::dispatch(const std::function<bool()>& cancel, u64 stride,
     const bool finished = run_superblocks<Hooked>(
         *this, cancel ? &cancel : nullptr, stride, stop, out);
     in_dispatch_ = false;
+    // An instruction that traps inside a block leaves pc_ and
+    // last_load_rd_ as the block found them; step() leaves its own pc
+    // and clears last_load_rd_ before executing it. Only a fetch fault
+    // has no instruction (its pc lies outside the text), and there both
+    // tiers keep both.
+    if (!running_ && out.kind != TrapKind::None &&
+        out.kind != TrapKind::FuelExhausted &&
+        out.pc - text_base_ < code_bytes_ && (out.pc & 3) == 0) {
+        pc_ = out.pc;
+        last_load_rd_ = Reg::zero;
+    }
     return finished;
 }
 
@@ -724,7 +736,10 @@ bool Machine::run_hook_free(const std::function<bool()>& cancel, u64 stride,
                             Trap& out)
 {
     // Periodic fast-forward (sim/period.hpp): each segment stops at the
-    // detector's next checkpoint.
+    // detector's next checkpoint. The hook-free copy counts no probe
+    // events, so the state can no longer vouch for a golden-prefix
+    // checkpoint's event index.
+    prefix_golden_ = false;
     PeriodDetector period{*this};
     while (running_) {
         const u64 stop = std::min(cfg_.fuel, period.next_checkpoint());
@@ -738,7 +753,7 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
 {
     // No periodic fast-forward: the hook may perturb any later
     // instruction. Golden-prefix checkpoints (sim/checkpoint.hpp)
-    // instead: a golden run jumps ahead along the golden run and
+    // instead: a golden run jumps ahead along the golden run, and
     // records every kSpacing and at its end; a run that has left it
     // compares itself with every stored checkpoint it reaches and
     // rejoins it on equality.
@@ -746,14 +761,12 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
     CheckpointStore& store = CheckpointStore::of(program_);
     CheckpointKey key{cfg_, program_.layout()};
     key.config.fuel = 0;
-    // Skip ahead as far as every skipped instruction lies below each
-    // quiet point (so that none would have called the hook) and the
-    // fuel.
+    // Skip ahead as far as no skipped instruction would have called
+    // the hook (its quiet points and the event index say where) and
+    // the fuel allows.
     const auto jump = [&] {
-        const u64 bound =
-            std::min(*std::ranges::min_element(probe_quiet_), cfg_.fuel);
-        const auto c = store.jump_target(key, bound);
-        if (!c || c->counters.instret <= instret_) return;
+        const auto c = store.jump_target(*this, key);
+        if (!c) return;
         restore(*c);
         if (!running_) out = c->trap;
     };
@@ -772,10 +785,13 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
             return false;
         if (!running_ || instret_ != at) continue;
         if (prefix_golden_) {
+            // Now past the reaches that stopped the last jump, perhaps.
             store.record(*this, key);
+            jump();
         } else if (const auto c = store.next_above(key, at - 1);
                    c && c->counters.instret == at && matches(*c)) {
             prefix_golden_ = true;
+            probe_events_ = c->events;
             ++dbt_stats_.rejoins;
             jump();
         }
@@ -936,6 +952,7 @@ void Machine::restore(const Checkpoint& c)
     mem_.restore(s.regions, c.pages); // drops the translation cache
     output_ = c.output;
     set_counters(c.counters);
+    probe_events_ = c.events;
     // Host caches derived from simulated state: the compression memo
     // (and the translation cache, dropped above). Superblocks depend
     // only on the text.

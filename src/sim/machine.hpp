@@ -243,6 +243,10 @@ inline constexpr ProbeQuiet kProbesQuiet = [] {
     return q;
 }();
 
+/// One count per Probe, indexed by its value: how many times a run has
+/// reached each point, live or quiet (see Machine::probe_events()).
+using ProbeCounts = std::array<u64, kNumProbes>;
+
 class Machine;
 
 enum class SrfRule : common::u8; // sim/ops.hpp
@@ -345,9 +349,10 @@ public:
     /// A probe-hooked dispatcher run shares golden-prefix checkpoints
     /// with the other Machines of its Program (sim/checkpoint.hpp):
     /// while no probe call has changed a value it records them, and it
-    /// jumps ahead along the golden run at its start and whenever its
-    /// state equals a stored checkpoint again, as far as its lowest
-    /// quiet point and its fuel allow.
+    /// jumps ahead along the golden run at its start, at each stored
+    /// checkpoint it reaches and whenever its state equals a stored
+    /// checkpoint again, as far as its fuel allows and no skipped
+    /// instruction would have called the hook.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, const ProbeQuiet& quiet = {})
     {
@@ -424,6 +429,14 @@ public:
     /// Host-side counters of the superblock DBT tier (never part of the
     /// simulated envelope).
     const DbtStats& dbt_stats() const { return dbt_stats_; }
+
+    /// Per Probe, the times this run has reached the point, whether the
+    /// hook was live there or not: every probe site of the interpreter
+    /// and of the probe-hooked dispatcher counts (the hook-free
+    /// dispatcher has none). Host-side bookkeeping for the golden-prefix
+    /// checkpoints' event index, never part of State: a jump or a rejoin
+    /// takes the checkpoint's counts.
+    const ProbeCounts& probe_events() const { return probe_events_; }
 
     /// Always zero (see JitStats).
     JitStats jit_stats() const { return {}; }
@@ -510,10 +523,12 @@ private:
     {
         return probe_instret() >= probe_quiet_[static_cast<unsigned>(p)];
     }
-    /// Run `value` through the probe hook while `p` is live (identity
-    /// otherwise). A changed value leaves the golden run.
-    template <bool Hooked = true>
+    /// Count a reach of `p` and run `value` through the probe hook while
+    /// `p` is live (identity otherwise, and always for Hooked = false).
+    template <bool Hooked>
     u64 probe(Probe p, u64 value);
+    /// probe() without the count. A changed value leaves the golden run.
+    u64 call_probe_if_live(Probe p, u64 value);
     template <bool Hooked>
     const ActiveCompression& compression();
     hwst::Trap violation(hwst::TrapKind kind, u64 tval);
@@ -647,6 +662,12 @@ private:
         u64 version = ~u64{0};
         u32 widths = 0;
     } comp_memo_key_;
+    // See probe_events(). Counted by probe<true>() and, for
+    // CompCsrWidths, by compression<true>(): one count per reach
+    // whatever the quiet points and the decode memo hold, so that a
+    // golden run's counts at an instret depend only on the instructions
+    // before it.
+    ProbeCounts probe_events_{};
 };
 
 } // namespace hwst::sim

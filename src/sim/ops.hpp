@@ -433,15 +433,23 @@ constexpr const OpTraits& op_traits(Opcode op)
 
 // ---- Machine op members ----------------------------------------------------
 
+[[gnu::always_inline]] inline u64 Machine::call_probe_if_live(Probe p,
+                                                              u64 value)
+{
+    if (probe_live(p)) [[unlikely]] {
+        const u64 out = probe_hook_(p, probe_instret(), value);
+        if (out != value) prefix_golden_ = false;
+        return out;
+    }
+    return value;
+}
+
 template <bool Hooked>
 [[gnu::always_inline]] inline u64 Machine::probe(Probe p, u64 value)
 {
     if constexpr (Hooked) {
-        if (probe_live(p)) [[unlikely]] {
-            const u64 out = probe_hook_(p, probe_instret(), value);
-            if (out != value) prefix_golden_ = false;
-            return out;
-        }
+        ++probe_events_[static_cast<unsigned>(p)];
+        return call_probe_if_live(p, value);
     }
     return value;
 }
@@ -450,8 +458,11 @@ template <bool Hooked>
 [[gnu::always_inline]] inline const Machine::ActiveCompression&
 Machine::compression()
 {
-    // active_compression()'s memo test, inlined.
+    // active_compression()'s memo test, inlined. The CompCsrWidths
+    // reach is counted here, once per metadata op, and not by the probe
+    // call inside active_compression(), which not every op makes.
     if constexpr (Hooked) {
+        ++probe_events_[static_cast<unsigned>(Probe::CompCsrWidths)];
         if (probe_live(Probe::CompCsrWidths)) return active_compression();
     }
     if (comp_version_ == csrs_.version()) [[likely]] return comp_memo_;

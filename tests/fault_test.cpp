@@ -20,6 +20,7 @@
 
 #include "compiler/driver.hpp"
 #include "env_guard.hpp"
+#include "exec/report.hpp"
 #include "fault/campaign.hpp"
 #include "mir/builder.hpp"
 #include "riscv/program.hpp"
@@ -328,6 +329,35 @@ TEST(FaultCampaign, SmokeNoSilentCorruptionAtProtectedPoints)
     fault::run_campaign(cfg).print(second);
     EXPECT_EQ(first.str(), second.str());
     EXPECT_NE(first.str().find("srf-spatial-write"), std::string::npos);
+}
+
+TEST(FaultCampaign, DbtBlockIsHostSideAndCountsCheckpointActivity)
+{
+    // Sums over the simulated runs of each campaign; --equiv strips it,
+    // so envelopes from both tiers still compare equal.
+    fault::CampaignConfig cfg;
+    cfg.workloads = {"crc32"};
+    cfg.points = {Probe::LmsmLoad, Probe::KeybufferLookup};
+    cfg.seeds_per_point = 4;
+    cfg.jobs = 1;
+    const auto on = [&](const char* tier) {
+        const EnvGuard guard{"HWST_TIER", tier};
+        return fault::run_campaign(cfg).to_json();
+    };
+    const auto interp = on("interp");
+    const auto dbt = on("dbt");
+    ASSERT_NE(interp.find("dbt"), nullptr);
+    ASSERT_NE(dbt.find("dbt"), nullptr);
+    for (const char* key : {"prefix_restores", "restored_instret", "rejoins"})
+        EXPECT_EQ(interp.at("dbt").at(key).as_int(), 0) << key;
+    // Each Program's first faulted run records; lmsm-load draws never
+    // fire on crc32, so the later ones jump.
+    EXPECT_GT(dbt.at("dbt").at("prefix_restores").as_int(), 0);
+    EXPECT_GT(dbt.at("dbt").at("restored_instret").as_int(), 0);
+    EXPECT_TRUE(hwst::exec::is_host_field("dbt"));
+    EXPECT_FALSE(interp == dbt);
+    EXPECT_TRUE(hwst::exec::strip_host_fields(interp) ==
+                hwst::exec::strip_host_fields(dbt));
 }
 
 // ------------------------------------------- dispatcher fast-forward
@@ -1078,12 +1108,14 @@ TEST(ProbeQuiet, LiveWidthsDecodeFollowsEveryReturnedValue)
 //
 // A dispatcher run whose probe calls have changed no value records its
 // state every CheckpointStore::kSpacing instructions in its Program's
-// store, and its end (the terminal checkpoint); a later fresh run of the
-// same Program and config (fuel aside) jumps to the terminal checkpoint
-// or the latest checkpoint before its trigger, and a faulted run whose
-// state equals a stored checkpoint again rejoins the golden run and
-// jumps the same way. Every run below is checked against the same plan
-// on the interpreter, which never records, restores or rejoins.
+// store, with the golden run's probe-reach counts, and its end (the
+// terminal checkpoint); a later fresh run of the same Program and config
+// (fuel aside) jumps, at its start and at each checkpoint it stops at,
+// to the furthest checkpoint before which the counts show no reach of a
+// live point, and a faulted run whose state equals a stored checkpoint
+// again rejoins the golden run and jumps the same way. Every run below
+// is checked against the same plan on the interpreter, which never
+// records, restores or rejoins.
 
 constexpr u64 kSpacing = sim::CheckpointStore::kSpacing;
 
@@ -1142,34 +1174,136 @@ sim::CheckpointKey key_of(const PrefixWorkload& w)
     return key;
 }
 
-/// The lowest trigger of `plan`: its fresh run's lowest quiet point.
-u64 lowest_trigger(const fault::FaultPlan& plan)
+/// Where the golden run of a Program reaches each probe point: the
+/// instret of every reach, ascending. An identity hook with every point
+/// live on the interpreter is called exactly there, once per probe site
+/// (at comp-csr-widths once per metadata op), so these are the events
+/// Machine::probe_events() counts.
+struct GoldenEvents {
+    std::array<std::vector<u64>, sim::kNumProbes> at;
+    std::optional<sim::State> end; ///< the golden run's end-of-run State
+
+    GoldenEvents(const Program& program, sim::MachineConfig cfg)
+    {
+        cfg.tier = sim::ExecTier::Interp;
+        Machine m{program, cfg};
+        m.set_probe_hook([this](Probe p, u64 instret, u64 value) {
+            at[static_cast<unsigned>(p)].push_back(instret);
+            return value;
+        });
+        m.run();
+        end = m.state();
+    }
+
+    /// Reaches of `p` by the instructions retiring at or below `instret`.
+    u64 count(unsigned p, u64 instret) const
+    {
+        return static_cast<u64>(std::ranges::upper_bound(at[p], instret) -
+                                at[p].begin());
+    }
+
+    /// The first reach of `p` at or above `instret` (~0: none).
+    u64 first_from(unsigned p, u64 instret) const
+    {
+        const auto it = std::ranges::lower_bound(at[p], instret);
+        return it == at[p].end() ? ~u64{0} : *it;
+    }
+};
+
+/// The quiet points Injector::attach declares for `plan`.
+sim::ProbeQuiet quiet_of(const fault::FaultPlan& plan)
 {
-    u64 quiet = ~u64{0};
-    for (const auto& f : plan.faults)
-        quiet = std::min(quiet, f.trigger_instret);
-    return quiet;
+    return fault::Injector{plan}.quiet();
 }
 
+/// Where `plan` first changes a value on the golden run: the first reach
+/// of a fault's point at or above its trigger (~0: never).
+u64 first_fire(const GoldenEvents& events, const fault::FaultPlan& plan)
+{
+    u64 fire = ~u64{0};
+    for (const auto& f : plan.faults)
+        fire = std::min(fire, events.first_from(static_cast<unsigned>(f.point),
+                                                f.trigger_instret));
+    return fire;
+}
+
+/// The jumps a run made while it was golden: how many, and the
+/// instructions they skipped (DbtStats::prefix_restores and
+/// restored_instret).
+struct Jumps {
+    u64 restores = 0;
+    u64 instret = 0;
+    u64 to = 0; ///< where the last one landed
+};
+
 /// What one key's store holds, as the tests predict it. A golden run
-/// records every multiple of kSpacing it passes, from where it started
-/// or jumped to, so the checkpoints are always every multiple below
-/// `covered`; the terminal one is there once a run has ended golden.
+/// records every multiple of kSpacing it stops at, and it stops at each
+/// one past where it started or jumped to, so the checkpoints are
+/// always every multiple below `covered`; the terminal one is there once
+/// a run has ended golden.
 struct StoreShape {
     u64 golden_instret;
     u64 covered = 0;
     bool terminal = false;
 
-    /// Where a golden run jumps when every instruction it skips must lie
-    /// below `bound` (0: nowhere).
-    u64 jump(u64 bound) const
+    /// The latest stored checkpoint at or below `instret` (0: none).
+    u64 stored_below(u64 instret) const
     {
-        if (terminal && golden_instret < bound) return golden_instret;
-        const u64 below = std::min(bound, covered);
-        return below == 0 ? 0 : (below - 1) / kSpacing * kSpacing;
+        if (covered == 0) return 0;
+        return std::min(instret, covered - 1) / kSpacing * kSpacing;
     }
 
-    /// The run was golden up to instret `at`.
+    /// Where a golden run at `from` with quiet points `quiet` and fuel
+    /// `fuel` jumps (0: nowhere), by CheckpointStore::jump_target's rule:
+    /// the furthest stored checkpoint c below the fuel such that, per
+    /// point, c lies at or below the last quiet or retired instret
+    /// (`dark`), or the golden run's count there equals its count at the
+    /// latest known instret at or below `dark`.
+    u64 jump(const GoldenEvents& events, u64 from, const sim::ProbeQuiet& quiet,
+             u64 fuel) const
+    {
+        const auto safe = [&](u64 c) {
+            if (c <= from || c >= fuel) return false;
+            for (unsigned p = 0; p < sim::kNumProbes; ++p) {
+                const u64 dark = std::max(from, quiet[p] ? quiet[p] - 1 : 0);
+                const u64 known = std::max(from, stored_below(dark));
+                if (c > dark && events.count(p, c) != events.count(p, known))
+                    return false;
+            }
+            return true;
+        };
+        if (terminal && safe(golden_instret)) return golden_instret;
+        for (u64 c = stored_below(~u64{0}); c != 0; c -= kSpacing)
+            if (safe(c)) return c;
+        return 0;
+    }
+
+    /// A fresh run with quiet points `quiet` and fuel `fuel` that stays
+    /// golden below instret `fire` (its first changed value, ~0: none):
+    /// its jumps while golden, with what it records on the way. It
+    /// tries a jump at its start and at each checkpoint it stops at.
+    Jumps fresh_run(const GoldenEvents& events, const sim::ProbeQuiet& quiet,
+                    u64 fuel, u64 fire)
+    {
+        Jumps j;
+        const u64 end = std::min({fire, fuel, golden_instret});
+        u64 x = 0;
+        for (;;) {
+            if (const u64 c = jump(events, x, quiet, fuel)) {
+                ++j.restores;
+                j.instret += c - x;
+                x = j.to = c;
+            }
+            const u64 next = (x / kSpacing + 1) * kSpacing;
+            if (x == golden_instret || next >= end) break;
+            golden_to(next + 1);
+            x = next;
+        }
+        golden_to(end);
+        return j;
+    }
+
+    /// The run was golden below instret `at`.
     void golden_to(u64 at)
     {
         covered = std::max(covered, std::min(at, golden_instret));
@@ -1203,15 +1337,11 @@ fault::FaultPlan never_fires(const PrefixWorkload& w)
 /// probed value, and the decode ignores it, so nothing else changes.
 constexpr u64 kIgnoredWidthBit = u64{1} << 40;
 
-/// Equal end-of-run States. A stopped Machine never reads last_load_rd
-/// again, and on a trap the dispatcher leaves it as the trapping block
-/// found it while step() clears it, so a trapped run's is not compared.
+/// Equal end-of-run States.
 void expect_same_end_state(const FaultedRun& a, const FaultedRun& b)
 {
     ASSERT_TRUE(a.state && b.state);
-    sim::State x = *a.state;
-    if (!a.result->ok()) x.last_load_rd = b.state->last_load_rd;
-    EXPECT_TRUE(x == *b.state);
+    EXPECT_TRUE(*a.state == *b.state);
 }
 
 /// A run that rejoined nowhere: one jump, to `checkpoint`, at its start
@@ -1227,26 +1357,40 @@ void expect_restored(const FaultedRun& run, u64 checkpoint)
     EXPECT_EQ(run.dbt.restored_instret, checkpoint);
 }
 
-/// A fresh jump to `checkpoint` (0: none), then at most one further
-/// jump per rejoin, each forward.
-void expect_jumps(const FaultedRun& run, u64 checkpoint)
+/// `golden`, the jumps a fresh run makes before its first changed value
+/// (StoreShape::fresh_run), then forward jumps after its rejoins: at
+/// most one per rejoin for a one-shot run, which never calls the hook
+/// again once it has rejoined.
+void expect_jumps(const FaultedRun& run, const Jumps& golden, bool one_shot)
 {
-    if (run.dbt.rejoins == 0 || !dispatcher_available()) {
-        expect_restored(run, checkpoint);
+    if (!dispatcher_available()) {
+        EXPECT_EQ(run.dbt.prefix_restores, 0u);
+        EXPECT_EQ(run.dbt.rejoins, 0u);
         return;
     }
-    const u64 fresh = checkpoint ? 1 : 0;
-    EXPECT_GE(run.dbt.prefix_restores, fresh);
-    EXPECT_LE(run.dbt.prefix_restores - fresh, run.dbt.rejoins);
-    EXPECT_GE(run.dbt.restored_instret,
-              checkpoint + run.dbt.prefix_restores - fresh);
+    if (run.dbt.rejoins == 0) {
+        EXPECT_EQ(run.dbt.prefix_restores, golden.restores);
+        EXPECT_EQ(run.dbt.restored_instret, golden.instret);
+        return;
+    }
+    ASSERT_GE(run.dbt.prefix_restores, golden.restores);
+    const u64 later = run.dbt.prefix_restores - golden.restores;
+    if (one_shot) {
+        EXPECT_LE(later, run.dbt.rejoins);
+    }
+    EXPECT_GE(run.dbt.restored_instret, golden.instret + later);
 }
 
 TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
 {
+    // Runs whose jumps carried them past their trigger: crc32's
+    // lmsm-load and keybuffer-fill draws (treeadd reaches every point
+    // in every stretch).
+    u64 past_the_trigger = 0;
     for (const char* name : {"crc32", "treeadd"}) {
         const PrefixWorkload w{name};
         ASSERT_GT(w.golden.instret, 2 * kSpacing) << name;
+        const GoldenEvents events{w.cp.program, w.cfg};
         StoreShape shape{w.golden.instret};
         u64 restores = 0;
         u64 one_shot_rejoins = 0;
@@ -1260,31 +1404,37 @@ TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
                         point, w.golden.instret, rng, mode)}};
                     SCOPED_TRACE(std::string{name} + " " +
                                  plan.faults[0].describe());
-                    const u64 c = shape.jump(lowest_trigger(plan));
+                    const bool one_shot = mode == fault::FaultMode::OneShot;
+                    const u64 fire = first_fire(events, plan);
+                    // Golden up to its first changed value.
+                    const Jumps golden =
+                        dispatcher_available()
+                            ? shape.fresh_run(events, quiet_of(plan),
+                                              w.cfg.fuel, fire)
+                            : Jumps{};
                     const FaultedRun ff =
                         run_prefix(w.cp.program, plan, w.cfg);
                     const FaultedRun ref =
                         run_interp(w.cp.program, plan, w.cfg);
                     expect_same_faulted(ff, ref);
                     expect_same_end_state(ff, ref);
-                    expect_jumps(ff, c);
-                    restores += c != 0;
+                    EXPECT_EQ(ref.fires ? ref.first_fire : ~u64{0}, fire);
+                    expect_jumps(ff, golden, one_shot);
+                    restores += golden.restores != 0;
+                    // Only the event index lets a jump reach the trigger.
+                    past_the_trigger +=
+                        golden.to >= plan.faults[0].trigger_instret;
                     if (!dispatcher_available()) continue;
-                    // Golden up to its first changed value, and from a
-                    // one-shot run's rejoin to the end. A stuck-at run
-                    // that rejoined records up to its next fire: read
-                    // back.
-                    const bool one_shot = mode == fault::FaultMode::OneShot;
+                    // Golden from a one-shot run's rejoin to the end. A
+                    // stuck-at run that rejoined records up to its next
+                    // fire: read back.
                     if (one_shot) one_shot_rejoins += ff.dbt.rejoins;
                     if (ff.fires == 0 || (one_shot && ff.dbt.rejoins != 0)) {
                         shape.golden_end();
-                    } else {
-                        shape.golden_to(ff.first_fire);
-                        if (ff.dbt.rejoins != 0) {
-                            shape.golden_to((w.store().size() + 1) * kSpacing);
-                            shape.terminal |=
-                                w.store().terminal(key_of(w)) != nullptr;
-                        }
+                    } else if (ff.dbt.rejoins != 0) {
+                        shape.golden_to((w.store().size() + 1) * kSpacing);
+                        shape.terminal |=
+                            w.store().terminal(key_of(w)) != nullptr;
                     }
                     EXPECT_EQ(w.store().size(), shape.size());
                     EXPECT_EQ(w.store().terminal(key_of(w)) != nullptr,
@@ -1297,28 +1447,170 @@ TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
             EXPECT_GT(one_shot_rejoins, 0u) << name;
         }
     }
+    if (dispatcher_available()) {
+        EXPECT_GT(past_the_trigger, 0u);
+    }
 }
 
-TEST(PrefixCheckpoint, TriggerBelowTheFirstCheckpointDoesNotRestore)
+TEST(PrefixCheckpoint, TriggerBelowTheFirstCheckpointDoesNotJumpAtTheStart)
 {
+    // crc32 reaches keybuffer-fill at its first two keys only, inside the
+    // first stretch. Below a trigger at or under the first checkpoint the
+    // event index knows instret 0 alone, where the count is 0, not 2: no
+    // jump at the start. A run that never fires jumps from the first
+    // checkpoint instead, straight to the terminal one.
     const PrefixWorkload w{"crc32"};
+    const GoldenEvents events{w.cp.program, w.cfg};
+    const auto& fills =
+        events.at[static_cast<unsigned>(Probe::KeybufferFill)];
+    ASSERT_EQ(fills.size(), 2u);
+    ASSERT_LT(fills.back(), kSpacing - 1);
+    const u64 end = w.golden.instret;
     const auto late = fault::FaultPlan::single(
-        Probe::LmsmLoad, fault::FaultMode::OneShot, 3 * kSpacing, 0x4);
+        Probe::KeybufferFill, fault::FaultMode::OneShot, 3 * kSpacing, 0x4);
     expect_restored(run_prefix(w.cp.program, late, w.cfg), 0);
     for (const u64 trigger : {u64{1}, kSpacing - 1, kSpacing}) {
         SCOPED_TRACE(trigger);
         const auto plan = fault::FaultPlan::single(
-            Probe::LmsmLoad, fault::FaultMode::StuckAt, trigger, 0x4);
+            Probe::KeybufferFill, fault::FaultMode::StuckAt, trigger, 0x4);
         const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
-        expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
-        expect_restored(ff, 0);
+        const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+        expect_same_faulted(ff, ref);
+        expect_same_end_state(ff, ref);
+        if (trigger <= fills.back()) {
+            EXPECT_EQ(ref.first_fire, fills.front());
+            expect_restored(ff, 0);
+        } else {
+            EXPECT_EQ(ref.fires, 0u);
+            expect_jumps(ff, Jumps{1, end - kSpacing, end}, false);
+            EXPECT_EQ(ff.dbt.rejoins, 0u);
+        }
     }
-    // One past the checkpoint: it may stand in for instructions 1..kSpacing.
+    // One past the checkpoint: it may stand in for instructions
+    // 1..kSpacing, and the index shows no fill after it.
     const auto plan = fault::FaultPlan::single(
-        Probe::LmsmLoad, fault::FaultMode::StuckAt, kSpacing + 1, 0x4);
+        Probe::KeybufferFill, fault::FaultMode::StuckAt, kSpacing + 1, 0x4);
     const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
     expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
-    expect_restored(ff, kSpacing);
+    expect_restored(ff, end);
+}
+
+TEST(PrefixCheckpoint, RunPastTheGoldenRunsLastEventJumpsToTheTerminal)
+{
+    // crc32 never reaches lmsm-load, and keybuffer-fill only inside its
+    // first stretch (see above): once the index knows an instret past
+    // those reaches and below the trigger, a fresh run jumps straight to
+    // the golden run's end.
+    const PrefixWorkload w{"crc32"};
+    const GoldenEvents events{w.cp.program, w.cfg};
+    ASSERT_TRUE(events.at[static_cast<unsigned>(Probe::LmsmLoad)].empty());
+    const u64 end = w.golden.instret;
+    expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg), 0);
+    const std::vector<std::pair<Probe, u64>> cases{
+        {Probe::LmsmLoad, 1},
+        {Probe::LmsmLoad, kSpacing},
+        {Probe::LmsmLoad, end - 1},
+        {Probe::KeybufferFill, kSpacing + 1},
+        {Probe::KeybufferFill, end / 2},
+        {Probe::KeybufferFill, end - 1},
+    };
+    for (const auto& [point, trigger] : cases) {
+        SCOPED_TRACE(std::string{sim::probe_name(point)} + " @" +
+                     std::to_string(trigger));
+        const auto plan = fault::FaultPlan::single(
+            point, fault::FaultMode::OneShot, trigger, 0x4);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+        const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+        EXPECT_EQ(ref.fires, 0u);
+        expect_same_faulted(ff, ref);
+        expect_same_end_state(ff, ref);
+        expect_restored(ff, end);
+    }
+}
+
+TEST(PrefixCheckpoint, IdentityHookSeesTheInterpretersCallsFromAWarmStore)
+{
+    // With every checkpoint stored, a run whose hook changes nothing is
+    // golden throughout and jumps wherever the index allows: its hook
+    // must still see every call the interpreter makes, in order.
+    for (const char* name : {"crc32", "treeadd"}) {
+        const PrefixWorkload w{name};
+        const GoldenEvents events{w.cp.program, w.cfg};
+        expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg), 0);
+        const u64 end = w.golden.instret;
+        u64 skipped = 0;
+        for (unsigned pi = 0; pi < sim::kNumProbes; ++pi) {
+            const auto point = static_cast<Probe>(pi);
+            for (u64 k = 0; k <= 8; ++k) {
+                const u64 trigger = k * end / 8 + (k % 2);
+                SCOPED_TRACE(std::string{name} + " " +
+                             std::string{sim::probe_name(point)} + " @" +
+                             std::to_string(trigger));
+                sim::ProbeQuiet quiet = sim::kProbesQuiet;
+                quiet[pi] = trigger;
+                Machine m{w.cp.program, w.cfg};
+                std::vector<ProbeCall> calls;
+                m.set_probe_hook(
+                    [&calls](Probe p, u64 instret, u64 value) {
+                        calls.push_back(ProbeCall{p, instret, 0});
+                        return value;
+                    },
+                    quiet);
+                expect_same_run(m.run(), w.golden);
+                EXPECT_TRUE(m.state() == *events.end);
+                std::vector<ProbeCall> want;
+                for (auto it = std::ranges::lower_bound(events.at[pi], trigger);
+                     it != events.at[pi].end(); ++it)
+                    want.push_back(ProbeCall{point, *it, 0});
+                EXPECT_EQ(calls, want);
+                skipped += m.dbt_stats().restored_instret;
+            }
+        }
+        if (dispatcher_available()) {
+            EXPECT_GT(skipped, 0u) << name;
+        }
+    }
+}
+
+TEST(PrefixCheckpoint, ProbeEventCountsAreTheGoldenRunsReaches)
+{
+    for (const char* name : {"crc32", "treeadd"}) {
+        const PrefixWorkload w{name};
+        const GoldenEvents events{w.cp.program, w.cfg};
+        // Cold (recording) and warm (jumping to the terminal) on the
+        // dispatcher, and the interpreter.
+        for (const auto tier : {sim::ExecTier::Auto, sim::ExecTier::Auto,
+                                sim::ExecTier::Interp}) {
+            SCOPED_TRACE(std::string{name} + " " +
+                         std::string{sim::tier_name(tier)});
+            sim::MachineConfig cfg = w.cfg;
+            cfg.tier = tier;
+            Machine m{w.cp.program, cfg};
+            m.set_probe_hook([](Probe, u64, u64 value) { return value; },
+                             sim::kProbesQuiet);
+            expect_same_run(m.run(), w.golden);
+            for (unsigned p = 0; p < sim::kNumProbes; ++p)
+                EXPECT_EQ(m.probe_events()[p], events.at[p].size()) << p;
+        }
+        // Every stored checkpoint carries the counts at its instret.
+        const auto key = key_of(w);
+        std::size_t seen = 0;
+        for (auto c = w.store().next_above(key, 0); c;
+             c = w.store().next_above(key, c->counters.instret)) {
+            ++seen;
+            for (unsigned p = 0; p < sim::kNumProbes; ++p)
+                EXPECT_EQ(c->events[p], events.count(p, c->counters.instret))
+                    << c->counters.instret << " " << p;
+        }
+        EXPECT_EQ(seen, w.store().size());
+        if (const auto t = w.store().terminal(key)) {
+            for (unsigned p = 0; p < sim::kNumProbes; ++p)
+                EXPECT_EQ(t->events[p], events.at[p].size()) << p;
+        }
+        if (dispatcher_available()) {
+            EXPECT_EQ(seen, (w.golden.instret - 1) / kSpacing);
+        }
+    }
 }
 
 TEST(PrefixCheckpoint, ConfigThatDiffersOutsideFuelDoesNotRestore)
@@ -1426,13 +1718,19 @@ TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
         {Probe::LmsmLoad, fault::FaultMode::StuckAt, late, 0x3},
         {Probe::CompCsrWidths, fault::FaultMode::OneShot, early, 0x40},
     }};
+    const GoldenEvents events{w.cp.program, w.cfg};
     StoreShape shape{w.golden.instret};
     for (int i = 0; i < 2; ++i) {
-        const u64 c = shape.jump(early);
+        const Jumps golden =
+            dispatcher_available()
+                ? shape.fresh_run(events, quiet_of(plan), w.cfg.fuel,
+                                  first_fire(events, plan))
+                : Jumps{};
         const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
         expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
-        expect_restored(ff, c);
-        shape.golden_to(ff.first_fire);
+        EXPECT_EQ(ff.dbt.rejoins, 0u);
+        expect_jumps(ff, golden, false);
+        EXPECT_LT(golden.to, early);
     }
     if (dispatcher_available()) {
         EXPECT_EQ(w.store().size(), 1u);
@@ -1441,8 +1739,7 @@ TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
 
 TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
 {
-    // Prints every 64th count: about 1,500 values, two thirds of them
-    // before the restored checkpoint.
+    // Prints every 64th count: about 1,500 values.
     const Built b = build([](Program& p) {
         p.emit_li(Reg::s0, 0);
         p.emit_li(Reg::s1, 100'000);
@@ -1459,16 +1756,28 @@ TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
     });
     const sim::MachineConfig cfg{};
     // LmsmLoad never fires here: its point stays live from the trigger
-    // to the end.
+    // to the end, and the golden run never reaches it.
     const auto plan = fault::FaultPlan::single(
         Probe::LmsmLoad, fault::FaultMode::OneShot, 2 * kSpacing + 99, 0x1);
     const FaultedRun ref = run_interp(b.program, plan, cfg);
-    ASSERT_GT(ref.result->instret, 2 * kSpacing);
+    ASSERT_GT(ref.result->instret, 6 * kSpacing);
     ASSERT_GT(ref.result->output.size(), 1500u);
     expect_restored(run_prefix(b.program, plan, cfg), 0);
+    // Straight to the terminal checkpoint, which holds all of it.
     const FaultedRun ff = run_prefix(b.program, plan, cfg);
     expect_same_faulted(ff, ref);
-    expect_restored(ff, 2 * kSpacing);
+    expect_same_end_state(ff, ref);
+    expect_restored(ff, ref.result->instret);
+    // A fuel two thirds of the way in: to the latest checkpoint below it.
+    sim::MachineConfig cut = cfg;
+    cut.fuel = ref.result->instret * 2 / 3;
+    const FaultedRun cut_ref = run_interp(b.program, plan, cut);
+    const FaultedRun cut_ff = run_prefix(b.program, plan, cut);
+    expect_same_faulted(cut_ff, cut_ref);
+    expect_same_end_state(cut_ff, cut_ref);
+    const u64 below = (cut.fuel - 1) / kSpacing * kSpacing;
+    ASSERT_GT(below * 2, ref.result->instret);
+    expect_restored(cut_ff, below);
 }
 
 TEST(PrefixCheckpoint, FourThreadsShareOneProgram)
@@ -1622,14 +1931,68 @@ TEST(PrefixCheckpoint, StuckAtRunsRejoinButNeverJump)
         expect_same_faulted(ff, ref);
         expect_same_end_state(ff, ref);
         if (!dispatcher_available()) continue;
-        // Equal at every checkpoint past the trigger; the only jump is
-        // the fresh one below it.
+        // Equal at every checkpoint past the trigger. crc32 reaches
+        // comp-csr-widths in every stretch, so the event index allows no
+        // jump after a rejoin: the only jump is the fresh one, to the
+        // latest checkpoint below the trigger.
         EXPECT_EQ(ff.dbt.rejoins,
                   (w.golden.instret - 1) / kSpacing - (trigger - 1) / kSpacing);
         const u64 c = (trigger - 1) / kSpacing * kSpacing;
         EXPECT_EQ(ff.dbt.prefix_restores, c ? 1u : 0u);
         EXPECT_EQ(ff.dbt.restored_instret, c);
     }
+}
+
+TEST(PrefixCheckpoint, StuckAtRunJumpsOverAStretchWithoutEvents)
+{
+    // Binds a pointer (a comp-csr-widths reach), loops for 3.2
+    // stretches, binds again and loops for 3 more.
+    const auto loop = [](Program& p, const char* label, i64 trips) {
+        p.emit_li(Reg::s0, 0);
+        p.emit_li(Reg::s1, trips);
+        p.label(label);
+        p.emit(itype(Opcode::ADDI, Reg::s0, Reg::s0, 1));
+        p.emit_branch(Opcode::BLT, Reg::s0, Reg::s1, label);
+    };
+    const Built b = build([&](Program& p) {
+        const i64 base = static_cast<i64>(p.layout().data_base);
+        p.emit_li(Reg::a0, base);
+        p.emit_li(Reg::t4, base + 64);
+        p.emit(rtype(Opcode::BNDRS, Reg::a0, Reg::a0, Reg::t4));
+        loop(p, "first", static_cast<i64>(kSpacing * 16 / 10));
+        p.emit(rtype(Opcode::BNDRS, Reg::a1, Reg::a0, Reg::t4));
+        loop(p, "second", static_cast<i64>(kSpacing * 3 / 2));
+        p.emit_li(Reg::a0, 0);
+    });
+    const sim::MachineConfig cfg{};
+    const GoldenEvents events{b.program, cfg};
+    const auto& widths = events.at[static_cast<unsigned>(Probe::CompCsrWidths)];
+    ASSERT_EQ(widths.size(), 2u);
+    ASSERT_LT(widths[0], kSpacing);
+    ASSERT_GT(widths[1], 3 * kSpacing);
+    ASSERT_LT(widths[1], 4 * kSpacing);
+    // No lmsm-load here: a golden run that records every checkpoint.
+    expect_restored(run_prefix(b.program,
+                               fault::FaultPlan::single(
+                                   Probe::LmsmLoad, fault::FaultMode::OneShot,
+                                   1, 0x1),
+                               cfg),
+                    0);
+    // Each fire changes only bits the decode ignores: the run rejoins at
+    // the checkpoint after it, jumps to the last checkpoint before the
+    // second bind, fires there and rejoins again, then jumps to the end.
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::StuckAt, 1, kIgnoredWidthBit);
+    const FaultedRun ref = run_interp(b.program, plan, cfg);
+    ASSERT_EQ(ref.fires, 2u);
+    const FaultedRun ff = run_prefix(b.program, plan, cfg);
+    expect_same_faulted(ff, ref);
+    expect_same_end_state(ff, ref);
+    if (!dispatcher_available()) return;
+    EXPECT_EQ(ff.dbt.rejoins, 2u);
+    EXPECT_EQ(ff.dbt.prefix_restores, 2u);
+    EXPECT_EQ(ff.dbt.restored_instret, (3 * kSpacing - kSpacing) +
+                                           (ref.result->instret - 4 * kSpacing));
 }
 
 TEST(PrefixCheckpoint, FourThreadsRaceToStoreOneTerminal)

@@ -1177,6 +1177,40 @@ TEST(SuperblockFuel, FuelTrapBitIdentical)
     expect_bit_equal(a, b);
 }
 
+// ---- a plain access fault inside a block ----------------------------
+
+TEST(SuperblockTrap, AccessFaultInsideABlockLeavesTheInterpretersState)
+{
+    // The first block fills the length cap and ends with a load, so the
+    // second one is entered with that load's rd pending; its second
+    // instruction loads from the unmapped null page. step() stops with
+    // pc at the faulting load and no load-use hazard pending, and the
+    // dispatcher must leave the same State.
+    Program p;
+    p.label("main");
+    p.emit(itype(Opcode::ADDI, Reg::t0, Reg::zero, 0));
+    for (unsigned i = 2; i < sim::kMaxSuperblockLen; ++i)
+        p.emit(itype(Opcode::ADDI, Reg::t3, Reg::t3, 1));
+    p.emit(itype(Opcode::LD, Reg::t1, Reg::sp, -8));
+    p.emit(itype(Opcode::ADDI, Reg::t4, Reg::t4, 1));
+    p.emit(itype(Opcode::LD, Reg::t2, Reg::t0, 0));
+    p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
+    p.emit(Instruction{Opcode::ECALL});
+    p.finalize();
+
+    sim::Machine dbt{p, with_dbt({}, true)};
+    const sim::RunResult a = dbt.run();
+    sim::Machine interp{p, with_dbt({}, false)};
+    const sim::RunResult b = interp.run();
+
+    ASSERT_EQ(b.trap.kind, hwst::hwst::TrapKind::AccessFault);
+    EXPECT_EQ(b.instret, sim::kMaxSuperblockLen + 2);
+    expect_bit_equal(a, b);
+    EXPECT_EQ(dbt.pc(), b.trap.pc);
+    EXPECT_TRUE(dbt.state() == interp.state());
+    EXPECT_GT(dbt.dbt_stats().block_execs, 1u);
+}
+
 // ---- mid-stream CSR reads of the batched counters --------------------
 
 TEST(SuperblockCsr, CycleAndInstretReadsSeeBatchedCounters)
