@@ -119,6 +119,25 @@ void CheckpointStore::record(const Machine& m, const CheckpointKey& key,
         terminals_.push_back(std::move(c));
 }
 
+bool CheckpointStore::complete(const CheckpointKey& key, u64 fuel,
+                               const std::function<bool()>& record_golden)
+{
+    const auto done = [&] {
+        const std::lock_guard lock{mu_};
+        if (terminal_locked(key)) return true;
+        return std::ranges::any_of(completed_, [&](const auto& c) {
+            return c.first == key && c.second >= fuel;
+        });
+    };
+    if (done()) return true;
+    const std::lock_guard running{complete_mu_};
+    if (done()) return true;
+    if (!record_golden()) return false;
+    const std::lock_guard lock{mu_};
+    completed_.emplace_back(key, fuel);
+    return true;
+}
+
 std::size_t CheckpointStore::size() const
 {
     const std::lock_guard lock{mu_};

@@ -15,7 +15,10 @@
 // checkpoint carries the golden run's probe-event counts (the event
 // index, Machine::probe_events()), so a point that is live may still
 // be jumped over where the counts prove the golden run never reaches
-// it. Simulated results are identical to simulating what was skipped.
+// it. A faulted run first completes the store with a golden run of its
+// own (CheckpointStore::complete), so the checkpoints it may rejoin at
+// do not depend on which runs of the Program came before it. Simulated
+// results are identical to simulating what was skipped.
 //
 // Checkpoints are immutable once stored and shared by every Machine of
 // the Program (fault_campaign --jobs N runs them on N workers), so the
@@ -23,8 +26,10 @@
 // checkpoint's shares that checkpoint's buffer.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -87,18 +92,30 @@ public:
     void record(const Machine& m, const CheckpointKey& key,
                 const hwst::Trap& end = {});
 
+    /// Make the store under `key` hold the golden run up to `fuel`:
+    /// unless its terminal checkpoint is stored (a golden run that ended
+    /// stored every checkpoint before it) or a completion with at least
+    /// that fuel has finished, call `record_golden`, a golden run that
+    /// records as it goes (false: it was cancelled). One caller runs it
+    /// at a time and the others wait for it. False if it was cancelled.
+    bool complete(const CheckpointKey& key, u64 fuel,
+                  const std::function<bool()>& record_golden);
+
     /// Checkpoints stored, the terminal ones excluded.
     std::size_t size() const;
     /// The terminal checkpoint under `key` (null: none yet).
     std::shared_ptr<const Checkpoint> terminal(const CheckpointKey& key) const;
 
 private:
-    mutable std::mutex mu_; ///< guards the three members below
+    mutable std::mutex mu_; ///< guards the four members below
     /// Ascending instret.
     std::vector<std::shared_ptr<const Checkpoint>> checkpoints_;
     /// At most one per key.
     std::vector<std::shared_ptr<const Checkpoint>> terminals_;
     std::size_t bytes_ = 0; ///< estimated, pages counted once
+    /// Finished completions: key and fuel.
+    std::vector<std::pair<CheckpointKey, u64>> completed_;
+    std::mutex complete_mu_; ///< held while a completion runs
 
     std::shared_ptr<const Checkpoint> terminal_locked(
         const CheckpointKey& key) const;

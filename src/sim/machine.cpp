@@ -754,9 +754,9 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
     // No periodic fast-forward: the hook may perturb any later
     // instruction. Golden-prefix checkpoints (sim/checkpoint.hpp)
     // instead: a golden run jumps ahead along the golden run, and
-    // records every kSpacing and at its end; a run that has left it
-    // compares itself with every stored checkpoint it reaches and
-    // rejoins it on equality.
+    // records every kSpacing and at its end; a run that a probe call
+    // took off it completes the store, then compares itself with every
+    // stored checkpoint it reaches and rejoins it on equality.
     if (!running_) return true;
     CheckpointStore& store = CheckpointStore::of(program_);
     CheckpointKey key{cfg_, program_.layout()};
@@ -770,6 +770,21 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
         restore(*c);
         if (!running_) out = c->trap;
     };
+    // The golden run with every point quiet, on a Machine of its own:
+    // it jumps to the furthest stored checkpoint and records from there.
+    // It borrows this Machine's probe-hooked block cache (superblocks
+    // depend only on the text and the config), so that it neither
+    // translates nor holds a second one.
+    const auto record_golden = [&] {
+        Machine golden{program_, cfg_};
+        golden.set_probe_hook([](Probe, u64, u64 value) { return value; },
+                              kProbesQuiet);
+        golden.sbcache_hooked_ = std::move(sbcache_hooked_);
+        const bool finished =
+            golden.run_cancellable(cancel, stride).has_value();
+        sbcache_hooked_ = std::move(golden.sbcache_hooked_);
+        return finished;
+    };
     if (prefix_golden_) jump();
     while (running_) {
         // Golden: stop at the next multiple of kSpacing to record.
@@ -778,23 +793,34 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
         if (prefix_golden_) {
             at = (instret_ / CheckpointStore::kSpacing + 1) *
                  CheckpointStore::kSpacing;
-        } else if (const auto next = store.next_above(key, instret_)) {
-            at = next->counters.instret;
+        } else {
+            if (prefix_left_ &&
+                !store.complete(key, cfg_.fuel, record_golden))
+                return false;
+            // A stop is at a stored checkpoint, or at the end of the
+            // stretch that left the golden run (where the completion may
+            // just have stored one).
+            if (const auto c = store.next_above(key, instret_ - 1);
+                instret_ != 0 && c && c->counters.instret == instret_ &&
+                matches(*c)) {
+                prefix_golden_ = true;
+                probe_events_ = c->events;
+                ++dbt_stats_.rejoins;
+                jump();
+                continue;
+            }
+            if (const auto next = store.next_above(key, instret_))
+                at = next->counters.instret;
         }
-        if (!dispatch<true>(cancel, stride, std::min(at, cfg_.fuel), out))
-            return false;
-        if (!running_ || instret_ != at) continue;
-        if (prefix_golden_) {
-            // Now past the reaches that stopped the last jump, perhaps.
-            store.record(*this, key);
-            jump();
-        } else if (const auto c = store.next_above(key, at - 1);
-                   c && c->counters.instret == at && matches(*c)) {
-            prefix_golden_ = true;
-            probe_events_ = c->events;
-            ++dbt_stats_.rejoins;
-            jump();
-        }
+        const bool golden = prefix_golden_;
+        const bool finished =
+            dispatch<true>(cancel, stride, std::min(at, cfg_.fuel), out);
+        if (golden && !prefix_golden_) prefix_left_ = true;
+        if (!finished) return false;
+        if (!running_ || !prefix_golden_ || instret_ != at) continue;
+        // Now past the reaches that stopped the last jump, perhaps.
+        store.record(*this, key);
+        jump();
     }
     if (prefix_golden_ && out.kind != TrapKind::FuelExhausted)
         store.record(*this, key, out);

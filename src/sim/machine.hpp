@@ -352,7 +352,9 @@ public:
     /// jumps ahead along the golden run at its start, at each stored
     /// checkpoint it reaches and whenever its state equals a stored
     /// checkpoint again, as far as its fuel allows and no skipped
-    /// instruction would have called the hook.
+    /// instruction would have called the hook. Once a probe call has
+    /// changed a value, it first has a second Machine record the rest
+    /// of the golden run, if no run has yet.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, const ProbeQuiet& quiet = {})
     {
@@ -668,6 +670,12 @@ private:
     // golden run's counts at an instret depend only on the instructions
     // before it.
     ProbeCounts probe_events_{};
+    // Set once a probe call of a probe-hooked run has taken a golden
+    // Machine off the golden run: from then on it completes the
+    // checkpoint store before it looks for a checkpoint to rejoin at.
+    // A Machine that was never golden does not (its own golden run might
+    // not end before the fuel).
+    bool prefix_left_ = false;
 };
 
 } // namespace hwst::sim

@@ -1240,7 +1240,9 @@ struct Jumps {
 /// records every multiple of kSpacing it stops at, and it stops at each
 /// one past where it started or jumped to, so the checkpoints are
 /// always every multiple below `covered`; the terminal one is there once
-/// a run has ended golden.
+/// a run has ended golden, or once a run that a probe call took off the
+/// golden run has completed the store (with fuel past the golden run's
+/// end, both leave every checkpoint stored).
 struct StoreShape {
     u64 golden_instret;
     u64 covered = 0;
@@ -1425,17 +1427,10 @@ TEST(PrefixCheckpoint, EveryProbeModeAndDrawMatchesTheInterpreter)
                     past_the_trigger +=
                         golden.to >= plan.faults[0].trigger_instret;
                     if (!dispatcher_available()) continue;
-                    // Golden from a one-shot run's rejoin to the end. A
-                    // stuck-at run that rejoined records up to its next
-                    // fire: read back.
+                    // A run that never fired recorded to the end, one
+                    // that fired completed the store.
                     if (one_shot) one_shot_rejoins += ff.dbt.rejoins;
-                    if (ff.fires == 0 || (one_shot && ff.dbt.rejoins != 0)) {
-                        shape.golden_end();
-                    } else if (ff.dbt.rejoins != 0) {
-                        shape.golden_to((w.store().size() + 1) * kSpacing);
-                        shape.terminal |=
-                            w.store().terminal(key_of(w)) != nullptr;
-                    }
+                    shape.golden_end();
                     EXPECT_EQ(w.store().size(), shape.size());
                     EXPECT_EQ(w.store().terminal(key_of(w)) != nullptr,
                               shape.terminal);
@@ -1721,6 +1716,7 @@ TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
     const GoldenEvents events{w.cp.program, w.cfg};
     StoreShape shape{w.golden.instret};
     for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
         const Jumps golden =
             dispatcher_available()
                 ? shape.fresh_run(events, quiet_of(plan), w.cfg.fuel,
@@ -1728,13 +1724,68 @@ TEST(PrefixCheckpoint, TwoFaultPlansRestoreBelowTheEarlierTrigger)
                 : Jumps{};
         const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
         expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
-        EXPECT_EQ(ff.dbt.rejoins, 0u);
-        expect_jumps(ff, golden, false);
         EXPECT_LT(golden.to, early);
+        if (!dispatcher_available()) continue;
+        // The first run completes the store after the one-shot fire and
+        // rejoins at the next checkpoint; treeadd reaches lmsm-load in
+        // every stretch, so no jump follows before the stuck-at fault.
+        EXPECT_EQ(ff.dbt.rejoins, 1u);
+        EXPECT_EQ(ff.dbt.prefix_restores, golden.restores);
+        EXPECT_EQ(ff.dbt.restored_instret, golden.instret);
+        shape.golden_end();
+        EXPECT_EQ(w.store().size(), (w.golden.instret - 1) / kSpacing);
     }
-    if (dispatcher_available()) {
-        EXPECT_EQ(w.store().size(), 1u);
+}
+
+TEST(PrefixCheckpoint, FaultedRunFindsTheSameCheckpointsOnAFreshStore)
+{
+    // A masked one-shot fault below the first checkpoint: the run leaves
+    // the golden run before it has recorded anything. It completes the
+    // store, rejoins at the first checkpoint and, its point quiet again
+    // after the fire, jumps to the terminal one, whether or not another
+    // run of the Program came before it.
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::OneShot, kSpacing / 2,
+        kIgnoredWidthBit);
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "fresh");
+        const PrefixWorkload w{"crc32"};
+        if (warm) {
+            expect_restored(run_prefix(w.cp.program, never_fires(w), w.cfg),
+                            0);
+        }
+        const FaultedRun ref = run_interp(w.cp.program, plan, w.cfg);
+        ASSERT_EQ(ref.fires, 1u);
+        const FaultedRun ff = run_prefix(w.cp.program, plan, w.cfg);
+        expect_same_faulted(ff, ref);
+        expect_same_end_state(ff, ref);
+        if (!dispatcher_available()) continue;
+        EXPECT_EQ(ff.dbt.rejoins, 1u);
+        EXPECT_EQ(ff.dbt.prefix_restores, 1u);
+        EXPECT_EQ(ff.dbt.restored_instret, w.golden.instret - kSpacing);
+        EXPECT_EQ(w.store().size(), (w.golden.instret - 1) / kSpacing);
+        EXPECT_NE(w.store().terminal(key_of(w)), nullptr);
     }
+}
+
+TEST(PrefixCheckpoint, MachineThatWasNeverGoldenDoesNotCompleteTheStore)
+{
+    // Its own golden run might not end before the fuel, so a Machine
+    // whose state left the golden run before its run began records
+    // nothing and completes nothing.
+    const PrefixWorkload w{"crc32"};
+    const auto plan = fault::FaultPlan::single(
+        Probe::CompCsrWidths, fault::FaultMode::OneShot, kSpacing / 2,
+        kIgnoredWidthBit);
+    fault::Injector inj{plan};
+    Machine m{w.cp.program, w.cfg};
+    (void)m.memory(); // hands out mutable state
+    inj.attach(m);
+    const FaultedRun ff = finish_faulted(m.run(), inj, m);
+    expect_same_faulted(ff, run_interp(w.cp.program, plan, w.cfg));
+    expect_restored(ff, 0);
+    EXPECT_EQ(w.store().size(), 0u);
+    EXPECT_EQ(w.store().terminal(key_of(w)), nullptr);
 }
 
 TEST(PrefixCheckpoint, RestoresTheOutputPrintedBeforeIt)
