@@ -35,7 +35,17 @@
 //    batch resets it to 0 as it adds the block's counts to instret_
 //    (a trap prefix need not: the run ends there). Enders reach no
 //    probe point.
+//
+// The soup's loop-carried state (op, sb, countdown, batch_applied, tr)
+// must stay in registers, so nothing in run_superblocks may take the
+// address of one of those locals: no lambda captures by reference, and
+// a helper takes what it needs as arguments. A by-reference capture of
+// op makes GCC keep op in a stack slot for the whole function, and every
+// NEXT() then stores and reloads it. The dispatch_codegen test checks
+// both copies' disassembly for indirect jumps fed from the stack.
 #pragma once
+
+#include <algorithm>
 
 #include "sim/dispatch.hpp"
 
@@ -91,7 +101,8 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     // The stop point: the fuel limit ends the run, an earlier stop (a
     // periodic-detector or golden-prefix checkpoint) hands it back
     // still running.
-    const auto reached_stop = [&] {
+    const auto reached_stop = [stop, checkpoint_stop](Machine& m,
+                                                      Trap& out) {
         if (m.instret_ < stop || checkpoint_stop) return false;
         if (stop >= m.cfg_.fuel) {
             out = Trap{TrapKind::FuelExhausted, 0, m.pc_};
@@ -107,11 +118,12 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
 
     // Trap-at-op-i accounting: the trapping instruction is retired
     // (step() counts before exec), its predecessors fully so.
-    const auto apply_prefix = [&] {
-        m.instret_ += op->block_pos + 1u;
-        m.cycles_ += op->cum_static;
-        m.icache_.count_repeat_hits(op->cum_repeat);
-        for (u32 j = sb->first_uop; j <= op->uop_idx; ++j)
+    const auto apply_prefix = [](Machine& m, const Superblock& b,
+                                 const SbOp& o) {
+        m.instret_ += o.block_pos + 1u;
+        m.cycles_ += o.cum_static;
+        m.icache_.count_repeat_hits(o.cum_repeat);
+        for (u32 j = b.first_uop; j <= o.uop_idx; ++j)
             ++(m.mix_.*(m.uops_[j].bucket));
     };
 
@@ -172,7 +184,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
         for (unsigned k_ = 0; k_ < sb->n_mix; ++k_)                       \
             m.mix_.*sb->mix_delta[k_].first += sb->mix_delta[k_].second;  \
         m.last_load_rd_ = sb->exit_load_rd;                               \
-        countdown = countdown > sb->len ? countdown - sb->len : 0;        \
+        countdown -= std::min<u64>(countdown, sb->len);                   \
         batch_applied = true;                                             \
     } while (0)
 
@@ -218,7 +230,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             if ((*cancel)()) return false;
             countdown = stride;
         }
-        if (reached_stop()) return true;
+        if (reached_stop(m, out)) return true;
         {
             const u64 off = m.pc_ - text_base;
             if (off >= code_bytes || (m.pc_ & 3) != 0) {
@@ -242,7 +254,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             // check-then-step ordering. Bounded by stop - instret_ <
             // block length.
             while (m.running_) {
-                if (reached_stop()) return true;
+                if (reached_stop(m, out)) return true;
                 const Trap t = m.retire_one();
                 if (t.kind != TrapKind::None) {
                     out = t;
@@ -394,7 +406,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             CHAIN(sb->edge_fall);
 
         trap_at_op:
-            if (!batch_applied) apply_prefix();
+            if (!batch_applied) apply_prefix(m, *sb, *op);
             m.running_ = false;
             out = tr;
             return true;
@@ -404,7 +416,7 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
             // Loads/stores fault through the inlined Memory access; the
             // interpreter converts them at the same point with the same
             // accounting (the faulting instruction is retired).
-            if (!batch_applied) apply_prefix();
+            if (!batch_applied) apply_prefix(m, *sb, *op);
             out = Trap{TrapKind::AccessFault, fault.addr, op->pc};
             m.running_ = false;
             return true;

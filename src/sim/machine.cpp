@@ -674,6 +674,13 @@ std::optional<RunResult> Machine::run_cancellable(
     result.tcu_saturated = tcu_.saturated();
     result.smac_translations = smac_.translations();
     result.mix = mix_;
+    // Counter conservation: each retired instruction lands in exactly
+    // one InstrMix bucket, whichever tier, block batch, trap prefix,
+    // periodic skip or checkpoint restore retired it.
+    if (result.mix.total() != result.instret)
+        throw SimError{"counter conservation: InstrMix total " +
+                       std::to_string(result.mix.total()) + " != instret " +
+                       std::to_string(result.instret)};
     return result;
 }
 

@@ -316,6 +316,8 @@ public:
     /// instructions and returns std::nullopt when it fires (the machine
     /// state stays inspectable). Execution is otherwise identical to
     /// run(): an uncancelled run produces the exact same RunResult.
+    /// Throws common::SimError if the finished run breaks counter
+    /// conservation (InstrMix total != instret) on either tier.
     std::optional<RunResult> run_cancellable(
         const std::function<bool()>& cancel, u64 stride = 4096);
 

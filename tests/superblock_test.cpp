@@ -1179,13 +1179,13 @@ TEST(SuperblockFuel, FuelTrapBitIdentical)
 
 // ---- a plain access fault inside a block ----------------------------
 
-TEST(SuperblockTrap, AccessFaultInsideABlockLeavesTheInterpretersState)
+// The first block fills the length cap and ends with a load, so the
+// second one is entered with that load's rd pending; its second
+// instruction loads from the unmapped null page. step() stops with pc at
+// the faulting load and no load-use hazard pending, and the dispatcher
+// must leave the same State.
+Program access_fault_in_second_block()
 {
-    // The first block fills the length cap and ends with a load, so the
-    // second one is entered with that load's rd pending; its second
-    // instruction loads from the unmapped null page. step() stops with
-    // pc at the faulting load and no load-use hazard pending, and the
-    // dispatcher must leave the same State.
     Program p;
     p.label("main");
     p.emit(itype(Opcode::ADDI, Reg::t0, Reg::zero, 0));
@@ -1197,7 +1197,12 @@ TEST(SuperblockTrap, AccessFaultInsideABlockLeavesTheInterpretersState)
     p.emit_li(Reg::a7, static_cast<i64>(sim::Sys::Exit));
     p.emit(Instruction{Opcode::ECALL});
     p.finalize();
+    return p;
+}
 
+TEST(SuperblockTrap, AccessFaultInsideABlockLeavesTheInterpretersState)
+{
+    const Program p = access_fault_in_second_block();
     sim::Machine dbt{p, with_dbt({}, true)};
     const sim::RunResult a = dbt.run();
     sim::Machine interp{p, with_dbt({}, false)};
@@ -1209,6 +1214,40 @@ TEST(SuperblockTrap, AccessFaultInsideABlockLeavesTheInterpretersState)
     EXPECT_EQ(dbt.pc(), b.trap.pc);
     EXPECT_TRUE(dbt.state() == interp.state());
     EXPECT_GT(dbt.dbt_stats().block_execs, 1u);
+}
+
+TEST(SuperblockTrap, AccessFaultInsideABlockOnTheProbeHookedCopy)
+{
+    // The same program on the dispatcher's Hooked copy under an identity
+    // probe hook: once with every point quiet, once with the D-cache
+    // refill point (reached by the first load's miss) live from instret
+    // 0. The copy's trap-at-op path must leave what step() does.
+    const Program p = access_fault_in_second_block();
+    sim::Machine interp{p, with_dbt({}, false)};
+    const sim::RunResult b = interp.run();
+    ASSERT_EQ(b.trap.kind, hwst::hwst::TrapKind::AccessFault);
+
+    sim::ProbeQuiet live = sim::kProbesQuiet;
+    live[static_cast<unsigned>(sim::Probe::DcacheFillData)] = 0;
+    for (const sim::ProbeQuiet& quiet : {sim::kProbesQuiet, live}) {
+        const bool any_live = quiet != sim::kProbesQuiet;
+        SCOPED_TRACE(any_live ? "dcache-fill live" : "every point quiet");
+        sim::Machine dbt{p, with_dbt({}, true)};
+        u64 calls = 0;
+        dbt.set_probe_hook(
+            [&calls](sim::Probe, u64, u64 value) {
+                ++calls;
+                return value;
+            },
+            quiet);
+        const sim::RunResult a = dbt.run();
+        expect_bit_equal(a, b);
+        EXPECT_EQ(dbt.pc(), b.trap.pc);
+        EXPECT_TRUE(dbt.state() == interp.state());
+        EXPECT_EQ(dbt.dbt_stats().fallback_runs, 0u);
+        EXPECT_GT(dbt.dbt_stats().block_execs, 1u);
+        EXPECT_EQ(calls > 0, any_live);
+    }
 }
 
 // ---- mid-stream CSR reads of the batched counters --------------------
