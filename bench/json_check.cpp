@@ -10,13 +10,16 @@
 // contract of docs/performance.md
 // says host speed may change between runs and revisions, simulated
 // numbers may not — this is the check that enforces it. The strip
-// itself is exec::strip_host_fields.
+// itself is exec::strip_host_fields. `json_check --strip IN OUT` writes
+// IN without those fields, as the golden envelopes under bench/golden/
+// are kept.
 //
 // `json_check --cache DIR [GIT_REV]` audits a content-addressed result
 // cache (docs/cache.md): counts cells/bytes/dangling temps, validates
 // every cell (parse, version, digest + git_rev re-hash to the file
 // name, payload present), and with GIT_REV flags cells another build
 // published. Invalid or stale cells exit 1.
+#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -38,6 +41,18 @@ int check_equiv(const char* a_path, const char* b_path)
     }
     std::cout << a_path << " == " << b_path
               << " (modulo host-side fields)\n";
+    return 0;
+}
+
+int strip(const char* in_path, const char* out_path)
+{
+    const auto v = exec::strip_host_fields(exec::read_bench_json(in_path));
+    std::ofstream out{out_path};
+    out << v.dump(2) << '\n';
+    if (!out) {
+        std::cerr << "json_check: cannot write " << out_path << '\n';
+        return 1;
+    }
     return 0;
 }
 
@@ -80,8 +95,8 @@ void check_interp_speed(const exec::json::Value& v)
         const auto* dbt = row.find("dbt");
         if (!dbt || !dbt->is_object())
             throw exec::json::JsonError{"row: missing object key: dbt"};
-        for (const char* key : {"blocks", "block_execs", "chained",
-                                "flushes", "fallback_runs"}) {
+        for (const char* key :
+             {"blocks", "block_execs", "chained", "fallback_runs"}) {
             const auto* n = dbt->find(key);
             if (!n || !n->is_int())
                 throw exec::json::JsonError{
@@ -104,6 +119,18 @@ int main(int argc, char** argv)
         }
         try {
             return check_equiv(argv[2], argv[3]);
+        } catch (const std::exception& e) {
+            std::cerr << "json_check: " << e.what() << '\n';
+            return 1;
+        }
+    }
+    if (argc > 1 && std::string{argv[1]} == "--strip") {
+        if (argc != 4) {
+            std::cerr << "usage: json_check --strip IN.json OUT.json\n";
+            return 2;
+        }
+        try {
+            return strip(argv[2], argv[3]);
         } catch (const std::exception& e) {
             std::cerr << "json_check: " << e.what() << '\n';
             return 1;
@@ -133,6 +160,7 @@ int main(int argc, char** argv)
         std::cerr
             << "usage: json_check BENCH_<name>.json...\n"
                "       json_check --equiv A.json B.json\n"
+               "       json_check --strip IN.json OUT.json\n"
                "       json_check --cache DIR [GIT_REV]\n"
                "--cache audits a result cache; GIT_REV flags stale "
                "cells.\n";

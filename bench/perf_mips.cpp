@@ -269,7 +269,6 @@ int main(int argc, char** argv)
             dbt["translated_ops"] = cells[idx].dbt.translated_ops;
             dbt["block_execs"] = cells[idx].dbt.block_execs;
             dbt["chained"] = cells[idx].dbt.chained;
-            dbt["flushes"] = cells[idx].dbt.flushes;
             dbt["fallback_runs"] = cells[idx].dbt.fallback_runs;
             row["dbt"] = dbt;
             rows.push_back(row);

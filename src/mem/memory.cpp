@@ -15,7 +15,6 @@ void Memory::map_regions(std::initializer_list<Region> regions)
     // The region set changed: cached full-page validity claims may be
     // stale relative to the new layout. Refill on demand.
     tlb_invalidate();
-    if (invalidation_hook_) invalidation_hook_();
 }
 
 bool Memory::is_mapped(u64 addr, unsigned width) const

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -98,7 +97,7 @@ public:
     }
 
     /// Map several regions at once: one translation-cache invalidation
-    /// and one invalidation-hook call for the whole batch.
+    /// for the whole batch.
     void map_regions(std::initializer_list<Region> regions);
 
     /// True if [addr, addr+width) lies inside some mapped region and
@@ -179,9 +178,7 @@ public:
                const SharedPages& pages) const;
 
     /// Replace the region map and every page with the given ones
-    /// (checkpoint restore). Drops the translation cache. The
-    /// invalidation hook does not run: a checkpoint of the same program
-    /// maps the same regions.
+    /// (checkpoint restore). Drops the translation cache.
     void restore(const std::vector<Region>& regions,
                  const SharedPages& pages);
 
@@ -223,15 +220,6 @@ public:
     /// Drop every translation-cache entry (misses refill on demand).
     /// Victim bits reset too: invalidation restarts the round-robin.
     void tlb_invalidate() const { tlb_.fill(TlbSet{}); }
-
-    /// Invoked after every map_region (the region set changed, so any
-    /// derived structure — e.g. the Machine's superblock cache — must
-    /// revalidate). The translation cache itself is already dropped
-    /// before the hook runs.
-    void set_invalidation_hook(std::function<void()> hook)
-    {
-        invalidation_hook_ = std::move(hook);
-    }
 
 private:
     /// One translation-cache entry: `page_base` is the page's base
@@ -291,7 +279,6 @@ private:
     mutable std::size_t last_region_ = 0;
     // mutable: loads warm the translation cache too.
     mutable std::array<TlbSet, kTlbEntries> tlb_{};
-    std::function<void()> invalidation_hook_;
 };
 
 } // namespace hwst::mem

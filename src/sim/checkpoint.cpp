@@ -47,37 +47,32 @@ std::shared_ptr<const Checkpoint> CheckpointStore::jump_target(
     const Machine& m, const CheckpointKey& key) const
 {
     // The instruction that retires with instret i calls the hook at p
-    // iff i >= quiet[p], so those up to dark[p] cannot: the ones `m`
-    // has retired and the quiet ones. A jump to instret c is safe at p
-    // if c <= dark[p], or if p's count at c equals its count at the
-    // latest known instret at or below dark[p] (`seen[p]`): counts only
-    // grow, so the golden run reaches p nowhere in (dark[p], c].
+    // iff i >= quiet[p]. A jump from X to c skips the golden run's
+    // instructions X+1..c, so it is safe iff, at every p, the golden
+    // run's latest reach at or before c is at or below X (no reach is
+    // skipped) or below quiet[p] (no skipped reach is live).
     const u64 from = m.instret_;
-    ProbeQuiet dark{}; // instrets, like the quiet points
-    ProbeCounts seen = m.probe_events_;
+    ProbeReaches bound{};
     for (unsigned p = 0; p < kNumProbes; ++p) {
         const u64 quiet = m.probe_quiet_[p];
-        dark[p] = std::max(from, quiet ? quiet - 1 : 0);
+        bound[p] = std::max(from, quiet ? quiet - 1 : 0);
     }
     const auto safe = [&](const Checkpoint& c) {
-        const u64 at = c.counters.instret;
-        if (at <= from || at >= m.cfg_.fuel) return false;
         for (unsigned p = 0; p < kNumProbes; ++p)
-            if (at > dark[p] && c.events[p] != seen[p]) return false;
+            if (c.last_reach[p] > bound[p]) return false;
         return true;
     };
 
     const std::lock_guard lock{mu_};
-    // Ascending instret: the last one at or below dark[p] stays.
-    for (const auto& c : checkpoints_) {
-        const u64 at = c->counters.instret;
-        if (at <= from || c->key != key) continue;
-        for (unsigned p = 0; p < kNumProbes; ++p)
-            if (at <= dark[p]) seen[p] = c->events[p];
-    }
-    if (auto t = terminal_locked(key); t && safe(*t)) return t;
+    if (auto t = terminal_locked(key);
+        t && t->counters.instret > from && safe(*t))
+        return t;
+    // Latest reaches only grow along the golden run: the safe
+    // checkpoints are the earliest ones.
     for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-        if ((*it)->key == key && safe(**it)) return *it;
+        if ((*it)->key != key) continue;
+        if ((*it)->counters.instret <= from) break;
+        if (safe(**it)) return *it;
     }
     return nullptr;
 }
@@ -92,49 +87,39 @@ std::shared_ptr<const Checkpoint> CheckpointStore::next_above(
     return nullptr;
 }
 
-void CheckpointStore::record(const Machine& m, const CheckpointKey& key,
+bool CheckpointStore::record(const Machine& m, const CheckpointKey& key,
                              const hwst::Trap& end)
 {
-    const u64 at = m.instret();
     const std::lock_guard lock{mu_};
-    if (bytes_ >= kMaxBytes) return;
-    if (!m.running() && terminal_locked(key)) return;
-    const Checkpoint* prev = nullptr; // the latest earlier one
-    auto pos = checkpoints_.begin();
-    for (; pos != checkpoints_.end() && (*pos)->counters.instret <= at;
-         ++pos) {
-        if ((*pos)->key != key) continue;
-        if ((*pos)->counters.instret == at && m.running()) return;
-        prev = pos->get();
-    }
+    if (bytes_ >= kMaxBytes) return false;
+    const auto latest = std::find_if(
+        checkpoints_.rbegin(), checkpoints_.rend(),
+        [&](const auto& c) { return c->key == key; });
+    const Checkpoint* prev =
+        latest == checkpoints_.rend() ? nullptr : latest->get();
     auto c = std::make_shared<const Checkpoint>(Checkpoint{
         key, m.state_except_pages(prev ? &prev->state : nullptr),
         m.counters(), m.output(),
         m.mem_.shared_pages(prev ? &prev->pages : nullptr), end,
-        m.probe_events_});
+        m.last_reach_});
     bytes_ += footprint(*c);
-    if (m.running())
-        checkpoints_.insert(pos, std::move(c));
-    else
-        terminals_.push_back(std::move(c));
+    (m.running() ? checkpoints_ : terminals_).push_back(std::move(c));
+    return true;
 }
 
-bool CheckpointStore::complete(const CheckpointKey& key, u64 fuel,
+bool CheckpointStore::complete(const CheckpointKey& key,
                                const std::function<bool()>& record_golden)
 {
     const auto done = [&] {
         const std::lock_guard lock{mu_};
-        if (terminal_locked(key)) return true;
-        return std::ranges::any_of(completed_, [&](const auto& c) {
-            return c.first == key && c.second >= fuel;
-        });
+        return std::ranges::find(recorded_, key) != recorded_.end();
     };
     if (done()) return true;
     const std::lock_guard running{complete_mu_};
     if (done()) return true;
     if (!record_golden()) return false;
     const std::lock_guard lock{mu_};
-    completed_.emplace_back(key, fuel);
+    recorded_.push_back(key);
     return true;
 }
 

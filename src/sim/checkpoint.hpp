@@ -3,22 +3,22 @@
 // run with a probe hook that is quiet up to its fault's trigger, so
 // every faulted run begins with a prefix of the fault-free (golden)
 // run, and a masked fault soon brings it back to the golden run's
-// state. A dispatcher run whose state is still the golden run's (no
-// probe call has changed a value) stores its exact simulated state
-// every kSpacing instructions in its Program's store, and its final
-// state when it ends by exit or trap (the terminal checkpoint). A later
-// run of the same Program with the same config (fuel aside) jumps
-// ahead along the golden run: a fresh one from instruction 0 and at
-// each stored checkpoint it reaches, a faulted one once its state
-// equals a stored checkpoint again. It jumps as far as its fuel allows
-// and no skipped instruction would have called its probe hook. Each
-// checkpoint carries the golden run's probe-event counts (the event
-// index, Machine::probe_events()), so a point that is live may still
-// be jumped over where the counts prove the golden run never reaches
-// it. A faulted run first completes the store with a golden run of its
-// own (CheckpointStore::complete), so the checkpoints it may rejoin at
-// do not depend on which runs of the Program came before it. Simulated
-// results are identical to simulating what was skipped.
+// state. Before its first instruction, a probe-hooked dispatcher run
+// makes sure its Program's store holds the golden run under its config
+// (CheckpointStore::complete): if no run has recorded it yet, a second
+// Machine with every point quiet runs it once and stores its exact
+// simulated state every kSpacing instructions and at its end (the
+// terminal checkpoint, which is the fuel limit if the golden run gets
+// that far). That recording is the store's only writer. The run then
+// jumps ahead along the golden run while its own state is the golden
+// run's: at its start and at each stored checkpoint it reaches, and
+// once its state equals a stored checkpoint again (a rejoin). It jumps
+// as far as no skipped instruction would have called its probe hook:
+// each checkpoint carries, per probe point, the instret of the golden
+// run's latest reach at or before it (Machine::last_reaches()), so a
+// point that is live may still be jumped over where the golden run
+// never reaches it. Simulated results are identical to simulating what
+// was skipped.
 //
 // Checkpoints are immutable once stored and shared by every Machine of
 // the Program (fault_campaign --jobs N runs them on N workers), so the
@@ -29,16 +29,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
 
 namespace hwst::sim {
 
-/// What a checkpoint is valid for: the Machine's config with `fuel`
-/// zeroed (fuel cannot change the instructions before it) and the
-/// Program's memory layout.
+/// What a checkpoint is valid for: the Machine's config, fuel included,
+/// and the Program's memory layout.
 struct CheckpointKey {
     MachineConfig config;
     riscv::MemoryLayout layout;
@@ -47,7 +45,8 @@ struct CheckpointKey {
 };
 
 /// The exact simulated state of the golden run at `counters.instret`:
-/// a multiple of kSpacing while `state.running`, else its end.
+/// a multiple of kSpacing below the fuel while `state.running`, else
+/// its end.
 struct Checkpoint {
     CheckpointKey key;
     State state; ///< `pages` left empty: they are in `pages` below
@@ -55,8 +54,8 @@ struct Checkpoint {
     std::vector<i64> output;
     mem::Memory::SharedPages pages;
     hwst::Trap trap{}; ///< how the golden run ended (terminal only)
-    /// Machine::probe_events() at `counters.instret`: the event index.
-    ProbeCounts events{};
+    /// Machine::last_reaches() at `counters.instret`.
+    ProbeReaches last_reach{};
 };
 
 class CheckpointStore {
@@ -70,13 +69,10 @@ public:
     static CheckpointStore& of(const riscv::Program& program);
 
     /// The furthest checkpoint under `key`, the terminal one first,
-    /// that the golden run `m` may jump to (null: none). It lies above
-    /// `m`'s instret and below its fuel, and for each probe point p
-    /// either below p's quiet point (no skipped instruction is live at
-    /// p) or with p's event count equal to the count at the latest known
-    /// instret (`m`'s own or a stored checkpoint's) before p's first
-    /// live skipped instruction: the golden run reaches p nowhere in
-    /// between.
+    /// that `m`, at instret X on the golden run, may jump to (null:
+    /// none): above X and, for each probe point p, with the golden run's
+    /// latest reach of p at or before it no later than X or below p's
+    /// quiet point, so that no skipped instruction reaches a live point.
     std::shared_ptr<const Checkpoint> jump_target(
         const Machine& m, const CheckpointKey& key) const;
 
@@ -85,20 +81,19 @@ public:
     std::shared_ptr<const Checkpoint> next_above(const CheckpointKey& key,
                                                  u64 at) const;
 
-    /// Store `m`'s current state under `key`: a running `m` at its
-    /// instret, a stopped one that ended with `end` as the terminal
-    /// checkpoint. Nothing happens if the store already holds that
-    /// checkpoint under that key or is full.
-    void record(const Machine& m, const CheckpointKey& key,
+    /// Store `m`'s current state under `key`, after every checkpoint
+    /// stored under it so far: a running `m` at its instret, a stopped
+    /// one that ended with `end` as the terminal checkpoint. False (and
+    /// nothing stored) once the store is full.
+    bool record(const Machine& m, const CheckpointKey& key,
                 const hwst::Trap& end = {});
 
-    /// Make the store under `key` hold the golden run up to `fuel`:
-    /// unless its terminal checkpoint is stored (a golden run that ended
-    /// stored every checkpoint before it) or a completion with at least
-    /// that fuel has finished, call `record_golden`, a golden run that
-    /// records as it goes (false: it was cancelled). One caller runs it
-    /// at a time and the others wait for it. False if it was cancelled.
-    bool complete(const CheckpointKey& key, u64 fuel,
+    /// Make the store under `key` hold the golden run: unless a
+    /// recording under `key` has finished, call `record_golden`, which
+    /// stores it from the furthest checkpoint on (false: it was
+    /// cancelled, and left a prefix). One caller runs it at a time and
+    /// the others wait for it. False if it was cancelled.
+    bool complete(const CheckpointKey& key,
                   const std::function<bool()>& record_golden);
 
     /// Checkpoints stored, the terminal ones excluded.
@@ -108,14 +103,13 @@ public:
 
 private:
     mutable std::mutex mu_; ///< guards the four members below
-    /// Ascending instret.
+    /// Ascending instret within each key.
     std::vector<std::shared_ptr<const Checkpoint>> checkpoints_;
     /// At most one per key.
     std::vector<std::shared_ptr<const Checkpoint>> terminals_;
     std::size_t bytes_ = 0; ///< estimated, pages counted once
-    /// Finished completions: key and fuel.
-    std::vector<std::pair<CheckpointKey, u64>> completed_;
-    std::mutex complete_mu_; ///< held while a completion runs
+    std::vector<CheckpointKey> recorded_; ///< finished recordings
+    std::mutex complete_mu_; ///< held while a recording runs
 
     std::shared_ptr<const Checkpoint> terminal_locked(
         const CheckpointKey& key) const;

@@ -224,8 +224,6 @@ bool run_superblocks(Machine& m, const std::function<bool()>* cancel,
     } while (0)
 
     while (m.running_) {
-        if (sc.flush_if_pending(st) && m.period_)
-            m.period_->forget_blocks();
         if (cancel && countdown == 0) {
             if ((*cancel)()) return false;
             countdown = stride;

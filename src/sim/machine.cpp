@@ -169,18 +169,6 @@ Machine::Machine(const riscv::Program& program, MachineConfig cfg)
     // overrides cfg.tier, and Auto means the dispatcher.
     if (const auto t = env_tier()) cfg_.tier = *t;
     tier_ = cfg_.tier == ExecTier::Interp ? ExecTier::Interp : ExecTier::Dbt;
-
-    // Translated-block invalidation: any remap drops every superblock.
-    // Registered after the address-space map above (sbcache_ does not
-    // exist yet, so those initial map_region calls cost nothing), and
-    // deferred while the dispatcher is on-stack.
-    mem_.set_invalidation_hook([this] {
-        for (SuperblockCache* sc : {sbcache_.get(), sbcache_hooked_.get()}) {
-            if (!sc) continue;
-            if (in_dispatch_) sc->request_flush();
-            else sc->flush(dbt_stats_);
-        }
-    });
 }
 
 const Machine::ActiveCompression& Machine::active_compression()
@@ -674,13 +662,27 @@ std::optional<RunResult> Machine::run_cancellable(
     result.tcu_saturated = tcu_.saturated();
     result.smac_translations = smac_.translations();
     result.mix = mix_;
-    // Counter conservation: each retired instruction lands in exactly
-    // one InstrMix bucket, whichever tier, block batch, trap prefix,
-    // periodic skip or checkpoint restore retired it.
+    // Counter conservation, whichever tier, block batch, trap prefix,
+    // periodic skip or checkpoint restore got the run here: each retired
+    // instruction lands in exactly one InstrMix bucket, and each TCU
+    // check that did not short-circuit on the saturating encoding looked
+    // its lock up in the keybuffer once, if there is one. A tchk whose
+    // key load faults after a keybuffer miss has looked up without a
+    // check, and ends the run with an AccessFault.
     if (result.mix.total() != result.instret)
         throw SimError{"counter conservation: InstrMix total " +
                        std::to_string(result.mix.total()) + " != instret " +
                        std::to_string(result.instret)};
+    const u64 checked = cfg_.keybuffer_enabled
+                            ? result.tcu_checks - result.tcu_saturated
+                            : 0;
+    const u64 lookups = result.keybuffer.lookups;
+    if (lookups != checked &&
+        !(lookups == checked + 1 && result.trap.kind == TrapKind::AccessFault))
+        throw SimError{"counter conservation: keybuffer lookups " +
+                       std::to_string(lookups) +
+                       " != unsaturated TCU checks " +
+                       std::to_string(checked)};
     return result;
 }
 
@@ -721,10 +723,8 @@ bool Machine::dispatch(const std::function<bool()>& cancel, u64 stride,
     // poll that does not fire has no architectural effect).
     auto& sc = sbcache<Hooked>();
     if (!sc) sc = std::make_unique<SuperblockCache>();
-    in_dispatch_ = true;
     const bool finished = run_superblocks<Hooked>(
         *this, cancel ? &cancel : nullptr, stride, stop, out);
-    in_dispatch_ = false;
     // An instruction that traps inside a block leaves pc_ and
     // last_load_rd_ as the block found them; step() leaves its own pc
     // and clears last_load_rd_ before executing it. Only a fetch fault
@@ -743,9 +743,8 @@ bool Machine::run_hook_free(const std::function<bool()>& cancel, u64 stride,
                             Trap& out)
 {
     // Periodic fast-forward (sim/period.hpp): each segment stops at the
-    // detector's next checkpoint. The hook-free copy counts no probe
-    // events, so the state can no longer vouch for a golden-prefix
-    // checkpoint's event index.
+    // detector's next checkpoint. Only probe-hooked dispatcher runs
+    // keep track of whether the state is the golden run's.
     prefix_golden_ = false;
     PeriodDetector period{*this};
     while (running_) {
@@ -760,78 +759,61 @@ bool Machine::run_probe_hooked(const std::function<bool()>& cancel,
 {
     // No periodic fast-forward: the hook may perturb any later
     // instruction. Golden-prefix checkpoints (sim/checkpoint.hpp)
-    // instead: a golden run jumps ahead along the golden run, and
-    // records every kSpacing and at its end; a run that a probe call
-    // took off it completes the store, then compares itself with every
-    // stored checkpoint it reaches and rejoins it on equality.
+    // instead: once the store holds the golden run, a golden run jumps
+    // ahead along it, and a run that a probe call took off it compares
+    // itself with every stored checkpoint it reaches and rejoins it on
+    // equality.
     if (!running_) return true;
     CheckpointStore& store = CheckpointStore::of(program_);
-    CheckpointKey key{cfg_, program_.layout()};
-    key.config.fuel = 0;
+    const CheckpointKey key{cfg_, program_.layout()};
+    if (!store.complete(key,
+                        [&] { return record(store, key, cancel, stride); }))
+        return false;
     // Skip ahead as far as no skipped instruction would have called
-    // the hook (its quiet points and the event index say where) and
-    // the fuel allows.
+    // the hook (its quiet points and the latest reaches say where).
     const auto jump = [&] {
         const auto c = store.jump_target(*this, key);
         if (!c) return;
         restore(*c);
         if (!running_) out = c->trap;
     };
-    // The golden run with every point quiet, on a Machine of its own:
-    // it jumps to the furthest stored checkpoint and records from there.
-    // It borrows this Machine's probe-hooked block cache (superblocks
-    // depend only on the text and the config), so that it neither
-    // translates nor holds a second one.
-    const auto record_golden = [&] {
-        Machine golden{program_, cfg_};
-        golden.set_probe_hook([](Probe, u64, u64 value) { return value; },
-                              kProbesQuiet);
-        golden.sbcache_hooked_ = std::move(sbcache_hooked_);
-        const bool finished =
-            golden.run_cancellable(cancel, stride).has_value();
-        sbcache_hooked_ = std::move(golden.sbcache_hooked_);
-        return finished;
-    };
     if (prefix_golden_) jump();
     while (running_) {
-        // Golden: stop at the next multiple of kSpacing to record.
-        // Otherwise: stop at the next stored checkpoint to compare.
-        u64 at = ~u64{0};
-        if (prefix_golden_) {
-            at = (instret_ / CheckpointStore::kSpacing + 1) *
-                 CheckpointStore::kSpacing;
-        } else {
-            if (prefix_left_ &&
-                !store.complete(key, cfg_.fuel, record_golden))
-                return false;
-            // A stop is at a stored checkpoint, or at the end of the
-            // stretch that left the golden run (where the completion may
-            // just have stored one).
-            if (const auto c = store.next_above(key, instret_ - 1);
-                instret_ != 0 && c && c->counters.instret == instret_ &&
-                matches(*c)) {
-                prefix_golden_ = true;
-                probe_events_ = c->events;
-                ++dbt_stats_.rejoins;
-                jump();
-                continue;
-            }
-            if (const auto next = store.next_above(key, instret_))
-                at = next->counters.instret;
+        // Every stored checkpoint lies below the fuel.
+        const auto next = store.next_above(key, instret_);
+        const u64 stop = next ? next->counters.instret : cfg_.fuel;
+        if (!dispatch<true>(cancel, stride, stop, out)) return false;
+        if (!running_) break;
+        if (!prefix_golden_) {
+            if (!matches(*next)) continue;
+            prefix_golden_ = true;
+            ++dbt_stats_.rejoins;
         }
-        const bool golden = prefix_golden_;
-        const bool finished =
-            dispatch<true>(cancel, stride, std::min(at, cfg_.fuel), out);
-        if (golden && !prefix_golden_) prefix_left_ = true;
-        if (!finished) return false;
-        if (!running_ || !prefix_golden_ || instret_ != at) continue;
-        // Now past the reaches that stopped the last jump, perhaps.
-        store.record(*this, key);
         jump();
     }
-    if (prefix_golden_ && out.kind != TrapKind::FuelExhausted)
-        store.record(*this, key, out);
     return true;
+}
+
+bool Machine::record(CheckpointStore& store, const CheckpointKey& key,
+                     const std::function<bool()>& cancel, u64 stride)
+{
+    // No hook: every point is quiet, and the probe sites still note
+    // their reaches. The golden Machine borrows this Machine's
+    // probe-hooked block cache (superblocks depend only on the text and
+    // the config), so that it neither translates nor holds a second one.
+    Machine golden{program_, cfg_};
+    if (const auto c = store.jump_target(golden, key)) golden.restore(*c);
+    golden.sbcache_hooked_ = std::move(sbcache_hooked_);
+    Trap end{};
+    bool finished;
+    do {
+        const u64 at = (golden.instret_ / CheckpointStore::kSpacing + 1) *
+                       CheckpointStore::kSpacing;
+        finished = golden.dispatch<true>(cancel, stride,
+                                         std::min(at, cfg_.fuel), end);
+    } while (finished && store.record(golden, key, end) && golden.running_);
+    sbcache_hooked_ = std::move(golden.sbcache_hooked_);
+    return finished;
 }
 
 namespace {
@@ -985,7 +967,7 @@ void Machine::restore(const Checkpoint& c)
     mem_.restore(s.regions, c.pages); // drops the translation cache
     output_ = c.output;
     set_counters(c.counters);
-    probe_events_ = c.events;
+    last_reach_ = c.last_reach;
     // Host caches derived from simulated state: the compression memo
     // (and the translation cache, dropped above). Superblocks depend
     // only on the text.

@@ -243,9 +243,10 @@ inline constexpr ProbeQuiet kProbesQuiet = [] {
     return q;
 }();
 
-/// One count per Probe, indexed by its value: how many times a run has
-/// reached each point, live or quiet (see Machine::probe_events()).
-using ProbeCounts = std::array<u64, kNumProbes>;
+/// One instret per Probe, indexed by its value: that of the latest
+/// instruction of a run to reach the point, live or quiet, 0 if none has
+/// (see Machine::last_reaches()).
+using ProbeReaches = std::array<u64, kNumProbes>;
 
 class Machine;
 
@@ -253,6 +254,7 @@ enum class SrfRule : common::u8; // sim/ops.hpp
 class PeriodDetector;  // sim/period.hpp
 class CheckpointStore; // sim/checkpoint.hpp
 struct Checkpoint;     // sim/checkpoint.hpp
+struct CheckpointKey;  // sim/checkpoint.hpp
 
 /// Superblock-tier dispatcher (sim/dispatch_impl.hpp); a friend of Machine
 /// so the executor bodies can touch the interpreter's state directly.
@@ -317,7 +319,10 @@ public:
     /// state stays inspectable). Execution is otherwise identical to
     /// run(): an uncancelled run produces the exact same RunResult.
     /// Throws common::SimError if the finished run breaks counter
-    /// conservation (InstrMix total != instret) on either tier.
+    /// conservation on either tier: InstrMix total != instret, or
+    /// keybuffer lookups != TCU checks that did not saturate (0 with
+    /// the keybuffer off), one more allowed in a run that ended with an
+    /// AccessFault (a tchk whose key load faulted).
     std::optional<RunResult> run_cancellable(
         const std::function<bool()>& cancel, u64 stride = 4096);
 
@@ -349,14 +354,13 @@ public:
     /// so they may lag the instruction in flight.
     ///
     /// A probe-hooked dispatcher run shares golden-prefix checkpoints
-    /// with the other Machines of its Program (sim/checkpoint.hpp):
-    /// while no probe call has changed a value it records them, and it
-    /// jumps ahead along the golden run at its start, at each stored
-    /// checkpoint it reaches and whenever its state equals a stored
-    /// checkpoint again, as far as its fuel allows and no skipped
-    /// instruction would have called the hook. Once a probe call has
-    /// changed a value, it first has a second Machine record the rest
-    /// of the golden run, if no run has yet.
+    /// with the other Machines of its Program (sim/checkpoint.hpp): it
+    /// first has a second Machine record the golden run under its
+    /// config, if no run has yet. While no probe call has changed a
+    /// value, and again once its state equals a stored checkpoint, it
+    /// jumps ahead along the golden run, at its start and at each stored
+    /// checkpoint it reaches, as far as no skipped instruction would
+    /// have called the hook.
     using ProbeHook = std::function<u64(Probe, u64 instret, u64 value)>;
     void set_probe_hook(ProbeHook hook, const ProbeQuiet& quiet = {})
     {
@@ -434,13 +438,13 @@ public:
     /// simulated envelope).
     const DbtStats& dbt_stats() const { return dbt_stats_; }
 
-    /// Per Probe, the times this run has reached the point, whether the
-    /// hook was live there or not: every probe site of the interpreter
-    /// and of the probe-hooked dispatcher counts (the hook-free
-    /// dispatcher has none). Host-side bookkeeping for the golden-prefix
-    /// checkpoints' event index, never part of State: a jump or a rejoin
-    /// takes the checkpoint's counts.
-    const ProbeCounts& probe_events() const { return probe_events_; }
+    /// Per Probe, the instret of the latest instruction of this run to
+    /// reach the point, whether the hook was live there or not (0:
+    /// none): every probe site of the interpreter and of the
+    /// probe-hooked dispatcher sets it (the hook-free dispatcher has
+    /// none). Host-side bookkeeping for the golden-prefix checkpoints'
+    /// jump rule, never part of State: a jump takes the checkpoint's.
+    const ProbeReaches& last_reaches() const { return last_reach_; }
 
     /// Always zero (see JitStats).
     JitStats jit_stats() const { return {}; }
@@ -473,6 +477,11 @@ private:
                        hwst::Trap& out);
     bool run_probe_hooked(const std::function<bool()>& cancel, u64 stride,
                           hwst::Trap& out);
+    /// Record the golden run under `key` in `store` on a second Machine
+    /// with every point quiet, from the furthest stored checkpoint on
+    /// (false when `cancel` fired).
+    bool record(CheckpointStore& store, const CheckpointKey& key,
+                const std::function<bool()>& cancel, u64 stride);
     /// The block cache of the run_superblocks<Hooked> copy (null until
     /// its first run).
     template <bool Hooked>
@@ -527,11 +536,11 @@ private:
     {
         return probe_instret() >= probe_quiet_[static_cast<unsigned>(p)];
     }
-    /// Count a reach of `p` and run `value` through the probe hook while
+    /// Note a reach of `p` and run `value` through the probe hook while
     /// `p` is live (identity otherwise, and always for Hooked = false).
     template <bool Hooked>
     u64 probe(Probe p, u64 value);
-    /// probe() without the count. A changed value leaves the golden run.
+    /// probe() without the note. A changed value leaves the golden run.
     u64 call_probe_if_live(Probe p, u64 value);
     template <bool Hooked>
     const ActiveCompression& compression();
@@ -595,7 +604,6 @@ private:
     // In running_'s padding, so that DbtStats can grow without moving a
     // member the hook-free dispatcher reads.
     ExecTier tier_ = ExecTier::Dbt; ///< resolved tier (see tier())
-    bool in_dispatch_ = false;
     i64 exit_code_ = 0;
 
     mem::Memory mem_;
@@ -647,11 +655,11 @@ private:
     // True while this Machine's state is the hook-free run's: no probe
     // call has returned a value other than its argument, no instruction
     // was interpreted outside the dispatcher, and no accessor has handed
-    // out mutable state. Such a Machine records golden-prefix
-    // checkpoints and may jump ahead to them (sim/checkpoint.hpp).
-    // Cleared by the probe call that changes a value, by interpreted
-    // instructions and by the mutable accessors; set again when a
-    // probe-hooked run's state equals a stored checkpoint.
+    // out mutable state. Such a Machine may jump ahead to golden-prefix
+    // checkpoints (sim/checkpoint.hpp). Cleared by the probe call that
+    // changes a value, by interpreted instructions and by the mutable
+    // accessors; set again when a probe-hooked run's state equals a
+    // stored checkpoint.
     bool prefix_golden_ = true;
 
     // The probe-hooked dispatcher copy's block cache (see sbcache_).
@@ -666,18 +674,11 @@ private:
         u64 version = ~u64{0};
         u32 widths = 0;
     } comp_memo_key_;
-    // See probe_events(). Counted by probe<true>() and, for
-    // CompCsrWidths, by compression<true>(): one count per reach
-    // whatever the quiet points and the decode memo hold, so that a
-    // golden run's counts at an instret depend only on the instructions
-    // before it.
-    ProbeCounts probe_events_{};
-    // Set once a probe call of a probe-hooked run has taken a golden
-    // Machine off the golden run: from then on it completes the
-    // checkpoint store before it looks for a checkpoint to rejoin at.
-    // A Machine that was never golden does not (its own golden run might
-    // not end before the fuel).
-    bool prefix_left_ = false;
+    // See last_reaches(). Set by probe<true>() and, for CompCsrWidths,
+    // by compression<true>(): at every reach whatever the quiet points
+    // and the decode memo hold, so that a golden run's latest reaches
+    // at an instret depend only on the instructions before it.
+    ProbeReaches last_reach_{};
 };
 
 } // namespace hwst::sim

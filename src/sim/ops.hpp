@@ -448,7 +448,7 @@ template <bool Hooked>
 [[gnu::always_inline]] inline u64 Machine::probe(Probe p, u64 value)
 {
     if constexpr (Hooked) {
-        ++probe_events_[static_cast<unsigned>(p)];
+        last_reach_[static_cast<unsigned>(p)] = probe_instret();
         return call_probe_if_live(p, value);
     }
     return value;
@@ -459,10 +459,11 @@ template <bool Hooked>
 Machine::compression()
 {
     // active_compression()'s memo test, inlined. The CompCsrWidths
-    // reach is counted here, once per metadata op, and not by the probe
+    // reach is noted here, once per metadata op, and not by the probe
     // call inside active_compression(), which not every op makes.
     if constexpr (Hooked) {
-        ++probe_events_[static_cast<unsigned>(Probe::CompCsrWidths)];
+        last_reach_[static_cast<unsigned>(Probe::CompCsrWidths)] =
+            probe_instret();
         if (probe_live(Probe::CompCsrWidths)) return active_compression();
     }
     if (comp_version_ == csrs_.version()) [[likely]] return comp_memo_;

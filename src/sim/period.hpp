@@ -90,9 +90,6 @@ public:
     /// over for this run (no more checkpoints, the block is unwatched).
     void on_entry(const Superblock& sb);
 
-    /// The block cache was flushed: the watched block no longer exists.
-    void forget_blocks() { watch_ = nullptr; }
-
 private:
     bool regs_match();
     void unwatch();

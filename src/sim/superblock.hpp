@@ -122,8 +122,8 @@ static_assert(kMaxSuperblockLen < 256, "block_pos/cum_repeat are u8");
 inline constexpr unsigned kMixBuckets = 12;
 
 /// A translated block. Lives in the SuperblockCache's chunked storage,
-/// so its address is stable until the next flush; `ops` points into the
-/// cache's op arena.
+/// so its address is stable for the cache's lifetime; `ops` points into
+/// the cache's op arena.
 struct Superblock {
     const SbOp* ops = nullptr; ///< len ops, + EndFall terminator if uncapped
     u32 first_uop = 0;
@@ -145,8 +145,8 @@ struct Superblock {
     riscv::Reg exit_load_rd = riscv::Reg::zero;
     u8 n_mix = 0; ///< used entries of mix_delta
     // Chain edges of the ender, resolved lazily by the dispatcher (null
-    // until the successor is translated; dropped wholesale on flush, so
-    // they can never dangle).
+    // until the successor is translated; blocks are never freed before
+    // the cache, so they can never dangle).
     Superblock* edge_taken = nullptr;
     Superblock* edge_fall = nullptr;
     /// Jalr ender: 2-way inline cache keyed on the dynamic target.
@@ -165,7 +165,6 @@ struct DbtStats {
     u64 translated_ops = 0;
     u64 block_execs = 0;   ///< dispatcher block entries
     u64 chained = 0;       ///< block→block transfers that skipped the dispatcher
-    u64 flushes = 0;       ///< block-cache invalidations (map_region)
     u64 jalr_hits = 0;     ///< jalr 2-way inline-cache hits
     u64 jalr_misses = 0;   ///< jalr inline-cache misses (way refilled)
     /// Runs that used the interpreter because of a trace hook. A probe
@@ -202,11 +201,11 @@ struct TranslateEnv {
 /// Append-only storage in fixed-size chunks of uninitialized slots, so
 /// a fresh chunk costs one allocation and no writes. Handed-out slots
 /// never move (the dispatcher writes chain edges into a block after it
-/// was handed out); clear() frees every chunk.
+/// was handed out); the destructor frees every chunk.
 template <class T, u32 kChunk>
 class ChunkArena {
     static_assert(std::is_trivially_destructible_v<T>,
-                  "clear() runs no destructors");
+                  "freeing a chunk runs no destructors");
 
 public:
     /// `n` <= kChunk contiguous uninitialized slots; the caller
@@ -222,11 +221,6 @@ public:
         used_ += n;
         return p;
     }
-    void clear()
-    {
-        chunks_.clear();
-        used_ = 0;
-    }
 
 private:
     struct alignas(T) Slot {
@@ -239,9 +233,9 @@ private:
 /// Translated-block store: a flat pc-indexed table over the uop range
 /// (lookup is one load, like the uop table itself) plus ownership of
 /// the blocks and their ops, both in chunked arenas: translating a
-/// block makes no heap allocation of its own. Flushes are deferred
-/// while the dispatcher is on-stack (map_region cannot happen
-/// mid-dispatch today, but the hook must be safe whenever it fires).
+/// block makes no heap allocation of its own. Blocks depend only on
+/// the predecoded text and the config, never on the memory map, so they
+/// live as long as the cache.
 class SuperblockCache {
 public:
     /// Arena chunk sizes, 48 KiB of ops and about 18 KiB of blocks:
@@ -256,29 +250,11 @@ public:
     Superblock* get_or_translate(const TranslateEnv& env, u64 pc,
                                  DbtStats& st);
 
-    void flush(DbtStats& st)
-    {
-        blocks_.clear();
-        ops_.clear();
-        std::fill(at_.begin(), at_.end(), nullptr);
-        ++st.flushes;
-    }
-    void request_flush() { flush_pending_ = true; }
-    /// Returns whether it flushed.
-    bool flush_if_pending(DbtStats& st)
-    {
-        if (!flush_pending_) return false;
-        flush_pending_ = false;
-        flush(st);
-        return true;
-    }
-
 private:
     ChunkArena<Superblock, kBlocksPerChunk> blocks_;
     ChunkArena<SbOp, kOpsPerChunk> ops_;
     std::vector<SbOp> scratch_; ///< the block being translated
     std::vector<Superblock*> at_; ///< indexed by (pc - text_base) >> 2
-    bool flush_pending_ = false;
 };
 
 } // namespace hwst::sim
