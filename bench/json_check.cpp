@@ -1,15 +1,16 @@
 // json_check — CI validator for the BENCH_<name>.json files the
 // harnesses emit: parses each argument with the exec JSON parser,
 // checks the envelope (schema_version, bench, jobs, wall_ms) and exits
-// non-zero on the first malformed file. `bench-smoke` runs it after
-// every harness.
+// non-zero on the first malformed file. tests/golden.cmake runs it on
+// every envelope it compares with a golden.
 //
 // `json_check --equiv A B` compares two BENCH envelopes after stripping
 // host-side fields (wall_ms, run_ms, mips, geo_mean_mips, git_rev,
 // jobs, tier choice + dbt counters, cache stats): the determinism
 // contract of docs/performance.md
 // says host speed may change between runs and revisions, simulated
-// numbers may not — this is the check that enforces it. The strip
+// numbers may not — this is the check that enforces it. On a mismatch
+// it prints the first differing key path and both values. The strip
 // itself is exec::strip_host_fields. `json_check --strip IN OUT` writes
 // IN without those fields, as the golden envelopes under bench/golden/
 // are kept.
@@ -19,6 +20,7 @@
 // every cell (parse, version, digest + git_rev re-hash to the file
 // name, payload present), and with GIT_REV flags cells another build
 // published. Invalid or stale cells exit 1.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,13 +32,49 @@ using namespace hwst;
 
 namespace {
 
+/// The first place `a` and `b` print differently, as a key path
+/// (`rows[3].cycles`) and both values; empty when they print the same.
+std::string first_difference(const exec::json::Value& a,
+                             const exec::json::Value& b,
+                             const std::string& path)
+{
+    if (a.dump(0) == b.dump(0)) return {};
+    const std::string at = path.empty() ? "(root)" : path;
+    if (a.is_object() && b.is_object()) {
+        const std::string prefix = path.empty() ? "" : path + ".";
+        for (const auto& [key, av] : a.members()) {
+            const auto* bv = b.find(key);
+            if (!bv) return prefix + key + ": " + av.dump(0) + " vs (absent)";
+            std::string d = first_difference(av, *bv, prefix + key);
+            if (!d.empty()) return d;
+        }
+        for (const auto& [key, bv] : b.members())
+            if (!a.find(key))
+                return prefix + key + ": (absent) vs " + bv.dump(0);
+        return at + ": same keys in another order";
+    }
+    if (a.is_array() && b.is_array()) {
+        const std::size_t n = std::min(a.size(), b.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            std::string d = first_difference(
+                a.items()[i], b.items()[i],
+                path + "[" + std::to_string(i) + "]");
+            if (!d.empty()) return d;
+        }
+        return at + ": " + std::to_string(a.size()) + " vs " +
+               std::to_string(b.size()) + " items";
+    }
+    return at + ": " + a.dump(0) + " vs " + b.dump(0);
+}
+
 int check_equiv(const char* a_path, const char* b_path)
 {
     const auto a = exec::strip_host_fields(exec::read_bench_json(a_path));
     const auto b = exec::strip_host_fields(exec::read_bench_json(b_path));
     if (a.dump(2) != b.dump(2)) {
         std::cerr << "json_check: " << a_path << " and " << b_path
-                  << " differ beyond host-side fields\n";
+                  << " differ beyond host-side fields\n  first at "
+                  << first_difference(a, b, "") << '\n';
         return 1;
     }
     std::cout << a_path << " == " << b_path

@@ -309,7 +309,7 @@ int main(int argc, char** argv)
     // run shares with the baseline, against the baseline's geo-mean
     // over the same rows — so a --smoke run gates against the matching
     // slice of a full-grid baseline instead of comparing apples to the
-    // whole orchard. The tolerance is deliberately lenient (bench-smoke
+    // whole orchard. The tolerance is deliberately lenient (tier-smoke
     // passes 30%): host MIPS is noisy, and the gate is for catching
     // "the tier got 2x slower", not 5% jitter.
     if (gate_pct >= 0.0) {

@@ -61,25 +61,6 @@ json::Value read_bench_json(const std::string& path)
     return root;
 }
 
-json::Value outcome_json(const Job& job, const JobOutcome& outcome)
-{
-    json::Value row = json::Value::object();
-    if (!job.workload.empty()) row["workload"] = job.workload;
-    if (!job.scheme.empty()) row["scheme"] = job.scheme;
-    row["status"] = job_status_name(outcome.status);
-    row["wall_ms"] = outcome.wall_ms;
-    if (outcome.status == JobStatus::Ok) {
-        const sim::RunResult& r = outcome.result;
-        row["exit_code"] = r.exit_code;
-        row["trap"] = trap_name(r.trap.kind);
-        row["cycles"] = r.cycles;
-        row["instret"] = r.instret;
-    } else {
-        row["error"] = outcome.error;
-    }
-    return row;
-}
-
 bool is_host_field(std::string_view key)
 {
     // wall_ms/run_ms/mips/geo_mean_mips: host timing. git_rev/jobs:

@@ -30,13 +30,9 @@ std::string write_bench_json(const std::string& bench, unsigned jobs,
                              double wall_ms, const json::Value& payload,
                              const std::string& path = {});
 
-/// Read + parse a BENCH json file and check the envelope (used by the
-/// bench-smoke validator and the round-trip tests).
+/// Read + parse a BENCH json file and check the envelope (used by
+/// json_check and the round-trip tests).
 json::Value read_bench_json(const std::string& path);
-
-/// One JobOutcome as a JSON row fragment: status, wall_ms and — when
-/// the job succeeded — the core RunResult counters every harness wants.
-json::Value outcome_json(const Job& job, const JobOutcome& outcome);
 
 /// True for envelope/record keys that carry host-side timing or
 /// provenance — legitimately different between two runs of the same

@@ -41,23 +41,6 @@ struct Trap {
     TrapKind kind = TrapKind::None;
     u64 addr = 0; ///< faulting address if applicable
     u64 pc = 0;   ///< pc of the trapping instruction
-
-    bool is_violation() const
-    {
-        switch (kind) {
-        case TrapKind::SpatialViolation:
-        case TrapKind::TemporalViolation:
-        case TrapKind::AccessFault:
-        case TrapKind::SoftSpatialViolation:
-        case TrapKind::SoftTemporalViolation:
-        case TrapKind::StackGuardViolation:
-        case TrapKind::LibcAbort:
-        case TrapKind::AsanReport:
-            return true;
-        default:
-            return false;
-        }
-    }
 };
 
 constexpr std::string_view trap_name(TrapKind k)

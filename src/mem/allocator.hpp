@@ -93,7 +93,6 @@ public:
     u64 base() const { return base_; }
     u64 entries() const { return entries_; }
     u64 live() const { return live_; }
-    u64 keys_minted() const { return next_key_ - 2; }
 
     /// The CETS global lock_location, holding kGlobalKey. Index 1:
     /// index 0 is reserved because a compressed temporal half of zero

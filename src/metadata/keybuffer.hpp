@@ -85,15 +85,6 @@ public:
         ++stats_.flushes;
     }
 
-    /// Flip bits of the key cached in occupied slot `i` (SEU injection —
-    /// fault tooling). Returns false if the slot is empty.
-    bool corrupt_slot(std::size_t i, u64 key_flip)
-    {
-        if (i >= slots_.size()) return false;
-        slots_[i].key ^= key_flip;
-        return true;
-    }
-
     unsigned capacity() const { return capacity_; }
     std::size_t size() const { return slots_.size(); }
     const KeybufferStats& stats() const { return stats_; }

@@ -72,12 +72,6 @@ public:
 
     void clear(Reg r) { mut(r).clear(); }
 
-    /// Flip bits of a stored half in place (SEU injection — fault
-    /// tooling). Valid bits are untouched: a particle strike perturbs
-    /// the stored word, it does not invent or erase presence.
-    void xor_lo(Reg r, u64 flip) { mut(r).value.lo ^= flip; }
-    void xor_hi(Reg r, u64 flip) { mut(r).value.hi ^= flip; }
-
     void clear_all()
     {
         for (auto& e : entries_) e.clear();

@@ -72,11 +72,5 @@ inline Instruction csri_op(Opcode op, Reg rd, u32 zimm5, u32 csr)
 // Common pseudo-instructions.
 inline Instruction nop() { return itype(Opcode::ADDI, Reg::zero, Reg::zero, 0); }
 inline Instruction mv(Reg rd, Reg rs) { return itype(Opcode::ADDI, rd, rs, 0); }
-inline Instruction li_small(Reg rd, i64 imm)
-{
-    // Caller must guarantee imm fits 12 bits; materialising larger
-    // constants is the assembler's job (Program::emit_li).
-    return itype(Opcode::ADDI, rd, Reg::zero, imm);
-}
 
 } // namespace hwst::riscv

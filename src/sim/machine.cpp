@@ -813,6 +813,15 @@ bool Machine::record(CheckpointStore& store, const CheckpointKey& key,
                                          std::min(at, cfg_.fuel), end);
     } while (finished && store.record(golden, key, end) && golden.running_);
     sbcache_hooked_ = std::move(golden.sbcache_hooked_);
+    // The recording's translation and dispatch work is this run's host
+    // cost; its jump to a stored checkpoint is not one of this run's.
+    const DbtStats& g = golden.dbt_stats_;
+    dbt_stats_.blocks += g.blocks;
+    dbt_stats_.translated_ops += g.translated_ops;
+    dbt_stats_.block_execs += g.block_execs;
+    dbt_stats_.chained += g.chained;
+    dbt_stats_.jalr_hits += g.jalr_hits;
+    dbt_stats_.jalr_misses += g.jalr_misses;
     return finished;
 }
 

@@ -136,8 +136,6 @@ struct InstrMix {
                meta_moves + binds + tchk + branches + jumps + ecalls +
                other;
     }
-    /// Memory-traffic instructions added by metadata handling.
-    u64 metadata_traffic() const { return meta_moves; }
 
     bool operator==(const InstrMix&) const = default;
 };
@@ -381,11 +379,6 @@ public:
     // prefix_golden_).
     u64 reg(Reg r) const { return regs_[riscv::reg_index(r)]; }
     u64 pc() const { return pc_; }
-    void set_pc(u64 pc)
-    {
-        prefix_golden_ = false;
-        pc_ = pc;
-    }
     u64 cycles() const { return cycles_; }
     u64 instret() const { return instret_; }
     bool running() const { return running_; }
@@ -479,7 +472,8 @@ private:
                           hwst::Trap& out);
     /// Record the golden run under `key` in `store` on a second Machine
     /// with every point quiet, from the furthest stored checkpoint on
-    /// (false when `cancel` fired).
+    /// (false when `cancel` fired). Its translation and dispatch counts
+    /// are added to this Machine's dbt_stats().
     bool record(CheckpointStore& store, const CheckpointKey& key,
                 const std::function<bool()>& cancel, u64 stride);
     /// The block cache of the run_superblocks<Hooked> copy (null until

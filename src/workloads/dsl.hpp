@@ -33,25 +33,6 @@ inline void for_range(FunctionBuilder& b, u32 ivar, i64 lo, i64 hi,
     b.set_insert(exit);
 }
 
-/// for (i = lo; i < *hi_local; ++i) body() — dynamic upper bound.
-inline void for_range_local(FunctionBuilder& b, u32 ivar, i64 lo,
-                            u32 hi_local, const std::function<void()>& body,
-                            i64 step = 1)
-{
-    const auto head = b.block("for_head");
-    const auto loop = b.block("for_body");
-    const auto exit = b.block("for_exit");
-    b.store_local(ivar, b.const_i64(lo));
-    b.jmp(head);
-    b.set_insert(head);
-    b.br(b.lt(b.load_local(ivar), b.load_local(hi_local)), loop, exit);
-    b.set_insert(loop);
-    body();
-    b.store_local(ivar, b.add(b.load_local(ivar), b.const_i64(step)));
-    b.jmp(head);
-    b.set_insert(exit);
-}
-
 /// while (cond()) body(). cond is evaluated in its own block.
 inline void while_loop(FunctionBuilder& b,
                        const std::function<Value()>& cond,
@@ -98,12 +79,6 @@ inline void if_else(FunctionBuilder& b, Value cond,
     otherwise();
     b.jmp(merge);
     b.set_insert(merge);
-}
-
-/// x % 2^k via AND (cheap, avoids div).
-inline Value mod_pow2(FunctionBuilder& b, Value x, i64 pow2_minus1)
-{
-    return b.and_(x, b.const_i64(pow2_minus1));
 }
 
 /// A deterministic xorshift step on a local PRNG state.

@@ -1,6 +1,8 @@
 # Run each command given after `--` and fail unless every one exits with
-# EXPECT. Commands are separated by `---`:
-#   cmake -DEXPECT=2 -P expect_exit.cmake -- prog --flag -1 --- prog --flag 1x
+# EXPECT and, if MATCH is given, prints something that matches it.
+# Commands are separated by `---`:
+#   cmake -DEXPECT=2 [-DMATCH=regex] -P expect_exit.cmake --
+#         prog --flag -1 --- prog --flag 1x
 set(cmd "")
 set(started OFF)
 foreach(n RANGE ${CMAKE_ARGC})
@@ -16,10 +18,13 @@ foreach(n RANGE ${CMAKE_ARGC})
   elseif(arg STREQUAL "---")
     if(cmd)
       execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
-                      OUTPUT_QUIET ERROR_QUIET)
+                      OUTPUT_VARIABLE out ERROR_VARIABLE out)
       string(REPLACE ";" " " shown "${cmd}")
       if(NOT rc STREQUAL "${EXPECT}")
         message(FATAL_ERROR "exit ${rc}, expected ${EXPECT}: ${shown}")
+      endif()
+      if(DEFINED MATCH AND NOT out MATCHES "${MATCH}")
+        message(FATAL_ERROR "no match for '${MATCH}': ${shown}\n${out}")
       endif()
       message(STATUS "exit ${rc}: ${shown}")
     endif()

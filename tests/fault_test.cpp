@@ -1619,6 +1619,33 @@ TEST(PrefixCheckpoint, EachConfigRecordsAStoreOfItsOwn)
     }
 }
 
+TEST(PrefixCheckpoint, RequestingRunCountsTheRecordingsDispatcherWork)
+{
+    // The run that has the golden run recorded lends the recording its
+    // block cache and takes over its translation and dispatch counts,
+    // but not its jumps. A second run of the same plan finds the store
+    // complete and does only its own work.
+    const PrefixWorkload w{"crc32"};
+    const auto plan = fault::FaultPlan::single(
+        Probe::SrfSpatialWrite, fault::FaultMode::OneShot,
+        w.golden.instret - 1000, 0x100);
+    const FaultedRun first = run_prefix(w.cp.program, plan, w.cfg);
+    const FaultedRun second = run_prefix(w.cp.program, plan, w.cfg);
+    expect_same_faulted(first, second);
+    EXPECT_EQ(first.dbt.prefix_restores, second.dbt.prefix_restores);
+    EXPECT_EQ(first.dbt.restored_instret, second.dbt.restored_instret);
+    EXPECT_EQ(first.dbt.rejoins, second.dbt.rejoins);
+    if (!dispatcher_available()) {
+        EXPECT_EQ(first.dbt.block_execs, 0u);
+        return;
+    }
+    // The recording ran every instruction the jump skipped.
+    ASSERT_GT(second.dbt.restored_instret, w.golden.instret / 2);
+    EXPECT_GT(first.dbt.blocks, second.dbt.blocks);
+    EXPECT_GT(first.dbt.translated_ops, second.dbt.translated_ops);
+    EXPECT_GT(first.dbt.block_execs, second.dbt.block_execs);
+}
+
 TEST(PrefixCheckpoint, TraceHookNeitherRecordsNorRestores)
 {
     const PrefixWorkload w{"crc32"};
