@@ -1,26 +1,19 @@
-// fault_campaign — the metadata fault-injection campaign harness: sweep
-// N seeded single-event upsets per injection point, classify every run
-// with the trap-or-survive oracle, and print the aggregate detection
-// table. The headline invariant: under the full HWST128 scheme, SRF and
-// LMSM faults are never silent — corrupted metadata can fire a spurious
-// trap or change nothing, but it cannot alter program output unnoticed.
+// fault_campaign — the metadata fault-injection campaign
+// (exhibits::fault_campaign): exit 0 iff no silent corruption at a
+// metadata-protected point and no timed-out run.
 //
 //   fault_campaign                                # seed configuration
 //   fault_campaign --seeds 50 --mode stuck-at
 //   fault_campaign --scheme hwst128 --workloads crc32
 //   fault_campaign --points srf-spatial-write,lmsm-load --seed 7
 //   fault_campaign --jobs 8 --json                # parallel + JSON
-#include <algorithm>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
-#include "exec/cli.hpp"
-#include "exec/envelope.hpp"
-#include "fault/campaign.hpp"
+#include "exhibits/exhibits.hpp"
 
 using namespace hwst;
 using fault::CampaignConfig;
@@ -89,17 +82,6 @@ CampaignConfig parse(int argc, char** argv, exec::GridOptions& grid)
                                          exec::kGridFlagsHelp};
         }
     }
-    if (grid.smoke) {
-        cfg.seeds_per_point = std::min(cfg.seeds_per_point, 2u);
-        if (cfg.workloads.size() > 1) cfg.workloads.resize(1);
-    }
-    cfg.jobs = grid.jobs;
-    cfg.timeout_ms = grid.timeout_ms;
-    if (cfg.workloads.empty() || cfg.points.empty() ||
-        cfg.seeds_per_point == 0) {
-        throw common::ToolchainError{
-            "campaign needs at least one workload, point and seed"};
-    }
     return cfg;
 }
 
@@ -107,36 +89,13 @@ CampaignConfig parse(int argc, char** argv, exec::GridOptions& grid)
 
 int main(int argc, char** argv)
 {
+    exec::GridOptions grid;
+    CampaignConfig cfg;
     try {
-        exec::GridOptions grid;
-        CampaignConfig cfg = parse(argc, argv, grid);
-        // The result cache for the classified faulted runs (--cache /
-        // HWST_CACHE).
-        const std::unique_ptr<exec::ResultCache> cache =
-            exec::open_cache(grid);
-        cfg.cache = cache.get();
-        const exec::Stopwatch stopwatch;
-        const auto report = fault::run_campaign(cfg);
-        const double wall_ms = stopwatch.elapsed_ms();
-        report.print(std::cout);
-        if (grid.json) {
-            exec::json::Value payload = report.to_json();
-            if (cache) payload["cache"] = cache->stats_json();
-            const std::string path = exec::write_bench_json(
-                "fault_campaign", exec::resolve_jobs(grid.jobs), wall_ms,
-                payload, grid.json_path);
-            std::cout << "wrote " << path << '\n';
-        }
-        // Exit status checks the completeness invariant first: no
-        // silent corruption at metadata-protected points
-        // (dcache-fill-data is outside HWST's protection domain — ECC's
-        // job — and expected to corrupt silently). Beyond that,
-        // unclassified (timed-out) runs fail the campaign.
-        if (report.protected_silent() != 0) return 1;
-        if (report.total_timeouts() != 0) return 1;
-        return 0;
+        cfg = parse(argc, argv, grid);
     } catch (const std::exception& e) {
         std::cerr << "fault_campaign: " << e.what() << '\n';
         return 2;
     }
+    return exhibits::fault_campaign(grid, std::move(cfg));
 }

@@ -94,56 +94,19 @@ int strip(const char* in_path, const char* out_path)
     return 0;
 }
 
-/// Extra schema for the interpreter-throughput envelope: the perf
-/// trajectory is only diffable if every entry records its revision and
-/// per-workload MIPS rows.
-void check_interp_speed(const exec::json::Value& v)
+/// Extra schema for bench/repro's envelope: the gate reads the
+/// calibrated sum, and every exhibit row must say how it ended and how
+/// long it took.
+void check_repro(const exec::json::Value& v)
 {
-    const auto* rev = v.find("git_rev");
-    if (!rev || !rev->is_string())
-        throw exec::json::JsonError{"missing string key: git_rev"};
-    const auto* geo = v.find("geo_mean_mips");
-    if (!geo || !(geo->is_number() || geo->is_null()))
-        throw exec::json::JsonError{"geo_mean_mips must be number|null"};
-    const auto* rows = v.find("rows");
-    if (!rows || !rows->is_array())
-        throw exec::json::JsonError{"missing array key: rows"};
-    for (const auto& row : rows->items()) {
-        for (const char* key : {"workload", "scheme"}) {
-            const auto* s = row.find(key);
-            if (!s || !s->is_string())
-                throw exec::json::JsonError{
-                    std::string{"row: missing string key: "} + key};
-        }
-        for (const char* key : {"instret", "cycles"}) {
-            const auto* n = row.find(key);
-            if (!n || !n->is_int())
-                throw exec::json::JsonError{
-                    std::string{"row: missing int key: "} + key};
-        }
-        for (const char* key : {"run_ms", "mips"}) {
-            const auto* n = row.find(key);
-            if (!n || !n->is_number())
-                throw exec::json::JsonError{
-                    std::string{"row: missing number key: "} + key};
-        }
-        const auto* rtier = row.find("tier");
-        if (!rtier || !rtier->is_string())
-            throw exec::json::JsonError{"row: missing string key: tier"};
-        const auto* dbt = row.find("dbt");
-        if (!dbt || !dbt->is_object())
-            throw exec::json::JsonError{"row: missing object key: dbt"};
-        for (const char* key :
-             {"blocks", "block_execs", "chained", "fallback_runs"}) {
-            const auto* n = dbt->find(key);
-            if (!n || !n->is_int())
-                throw exec::json::JsonError{
-                    std::string{"row.dbt: missing int key: "} + key};
-        }
+    v.at("smoke").as_bool();
+    v.at("calibrated_ms").as_double();
+    for (const auto& row : v.at("exhibits").items()) {
+        row.at("name").as_string();
+        row.at("exit").as_int();
+        for (const char* key : {"wall_ms", "slice_ms", "calibrated_ms"})
+            row.at(key).as_double();
     }
-    const auto* tier = v.find("tier");
-    if (!tier || !tier->is_string())
-        throw exec::json::JsonError{"missing string key: tier"};
 }
 
 } // namespace
@@ -216,8 +179,7 @@ int main(int argc, char** argv)
                 throw exec::json::JsonError{"missing int key: jobs"};
             if (!wall || !wall->is_number())
                 throw exec::json::JsonError{"missing number key: wall_ms"};
-            if (bench->as_string() == "interp_speed")
-                check_interp_speed(v);
+            if (bench->as_string() == "repro") check_repro(v);
             std::cout << argv[i] << ": ok (bench="
                       << bench->as_string() << ", jobs=" << jobs->as_int()
                       << ")\n";

@@ -22,17 +22,4 @@ CompiledProgram compile(const mir::Module& module, Scheme scheme,
 sim::RunResult run(const mir::Module& module, Scheme scheme,
                    riscv::MemoryLayout layout = {});
 
-/// Compile and run with an explicit machine-config tweak hook (keybuffer
-/// sweeps, cache ablations...).
-template <typename ConfigFn>
-sim::RunResult run_with_config(const mir::Module& module, Scheme scheme,
-                               ConfigFn&& tweak,
-                               riscv::MemoryLayout layout = {})
-{
-    CompiledProgram cp = compile(module, scheme, layout);
-    tweak(cp.machine_config);
-    sim::Machine machine{cp.program, cp.machine_config};
-    return machine.run();
-}
-
 } // namespace hwst::compiler

@@ -1,6 +1,7 @@
 #include "juliet/runner.hpp"
 
 #include "compiler/driver.hpp"
+#include "exec/simrun.hpp"
 
 namespace hwst::juliet {
 
@@ -36,37 +37,52 @@ bool counts_as_detection(Scheme scheme, TrapKind trap)
     return false;
 }
 
-TrapKind run_case(Scheme scheme, const CaseSpec& spec)
+void Coverage::add(Cwe cwe, bool was_detected)
 {
+    auto& c = per_cwe[cwe];
+    ++c.total;
+    ++total;
+    if (was_detected) {
+        ++c.detected;
+        ++detected;
+    }
+}
+
+void Coverage::merge(const Coverage& other)
+{
+    total += other.total;
+    detected += other.detected;
+    for (const auto& [cwe, c] : other.per_cwe) {
+        per_cwe[cwe].total += c.total;
+        per_cwe[cwe].detected += c.detected;
+    }
+}
+
+TrapKind run_case(Scheme scheme, const CaseSpec& spec,
+                  const exec::CancelToken& token)
+{
+    // Codegen holds a reference to the module during compile.
+    const mir::Module module = build_case(spec);
+    compiler::CompiledProgram cp = compiler::compile(module, scheme);
     // Bounded fuel plays the role of the Juliet harness timeout: a
     // self-corrupted case that livelocks counts as not-detected.
-    auto result = compiler::run_with_config(
-        build_case(spec), scheme,
-        [](sim::MachineConfig& cfg) { cfg.fuel = 2'000'000; });
-    return result.trap.kind;
+    cp.machine_config.fuel = 2'000'000;
+    return exec::run_program(cp.program, cp.machine_config,
+                             exec::JobContext{.token = token})
+        .trap.kind;
 }
 
 Coverage run_suite(Scheme scheme, std::span<const CaseSpec> cases,
-                   const RunOptions& opts)
+                   const RunOptions& opts, const exec::CancelToken& token)
 {
     Coverage cov;
     const u32 stride = opts.stride == 0 ? 1 : opts.stride;
     for (std::size_t i = 0; i < cases.size(); i += stride) {
+        if (token.expired())
+            throw exec::JobTimeout{"coverage chunk cancelled"};
         const CaseSpec& spec = cases[i];
-        const TrapKind trap = run_case(scheme, spec);
-        auto& cwe = cov.per_cwe[spec.cwe];
-        ++cwe.total;
-        ++cov.total;
-        if (counts_as_detection(scheme, trap)) {
-            ++cwe.detected;
-            ++cov.detected;
-        }
-        if (opts.check_good) {
-            CaseSpec good = spec;
-            good.bad = false;
-            const TrapKind gtrap = run_case(scheme, good);
-            if (counts_as_detection(scheme, gtrap)) ++cov.false_positives;
-        }
+        cov.add(spec.cwe,
+                counts_as_detection(scheme, run_case(scheme, spec, token)));
     }
     return cov;
 }

@@ -13,6 +13,7 @@
 #include <span>
 
 #include "compiler/scheme.hpp"
+#include "exec/job.hpp"
 #include "hwst/trap.hpp"
 #include "juliet/cases.hpp"
 
@@ -34,26 +35,31 @@ struct Coverage {
     std::map<Cwe, CweCoverage> per_cwe;
     u32 total = 0;
     u32 detected = 0;
-    u32 false_positives = 0; ///< good twins flagged (should stay 0)
     double pct() const
     {
         return total ? 100.0 * detected / total : 0.0;
     }
+    /// Score one case of `cwe`.
+    void add(Cwe cwe, bool was_detected);
+    /// Add `other`'s counts (fig6's chunks merge in grid order).
+    void merge(const Coverage& other);
 };
 
 struct RunOptions {
     /// Run every `stride`-th case (1 = full suite). The detected/total
     /// ratio is unbiased for any stride because specs are deterministic.
     u32 stride = 1;
-    /// Also run good twins to count false positives.
-    bool check_good = false;
 };
 
-/// Execute the given cases under `scheme` and score coverage.
+/// Execute the given cases under `scheme` and score coverage; throws
+/// exec::JobTimeout once `token` expires.
 Coverage run_suite(compiler::Scheme scheme, std::span<const CaseSpec> cases,
-                   const RunOptions& opts = {});
+                   const RunOptions& opts = {},
+                   const exec::CancelToken& token = {});
 
-/// One case: returns the final trap kind.
-hwst::TrapKind run_case(compiler::Scheme scheme, const CaseSpec& spec);
+/// One case, through exec::run_program under `token` with no result
+/// cache: returns the final trap kind.
+hwst::TrapKind run_case(compiler::Scheme scheme, const CaseSpec& spec,
+                        const exec::CancelToken& token = {});
 
 } // namespace hwst::juliet

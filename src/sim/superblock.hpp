@@ -156,8 +156,8 @@ struct Superblock {
     std::pair<u64 InstrMix::*, u64> mix_delta[kMixBuckets];
 };
 
-/// Host-side tier counters (perf_mips emits them per row; they are
-/// never part of the simulated envelope).
+/// Host-side tier counters (fault_campaign sums some into a host-side
+/// block; they are never part of the simulated envelope).
 struct DbtStats {
     u64 blocks = 0;        ///< superblocks translated (cumulative)
     /// SbOps those blocks hold, EndFall terminators included

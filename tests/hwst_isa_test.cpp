@@ -82,6 +82,28 @@ TEST(HwstIsa, CheckedLoadOutOfBoundsTraps)
               static_cast<u64>(TrapKind::SpatialViolation));
 }
 
+TEST(HwstIsa, CheckedLoadStraddlingTheBoundTrapsOnBothTiers)
+{
+    // The SCU checks the whole access, not its first byte: a 4-byte load
+    // at +62 of a 64-byte object starts in bounds and ends out of them.
+    auto b = build([](Program& p) {
+        const i64 base = static_cast<i64>(p.layout().data_base);
+        bind_object(p, base, 64);
+        p.emit(itype(Opcode::CLW, Reg::t1, Reg::a0, 62));
+    });
+    for (const sim::ExecTier tier :
+         {sim::ExecTier::Interp, sim::ExecTier::Dbt}) {
+        sim::MachineConfig cfg;
+        cfg.tier = tier;
+        Machine m{b.program, cfg};
+        const auto r = m.run();
+        EXPECT_EQ(r.trap.kind, TrapKind::SpatialViolation)
+            << sim::tier_name(tier);
+        EXPECT_EQ(r.trap.addr, b.program.layout().data_base + 62)
+            << sim::tier_name(tier);
+    }
+}
+
 TEST(HwstIsa, CheckedStoreUnderflowTraps)
 {
     auto b = build([](Program& p) {

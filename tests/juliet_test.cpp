@@ -154,7 +154,7 @@ TEST(JulietExtended, IntraObjectOverflowMissedByDesign)
 TEST(JulietCoverage, StrideSampleMatchesPaperShape)
 {
     const auto cases = jl::all_bad_cases();
-    const jl::RunOptions opts{23, false};
+    const jl::RunOptions opts{23};
     const auto gcc = jl::run_suite(Scheme::Gcc, cases, opts);
     const auto asan = jl::run_suite(Scheme::Asan, cases, opts);
     const auto sb = jl::run_suite(Scheme::Sbcets, cases, opts);
